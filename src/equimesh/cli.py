@@ -92,6 +92,12 @@ def _build_parser():
     p.add_argument(
         "--kind", default=None, choices=_KIND_CHOICES, help="domain kind hint"
     )
+    p.add_argument(
+        "--no-align",
+        action="store_true",
+        default=None,
+        help="skip principal-axes alignment of the inline-decomposed input",
+    )
     p.add_argument("--out", default=None, help="remeshed mesh file")
     p.add_argument("--trace", default=None, help="iteration trace CSV")
     p.add_argument(
@@ -225,7 +231,8 @@ def cmd_remesh(args):
         weights = load_weights(args.weights)
     else:
         _require(args, "input", "nmax")
-        weights = _decompose_pipeline(args.input, args.nmax, args.kind, True)
+        align = not bool(args.no_align)
+        weights = _decompose_pipeline(args.input, args.nmax, args.kind, align)
     _require(args, "out")
 
     refine = 4 if args.refine is None else args.refine

@@ -3,8 +3,12 @@
 Surfaces are encoded as complex weights Q[(n, m), axis] of fully normalized
 associated Legendre functions times circular harmonics in phi. Rows are
 n-major with m ascending from -n, so truncating to a lower degree is a
-prefix slice. Real surfaces have conjugate-consistent weights, which the
-fast reconstruction exploits by summing m >= 0 terms only.
+prefix slice. Real surfaces have conjugate-consistent weights. The fit and
+the fast reconstruction share one real-arithmetic kernel that runs order by
+order: the Legendre block P_nm (n = m..n_max) times cos(m phi) and sin(m phi),
+so fitted weights are conjugate-consistent by construction and no complex
+basis is built. basis_matrix and reconstruct_full stay the independent
+complex-basis reference.
 """
 from __future__ import annotations
 
@@ -144,56 +148,40 @@ def _seed_amplitudes(n_max):
     return amp
 
 
-def alp_table(n_max, xi):
-    """All normalized associated Legendre values for m >= 0.
-
-    Parameters
-    ----------
-    n_max : int
-    xi : (k,) array in [-1, 1]
-
-    Returns
-    -------
-    (k, beta_hat) array; column order matches half_orders(n_max).
-
-    The three-term recurrence over n at fixed m is numerically stable for
-    the supported degree range (values stay O(sqrt(n))).
-    """
+def _legendre_blocks(n_max, xi):
+    """Yield (m, P_m) for m = 0..n_max: the (n_max - m + 1, k) block of
+    normalized associated Legendre values P_nm(xi), n = m..n_max. The
+    three-term recurrence over n at fixed m is numerically stable for the
+    supported degree range (values stay O(sqrt(n)))."""
     if not 0 <= n_max <= MAX_DEGREE:
         raise GuardError(f"n_max must be in [0, {MAX_DEGREE}]")
     xi = np.asarray(xi, dtype=float)
     if xi.size and (xi.min() < -1.0 - 1e-12 or xi.max() > 1.0 + 1e-12):
         raise ValueError("xi outside [-1, 1]")
     xi = np.clip(xi, -1.0, 1.0)
-    k = xi.shape[0]
-    out = np.empty((k, (n_max + 1) * (n_max + 2) // 2))
     amp = _seed_amplitudes(n_max)
     sin_pow = np.sqrt(np.maximum(0.0, 1.0 - xi * xi))
-
-    def col(n, m):
-        return n * (n + 1) // 2 + m
-
-    pmm = np.full(k, amp[0])
     for m in range(n_max + 1):
-        if m > 0:
-            # sectoral seed with Condon-Shortley phase
-            pmm = ((-1.0) ** m * amp[m]) * sin_pow**m
-        out[:, col(m, m)] = pmm
-        if m == n_max:
-            break
-        prev2 = pmm
-        prev1 = np.sqrt(2.0 * m + 3.0) * xi * pmm
-        out[:, col(m + 1, m)] = prev1
+        block = np.empty((n_max - m + 1, xi.shape[0]))
+        # sectoral seed with Condon-Shortley phase
+        block[0] = ((-1.0) ** m * amp[m]) * sin_pow**m if m else amp[0]
+        if m < n_max:
+            block[1] = np.sqrt(2.0 * m + 3.0) * xi * block[0]
         for n in range(m + 2, n_max + 1):
             a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-            b = np.sqrt(
-                (2.0 * n + 1.0)
-                * ((n - 1.0) ** 2 - m * m)
-                / ((2.0 * n - 3.0) * (n * n - m * m))
-            )
-            cur = a * xi * prev1 - b * prev2
-            out[:, col(n, m)] = cur
-            prev2, prev1 = prev1, cur
+            b = np.sqrt((2.0 * n + 1.0) * ((n - 1.0) ** 2 - m * m)
+                        / ((2.0 * n - 3.0) * (n * n - m * m)))
+            block[n - m] = a * xi * block[n - m - 1] - b * block[n - m - 2]
+        yield m, block
+
+
+def alp_table(n_max, xi):
+    """(k, beta_hat) normalized associated Legendre values for m >= 0 at the
+    k points xi in [-1, 1]; column order matches half_orders(n_max)."""
+    out = np.empty((len(xi), (n_max + 1) * (n_max + 2) // 2))
+    for m, block in _legendre_blocks(n_max, xi):
+        n = np.arange(m, n_max + 1)
+        out[:, n * (n + 1) // 2 + m] = block.T
     return out
 
 
@@ -215,15 +203,6 @@ def normalized_alp(n, m, xi):
 # ---------------------------------------------------------------------------
 # basis evaluation
 
-def _half_basis(coords, n_max):
-    """(n_v, beta_hat) complex half basis (m >= 0), no multiplicity factor."""
-    xi = xi_of_eta(coords.domain, coords.eta)
-    table = alp_table(n_max, xi)
-    _, m = half_orders(n_max)
-    phase = np.exp(1j * np.outer(coords.phi, m))
-    return table * phase
-
-
 def basis_matrix(coords, config):
     """Full (n_v, beta) complex basis matrix.
 
@@ -231,7 +210,9 @@ def basis_matrix(coords, config):
     column(n, -m) = (-1)^m * conj(column(n, m)).
     """
     n_max = config.n_max
-    half = _half_basis(coords, n_max)
+    xi = xi_of_eta(coords.domain, coords.eta)
+    _, m_half = half_orders(n_max)
+    half = alp_table(n_max, xi) * np.exp(1j * np.outer(coords.phi, m_half))
     n, m = full_orders(n_max)
     out = np.empty((half.shape[0], config.beta), dtype=np.complex128)
     half_col = n * (n + 1) // 2 + np.abs(m)
@@ -242,16 +223,26 @@ def basis_matrix(coords, config):
     return out
 
 
-def _symmetrize(q, n_max):
-    """Project weights onto the conjugate-consistent (real surface) subspace."""
-    n, m = full_orders(n_max)
-    idx_neg = FourierWeights.row_index(n, -m)
-    sym = 0.5 * (q + ((-1.0) ** m)[:, None] * np.conj(q[idx_neg]))
-    return sym
+def _order_blocks(coords, n_max):
+    """Yield (m, P_m, cos(m phi), sin(m phi)) per order m = 0..n_max, with
+    cos and sin advanced by the angle-addition recurrence."""
+    xi = xi_of_eta(coords.domain, coords.eta)
+    cos_1, sin_1 = np.cos(coords.phi), np.sin(coords.phi)
+    cos_m, sin_m = np.ones_like(cos_1), np.zeros_like(sin_1)
+    for m, block in _legendre_blocks(n_max, xi):
+        if m:
+            cos_m, sin_m = (cos_m * cos_1 - sin_m * sin_1,
+                            sin_m * cos_1 + cos_m * sin_1)
+        yield m, block, cos_m, sin_m
 
 
 def decompose(mesh, coords, config):
     """Least-squares expansion weights of mesh vertices over the basis.
+
+    The fit is real: column (n, m >= 0) holds P_nm cos(m phi) and column
+    (n, -m) holds P_nm sin(m phi), filled order by order. Coefficients a, b
+    map to q_n0 = a, q_nm = (a - i b) / 2, q_n,-m = (-1)^m conj(q_nm), so
+    fitted weights are conjugate-consistent by construction.
 
     Requires n_v >= beta. Dense orthogonal factorization is used up to
     beta = 3000 columns; larger problems go through conjugate-gradient
@@ -262,16 +253,21 @@ def decompose(mesh, coords, config):
         raise ValueError("mesh and coords disagree on vertex count")
     if coords.domain.kind not in KINDS:
         raise ValueError("bad domain")
-    beta = config.beta
+    n_max, beta = config.n_max, config.beta
     if mesh.n_v < beta:
         raise EngineError(
             f"underdetermined decomposition: {mesh.n_v} samples < {beta} basis "
             "columns"
         )
-    B = basis_matrix(coords, config)
-    V = mesh.vertices.astype(np.complex128)
+    B = np.empty((mesh.n_v, beta))
+    for m, block, cos_m, sin_m in _order_blocks(coords, n_max):
+        n = np.arange(m, n_max + 1)
+        B[:, FourierWeights.row_index(n, m)] = (block * cos_m).T
+        if m:
+            B[:, FourierWeights.row_index(n, -m)] = (block * sin_m).T
+    V = mesh.vertices
     if beta <= _DENSE_LSQ_LIMIT:
-        q, _, rank, sv = np.linalg.lstsq(B, V, rcond=None)
+        coef, _, rank, sv = np.linalg.lstsq(B, V, rcond=None)
         if rank < beta:
             raise EngineError(
                 f"rank-deficient basis (rank {rank} < {beta}); sampling does "
@@ -281,12 +277,17 @@ def decompose(mesh, coords, config):
         if cond > 1e12:
             raise EngineError(f"basis condition estimate {cond:.3e} too large")
     else:
-        q = _normal_equation_lsq(B, V)
-    q = _symmetrize(q, config.n_max)
-    resid = (np.abs(B @ q - V) ** 2).sum(axis=1)
+        coef = _normal_equation_lsq(B, V)
+    resid = ((B @ coef - V) ** 2).sum(axis=1)
     residual_rms = float(np.sqrt(resid.mean()))
+    n, m = full_orders(n_max)
+    pos = np.flatnonzero(m > 0)
+    neg = FourierWeights.row_index(n[pos], -m[pos])
+    q = coef.astype(np.complex128)
+    q[pos] = 0.5 * (coef[pos] - 1j * coef[neg])
+    q[neg] = ((-1.0) ** m[pos])[:, None] * np.conj(q[pos])
     return FourierWeights(
-        q=q, n_max=config.n_max, domain=coords.domain, residual_rms=residual_rms
+        q=q, n_max=n_max, domain=coords.domain, residual_rms=residual_rms
     )
 
 
@@ -294,14 +295,10 @@ def _normal_equation_lsq(B, V):
     from scipy.sparse.linalg import LinearOperator, cg
 
     n_cols = B.shape[1]
-    op = LinearOperator(
-        (n_cols, n_cols),
-        matvec=lambda x: B.conj().T @ (B @ x),
-        dtype=np.complex128,
-    )
-    q = np.empty((n_cols, V.shape[1]), dtype=np.complex128)
+    op = LinearOperator((n_cols, n_cols), matvec=lambda x: B.T @ (B @ x))
+    q = np.empty((n_cols, V.shape[1]))
     for j in range(V.shape[1]):
-        rhs = B.conj().T @ V[:, j]
+        rhs = B.T @ V[:, j]
         x, info = cg(op, rhs, rtol=1e-12, atol=0.0, maxiter=10 * n_cols)
         if info != 0:
             raise EngineError(
@@ -343,19 +340,22 @@ def reconstruct_full(weights, coords):
 
 
 def reconstruct_fast(weights, coords):
-    """Evaluate the expansion from m >= 0 terms only.
+    """Evaluate the expansion order by order in real arithmetic.
 
-    Each term enters as Re((2 - delta_m0) * Q * P * exp(i m phi)); for
-    conjugate-consistent weights this equals reconstruct_full at roughly
-    half the basis evaluations: beta_hat = (n_max+1)(n_max+2)/2 columns.
+    For each order m the Legendre block is contracted with its weight rows
+    first, C_m = P_m^T [Re Q_m, Im Q_m], and only then combined with phi as
+    (2 - delta_m0) (Re C_m cos(m phi) - Im C_m sin(m phi)). For
+    conjugate-consistent weights this equals reconstruct_full.
     """
     _check_domains_match(weights, coords)
     n_max = weights.n_max
-    n, m = half_orders(n_max)
-    rows = FourierWeights.row_index(n, m)
-    scaled = weights.q[rows] * np.where(m == 0, 1.0, 2.0)[:, None]
-    half = _half_basis(coords, n_max)
-    return np.ascontiguousarray((half @ scaled).real)
+    out = np.zeros((3, coords.n))
+    for m, block, cos_m, sin_m in _order_blocks(coords, n_max):
+        n = np.arange(m, n_max + 1)
+        q_m = weights.q[FourierWeights.row_index(n, m)]
+        c_m = np.vstack([q_m.real.T, q_m.imag.T]) @ block
+        out += 2.0 * (c_m[:3] * cos_m - c_m[3:] * sin_m) if m else c_m[:3]
+    return np.ascontiguousarray(out.T)
 
 
 def psd_descriptors(weights):

@@ -109,6 +109,23 @@ def test_remesh_open_cap(tmp_path):
     assert mesh.boundary_loop() is not None
 
 
+def test_remesh_open_cap_inline_no_align(tmp_path):
+    from equimesh.mesh import TriangleMesh, save_mesh
+    from equimesh.spheroidal import forward_coords, sample_cap_grid
+
+    domain = cap_domain()
+    coords, faces = sample_cap_grid(domain, rings=8, sectors=16)
+    cap = tmp_path / "cap_in.obj"
+    save_mesh(TriangleMesh(forward_coords(domain, coords.eta, coords.phi),
+                           faces), cap)
+    out = tmp_path / "cap.obj"
+    rc = main(["remesh", "--in", str(cap), "--nmax", "4",
+               "--kind", "hemispheroid", "--no-align", "--out", str(out),
+               "--refine", "1", "--imax", "3", "--std-tol", "0"])
+    assert rc == 0
+    assert load_mesh(out).boundary_loop() is not None
+
+
 def test_metrics_report(oblate_obj, tmp_path, capsys):
     out = tmp_path / "report.csv"
     rc = main(["metrics", "--in", str(oblate_obj), "--out", str(out)])

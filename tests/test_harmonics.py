@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from equimesh import harmonics
 from equimesh.errors import EngineError, FormatError, GuardError
 from equimesh.harmonics import (
     ExpansionConfig,
@@ -28,7 +30,13 @@ from equimesh.harmonics import (
     save_weights,
 )
 from equimesh.mesh import TriangleMesh
-from equimesh.spheroidal import CurvilinearCoords, SpheroidDomain, sample_icosphere
+from equimesh.spheroidal import (
+    KINDS,
+    PROLATE_HEMISPHEROID,
+    CurvilinearCoords,
+    SpheroidDomain,
+    sample_icosphere,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +325,76 @@ def test_decompose_rank_deficient_raises(oblate_dom):
     mesh = TriangleMesh(forward_coords(oblate_dom, coords.eta, coords.phi), faces)
     with pytest.raises(EngineError):
         decompose(mesh, squashed, ExpansionConfig(2))
+
+
+def _edge_case_coords(domain, n_max, rng):
+    """Random samples plus both ends of the eta range (the poles, or pole and
+    rim) at phi = 0 and at the largest double below 2*pi."""
+    lo, hi = domain.eta_range
+    k = max(4 * (n_max + 1) ** 2, 64)
+    phi_top = np.nextafter(2.0 * np.pi, 0.0)
+    eta = np.concatenate([[lo, hi, lo, hi], rng.uniform(lo, hi, k)])
+    phi = np.concatenate([[0.0, 0.0, phi_top, phi_top],
+                          rng.uniform(0.0, 2.0 * np.pi, k)])
+    return CurvilinearCoords(eta, phi, domain)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 12, 30])
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_edge_cases(kind, n_max):
+    domain = SpheroidDomain(kind, e=0.8, zeta0=1.1)
+    rng = np.random.default_rng(n_max)
+    coords = _edge_case_coords(domain, n_max, rng)
+    w = _random_consistent_weights(n_max, domain, rng)
+    full = reconstruct_full(w, coords)
+    fast = reconstruct_fast(w, coords)
+    assert np.abs(fast - full).max() <= 1e-12 * np.abs(full).max()
+
+    mesh = TriangleMesh(full, np.zeros((0, 3), dtype=int), validate=False)
+    config = ExpansionConfig(n_max)
+    if kind == PROLATE_HEMISPHEROID and n_max >= 12:
+        # xi = 1 - cos(eta) spans only [0, 1] on this chart, so the basis
+        # loses numerical rank as the degree grows
+        if n_max == 30:
+            with pytest.raises(EngineError):
+                decompose(mesh, coords, config)
+            return
+        got = decompose(mesh, coords, config)
+        assert np.abs(reconstruct_full(got, coords) - full).max() < 1e-10
+    else:
+        got = decompose(mesh, coords, config)
+        assert np.abs(got.q - w.q).max() < 1e-10
+    assert got.residual_rms < 1e-12
+    assert got.conjugate_error() == 0.0
+
+
+def _dense_and_iterative_fits(monkeypatch, domain, n_max):
+    coords, faces = sample_icosphere(domain, 2)
+    w = _random_consistent_weights(n_max, domain, np.random.default_rng(9))
+    mesh = TriangleMesh(reconstruct_full(w, coords), faces)
+    config = ExpansionConfig(n_max)
+    dense = decompose(mesh, coords, config)
+    monkeypatch.setattr(harmonics, "_DENSE_LSQ_LIMIT", config.beta - 1)
+    return dense, lambda: decompose(mesh, coords, config)
+
+
+def test_iterative_lsq_matches_dense(monkeypatch, oblate_dom):
+    dense, iterative = _dense_and_iterative_fits(monkeypatch, oblate_dom, 4)
+    got = iterative()
+    assert np.abs(got.q - dense.q).max() < 1e-10
+    assert got.conjugate_error() == 0.0
+
+
+def test_iterative_lsq_nonconvergence_raises(monkeypatch, oblate_dom):
+    _, iterative = _dense_and_iterative_fits(monkeypatch, oblate_dom, 4)
+    real_cg = scipy.sparse.linalg.cg
+
+    def one_step_cg(*args, **kwargs):
+        return real_cg(*args, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", one_step_cg)
+    with pytest.raises(EngineError, match="failed to converge"):
+        iterative()
 
 
 # ---------------------------------------------------------------------------
