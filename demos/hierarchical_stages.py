@@ -10,7 +10,7 @@ evaluations.
 import time
 
 from equimesh.benchmarks import bumpy_weights, oblate_domain
-from equimesh.diffusion import DiffusionConfig, diffuse_remesh, run_hierarchical
+from equimesh.diffusion import DiffusionConfig, diffuse_remesh
 from equimesh.spheroidal import sample_icosphere
 
 domain = oblate_domain()
@@ -19,14 +19,13 @@ coords, faces = sample_icosphere(domain, 4)
 print(f"input: degree-{weights.n_max} surface, {coords.n} samples")
 
 runs = {}
-for label, stages, runner in (
-    ("flat (30 iters at degree 50)", ((50, 30),), diffuse_remesh),
-    ("staged (degree 30 x25, then 50 x7)", ((30, 25), (50, 7)),
-     run_hierarchical),
+for label, stages in (
+    ("flat (30 iters at degree 50)", ((50, 30),)),
+    ("staged (degree 30 x25, then 50 x7)", ((30, 25), (50, 7))),
 ):
     config = DiffusionConfig(stages=stages, dt_scale=4.0, std_tolerance=0.0)
     t0 = time.perf_counter()
-    _, _, trace = runner(weights, coords, faces, config)
+    _, _, trace = diffuse_remesh(weights, coords, faces, config)
     runs[label] = (trace, time.perf_counter() - t0)
 
 print()

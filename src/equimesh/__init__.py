@@ -6,6 +6,7 @@ diffusion, leaving the harmonic weights — the morphology — untouched.
 """
 
 from .errors import (
+    DegenerateMeshError,
     EngineError,
     EquimeshError,
     FoldError,
@@ -80,7 +81,6 @@ from .diffusion import (
     DiffusionTrace,
     apply_boundary_abc,
     diffuse_remesh,
-    run_hierarchical,
     update_coordinates,
 )
 from .contour2d import (

@@ -21,7 +21,7 @@ from .contour2d import (
     segment_budgets,
     write_contours,
 )
-from .diffusion import DiffusionConfig, run_hierarchical
+from .diffusion import DiffusionConfig, diffuse_remesh
 from .errors import (
     EngineError,
     FoldError,
@@ -249,7 +249,7 @@ def cmd_remesh(args):
     )
     coords, faces = _sample_for(weights.domain, refine, args.rings, args.sectors)
     try:
-        final_coords, remeshed, trace = run_hierarchical(
+        final_coords, remeshed, trace = diffuse_remesh(
             weights, coords, faces, config
         )
     except EngineError as exc:
@@ -269,7 +269,8 @@ def cmd_remesh(args):
         f"iterations={trace.n_rows} initial_std={trace.initial_std_u:.6e} "
         f"final_std={final_std:.6e} area_drift={drift:.3%} "
         f"flip_retries={flips} basis_evaluations="
-        f"{trace.basis_evaluation_count[-1] if trace.n_rows else 0}"
+        f"{trace.basis_evaluation_count[-1] if trace.n_rows else 0} "
+        f"stop_reason={trace.stop_reason}"
     )
     print(f"wrote {args.out}")
     return 0

@@ -6,6 +6,11 @@ its harmonic weights, diffuses the vertex area density one implicit step,
 advects vertices up the diffused density gradient, and pulls them back to
 the shell. The weights object is never touched: remeshing only re-samples
 the same morphology.
+
+Connectivity is fixed, so a run builds its `MeshTopology` once and makes
+one `FaceGeometry` pass per reconstructed vertex array, reused after
+acceptance. Engine failures, geometric ones included, raise `EngineError`
+subclasses carrying the partial trace.
 """
 from __future__ import annotations
 
@@ -14,17 +19,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import EngineError, GuardError
 from .harmonics import reconstruct_fast
-from .mesh import TriangleMesh, area_density, detect_normal_flips, face_metrics
-from .operators import (
-    gradient_operator,
-    laplacian_aniso,
-    laplacian_iso,
-    max_diffusion_rate,
-    vertex_mass_matrix,
-)
+from .mesh import TriangleMesh
+from .operators import FaceGeometry, MeshTopology
 from .solver import DT_SCALE, backward_euler_step, estimate_dt
 from .spheroidal import (
     DEFAULT_EPS_ETA,
@@ -42,7 +42,6 @@ __all__ = [
     "apply_boundary_abc",
     "update_coordinates",
     "diffuse_remesh",
-    "run_hierarchical",
 ]
 
 MAX_DT_HALVINGS = 20
@@ -100,7 +99,9 @@ class DiffusionTrace:
     """Convergence log: one row per accepted iteration.
 
     basis_evaluation_count is cumulative and includes rejected candidate
-    reconstructions, so it is the honest cost meter.
+    reconstructions, so it is the honest cost meter. stop_reason is why the
+    last stage ended: "converged-early", "i_max" or "stalled" (no time step
+    could lower the STD); it stays empty when the run raises.
     """
 
     stage: list = field(default_factory=list)
@@ -116,6 +117,7 @@ class DiffusionTrace:
     initial_mean_u: float = float("nan")
     initial_area: float = float("nan")
     initial_boundary_length: float = 0.0
+    stop_reason: str = ""
 
     def append(
         self, stage, t, dt, std_u, mean_u, flip_count, boundary_length, area,
@@ -181,16 +183,10 @@ class BoundaryCondition:
                 raise ValueError("edge masses must match boundary vertices")
 
 
-def _boundary_edge_masses(mesh, loop):
-    """Half-sum of the two adjacent boundary edge lengths per loop vertex."""
-    pts = mesh.vertices[loop]
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    return 0.5 * (seg + np.roll(seg, 1))
-
-
-def _boundary_length(mesh, loop):
-    pts = mesh.vertices[loop]
-    return float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).sum())
+def _rim_segments(points, loop):
+    """Boundary edge lengths, from each loop vertex to the next."""
+    pts = points[loop]
+    return np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
 
 
 def apply_boundary_abc(laplacian, vertex_mass, rhs, bc, u_prev, dt):
@@ -232,16 +228,6 @@ def update_coordinates(coords, vertex_gradient, dt, domain):
     return pullback(domain, points + dt * tangential)
 
 
-def _average_gradients_to_vertices(faces, areas, face_gradients, n_v):
-    """Area-weighted face-to-vertex averaging of gradient vectors."""
-    weighted = face_gradients * areas[:, None]
-    acc = np.zeros((n_v, 3))
-    np.add.at(acc, faces.ravel(), np.repeat(weighted, 3, axis=0))
-    total = np.zeros(n_v)
-    np.add.at(total, faces.ravel(), np.repeat(areas, 3))
-    return acc / total[:, None]
-
-
 def _with_rim_reset(cand, loop, rim_eta, domain):
     """Pin boundary vertices to the rim curve: they slide in phi only."""
     eta = cand.eta.copy()
@@ -249,150 +235,125 @@ def _with_rim_reset(cand, loop, rim_eta, domain):
     return CurvilinearCoords(eta=eta, phi=cand.phi.copy(), domain=domain)
 
 
-class _StageState:
-    """Geometry state carried across iterations of one stage."""
-
-    def __init__(self, coords, mesh_scaled, scale, u, face_normals):
-        self.coords = coords
-        self.mesh = mesh_scaled
-        self.scale = scale
-        self.u = u
-        self.face_normals = face_normals
-
-
 def _run_stage(
-    weights,
-    coords,
-    faces,
-    config,
-    stage_index,
-    n_stage,
-    i_max,
-    trace,
-    evals,
-    validate_first,
+    weights, coords, template, topology, config, stage_index, n_stage, i_max,
+    trace, evals,
 ):
+    """One stage; returns (coords, geometry, scale, evals, stop_reason).
+
+    An accepted candidate's geometry serves the next iteration: normals as
+    flip reference, masses for u and M_v, areas for averaging and trace.
+    """
     w = weights.truncated(n_stage)
     domain = weights.domain
+    faces = template.faces
     n_v = coords.n
-    beta_hat = (n_stage + 1) * (n_stage + 2) // 2
+    cost = (n_stage + 1) * (n_stage + 2) // 2 * n_v
 
     points = reconstruct_fast(w, coords)
-    evals += beta_hat * n_v
-    mesh0 = TriangleMesh(points, faces, validate=validate_first)
-    area0 = mesh0.total_area()
+    evals += cost
+    area0 = template.with_vertices(points).total_area()
     if not area0 > 0.0:
         raise EngineError("reconstruction has nonpositive area")
     scale = 1.0 / np.sqrt(area0)
-    mesh_M = mesh0.with_vertices(points * scale)
-    u = area_density(mesh_M)
-    _, face_normals, _ = face_metrics(mesh_M)
+    geometry = FaceGeometry(points * scale, faces)
+    u = geometry.density()
 
-    loop = mesh_M.boundary_loop()
+    loop = topology.boundary_loop
     is_open = loop is not None
     if is_open:
-        loop = np.asarray(loop, dtype=np.int64)
         rim_eta = coords.eta[loop].copy()
+        rim = _rim_segments(geometry.points, loop)
 
     if stage_index == 0:
         trace.initial_std_u = float(u.std())
         trace.initial_mean_u = float(u.mean())
         trace.initial_area = float(area0)
         if is_open:
-            trace.initial_boundary_length = _boundary_length(mesh_M, loop) / scale
+            trace.initial_boundary_length = float(rim.sum()) / scale
 
     mode = "aniso" if config.gamma > 0.0 else "iso"
-    alpha = max_diffusion_rate(mesh_M, config.gamma, config.alpha_cap)
-    dt_initial = estimate_dt(mesh_M, mode, alpha, c=config.dt_scale)
-    dt_allowance = dt_initial
+    dt_initial = None
     u_bar_prev = float(u.mean())
     window = deque(maxlen=_EARLY_STOP_WINDOW)
-
-    state = _StageState(coords, mesh_M, scale, u, face_normals)
+    stop_reason = "i_max"
 
     for t in range(1, i_max + 1):
-        alpha = max_diffusion_rate(state.mesh, config.gamma, config.alpha_cap)
-        dt = min(
-            dt_allowance,
-            estimate_dt(state.mesh, mode, alpha, c=config.dt_scale),
-        )
+        directors, alpha = None, 1.0
         if config.gamma > 0.0:
-            L = laplacian_aniso(state.mesh, config.gamma, config.alpha_cap)
-        else:
-            L = laplacian_iso(state.mesh)
-        M_v = vertex_mass_matrix(state.mesh)
-        G = gradient_operator(state.mesh)
-        areas, _, _ = face_metrics(state.mesh)
+            directors = geometry.directors(config.gamma, config.alpha_cap)
+            alpha = directors[2]
+        mesh = template.with_vertices(geometry.points)
+        dt = estimate_dt(mesh, mode, alpha, c=config.dt_scale)
+        if dt_initial is None:
+            dt_initial = dt_allowance = dt
+        dt = min(dt_allowance, dt)
+        L = topology.laplacian(geometry, directors)
+        M_v = sp.diags(geometry.masses, format="csr")
+        if is_open:
+            bc = BoundaryCondition(
+                kind=NEUMANN_AVERAGED_FLUX,
+                boundary_vertices=loop,
+                u_bar_prev=u_bar_prev,
+                edge_masses=0.5 * (rim + np.roll(rim, 1)),
+            )
 
-        accepted = False
         flips_seen = 0
         candidate = None
         for _ in range(MAX_DT_HALVINGS + 1):
             rhs_extra = None
             if is_open:
-                bc = BoundaryCondition(
-                    kind=NEUMANN_AVERAGED_FLUX,
-                    boundary_vertices=loop,
-                    u_bar_prev=u_bar_prev,
-                    edge_masses=_boundary_edge_masses(state.mesh, loop),
-                )
-                rhs_extra = apply_boundary_abc(
-                    L, M_v, np.zeros(n_v), bc, state.u, dt
-                )
+                rhs_extra = apply_boundary_abc(L, M_v, np.zeros(n_v), bc, u, dt)
             u_diffused = backward_euler_step(
-                M_v, L, state.u, dt, rhs_extra=rhs_extra, tolerance=1e-12
+                M_v, L, u, dt, rhs_extra=rhs_extra, tolerance=1e-12
             )
-            face_grad = np.asarray(G @ u_diffused).reshape(-1, 3)
-            vertex_grad = _average_gradients_to_vertices(
-                faces, areas, face_grad, n_v
+            velocity = (
+                geometry.vertex_gradients(u_diffused)
+                / np.maximum(u_diffused, 1e-15)[:, None]
             )
-            velocity = vertex_grad / np.maximum(u_diffused, 1e-15)[:, None]
-            cand_coords = update_coordinates(state.coords, velocity, dt, domain)
+            cand_coords = update_coordinates(coords, velocity, dt, domain)
             if is_open:
                 cand_coords = _with_rim_reset(cand_coords, loop, rim_eta, domain)
-            cand_points = reconstruct_fast(w, cand_coords)
-            evals += beta_hat * n_v
-            cand_mesh = state.mesh.with_vertices(cand_points * scale)
-            flips = detect_normal_flips(cand_mesh, state.face_normals)
-            cand_u = area_density(cand_mesh)
-            if flips.size == 0 and cand_u.std() <= state.u.std() * (
-                1.0 + _STD_SLACK
-            ):
-                candidate = (cand_coords, cand_mesh, cand_u)
-                accepted = True
+            cand = FaceGeometry(reconstruct_fast(w, cand_coords) * scale, faces)
+            evals += cost
+            flips = int(np.count_nonzero(
+                np.einsum("ij,ij->i", cand.normals, geometry.normals) < 0.0
+            ))
+            cand_u = cand.density()
+            if flips == 0 and cand_u.std() <= u.std() * (1.0 + _STD_SLACK):
+                candidate = cand_coords, cand, cand_u
                 break
-            flips_seen += int(flips.size)
+            flips_seen += flips
             dt *= 0.5
             dt_allowance = dt
 
-        if not accepted:
+        if candidate is None:
             if flips_seen:
                 raise EngineError(
                     f"flip recovery exhausted after {MAX_DT_HALVINGS} time-step "
                     f"halvings (stage {stage_index}, iteration {t})"
                 )
-            # density spread cannot shrink further: the stage has converged
+            stop_reason = "stalled"
             break
 
-        cand_coords, cand_mesh, cand_u = candidate
-        u_bar_prev = float(state.u.mean())
-        state.coords = cand_coords
-        state.mesh = cand_mesh
-        state.u = cand_u
-        _, state.face_normals, _ = face_metrics(cand_mesh)
+        u_bar_prev = float(u.mean())
+        coords, geometry, u = candidate
         dt_allowance = min(dt_allowance * 2.0, dt_initial)
 
-        std_now = float(cand_u.std())
-        blen = _boundary_length(cand_mesh, loop) / scale if is_open else 0.0
+        std_now = float(u.std())
+        blen = 0.0
+        if is_open:
+            rim = _rim_segments(geometry.points, loop)
+            blen = float(rim.sum()) / scale
         trace.append(
             stage=stage_index,
             t=t,
             dt=dt,
             std_u=std_now,
-            mean_u=float(cand_u.mean()),
+            mean_u=float(u.mean()),
             flip_count=flips_seen,
             boundary_length=blen,
-            area=float(cand_mesh.total_area()) / (scale * scale),
+            area=float(geometry.areas.sum()) / (scale * scale),
             basis_evaluation_count=evals,
         )
         window.append(std_now)
@@ -400,9 +361,10 @@ def _run_stage(
             len(window) == _EARLY_STOP_WINDOW
             and window[0] - window[-1] < config.std_tolerance
         ):
+            stop_reason = "converged-early"
             break
 
-    return state, evals
+    return coords, geometry, scale, evals, stop_reason
 
 
 def diffuse_remesh(weights, initial_coords, faces, config):
@@ -419,39 +381,24 @@ def diffuse_remesh(weights, initial_coords, faces, config):
             raise GuardError(
                 f"stage degree {n_stage} exceeds weight degree {weights.n_max}"
             )
-    faces = np.ascontiguousarray(faces, dtype=np.int64)
+    # the connectivity checks need the vertex count only; the edge list is
+    # cached here so that every with_vertices copy shares it
+    template = TriangleMesh(np.zeros((initial_coords.n, 3)), faces)
+    template.unique_edges()
+    topology = MeshTopology(template.faces, template.n_v, template.boundary_loop())
     trace = DiffusionTrace()
     coords = initial_coords
     evals = 0
-    state = None
     try:
         for k, (n_stage, i_max) in enumerate(config.stages):
-            state, evals = _run_stage(
-                weights,
-                coords,
-                faces,
-                config,
-                stage_index=k,
-                n_stage=n_stage,
-                i_max=i_max,
-                trace=trace,
+            coords, geometry, scale, evals, stop_reason = _run_stage(
+                weights, coords, template, topology, config,
+                stage_index=k, n_stage=n_stage, i_max=i_max, trace=trace,
                 evals=evals,
-                validate_first=(k == 0),
             )
-            coords = state.coords
     except EngineError as exc:
         exc.trace = trace
         raise
-    final_mesh = TriangleMesh(
-        state.mesh.vertices / state.scale, faces, validate=True
-    )
+    trace.stop_reason = stop_reason
+    final_mesh = TriangleMesh(geometry.points / scale, template.faces, validate=True)
     return coords, final_mesh, trace
-
-
-def run_hierarchical(weights, initial_coords, faces, config):
-    """Staged remeshing: ascending degrees, decreasing iteration budgets.
-
-    Identical to diffuse_remesh — the staged schedule lives in the config —
-    but spelled separately for call sites that always pass multiple stages.
-    """
-    return diffuse_remesh(weights, initial_coords, faces, config)

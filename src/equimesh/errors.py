@@ -31,6 +31,10 @@ class SolverError(EngineError):
         self.residual = residual
 
 
+class DegenerateMeshError(EngineError, ValueError):
+    """A face lost its area or stretch frame (a ValueError for callers' meshes)."""
+
+
 class FoldError(EngineError):
     """Parameter-domain fold: a mapped triangle reversed orientation."""
 

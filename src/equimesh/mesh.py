@@ -567,24 +567,25 @@ def vertex_voronoi_areas(mesh):
     to each other corner, which keeps every contribution positive. The masses
     always sum to the total surface area.
     """
-    v = mesh.vertices
-    f = mesh.faces
-    p = v[f]  # (n_f, 3, 3)
-    # edge vectors opposite each corner and squared lengths
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
+    p = mesh.vertices[mesh.faces]  # (n_f, 3, 3)
+    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # e_k opposite corner k
+    double_area = np.linalg.norm(np.cross(edges[:, 2], -edges[:, 1]), axis=1)
+    return _voronoi_masses(mesh.faces, mesh.n_v, edges, double_area)
+
+
+# zero-area faces give non-finite cotangents quietly; callers check the masses
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _voronoi_masses(f, n_v, edges, double_area):
+    """Mixed-Voronoi vertex masses from the edges e_k opposite each corner k."""
+    e0, e1, e2 = edges[:, 0], edges[:, 1], edges[:, 2]
     l0 = np.einsum("ij,ij->i", e0, e0)
     l1 = np.einsum("ij,ij->i", e1, e1)
     l2 = np.einsum("ij,ij->i", e2, e2)
-    cross = np.cross(e2, -e1)
-    double_area = np.linalg.norm(cross, axis=1)
     area = 0.5 * double_area
     # cotangents at each corner via dot / |cross|
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cot0 = np.einsum("ij,ij->i", e2, -e1) / double_area
-        cot1 = np.einsum("ij,ij->i", e0, -e2) / double_area
-        cot2 = np.einsum("ij,ij->i", e1, -e0) / double_area
+    cot0 = np.einsum("ij,ij->i", e2, -e1) / double_area
+    cot1 = np.einsum("ij,ij->i", e0, -e2) / double_area
+    cot2 = np.einsum("ij,ij->i", e1, -e0) / double_area
     cot = np.nan_to_num(np.column_stack([cot0, cot1, cot2]))
     obtuse_corner = np.argmin(cot, axis=1)
     is_obtuse = cot[np.arange(len(cot)), obtuse_corner] < 0.0
@@ -599,9 +600,8 @@ def vertex_voronoi_areas(mesh):
         rows = np.repeat(quarter[:, None], 3, axis=1)
         rows[np.arange(rows.shape[0]), obtuse_corner[is_obtuse]] = 2.0 * quarter
         contrib[is_obtuse] = rows
-    masses = np.zeros(mesh.n_v)
-    np.add.at(masses, f, contrib)
-    return masses
+    # bincount sums in index order, as np.add.at would, only faster
+    return np.bincount(f.ravel(), weights=contrib.ravel(), minlength=n_v)
 
 
 def area_density(mesh):

@@ -1,21 +1,27 @@
 """Discrete differential operators on the evolving manifold mesh.
 
-Gradient, lumped masses, and the isotropic / anisotropic Laplace-Beltrami
-operators assembled in weak form: L = -G^T A G, with an optional per-face
-diffusion tensor D slotted between the gradients. All operators act on
-per-vertex scalars; face quantities are stacked Cartesian 3-vectors.
+One kernel serves every operator. `FaceGeometry` is one pass over a vertex
+array: areas, normals, mixed-Voronoi masses, hat-function gradients
+g_k = n x e_k / 2A and closed-form stretch directors. `MeshTopology` fixes
+the CSR pattern of the weak-form operator L = -sum_f A_f g_k^T D_f g_l once
+per connectivity and fills it face by face (D = I when isotropic). The
+public operators wrap this kernel; `face_directors` stays on the SVD as an
+independent reference.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import face_metrics, vertex_voronoi_areas
+from .errors import DegenerateMeshError
+from .mesh import _voronoi_masses, face_metrics, vertex_voronoi_areas
 
 __all__ = [
     "ALPHA_CAP",
     "ALPHA_MIN",
     "COLLAPSE_RATIO",
+    "FaceGeometry",
+    "MeshTopology",
     "gradient_operator",
     "face_mass_matrix",
     "vertex_mass_matrix",
@@ -25,12 +31,135 @@ __all__ = [
     "diffusion_tensors",
     "laplacian_aniso",
     "max_diffusion_rate",
-    "dump_operator",
 ]
 
 ALPHA_CAP = 1e4
 ALPHA_MIN = 1.0 / ALPHA_CAP
 COLLAPSE_RATIO = 1e-8
+
+
+def _rates(ratio, gamma, alpha_cap):
+    """Rates damping along (alpha1) and amplifying across (alpha2) the stretch."""
+    log_cap = np.log(alpha_cap)
+    alpha1 = np.exp(np.maximum((1.0 - ratio) / gamma, -log_cap))
+    alpha2 = np.exp(np.minimum((1.0 - 1.0 / ratio) * gamma, log_cap))
+    return alpha1, alpha2
+
+
+class FaceGeometry:
+    """One geometry pass over a vertex array with fixed faces.
+
+    edges[f, k] is the edge opposite corner k, areas and unit normals
+    (zero on zero-area faces) are per face, masses per vertex, and
+    grads[f, k] is the gradient of corner k's hat function on face f.
+    """
+
+    def __init__(self, points, faces):
+        self.points = points
+        self.faces = faces
+        p = points[faces]
+        self.edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+        cross = np.cross(self.edges[:, 2], -self.edges[:, 1])
+        self.double_area = np.linalg.norm(cross, axis=1)
+        self.areas = 0.5 * self.double_area
+        ok = self.double_area[:, None] > 0.0
+        self.normals = np.divide(cross, self.double_area[:, None], where=ok,
+                                 out=np.zeros_like(cross))
+        self.masses = _voronoi_masses(faces, len(points), self.edges, self.double_area)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.grads = np.cross(self.normals[:, None, :], self.edges)
+            self.grads /= self.double_area[:, None, None]
+
+    def hat_gradients(self):
+        """grads, after checking that every face still has area."""
+        if np.any(self.areas <= 0.0):
+            raise DegenerateMeshError("degenerate face in gradient operator")
+        return self.grads
+
+    def density(self):
+        """Normalized vertex area density u = A_i / sum(A)."""
+        total = self.masses.sum()
+        if not total > 0.0:
+            raise DegenerateMeshError("mesh has no area or a collapsed face")
+        return self.masses / total
+
+    def face_gradients(self, u):
+        """(n_f, 3) gradient of the piecewise-linear interpolant of u."""
+        return np.einsum("fkc,fk->fc", self.grads, u[self.faces])
+
+    def vertex_gradients(self, u):
+        """(n_v, 3) area-weighted average of the face gradients around each vertex."""
+        index, n_v = self.faces.ravel(), self.points.shape[0]
+        weighted = np.repeat(self.face_gradients(u) * self.areas[:, None], 3, axis=0)
+        total = np.bincount(index, weights=np.repeat(self.areas, 3), minlength=n_v)
+        return np.column_stack([
+            np.bincount(index, weights=weighted[:, c], minlength=n_v) / total
+            for c in range(3)
+        ])
+
+    def directors(self, gamma, alpha_cap=ALPHA_CAP):
+        """Per-face axes (v1, v2, n), rates (alpha2, alpha1, 1), largest rate.
+
+        The quarter turn about n maps v1 to v2 and v2 to -v1, so the tensor
+        is D = sum_j rates_j axes_j axes_j^T. sigma1 and v1 come from the
+        in-plane Gram matrix of the centred corners, a third of
+        sum_k e_k e_k^T; sigma2 = 2A / (sqrt(3) sigma1) has no cancellation.
+        """
+        edge = self.edges[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = edge / np.linalg.norm(edge, axis=1, keepdims=True)
+            t2 = np.cross(self.normals, t1)
+            x = np.einsum("fkc,fc->fk", self.edges, t1)
+            y = np.einsum("fkc,fc->fk", self.edges, t2)
+            sxx, syy, sxy = ((a * b).sum(1) / 3 for a, b in ((x, x), (y, y), (x, y)))
+            half_gap = 0.5 * (sxx - syy)
+            sigma1 = np.sqrt(0.5 * (sxx + syy) + np.hypot(half_gap, sxy))
+            sigma2 = self.double_area / (np.sqrt(3.0) * sigma1)
+        # written so that NaN from a collapsed face also trips it
+        if not np.all(sigma2 >= COLLAPSE_RATIO * sigma1):
+            raise DegenerateMeshError("collapsed face in director computation")
+        theta = 0.5 * np.arctan2(sxy, half_gap)
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        axes = np.stack([cos * t1 + sin * t2, cos * t2 - sin * t1, self.normals], 1)
+        alpha1, alpha2 = _rates(sigma1 / sigma2, gamma, alpha_cap)
+        rates = np.column_stack([alpha2, alpha1, np.ones_like(alpha1)])
+        return axes, rates, float(np.maximum(alpha1, alpha2).max())
+
+
+class MeshTopology:
+    """CSR pattern of L for one connectivity, and its rim (None if closed).
+
+    scatter maps the corner pairs (k, l) of every face f, in (k, l, f)
+    order, to their slots in L.data."""
+
+    def __init__(self, faces, n_v, boundary_loop=None):
+        self.n_v = n_v
+        self.boundary_loop = boundary_loop
+        rows = np.repeat(faces.T, 3, axis=0)  # row 3k + l holds corner k
+        cols = np.tile(faces.T, (3, 1))  # and column corner l
+        keys, self.scatter = np.unique((rows * n_v + cols).ravel(),
+                                       return_inverse=True)
+        self.indices = keys % n_v
+        self.indptr = np.searchsorted(keys, np.arange(n_v + 1) * n_v)
+
+    def laplacian(self, geometry, directors=None):
+        """L = -sum_f A_f g_k^T D_f g_l, D = I without directors; -L is PSD."""
+        # faces last: einsum vectorizes over the long axis
+        g = np.ascontiguousarray(geometry.hat_gradients().transpose(1, 2, 0))
+        if directors is None:
+            blocks = np.einsum("kcf,lcf->klf", g, g)
+        else:
+            axes, rates, _ = directors
+            axes = np.ascontiguousarray(axes.transpose(1, 2, 0))
+            proj = np.einsum("kcf,jcf->kjf", g, axes)
+            blocks = np.einsum("kjf,ljf->klf", proj * rates.T[None], proj)
+            blocks = 0.5 * (blocks + blocks.transpose(1, 0, 2))
+        blocks *= -geometry.areas
+        # an edge's two faces add up the same in L[i, j] and L[j, i]
+        data = np.bincount(self.scatter, weights=blocks.ravel(),
+                           minlength=self.indices.size)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.n_v, self.n_v))
 
 
 def gradient_operator(mesh):
@@ -39,23 +168,14 @@ def gradient_operator(mesh):
     Rows 3f..3f+2 hold the Cartesian gradient of the piecewise-linear
     interpolant on face f. Constant fields map to zero by construction.
     """
-    areas, normals, _ = face_metrics(mesh)
-    if np.any(areas <= 0.0):
-        raise ValueError("degenerate face in gradient operator")
-    tri = mesh.vertices[mesh.faces]  # (n_f, 3, 3)
-    # edge opposite each corner, CCW: e_k = p_{k+2} - p_{k+1}
-    edges = tri[:, [2, 0, 1], :] - tri[:, [1, 2, 0], :]
-    grads = np.cross(normals[:, None, :], edges) / (2.0 * areas[:, None, None])
-
-    n_f = mesh.n_f
-    rows = (3 * np.arange(n_f)[:, None, None] + np.arange(3)[None, None, :])
-    rows = np.broadcast_to(rows, (n_f, 3, 3)).ravel()
-    cols = np.broadcast_to(mesh.faces[:, :, None], (n_f, 3, 3)).ravel()
-    vals = grads.transpose(0, 1, 2).ravel()
-    G = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(3 * n_f, mesh.n_v)
-    ).tocsr()
-    return G
+    grads = FaceGeometry(mesh.vertices, mesh.faces).hat_gradients()
+    n_f = grads.shape[0]
+    # row 3f + c: component c of the three corner gradients of face f
+    return sp.csr_matrix(
+        (grads.transpose(0, 2, 1).ravel(), np.repeat(mesh.faces, 3, axis=0).ravel(),
+         np.arange(0, 9 * n_f + 1, 3)),
+        shape=(3 * n_f, mesh.vertices.shape[0]),
+    )
 
 
 def face_mass_matrix(mesh):
@@ -77,33 +197,7 @@ def laplacian_iso(mesh):
     Symmetric with zero row sums; -L is positive semidefinite. Entrywise
     this is the half-cotangent-weight matrix.
     """
-    G = gradient_operator(mesh)
-    A = face_mass_matrix(mesh)
-    L = -(G.T @ (A @ G))
-    L = (L + L.T) * 0.5  # kill assembly roundoff asymmetry
-    return L.tocsr()
-
-
-def _batched_directors(tri, gamma, alpha_cap):
-    """Per-face frames and diffusion rates for stacked (n_f, 3, 3) vertices."""
-    centered = tri - tri.mean(axis=1, keepdims=True)
-    # right singular vectors span {stretch, secondary, normal}
-    _, sigma, vt = np.linalg.svd(centered)
-    lam1 = sigma[:, 0]
-    lam2 = sigma[:, 1]
-    if np.any(lam1 <= 0.0) or np.any(lam2 / np.maximum(lam1, 1e-300) < COLLAPSE_RATIO):
-        raise ValueError("collapsed face in director computation")
-    v1 = vt[:, 0, :]
-    # geometric normal fixes the sign ambiguity of the SVD frame
-    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    v2 = np.cross(normal, v1)
-
-    ratio = lam1 / lam2
-    log_cap = np.log(alpha_cap)
-    alpha1 = np.exp(np.maximum((1.0 - ratio) / gamma, -log_cap))
-    alpha2 = np.exp(np.minimum((1.0 - 1.0 / ratio) * gamma, log_cap))
-    return v1, v2, normal, lam1, lam2, alpha1, alpha2
+    return laplacian_aniso(mesh, 0.0)
 
 
 def face_directors(face_vertices, gamma, alpha_cap=ALPHA_CAP):
@@ -118,17 +212,19 @@ def face_directors(face_vertices, gamma, alpha_cap=ALPHA_CAP):
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    tri = np.asarray(face_vertices, dtype=float).reshape(1, 3, 3)
-    v1, v2, n, l1, l2, a1, a2 = _batched_directors(tri, gamma, alpha_cap)
-    return (
-        v1[0],
-        v2[0],
-        n[0],
-        float(l1[0]),
-        float(l2[0]),
-        float(a1[0]),
-        float(a2[0]),
-    )
+    tri = np.asarray(face_vertices, dtype=float).reshape(3, 3)
+    # right singular vectors span {stretch, secondary, normal}
+    _, sigma, vt = np.linalg.svd(tri - tri.mean(axis=0))
+    lam1, lam2 = float(sigma[0]), float(sigma[1])
+    if lam1 <= 0.0 or lam2 / lam1 < COLLAPSE_RATIO:
+        raise DegenerateMeshError("collapsed face in director computation")
+    v1 = vt[0]
+    # geometric normal fixes the sign ambiguity of the SVD frame
+    normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    normal /= np.linalg.norm(normal)
+    alpha1, alpha2 = _rates(lam1 / lam2, gamma, alpha_cap)
+    v2 = np.cross(normal, v1)
+    return v1, v2, normal, lam1, lam2, float(alpha1), float(alpha2)
 
 
 def rodrigues_quarter_turn(normal):
@@ -146,18 +242,6 @@ def rodrigues_quarter_turn(normal):
     return np.eye(3) + skew + skew @ skew
 
 
-def _batched_quarter_turn(normals):
-    n_f = normals.shape[0]
-    skew = np.zeros((n_f, 3, 3))
-    skew[:, 0, 1] = -normals[:, 2]
-    skew[:, 0, 2] = normals[:, 1]
-    skew[:, 1, 0] = normals[:, 2]
-    skew[:, 1, 2] = -normals[:, 0]
-    skew[:, 2, 0] = -normals[:, 1]
-    skew[:, 2, 1] = normals[:, 0]
-    return np.eye(3)[None] + skew + skew @ skew
-
-
 def diffusion_tensors(mesh, gamma, alpha_cap=ALPHA_CAP):
     """Per-face 3x3 SPD diffusion tensors (n_f, 3, 3).
 
@@ -167,17 +251,8 @@ def diffusion_tensors(mesh, gamma, alpha_cap=ALPHA_CAP):
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    tri = mesh.vertices[mesh.faces]
-    v1, v2, n, _, _, a1, a2 = _batched_directors(tri, gamma, alpha_cap)
-    R = _batched_quarter_turn(n)
-    v1p = np.einsum("fij,fj->fi", R, v1)
-    v2p = np.einsum("fij,fj->fi", R, v2)
-    D = (
-        a1[:, None, None] * v1p[:, :, None] * v1p[:, None, :]
-        + a2[:, None, None] * v2p[:, :, None] * v2p[:, None, :]
-        + n[:, :, None] * n[:, None, :]
-    )
-    return D
+    axes, rates, _ = FaceGeometry(mesh.vertices, mesh.faces).directors(gamma, alpha_cap)
+    return np.einsum("fj,fjc,fjd->fcd", rates, axes, axes)
 
 
 def laplacian_aniso(mesh, gamma, alpha_cap=ALPHA_CAP):
@@ -187,40 +262,13 @@ def laplacian_aniso(mesh, gamma, alpha_cap=ALPHA_CAP):
     """
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    if gamma == 0.0:
-        return laplacian_iso(mesh)
-    D = diffusion_tensors(mesh, gamma, alpha_cap)
-    n_f = mesh.n_f
-    block = np.arange(n_f) * 3
-    rows = (block[:, None, None] + np.arange(3)[None, :, None])
-    rows = np.broadcast_to(rows, (n_f, 3, 3)).ravel()
-    cols = (block[:, None, None] + np.arange(3)[None, None, :])
-    cols = np.broadcast_to(cols, (n_f, 3, 3)).ravel()
-    D_block = sp.coo_matrix(
-        (D.ravel(), (rows, cols)), shape=(3 * n_f, 3 * n_f)
-    ).tocsr()
-    G = gradient_operator(mesh)
-    A = face_mass_matrix(mesh)
-    L = -(G.T @ (D_block @ (A @ G)))
-    L = (L + L.T) * 0.5
-    return L.tocsr()
+    geometry = FaceGeometry(mesh.vertices, mesh.faces)
+    directors = geometry.directors(gamma, alpha_cap) if gamma > 0.0 else None
+    return MeshTopology(mesh.faces, mesh.n_v).laplacian(geometry, directors)
 
 
 def max_diffusion_rate(mesh, gamma, alpha_cap=ALPHA_CAP):
     """Largest per-face diffusion rate max(alpha1, alpha2); 1 when gamma=0."""
     if gamma == 0.0:
         return 1.0
-    tri = mesh.vertices[mesh.faces]
-    _, _, _, _, _, a1, a2 = _batched_directors(tri, gamma, alpha_cap)
-    return float(np.maximum(a1, a2).max())
-
-
-def dump_operator(matrix, path):
-    """Debug dump: coordinate-list text triples row col value."""
-    coo = sp.coo_matrix(matrix)
-    lines = [
-        f"{r} {c} {v:.17g}" for r, c, v in zip(coo.row, coo.col, coo.data)
-    ]
-    from pathlib import Path
-
-    Path(path).write_text("\n".join(lines) + "\n")
+    return FaceGeometry(mesh.vertices, mesh.faces).directors(gamma, alpha_cap)[2]

@@ -21,7 +21,7 @@ from equimesh.benchmarks import (
     protrusion_weights,
 )
 from equimesh.contour2d import decompose_contour, remesh_contour
-from equimesh.diffusion import DiffusionConfig, diffuse_remesh, run_hierarchical
+from equimesh.diffusion import DiffusionConfig, diffuse_remesh
 from equimesh.harmonics import (
     ExpansionConfig,
     FourierWeights,
@@ -247,7 +247,7 @@ def test_criterion_7_hierarchical_efficiency():
 
     staged_cfg = DiffusionConfig(stages=((30, 25), (50, 7)), dt_scale=4.0,
                                  std_tolerance=0.0)
-    _, _, tr_staged = run_hierarchical(weights, coords, faces, staged_cfg)
+    _, _, tr_staged = diffuse_remesh(weights, coords, faces, staged_cfg)
 
     std_flat = tr_flat.std_u[-1]
     std_staged = tr_staged.std_u[-1]

@@ -69,6 +69,7 @@ def test_remesh_from_weights(weights_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "iterations=" in captured.out
     assert "area_drift=" in captured.out
+    assert "stop_reason=i_max" in captured.out
     mesh = load_mesh(out)
     assert mesh.n_v == 162
     assert mesh.boundary_loop() is None
@@ -277,6 +278,31 @@ def test_engine_failure_exits_4(tmp_path, capsys):
                "--out", str(tmp_path / "w.txt"), "--nmax", "5"])
     assert rc == 4  # underdetermined fit
     capsys.readouterr()
+
+
+def test_collapsed_sampling_exits_4_with_partial_trace(
+    weights_file, tmp_path, monkeypatch, capsys
+):
+    import equimesh.cli as cli
+    from equimesh.spheroidal import CurvilinearCoords
+
+    sample = cli.sample_icosphere
+
+    def collapsed(domain, refinements):
+        coords, faces = sample(domain, refinements)
+        a, b = faces[0][:2]
+        eta, phi = coords.eta.copy(), coords.phi.copy()
+        eta[b], phi[b] = eta[a], phi[a]
+        return CurvilinearCoords(eta, phi, domain), faces
+
+    monkeypatch.setattr(cli, "sample_icosphere", collapsed)
+    trace = tmp_path / "partial.csv"
+    rc = main(["remesh", "--weights", str(weights_file),
+               "--out", str(tmp_path / "m.obj"), "--trace", str(trace),
+               "--refine", "2"])
+    assert rc == 4
+    assert "wrote partial trace" in capsys.readouterr().err
+    assert trace.read_text().startswith("stage,t,dt,std_u")
 
 
 def test_bad_value_exits_2(weights_file, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the density-equalizing diffusion engine."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,10 @@ from equimesh.diffusion import (
     DiffusionTrace,
     apply_boundary_abc,
     diffuse_remesh,
-    run_hierarchical,
     update_coordinates,
 )
-from equimesh.errors import EngineError, GuardError
+from equimesh import diffusion
+from equimesh.errors import DegenerateMeshError, EngineError, GuardError
 from equimesh.harmonics import FourierWeights, reconstruct_fast
 from equimesh.mesh import TriangleMesh
 from equimesh.operators import laplacian_iso, vertex_mass_matrix
@@ -245,6 +247,82 @@ def test_diffuse_remesh_is_deterministic(bumpy_setup):
     assert np.array_equal(a[1].vertices, b[1].vertices)
 
 
+@pytest.fixture(scope="module")
+def cap_setup():
+    dom = cap_domain()
+    w = cap_weights(dom, n_max=10, rings=20, sectors=32)
+    coords, faces = sample_cap_grid(dom, rings=12, sectors=24)
+    return dom, w, coords, faces
+
+
+@pytest.mark.parametrize("path", ["closed-aniso", "open-cap"])
+def test_repeated_runs_give_identical_traces(bumpy_setup, cap_setup, path):
+    if path == "closed-aniso":
+        _, w, coords, faces = bumpy_setup
+        cfg = DiffusionConfig(stages=((10, 4),), gamma=1.0, dt_scale=4.0,
+                              std_tolerance=0.0)
+    else:
+        _, w, coords, faces = cap_setup
+        cfg = DiffusionConfig(stages=((10, 4),), dt_scale=1.0,
+                              std_tolerance=0.0)
+    a = diffuse_remesh(w, coords, faces, cfg)
+    b = diffuse_remesh(w, coords, faces, cfg)
+    assert a[2].n_rows == 4
+    assert astuple(a[2]) == astuple(b[2])
+    assert np.array_equal(a[0].eta, b[0].eta)
+    assert np.array_equal(a[0].phi, b[0].phi)
+    assert np.array_equal(a[1].vertices, b[1].vertices)
+
+
+def test_stop_reason_budget_and_early_stop(bumpy_setup):
+    _, w, coords, faces = bumpy_setup
+    cfg = DiffusionConfig(stages=((10, 6),), dt_scale=4.0, std_tolerance=0.0)
+    _, _, tr = diffuse_remesh(w, coords, faces, cfg)
+    assert (tr.n_rows, tr.stop_reason) == (6, "i_max")
+    cfg = DiffusionConfig(stages=((10, 40),), dt_scale=4.0, std_tolerance=1.0)
+    _, _, tr = diffuse_remesh(w, coords, faces, cfg)
+    assert (tr.n_rows, tr.stop_reason) == (5, "converged-early")
+
+
+def test_stop_reason_stalled(bumpy_setup, monkeypatch):
+    # a reversed flow raises the STD at every step size, so nothing is accepted
+    forward = diffusion.update_coordinates
+    monkeypatch.setattr(
+        diffusion,
+        "update_coordinates",
+        lambda coords, grad, dt, domain: forward(coords, -grad, dt, domain),
+    )
+    _, w, coords, faces = bumpy_setup
+    cfg = DiffusionConfig(stages=((10, 5),), dt_scale=0.05, std_tolerance=0.0)
+    _, _, tr = diffuse_remesh(w, coords, faces, cfg)
+    assert (tr.n_rows, tr.stop_reason) == (0, "stalled")
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_face_collapsing_mid_run_raises_engine_error_with_trace(
+    bumpy_setup, monkeypatch, gamma
+):
+    _, w, coords, faces = bumpy_setup
+    a, b = faces[0][:2]
+    reconstructions = []
+    reconstruct = diffusion.reconstruct_fast
+
+    def collapsing(weights, c):
+        points = reconstruct(weights, c)
+        reconstructions.append(c)
+        if len(reconstructions) > 3:  # the stage start and two candidates
+            points[b] = points[a]
+        return points
+
+    monkeypatch.setattr(diffusion, "reconstruct_fast", collapsing)
+    cfg = DiffusionConfig(stages=((10, 5),), gamma=gamma, dt_scale=4.0)
+    with pytest.raises(DegenerateMeshError) as exc:
+        diffuse_remesh(w, coords, faces, cfg)
+    assert isinstance(exc.value, EngineError)
+    assert exc.value.trace.n_rows == 2
+    assert exc.value.trace.stop_reason == ""
+
+
 def test_flip_recovery_absorbs_aggressive_steps():
     dom = oblate_domain()
     w = bumpy_weights(dom, n_max=15, band=6, amplitude=0.8, seed=3)
@@ -276,25 +354,11 @@ def test_stage_degree_exceeding_weights_raises(bumpy_setup):
         diffuse_remesh(w, coords, faces, cfg)
 
 
-def test_run_hierarchical_matches_flat_runner(bumpy_setup):
-    _, w, coords, faces = bumpy_setup
-    cfg = DiffusionConfig(stages=((5, 4), (10, 3)), dt_scale=4.0,
-                          std_tolerance=0.0)
-    a = run_hierarchical(w, coords, faces, cfg)
-    b = diffuse_remesh(w, coords, faces, cfg)
-    assert np.array_equal(a[0].eta, b[0].eta)
-    assert np.array_equal(a[1].vertices, b[1].vertices)
-    assert a[2].stage[:4] == [0, 0, 0, 0]
-    assert set(a[2].stage) == {0, 1}
-
-
 # ---------------------------------------------------------------------------
 # full engine, open surface
 
-def test_diffuse_remesh_pins_rim_vertices():
-    dom = cap_domain()
-    w = cap_weights(dom, n_max=10, rings=20, sectors=32)
-    coords, faces = sample_cap_grid(dom, rings=12, sectors=24)
+def test_diffuse_remesh_pins_rim_vertices(cap_setup):
+    dom, w, coords, faces = cap_setup
     initial_mesh = TriangleMesh(reconstruct_fast(w, coords), faces)
     loop = initial_mesh.boundary_loop()
     assert loop is not None

@@ -2,17 +2,22 @@
 
 laplacian_iso is assembled as -G^T A G; the oracle here is the classical
 half-cotangent-weight matrix coded with plain Python loops, so the two
-routes are independent.
+routes are independent. The anisotropic kernel is checked against a dense
+loop over faces built on the SVD-based `face_directors`.
 """
 
 import numpy as np
 import pytest
 
+from equimesh.benchmarks import cap_domain, cap_weights
+from equimesh.errors import DegenerateMeshError, EngineError
+from equimesh.harmonics import reconstruct_fast
 from equimesh.mesh import TriangleMesh, icosphere
 from equimesh.operators import (
     ALPHA_CAP,
+    FaceGeometry,
+    MeshTopology,
     diffusion_tensors,
-    dump_operator,
     face_directors,
     face_mass_matrix,
     gradient_operator,
@@ -22,6 +27,7 @@ from equimesh.operators import (
     rodrigues_quarter_turn,
     vertex_mass_matrix,
 )
+from equimesh.spheroidal import sample_cap_grid
 
 
 def regular_tetrahedron():
@@ -60,6 +66,59 @@ def cotangent_oracle(mesh):
             L[i, i] -= 0.5 * cot
             L[j, j] -= 0.5 * cot
     return L
+
+
+def open_cap(rings=6, sectors=12):
+    domain = cap_domain()
+    weights = cap_weights(domain, n_max=10, rings=20, sectors=32)
+    coords, faces = sample_cap_grid(domain, rings=rings, sectors=sectors)
+    return TriangleMesh(reconstruct_fast(weights, coords), faces)
+
+
+def hat_gradients_oracle(tri):
+    """Corner hat-function gradients from the pseudo-inverse of the edges."""
+    pinv = np.linalg.pinv(np.array([tri[1] - tri[0], tri[2] - tri[0]]))
+    return np.array([-pinv[:, 0] - pinv[:, 1], pinv[:, 0], pinv[:, 1]])
+
+
+def voronoi_oracle(mesh):
+    """Mixed-Voronoi vertex masses, corner by corner."""
+    masses = np.zeros(mesh.n_v)
+    for face in mesh.faces:
+        pts = mesh.vertices[face]
+        area = 0.5 * np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
+        cot = []
+        for k in range(3):
+            a = pts[(k + 1) % 3] - pts[k]
+            b = pts[(k + 2) % 3] - pts[k]
+            cot.append(np.dot(a, b) / np.linalg.norm(np.cross(a, b)))
+        if min(cot) < 0.0:
+            for k in range(3):
+                masses[face[k]] += area / (2.0 if cot[k] < 0.0 else 4.0)
+            continue
+        for k in range(3):
+            for j in ((k + 1) % 3, (k + 2) % 3):
+                # edge k-j is opposite the third corner
+                m = 3 - k - j
+                masses[face[k]] += np.sum((pts[j] - pts[k]) ** 2) * cot[m] / 8.0
+    return masses
+
+
+def anisotropic_oracle(mesh, gamma):
+    """Dense -sum_f A g_k^T D g_l with D from face_directors; largest rate."""
+    L = np.zeros((mesh.n_v, mesh.n_v))
+    largest = 0.0
+    for face in mesh.faces:
+        tri = mesh.vertices[face]
+        v1, v2, n, _, _, a1, a2 = face_directors(tri, gamma)
+        R = rodrigues_quarter_turn(n)
+        v1p, v2p = R @ v1, R @ v2
+        D = a1 * np.outer(v1p, v1p) + a2 * np.outer(v2p, v2p) + np.outer(n, n)
+        g = hat_gradients_oracle(tri)
+        area = 0.5 * np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
+        L[np.ix_(face, face)] -= area * g @ D @ g.T
+        largest = max(largest, a1, a2)
+    return L, largest
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +298,63 @@ def test_max_diffusion_rate():
     assert max_diffusion_rate(mesh, gamma) >= 1.0
 
 
-def test_dump_operator_roundtrip(tmp_path):
-    mesh = icosphere(0)
-    L = laplacian_iso(mesh)
-    path = tmp_path / "op.txt"
-    dump_operator(L, path)
-    rows, cols, vals = [], [], []
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    import scipy.sparse as sp
+# ---------------------------------------------------------------------------
+# topology-once kernel against the loop oracles
 
-    back = sp.coo_matrix((vals, (rows, cols)), shape=L.shape)
-    assert np.abs((back - L).toarray()).max() < 1e-15
+@pytest.mark.parametrize("builder", [bumpy_sphere, open_cap])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 50.0])
+def test_kernel_matches_oracles(builder, gamma):
+    mesh = builder()
+    geometry = FaceGeometry(mesh.vertices, mesh.faces)
+    topology = MeshTopology(mesh.faces, mesh.n_v)
+    if gamma == 0.0:
+        L = topology.laplacian(geometry).toarray()
+        oracle, largest = cotangent_oracle(mesh), 1.0
+    else:
+        directors = geometry.directors(gamma)
+        L = topology.laplacian(geometry, directors).toarray()
+        oracle, largest = anisotropic_oracle(mesh, gamma)
+        assert directors[2] == pytest.approx(largest, rel=1e-12)
+        assert max_diffusion_rate(mesh, gamma) == directors[2]
+    assert np.abs(L - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.array_equal(L, L.T)
+
+    masses = voronoi_oracle(mesh)
+    assert np.abs(geometry.masses - masses).max() <= 1e-12 * masses.max()
+    u = np.random.default_rng(5).uniform(0.5, 2.0, mesh.n_v)
+    expect = np.array([
+        hat_gradients_oracle(mesh.vertices[face]).T @ u[face]
+        for face in mesh.faces
+    ])
+    got = geometry.face_gradients(u)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("ratio, collapsed", [(1e-6, False), (1e-10, True)])
+def test_collapse_check_agrees_with_svd(ratio, collapsed):
+    # centred x spread sqrt(1/2), y spread sqrt(2/3) h: sigma2/sigma1 = 1.1547 h
+    h = ratio / np.sqrt(4.0 / 3.0)
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, h, 0.0]])
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    tri = flat @ q.T + np.array([0.3, -1.2, 2.0])
+    geometry = FaceGeometry(tri, np.array([[0, 1, 2]]))
+    if collapsed:
+        with pytest.raises(DegenerateMeshError):
+            face_directors(tri, 1.0)
+        with pytest.raises(DegenerateMeshError):
+            geometry.directors(1.0)
+        return
+    *_, a1, a2 = face_directors(tri, 1.0)
+    _, rates, _ = geometry.directors(1.0)
+    assert rates[0, :2] == pytest.approx([a2, a1], rel=1e-9)
+
+
+def test_degenerate_geometry_is_an_engine_error():
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    geometry = FaceGeometry(v, np.array([[0, 1, 2]]))
+    for call in (geometry.hat_gradients, lambda: geometry.directors(1.0)):
+        with pytest.raises(EngineError):
+            call()
+    flat = FaceGeometry(np.zeros((3, 3)), np.array([[0, 1, 2]]))
+    with pytest.raises(EngineError, match="no area"):
+        flat.density()
