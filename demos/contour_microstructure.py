@@ -38,7 +38,7 @@ for (name, contour), length, budget in zip(particles, lengths, budgets):
 
 remeshed = remesh_microstructure_2d(
     [c for _, c in particles], max_segments_largest=48, n_max=12,
-    i_max=400, workers=2,
+    i_max=400,
 )
 
 print(f"\n{'particle':>9} {'STD before':>11} {'STD after':>10} "

@@ -74,12 +74,10 @@ from .operators import (
     rodrigues_quarter_turn,
     vertex_mass_matrix,
 )
-from .solver import SparseSystem, backward_euler_step, estimate_dt, solve_sparse
+from .solver import backward_euler_step, estimate_dt, solve_sparse
 from .diffusion import (
-    BoundaryCondition,
     DiffusionConfig,
     DiffusionTrace,
-    apply_boundary_abc,
     diffuse_remesh,
     update_coordinates,
 )

@@ -136,7 +136,6 @@ def _build_parser():
     )
     p.add_argument("--nmax", type=int, default=None, help="contour expansion degree")
     p.add_argument("--imax", type=int, default=None, help="diffusion iterations")
-    p.add_argument("--workers", type=int, default=None, help="parallel particle jobs")
     _add_config_flag(p)
 
     return parser
@@ -291,7 +290,6 @@ def cmd_metrics(args):
 def cmd_remesh2d(args):
     _require(args, "input", "out", "max_segments", "nmax")
     i_max = 200 if args.imax is None else args.imax
-    workers = 1 if args.workers is None else args.workers
     try:
         named = read_contours(args.input)
     except FormatError:
@@ -305,7 +303,7 @@ def cmd_remesh2d(args):
     for pid, length, budget in zip(ids, lengths, budgets):
         print(f"{pid} {length:.6g} {budget}")
     remeshed = remesh_microstructure_2d(
-        contours, args.max_segments, args.nmax, i_max=i_max, workers=workers
+        contours, args.max_segments, args.nmax, i_max=i_max
     )
     write_contours(list(zip(ids, remeshed)), args.out)
     print(f"wrote {args.out}")

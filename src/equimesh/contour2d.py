@@ -313,6 +313,7 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
         h = float(seg.mean())
         dt = 0.5 * h * h
         w = 1.0 / seg  # conductance of the edge to the next sample
+        speed = np.linalg.norm(contour_tangents(weights, eta), axis=1)
         accepted = False
         for _ in range(_MAX_DT_HALVINGS + 1):
             # implicit ring-diffusion step: (M - dt L) u' = M u
@@ -321,7 +322,6 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
             grad = (np.roll(u_new, -1) - np.roll(u_new, 1)) / (
                 seg + np.roll(seg, 1)
             )
-            speed = np.linalg.norm(contour_tangents(weights, eta), axis=1)
             d_eta = dt * grad / np.maximum(u_new, 1e-15) / np.maximum(
                 speed, 1e-15
             )
@@ -411,37 +411,23 @@ def self_intersects(contour):
     return False
 
 
-def remesh_microstructure_2d(
-    contours, max_segments_largest, n_max, i_max=200, workers=1
-):
+def remesh_microstructure_2d(contours, max_segments_largest, n_max, i_max=200):
     """Independently remesh each particle with a length-scaled budget.
 
     The per-particle degree is lowered when a small contour cannot support
-    the requested n_max. Jobs are independent, so `workers` > 1 fans them
-    out to a thread pool; results keep the input ordering either way.
-    Self-intersecting outputs abort the batch with the offending particle
-    indices.
+    the requested n_max. Self-intersecting outputs abort the batch with the
+    offending particle indices.
     """
     if len(contours) == 0:
         raise ValueError("need at least one contour")
     lengths = [c.length() for c in contours]
     budgets = segment_budgets(lengths, max_segments_largest)
 
-    def job(item):
-        contour, budget = item
-        n_pts = contour.points.shape[0]
-        degree = min(n_max, (n_pts - 1) // 2)
+    out = []
+    for contour, budget in zip(contours, budgets):
+        degree = min(n_max, (contour.points.shape[0] - 1) // 2)
         weights = decompose_contour(contour, degree)
-        return remesh_contour(weights, int(budget), i_max=i_max)
-
-    items = list(zip(contours, budgets))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(job, items))
-    else:
-        out = [job(item) for item in items]
+        out.append(remesh_contour(weights, int(budget), i_max=i_max))
     bad = [k for k, c in enumerate(out) if self_intersects(c)]
     if bad:
         raise IntersectionError(

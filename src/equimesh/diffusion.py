@@ -26,20 +26,12 @@ from .harmonics import reconstruct_fast
 from .mesh import TriangleMesh
 from .operators import FaceGeometry, MeshTopology
 from .solver import DT_SCALE, backward_euler_step, estimate_dt
-from .spheroidal import (
-    DEFAULT_EPS_ETA,
-    CurvilinearCoords,
-    forward_coords,
-    pullback,
-    surface_normals,
-)
+from .spheroidal import CurvilinearCoords, forward_coords, pullback, surface_normals
 
 __all__ = [
     "MAX_DT_HALVINGS",
     "DiffusionConfig",
     "DiffusionTrace",
-    "BoundaryCondition",
-    "apply_boundary_abc",
     "update_coordinates",
     "diffuse_remesh",
 ]
@@ -49,9 +41,6 @@ MAX_DT_HALVINGS = 20
 # per-step slack on the monotone-STD acceptance test
 _STD_SLACK = 1e-9
 _EARLY_STOP_WINDOW = 5
-
-CLOSED = "closed"
-NEUMANN_AVERAGED_FLUX = "neumann-averaged-flux"
 
 
 @dataclass(frozen=True)
@@ -67,7 +56,6 @@ class DiffusionConfig:
     gamma: float = 0.0
     dt_scale: float = DT_SCALE
     std_tolerance: float = 1e-6
-    eps_eta: float = DEFAULT_EPS_ETA
     alpha_cap: float = 1e4
 
     def __post_init__(self):
@@ -88,8 +76,6 @@ class DiffusionConfig:
             raise ValueError("dt_scale must be positive")
         if self.std_tolerance < 0.0:
             raise ValueError("std_tolerance must be nonnegative")
-        if self.eps_eta <= 0.0:
-            raise ValueError("eps_eta must be positive")
         if self.alpha_cap < 1.0:
             raise ValueError("alpha_cap must be at least 1")
 
@@ -157,59 +143,22 @@ class DiffusionTrace:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass
-class BoundaryCondition:
-    """Averaged-flux data for the shifted boundary of an open surface."""
-
-    kind: str
-    boundary_vertices: np.ndarray
-    u_bar_prev: float = 0.0
-    edge_masses: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in (CLOSED, NEUMANN_AVERAGED_FLUX):
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        self.boundary_vertices = np.asarray(self.boundary_vertices, dtype=np.int64)
-        if (self.kind == CLOSED) != (self.boundary_vertices.size == 0):
-            raise ValueError(
-                "closed boundary condition must have an empty vertex set "
-                "and open kinds a non-empty one"
-            )
-        if self.kind == NEUMANN_AVERAGED_FLUX:
-            if self.edge_masses is None:
-                raise ValueError("open boundary condition needs edge masses")
-            self.edge_masses = np.asarray(self.edge_masses, dtype=float)
-            if self.edge_masses.shape != self.boundary_vertices.shape:
-                raise ValueError("edge masses must match boundary vertices")
-
-
 def _rim_segments(points, loop):
     """Boundary edge lengths, from each loop vertex to the next."""
     pts = points[loop]
     return np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
 
 
-def apply_boundary_abc(laplacian, vertex_mass, rhs, bc, u_prev, dt):
-    """Add the averaged-flux boundary source to the implicit-step RHS.
+def _rim_source(n_v, loop, u, u_bar_prev, edge_masses, dt):
+    """Averaged-flux source of an open rim for the implicit-step RHS.
 
-    Boundary density is steered toward the previous step's mean: each
-    boundary vertex receives dt * (u_bar_prev - u_prev) weighted by its
-    share of boundary edge length, so a uniform field stays uniform.
-    Closed kind returns the RHS unchanged.
+    Each boundary vertex receives dt * (u_bar_prev - u) weighted by its
+    share of boundary edge length, steering the rim density toward the
+    previous step's mean; a uniform field gets no source.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if bc.kind == CLOSED:
-        return rhs
-    n = rhs.shape[0]
-    if laplacian.shape != (n, n) or vertex_mass.shape != (n, n):
-        raise ValueError("system and right-hand side sizes disagree")
-    b = bc.boundary_vertices
-    if b.size and (b.min() < 0 or b.max() >= n):
-        raise ValueError("boundary vertex set inconsistent with the system")
-    u_prev = np.asarray(u_prev, dtype=float)
-    out = rhs.copy()
-    out[b] += dt * (bc.u_bar_prev - u_prev[b]) * bc.edge_masses
-    return out
+    source = np.zeros(n_v)
+    source[loop] = dt * (u_bar_prev - u[loop]) * edge_masses
+    return source
 
 
 def update_coordinates(coords, vertex_gradient, dt, domain):
@@ -291,19 +240,14 @@ def _run_stage(
         L = topology.laplacian(geometry, directors)
         M_v = sp.diags(geometry.masses, format="csr")
         if is_open:
-            bc = BoundaryCondition(
-                kind=NEUMANN_AVERAGED_FLUX,
-                boundary_vertices=loop,
-                u_bar_prev=u_bar_prev,
-                edge_masses=0.5 * (rim + np.roll(rim, 1)),
-            )
+            edge_masses = 0.5 * (rim + np.roll(rim, 1))
 
         flips_seen = 0
         candidate = None
         for _ in range(MAX_DT_HALVINGS + 1):
             rhs_extra = None
             if is_open:
-                rhs_extra = apply_boundary_abc(L, M_v, np.zeros(n_v), bc, u, dt)
+                rhs_extra = _rim_source(n_v, loop, u, u_bar_prev, edge_masses, dt)
             u_diffused = backward_euler_step(
                 M_v, L, u, dt, rhs_extra=rhs_extra, tolerance=1e-12
             )
@@ -381,10 +325,8 @@ def diffuse_remesh(weights, initial_coords, faces, config):
             raise GuardError(
                 f"stage degree {n_stage} exceeds weight degree {weights.n_max}"
             )
-    # the connectivity checks need the vertex count only; the edge list is
-    # cached here so that every with_vertices copy shares it
+    # the connectivity checks need the vertex count only
     template = TriangleMesh(np.zeros((initial_coords.n, 3)), faces)
-    template.unique_edges()
     topology = MeshTopology(template.faces, template.n_v, template.boundary_loop())
     trace = DiffusionTrace()
     coords = initial_coords

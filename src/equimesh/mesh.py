@@ -157,7 +157,7 @@ class TriangleMesh:
         """Same connectivity, new vertex positions; structural caches carry over."""
         m = TriangleMesh(vertices, self.faces, validate=False)
         m._boundary_loop = self._boundary_loop
-        m._unique_edges = self._unique_edges
+        m._unique_edges = self.unique_edges()
         return m
 
 
@@ -608,8 +608,9 @@ def area_density(mesh):
     """Normalized per-vertex area density u = A_i / sum(A); sums to 1."""
     masses = vertex_voronoi_areas(mesh)
     total = masses.sum()
-    if total <= 0.0:
-        raise ValueError("mesh has no area")
+    # a zero-area face makes the Voronoi masses, and so the total, NaN
+    if not (total > 0.0 and np.isfinite(total)):
+        raise ValueError("mesh has no area or a collapsed face")
     return masses / total
 
 

@@ -1,11 +1,9 @@
 """Sparse linear algebra for the implicit diffusion step."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg, gmres, spsolve_triangular
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import SolverError
 
@@ -13,7 +11,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_MAX_ITERATIONS",
     "DT_SCALE",
-    "SparseSystem",
     "solve_sparse",
     "backward_euler_step",
     "estimate_dt",
@@ -22,32 +19,6 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 2000
 DT_SCALE = 0.5
-
-_PRECONDITIONERS = ("none", "jacobi", "symmetric-gauss-seidel")
-
-
-@dataclass
-class SparseSystem:
-    """One linear solve: matrix, right-hand side, and solver knobs."""
-
-    matrix: sp.spmatrix
-    rhs: np.ndarray
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    symmetric_positive_definite: bool = False
-
-    def __post_init__(self):
-        self.matrix = sp.csr_matrix(self.matrix)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        n, m = self.matrix.shape
-        if n != m:
-            raise ValueError(f"matrix must be square, got {n}x{m}")
-        if self.rhs.shape != (n,):
-            raise ValueError(
-                f"rhs shape {self.rhs.shape} does not match matrix size {n}"
-            )
-        if self.tolerance <= 0.0 or self.max_iterations < 1:
-            raise ValueError("bad solver parameters")
 
 
 def _jacobi_preconditioner(matrix):
@@ -59,46 +30,32 @@ def _jacobi_preconditioner(matrix):
     return LinearOperator((n, n), matvec=lambda x: inv * x)
 
 
-def _sgs_preconditioner(matrix):
-    """Symmetric Gauss-Seidel: M = (D+L) D^{-1} (D+U), applied by its inverse."""
-    diag = matrix.diagonal()
-    if np.any(diag == 0.0):
-        raise SolverError("zero diagonal entry; Gauss-Seidel sweep undefined")
-    lower = sp.tril(matrix, format="csr")
-    upper = sp.triu(matrix, format="csr")
+def solve_sparse(
+    matrix,
+    rhs,
+    tolerance=DEFAULT_TOLERANCE,
+    max_iterations=DEFAULT_MAX_ITERATIONS,
+):
+    """Jacobi-preconditioned conjugate gradient to relative residual
+    <= tolerance, for a symmetric positive definite matrix.
 
-    def apply(x):
-        y = spsolve_triangular(lower, x, lower=True)
-        return spsolve_triangular(upper, diag * y, lower=False)
-
-    n = matrix.shape[0]
-    return LinearOperator((n, n), matvec=apply)
-
-
-def solve_sparse(system, preconditioner="jacobi"):
-    """Iterative solve to relative residual <= system.tolerance.
-
-    GMRES by default; conjugate gradient when the system is flagged
-    symmetric positive definite. Raises SolverError on breakdown or when
-    the iteration budget runs out, reporting the iteration count reached.
+    Raises SolverError on breakdown or when the iteration budget runs out,
+    reporting the iteration count reached and the residual.
     """
-    if preconditioner not in _PRECONDITIONERS:
-        raise ValueError(
-            f"preconditioner must be one of {_PRECONDITIONERS}"
-        )
-    A = system.matrix
-    b = system.rhs
+    A = sp.csr_matrix(matrix)
+    b = np.asarray(rhs, dtype=float)
+    n, m = A.shape
+    if n != m:
+        raise ValueError(f"matrix must be square, got {n}x{m}")
+    if b.shape != (n,):
+        raise ValueError(f"rhs shape {b.shape} does not match matrix size {n}")
+    if not tolerance > 0.0 or max_iterations < 1:
+        raise ValueError("bad solver parameters")
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b)
     if np.any(A.getnnz(axis=1) == 0):
         raise SolverError("singular system: empty matrix row")
-
-    M = None
-    if preconditioner == "jacobi":
-        M = _jacobi_preconditioner(A)
-    elif preconditioner == "symmetric-gauss-seidel":
-        M = _sgs_preconditioner(A)
 
     iterations = 0
 
@@ -106,28 +63,15 @@ def solve_sparse(system, preconditioner="jacobi"):
         nonlocal iterations
         iterations += 1
 
-    if system.symmetric_positive_definite:
-        x, info = cg(
-            A,
-            b,
-            rtol=system.tolerance,
-            atol=0.0,
-            maxiter=system.max_iterations,
-            M=M,
-            callback=count,
-        )
-    else:
-        x, info = gmres(
-            A,
-            b,
-            rtol=system.tolerance,
-            atol=0.0,
-            maxiter=system.max_iterations,
-            M=M,
-            restart=200,
-            callback=count,
-            callback_type="pr_norm",
-        )
+    x, info = cg(
+        A,
+        b,
+        rtol=tolerance,
+        atol=0.0,
+        maxiter=max_iterations,
+        M=_jacobi_preconditioner(A),
+        callback=count,
+    )
     residual = float(np.linalg.norm(A @ x - b) / b_norm)
     if info != 0 or not np.isfinite(residual):
         raise SolverError(
@@ -136,10 +80,10 @@ def solve_sparse(system, preconditioner="jacobi"):
             iterations=iterations,
             residual=residual,
         )
-    if residual > 10.0 * system.tolerance:
+    if residual > 10.0 * tolerance:
         # converged flag with a residual that violates the contract
         raise SolverError(
-            f"residual {residual:.3e} exceeds tolerance {system.tolerance:.3e}",
+            f"residual {residual:.3e} exceeds tolerance {tolerance:.3e}",
             iterations=iterations,
             residual=residual,
         )
@@ -147,19 +91,13 @@ def solve_sparse(system, preconditioner="jacobi"):
 
 
 def backward_euler_step(
-    vertex_mass,
-    laplacian,
-    u_i,
-    dt,
-    rhs_extra=None,
-    tolerance=1e-12,
-    preconditioner="jacobi",
+    vertex_mass, laplacian, u_i, dt, rhs_extra=None, tolerance=1e-12
 ):
     """One implicit step of du/dt = Lu: solve (M - dt L) u' = M u (+ extra).
 
     For symmetric row-sum-zero L on closed surfaces the total mass
     1^T M u is conserved to solver tolerance. The assembled matrix is
-    symmetric positive definite, so the conjugate-gradient path applies.
+    symmetric positive definite, so conjugate gradient applies.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -171,13 +109,7 @@ def backward_euler_step(
     b = M @ u_i
     if rhs_extra is not None:
         b = b + rhs_extra
-    system = SparseSystem(
-        S,
-        b,
-        tolerance=tolerance,
-        symmetric_positive_definite=True,
-    )
-    return solve_sparse(system, preconditioner=preconditioner)
+    return solve_sparse(S, b, tolerance=tolerance)
 
 
 def estimate_dt(mesh, mode="iso", alpha_max=1.0, c=DT_SCALE):

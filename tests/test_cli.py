@@ -168,6 +168,16 @@ def test_remesh2d_single_csv_fallback(tmp_path):
     assert [pid for pid, _ in back] == ["0"]
 
 
+def test_remesh2d_config_rejects_workers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    rc = main(["remesh2d", "--in", str(tmp_path / "none.txt"), "--out",
+               str(tmp_path / "out.txt"), "--max-segments", "30",
+               "--nmax", "8", "--config", str(cfg)])
+    assert rc == 2
+    assert "unknown config key 'workers'" in capsys.readouterr().err
+
+
 def test_remesh_is_reproducible(weights_file, tmp_path):
     outs = []
     for tag in ("a", "b"):

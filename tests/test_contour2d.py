@@ -297,19 +297,6 @@ def test_microstructure_batch_scales_budgets():
     assert out[1].points.shape[0] == budgets[1] == 40
 
 
-def test_microstructure_workers_match_serial():
-    contours = [
-        ellipse_contour(a=1.0, b=0.5, n_points=48),
-        blob_contour(n_points=64),
-        ellipse_contour(a=2.0, b=1.5, n_points=48),
-    ]
-    serial = remesh_microstructure_2d(contours, 30, n_max=8, i_max=300)
-    parallel = remesh_microstructure_2d(contours, 30, n_max=8, i_max=300,
-                                        workers=3)
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.points, b.points)
-
-
 def test_microstructure_reports_intersecting_particles():
     with pytest.raises(IntersectionError) as exc:
         remesh_microstructure_2d([star_contour()], 30, n_max=4, i_max=300)

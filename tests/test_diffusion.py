@@ -12,12 +12,8 @@ from equimesh.benchmarks import (
     oblate_domain,
 )
 from equimesh.diffusion import (
-    CLOSED,
-    NEUMANN_AVERAGED_FLUX,
-    BoundaryCondition,
     DiffusionConfig,
     DiffusionTrace,
-    apply_boundary_abc,
     diffuse_remesh,
     update_coordinates,
 )
@@ -25,7 +21,6 @@ from equimesh import diffusion
 from equimesh.errors import DegenerateMeshError, EngineError, GuardError
 from equimesh.harmonics import FourierWeights, reconstruct_fast
 from equimesh.mesh import TriangleMesh
-from equimesh.operators import laplacian_iso, vertex_mass_matrix
 from equimesh.spheroidal import (
     CurvilinearCoords,
     sample_cap_grid,
@@ -53,7 +48,6 @@ def test_config_accepts_flat_and_staged_schedules():
         dict(stages=((10, 30),), gamma=-1.0),
         dict(stages=((10, 30),), dt_scale=0.0),
         dict(stages=((10, 30),), std_tolerance=-1e-3),
-        dict(stages=((10, 30),), eps_eta=0.0),
         dict(stages=((10, 30),), alpha_cap=0.5),
     ],
 )
@@ -81,87 +75,27 @@ def test_trace_append_and_csv(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# boundary condition
+# open-rim source
 
-def test_boundary_condition_validation():
-    BoundaryCondition(CLOSED, np.array([], dtype=int))
-    ok = BoundaryCondition(
-        NEUMANN_AVERAGED_FLUX, np.array([0, 1]), 1.0, np.array([0.5, 0.5])
+@pytest.mark.parametrize(
+    "loop, u_bar_prev, edge_masses, u, dt, expected",
+    [
+        # boundary already at the running mean: a uniform field gets no source
+        ([0, 3], 2.0, [0.4, 0.6], np.full(6, 2.0), 0.5, np.zeros(6)),
+        # below the mean is pushed up, above pushed down, times edge mass
+        (
+            [1, 4], 3.0, [0.5, 2.0], np.array([3.0, 1.0, 3.0, 3.0, 5.0, 3.0]),
+            0.1, [0.0, 0.1 * 2.0 * 0.5, 0.0, 0.0, 0.1 * -2.0 * 2.0, 0.0],
+        ),
+    ],
+    ids=["uniform", "steer"],
+)
+def test_rim_source(loop, u_bar_prev, edge_masses, u, dt, expected):
+    source = diffusion._rim_source(
+        u.size, np.array(loop), u, u_bar_prev, np.array(edge_masses), dt
     )
-    assert ok.edge_masses.dtype == float
-    with pytest.raises(ValueError):
-        BoundaryCondition("reflecting", np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        BoundaryCondition(CLOSED, np.array([3]))
-    with pytest.raises(ValueError):
-        BoundaryCondition(NEUMANN_AVERAGED_FLUX, np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        BoundaryCondition(NEUMANN_AVERAGED_FLUX, np.array([0, 1]), 1.0)
-    with pytest.raises(ValueError):
-        BoundaryCondition(
-            NEUMANN_AVERAGED_FLUX, np.array([0, 1]), 1.0, np.array([0.5])
-        )
-
-
-def test_abc_closed_is_identity():
-    mesh_n = 7
-    rhs = np.arange(mesh_n, dtype=float)
-    bc = BoundaryCondition(CLOSED, np.array([], dtype=int))
-    L = vertex_mass_matrix(_small_closed_mesh())  # any (n, n) works for closed
-    out = apply_boundary_abc(None, None, rhs, bc, np.zeros(mesh_n), 0.1)
-    assert np.array_equal(out, rhs)
-
-
-def test_abc_uniform_field_gets_no_source():
-    n = 6
-    rhs = np.ones(n)
-    b = np.array([0, 3])
-    bc = BoundaryCondition(NEUMANN_AVERAGED_FLUX, b, 2.0, np.array([0.4, 0.6]))
-    import scipy.sparse as sp
-
-    eye = sp.eye(n).tocsr()
-    u_prev = np.full(n, 2.0)  # boundary already at the running mean
-    out = apply_boundary_abc(eye, eye, rhs, bc, u_prev, 0.5)
-    assert out == pytest.approx(rhs, abs=1e-15)
-
-
-def test_abc_steers_boundary_toward_mean():
-    n = 6
-    rhs = np.zeros(n)
-    b = np.array([1, 4])
-    bc = BoundaryCondition(NEUMANN_AVERAGED_FLUX, b, 3.0, np.array([0.5, 2.0]))
-    import scipy.sparse as sp
-
-    eye = sp.eye(n).tocsr()
-    u_prev = np.array([3.0, 1.0, 3.0, 3.0, 5.0, 3.0])
-    out = apply_boundary_abc(eye, eye, rhs, bc, u_prev, 0.1)
-    # vertex below the mean is pushed up, above pushed down, times edge mass
-    assert out[1] == pytest.approx(0.1 * (3.0 - 1.0) * 0.5)
-    assert out[4] == pytest.approx(0.1 * (3.0 - 5.0) * 2.0)
-    assert np.all(out[[0, 2, 3, 5]] == 0.0)
-
-
-def test_abc_size_validation():
-    import scipy.sparse as sp
-
-    bc = BoundaryCondition(
-        NEUMANN_AVERAGED_FLUX, np.array([9]), 1.0, np.array([1.0])
-    )
-    eye = sp.eye(4).tocsr()
-    with pytest.raises(ValueError):
-        apply_boundary_abc(eye, eye, np.zeros(4), bc, np.zeros(4), 0.1)
-    bc2 = BoundaryCondition(
-        NEUMANN_AVERAGED_FLUX, np.array([1]), 1.0, np.array([1.0])
-    )
-    with pytest.raises(ValueError):
-        apply_boundary_abc(sp.eye(5).tocsr(), eye, np.zeros(4), bc2,
-                           np.zeros(4), 0.1)
-
-
-def _small_closed_mesh():
-    from equimesh.mesh import icosphere
-
-    return icosphere(0)
+    assert source == pytest.approx(expected, abs=1e-15)
+    assert np.all(np.delete(source, loop) == 0.0)
 
 
 # ---------------------------------------------------------------------------

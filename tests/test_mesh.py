@@ -97,6 +97,13 @@ def test_with_vertices_keeps_connectivity():
     assert m2.total_area() == pytest.approx(4.0 * m.total_area())
 
 
+def test_with_vertices_shares_one_edge_list():
+    m = icosphere(1)  # nothing has asked for its edges yet
+    a = m.with_vertices(m.vertices * 2.0)
+    b = a.with_vertices(m.vertices * 3.0)
+    assert a.unique_edges() is b.unique_edges() is m.unique_edges()
+
+
 # ---------------------------------------------------------------------------
 # icosphere
 
@@ -173,6 +180,22 @@ def test_voronoi_conserves_total_area(unit_sphere_2):
 def test_area_density_normalized(unit_sphere_2):
     u = area_density(unit_sphere_2)
     assert u.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def collapsed_face_sphere():
+    """icosphere(2) with the three corners of face 0 moved onto one point."""
+    mesh = icosphere(2)
+    v = mesh.vertices.copy()
+    v[mesh.faces[0]] = v[mesh.faces[0, 0]]
+    return mesh.with_vertices(v)
+
+
+def test_collapsed_face_density_raises():
+    mesh = collapsed_face_sphere()
+    with pytest.raises(ValueError, match="collapsed face"):
+        area_density(mesh)
+    with pytest.raises(ValueError, match="collapsed face"):
+        quality_report(mesh)
 
 
 def test_detect_normal_flips():

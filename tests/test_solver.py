@@ -11,13 +11,7 @@ import scipy.sparse as sp
 from equimesh.errors import SolverError
 from equimesh.mesh import TriangleMesh, icosphere
 from equimesh.operators import laplacian_iso, vertex_mass_matrix
-from equimesh.solver import (
-    DT_SCALE,
-    SparseSystem,
-    backward_euler_step,
-    estimate_dt,
-    solve_sparse,
-)
+from equimesh.solver import DT_SCALE, backward_euler_step, estimate_dt, solve_sparse
 
 
 def spd_system(n, rng):
@@ -29,23 +23,18 @@ def spd_system(n, rng):
 
 def test_system_validation():
     with pytest.raises(ValueError):
-        SparseSystem(sp.eye(3).tocsr(), np.ones(4))
+        solve_sparse(sp.eye(3).tocsr(), np.ones(4))
     with pytest.raises(ValueError):
-        SparseSystem(sp.random(3, 4, density=1.0).tocsr(), np.ones(3))
+        solve_sparse(sp.random(3, 4, density=1.0).tocsr(), np.ones(3))
     with pytest.raises(ValueError):
-        SparseSystem(sp.eye(3).tocsr(), np.ones(3), tolerance=0.0)
+        solve_sparse(sp.eye(3).tocsr(), np.ones(3), tolerance=0.0)
     with pytest.raises(ValueError):
-        SparseSystem(sp.eye(3).tocsr(), np.ones(3), max_iterations=0)
+        solve_sparse(sp.eye(3).tocsr(), np.ones(3), max_iterations=0)
 
 
-@pytest.mark.parametrize("spd_flag", [True, False])
-@pytest.mark.parametrize("precond", ["jacobi", "symmetric-gauss-seidel"])
-def test_matches_dense_solve_on_spd(spd_flag, precond, rng):
+def test_matches_dense_solve_on_spd(rng):
     A, b, x_true = spd_system(40, rng)
-    system = SparseSystem(
-        A, b, tolerance=1e-13, symmetric_positive_definite=spd_flag
-    )
-    x = solve_sparse(system, preconditioner=precond)
+    x = solve_sparse(A, b, tolerance=1e-13)
     dense = np.linalg.solve(A.toarray(), b)
     assert x == pytest.approx(dense, rel=1e-8, abs=1e-10)
     assert x == pytest.approx(x_true, rel=1e-8, abs=1e-10)
@@ -60,24 +49,13 @@ def test_tridiagonal_hand_system():
     )
     x_true = np.sin(np.linspace(0.0, np.pi, n))
     b = A @ x_true
-    x = solve_sparse(
-        SparseSystem(A, b, tolerance=1e-13, symmetric_positive_definite=True)
-    )
+    x = solve_sparse(A, b, tolerance=1e-13)
     assert x == pytest.approx(x_true, abs=1e-8)
-
-
-def test_gmres_on_nonsymmetric(rng):
-    n = 50
-    A = rng.normal(size=(n, n)) * 0.1
-    A[np.arange(n), np.arange(n)] = 5.0 + rng.uniform(size=n)
-    b = rng.normal(size=n)
-    x = solve_sparse(SparseSystem(sp.csr_matrix(A), b, tolerance=1e-12))
-    assert x == pytest.approx(np.linalg.solve(A, b), rel=1e-9, abs=1e-10)
 
 
 def test_zero_rhs_short_circuits():
     A = sp.eye(5).tocsr()
-    x = solve_sparse(SparseSystem(A, np.zeros(5)))
+    x = solve_sparse(A, np.zeros(5))
     assert np.array_equal(x, np.zeros(5))
 
 
@@ -85,25 +63,21 @@ def test_empty_row_raises():
     A = sp.eye(4).tolil()
     A[2, 2] = 0.0
     with pytest.raises(SolverError):
-        solve_sparse(SparseSystem(A.tocsr(), np.ones(4)))
+        solve_sparse(A.tocsr(), np.ones(4))
+
+
+def test_zero_diagonal_raises():
+    A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(SolverError, match="zero diagonal"):
+        solve_sparse(A, np.ones(2))
 
 
 def test_budget_exhaustion_reports_iterations(rng):
     A, b, _ = spd_system(60, rng)
-    system = SparseSystem(
-        A, b, tolerance=1e-15, max_iterations=1,
-        symmetric_positive_definite=True,
-    )
     with pytest.raises(SolverError) as exc:
-        solve_sparse(system)
+        solve_sparse(A, b, tolerance=1e-15, max_iterations=1)
     assert exc.value.iterations >= 1
     assert np.isfinite(exc.value.residual)
-
-
-def test_unknown_preconditioner():
-    A = sp.eye(3).tocsr()
-    with pytest.raises(ValueError):
-        solve_sparse(SparseSystem(A, np.ones(3)), preconditioner="magic")
 
 
 # ---------------------------------------------------------------------------
