@@ -8,8 +8,6 @@ means rounder faces but a smaller stable time step, so the flow freezes
 in the high-gamma limit — the sweep makes that trade-off visible.
 """
 
-import numpy as np
-
 from equimesh.benchmarks import protrusion_weights
 from equimesh.diffusion import DiffusionConfig, diffuse_remesh
 from equimesh.mesh import face_metrics

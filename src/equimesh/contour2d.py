@@ -4,6 +4,12 @@ Closed contours are parameterized by the elliptic angle eta of a fitted
 confocal ellipse, expanded in a periodic Fourier basis, and re-sampled by
 1D diffusion of the eta samples until segment lengths equalize. A batch
 driver applies this per particle for 2D microstructures.
+
+The 1D step is staggered: the density lives on segments and each sample
+moves by the jump of the diffused density across it, so alternating
+segment lengths are seen and corrected. The time step is the largest at
+which no explicit sample move passes 0.3 of its smaller eta gap, so the
+iteration count grows about linearly with the segment budget.
 """
 from __future__ import annotations
 
@@ -11,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import solveh_banded
 
 from .errors import (
     EngineError,
@@ -50,6 +57,8 @@ _CIRCLE_GAP = 1e-3
 _CIRCLE_FOCAL_FRACTION = 0.05
 
 _MAX_DT_HALVINGS = 20
+# largest explicit eta move of a sample, as a fraction of its smaller gap
+_ETA_MOVE_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -248,6 +257,7 @@ class ContourTrace:
     total_length: list = field(default_factory=list)
     initial_std_length: float = float("nan")
     initial_mean_length: float = float("nan")
+    stop_reason: str = ""
 
     @property
     def n_rows(self):
@@ -283,11 +293,15 @@ def _cyclic_increasing(eta):
 def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
     """Equalize segment lengths by 1D diffusion of the eta samples.
 
-    Starts from uniform angles, diffuses the per-sample segment-length
-    density one implicit step at a time, and advects samples up the
-    diffused gradient. Succeeds when the segment-length STD falls to
-    std_target times the initial STD (or is negligible against the mean);
-    raises EngineError with the trace attached otherwise.
+    Starts from uniform angles. Each iteration diffuses the segment-length
+    density one implicit step on the ring of segments and moves every
+    sample up the difference of its two adjacent diffused densities; the
+    step is the largest at which no explicit move passes a fixed fraction
+    of the neighbouring angle gaps, halved only if the ordering still
+    breaks. Succeeds when the segment-length STD falls to std_target times
+    the initial STD (or is negligible against the mean); raises EngineError
+    with the trace attached otherwise. trace.stop_reason records why the
+    run ended: "converged", "i_max" or "ordering".
     """
     if n_points < MIN_SEGMENTS:
         raise ValueError(f"need at least {MIN_SEGMENTS} points")
@@ -307,30 +321,31 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
     for t in range(1, i_max + 1):
         if float(seg.std()) <= goal:
             break
-        # per-sample density: half of each adjacent segment, normalized
-        masses = 0.5 * (seg + np.roll(seg, 1))
-        u = masses / masses.sum()
-        h = float(seg.mean())
-        dt = 0.5 * h * h
-        w = 1.0 / seg  # conductance of the edge to the next sample
-        speed = np.linalg.norm(contour_tangents(weights, eta), axis=1)
+        # staggered density: one value per segment; sample i sits between
+        # segments i - 1 and i, a spacing h_i apart
+        u = seg / seg.sum()
+        h = 0.5 * (seg + np.roll(seg, 1))
+        speed = np.maximum(
+            np.linalg.norm(contour_tangents(weights, eta), axis=1), 1e-15
+        )
+        # the largest step whose explicit move keeps every sample within
+        # _ETA_MOVE_FRACTION of its nearer neighbour in eta
+        gap = np.mod(np.diff(eta, append=eta[:1] + 2.0 * np.pi), 2.0 * np.pi)
+        reach = np.abs(_eta_velocity(u, h, speed)) / np.minimum(
+            gap, np.roll(gap, 1)
+        )
+        dt = _ETA_MOVE_FRACTION / float(reach.max())
         accepted = False
         for _ in range(_MAX_DT_HALVINGS + 1):
             # implicit ring-diffusion step: (M - dt L) u' = M u
-            u_new = _ring_implicit_step(masses, w, u, dt)
-            # centered arc-length gradient of the diffused density
-            grad = (np.roll(u_new, -1) - np.roll(u_new, 1)) / (
-                seg + np.roll(seg, 1)
-            )
-            d_eta = dt * grad / np.maximum(u_new, 1e-15) / np.maximum(
-                speed, 1e-15
-            )
-            cand = np.mod(eta + d_eta, 2.0 * np.pi)
+            u_new = _ring_implicit_step(seg, 1.0 / h, u, dt)
+            cand = np.mod(eta + dt * _eta_velocity(u_new, h, speed), 2.0 * np.pi)
             if _cyclic_increasing(cand):
                 accepted = True
                 break
             dt *= 0.5
         if not accepted:
+            trace.stop_reason = "ordering"
             exc = EngineError(
                 f"sample ordering could not be preserved at iteration {t}"
             )
@@ -342,31 +357,49 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
         trace.append(t, dt, float(seg.std()), float(seg.mean()), float(seg.sum()))
 
     if float(seg.std()) > goal:
+        trace.stop_reason = "i_max"
         exc = EngineError(
             f"segment spread {seg.std():.3e} still above target {goal:.3e} "
             f"after {i_max} iterations"
         )
         exc.trace = trace
         raise exc
+    trace.stop_reason = "converged"
     return Contour2D(points=points, closed=True)
 
 
-def _ring_implicit_step(masses, conductance, u, dt):
-    """Backward Euler on the periodic chain with given edge conductances.
+def _eta_velocity(u, h, speed):
+    """d(eta)/dt of each sample: the jump of the segment density across it
+    over the spacing h, relative to the mean adjacent density, per unit of
+    chart speed."""
+    u_prev = np.roll(u, 1)
+    return 2.0 * (u - u_prev) / (h * np.maximum(u + u_prev, 1e-15) * speed)
 
-    Solves (M - dt L) u' = M u with L the ring Laplacian; the system is
-    symmetric positive definite and cyclic tridiagonal, solved densely via
-    its banded structure (problem sizes here are tiny).
+
+def _ring_implicit_step(masses, conductance, u, dt):
+    """Backward Euler on a ring of nodes: solves (M - dt L) u' = M u.
+
+    conductance[j] couples node j - 1 and node j (node -1 is the last).
+    The matrix is symmetric positive definite and cyclic tridiagonal; the
+    corner coupling is split off as a rank-one term (Sherman-Morrison), so
+    two banded Cholesky solves give u' in O(n).
     """
-    n = u.shape[0]
-    L = np.zeros((n, n))
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    L[idx, nxt] += conductance
-    L[nxt, idx] += conductance
-    L[idx, idx] -= conductance + np.roll(conductance, 1)
-    S = np.diag(masses) - dt * L
-    return np.linalg.solve(S, masses * u)
+    off = -dt * conductance
+    diag = masses - off - np.roll(off, -1)
+    corner = off[0]
+    gamma = -diag[0]
+    band = np.empty((2, diag.shape[0]))
+    band[0] = off  # band[0, 0] is outside the matrix
+    band[1] = diag
+    band[1, 0] -= gamma
+    band[1, -1] -= corner * corner / gamma
+    rhs = np.zeros((diag.shape[0], 2))
+    rhs[:, 0] = masses * u
+    rhs[0, 1] = gamma
+    rhs[-1, 1] = corner
+    y, z = solveh_banded(band, rhs, check_finite=False).T
+    ratio = corner / gamma
+    return y - z * (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])
 
 
 def segment_budgets(lengths, max_segments_largest):
@@ -389,26 +422,24 @@ def segment_budgets(lengths, max_segments_largest):
 
 def self_intersects(contour):
     """True when any two non-adjacent segments of the closed contour cross."""
-    pts = contour.points
-    n = pts.shape[0]
-    a = pts
-    b = np.roll(pts, -1, axis=0)
+    a = contour.points
+    b = np.roll(a, -1, axis=0)
+    n = a.shape[0]
+    # pairs i < j - 1; segments 0 and n - 1 share the closing vertex
+    i, j = np.triu_indices(n, 2)
+    keep = j - i < n - 1
+    i, j = i[keep], j[keep]
 
     def orient(p, q, r):
         return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
             q[..., 1] - p[..., 1]
         ) * (r[..., 0] - p[..., 0])
 
-    for i in range(n - 2):
-        # segments adjacent to i share an endpoint and cannot properly cross
-        j = np.arange(i + 2, n if i > 0 else n - 1)
-        o1 = orient(a[i], b[i], a[j])
-        o2 = orient(a[i], b[i], b[j])
-        o3 = orient(a[j], b[j], a[i])
-        o4 = orient(a[j], b[j], b[i])
-        if np.any((o1 * o2 < 0.0) & (o3 * o4 < 0.0)):
-            return True
-    return False
+    o1 = orient(a[i], b[i], a[j])
+    o2 = orient(a[i], b[i], b[j])
+    o3 = orient(a[j], b[j], a[i])
+    o4 = orient(a[j], b[j], b[i])
+    return bool(np.any((o1 * o2 < 0.0) & (o3 * o4 < 0.0)))
 
 
 def remesh_microstructure_2d(contours, max_segments_largest, n_max, i_max=200):

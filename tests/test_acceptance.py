@@ -26,7 +26,6 @@ from equimesh.harmonics import (
     ExpansionConfig,
     FourierWeights,
     decompose,
-    psd_descriptors,
     reconstruct_fast,
     reconstruct_full,
 )

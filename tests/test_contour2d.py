@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from equimesh.benchmarks import blob_contour, ellipse_contour
+from equimesh import contour2d
 from equimesh.contour2d import (
     MIN_SEGMENTS,
+    ContourTrace,
     ContourWeights,
     EllipticDomain,
     contour_tangents,
@@ -212,8 +214,6 @@ def test_remesh_equalizes_ellipse():
 def test_remesh_circle_already_converged():
     base = ellipse_contour(a=1.0, b=1.0, n_points=48)
     w = decompose_contour(base, 8)
-    from equimesh.contour2d import ContourTrace
-
     tr = ContourTrace()
     out = remesh_contour(w, 40, trace=tr)
     assert tr.n_rows == 0  # uniform start needs no iterations
@@ -244,8 +244,6 @@ def test_remesh_budget_failure_carries_trace():
 
 
 def test_trace_csv(tmp_path):
-    from equimesh.contour2d import ContourTrace
-
     tr = ContourTrace()
     w = decompose_contour(ellipse_contour(a=2.0, b=0.8, n_points=48), 8)
     remesh_contour(w, 40, i_max=300, std_target=0.5, trace=tr)
@@ -255,6 +253,153 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,dt,std_length,mean_length,total_length"
     assert len(lines) == tr.n_rows + 1
+
+
+def _chords(points):
+    return np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
+
+
+def _remesh_traced(weights, n_points, **kwargs):
+    tr = ContourTrace()
+    out = remesh_contour(weights, n_points, trace=tr, **kwargs)
+    return out, tr
+
+
+def test_stop_reason_converged():
+    w = decompose_contour(ellipse_contour(a=2.0, b=0.8, n_points=48), 8)
+    _, tr = _remesh_traced(w, 40, i_max=300)
+    assert tr.stop_reason == "converged"
+
+
+def test_stop_reason_i_max():
+    w = decompose_contour(ellipse_contour(a=5.0, b=0.2, n_points=64), 8)
+    tr = ContourTrace()
+    with pytest.raises(EngineError) as exc:
+        remesh_contour(w, 48, i_max=1, std_target=0.05, trace=tr)
+    assert exc.value.trace is tr
+    assert tr.stop_reason == "i_max"
+
+
+def test_stop_reason_ordering(monkeypatch):
+    monkeypatch.setattr(contour2d, "_cyclic_increasing", lambda eta: False)
+    w = decompose_contour(ellipse_contour(a=2.0, b=0.8, n_points=48), 8)
+    tr = ContourTrace()
+    with pytest.raises(EngineError, match="ordering") as exc:
+        remesh_contour(w, 40, trace=tr)
+    assert exc.value.trace is tr
+    assert tr.n_rows == 0
+    assert tr.stop_reason == "ordering"
+
+
+@pytest.mark.parametrize("budget", [8, 10, 16])
+def test_blob_even_budgets_converge(budget):
+    # alternating segment lengths are invisible to a density collocated on
+    # samples; these even budgets end in that mode unless it is seen
+    w = decompose_contour(blob_contour(n_points=64), 12)
+    out, tr = _remesh_traced(w, budget, i_max=400)
+    assert tr.stop_reason == "converged"
+    assert tr.n_rows <= 5
+    assert _chords(out.points).std() <= 0.2 * tr.initial_std_length
+
+
+def test_even_ellipse_converges():
+    w = decompose_contour(ellipse_contour(), 12)
+    out, tr = _remesh_traced(w, 48, i_max=400, std_target=0.0)
+    seg = _chords(out.points)
+    assert tr.stop_reason == "converged"
+    assert seg.std() <= 1e-3 * seg.mean()
+
+
+@pytest.mark.parametrize("shape", ["ellipse", "blob"])
+def test_iterations_scale_with_budget(shape):
+    contour = ellipse_contour() if shape == "ellipse" else blob_contour(n_points=64)
+    w = decompose_contour(contour, 12)
+    iterations = [_remesh_traced(w, n, i_max=2000)[1].n_rows for n in (32, 256)]
+    assert iterations[0] >= 1
+    assert iterations[1] <= 8 * iterations[0]
+
+
+def _next_at_chord(weights, eta, chord):
+    """First angle after eta whose point lies chord away from eta's point."""
+    x0 = reconstruct_contour(weights, [eta])[0]
+    grid = eta + np.linspace(0.0, 2.0 * np.pi, 257)[1:]
+    dist = np.linalg.norm(reconstruct_contour(weights, grid) - x0, axis=1)
+    k = int(np.argmax(dist >= chord))
+    if dist[k] < chord:
+        return np.inf
+    lo, hi = (eta if k == 0 else grid[k - 1]), grid[k]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.norm(reconstruct_contour(weights, [mid])[0] - x0) < chord:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _equal_chord_polygon(weights, eta0, n):
+    """The n-gon with equal chords from the vertex at eta0, by bisection on
+    the chord until the n-th chord lands back on the first vertex."""
+    lo, hi = 0.0, 2.0 * np.abs(weights.q).sum()
+    for _ in range(60):
+        chord = 0.5 * (lo + hi)
+        eta = [eta0]
+        for _ in range(n):
+            eta.append(_next_at_chord(weights, eta[-1], chord))
+        if eta[-1] < eta0 + 2.0 * np.pi:
+            lo = chord
+        else:
+            hi = chord
+    return reconstruct_contour(weights, np.array(eta[:n])), chord
+
+
+def _angle_of(weights, point):
+    """Angle of the reconstruction point nearest to point, by grid refinement."""
+    step = 2.0 * np.pi / 4096
+    eta = step * np.arange(4096)
+    for _ in range(3):
+        dist = np.linalg.norm(reconstruct_contour(weights, eta) - point, axis=1)
+        eta = eta[np.argmin(dist)] + np.linspace(-step, step, 2001)
+        step /= 1000
+    dist = np.linalg.norm(reconstruct_contour(weights, eta) - point, axis=1)
+    return eta[np.argmin(dist)]
+
+
+@pytest.mark.parametrize("n_points", [5, 6, 7, 8])
+@pytest.mark.parametrize("shape", ["ellipse", "blob"])
+def test_remesh_reaches_equal_chord_polygon(shape, n_points):
+    contour = (
+        ellipse_contour(a=2.0, b=1.0, n_points=64)
+        if shape == "ellipse"
+        else blob_contour(n_points=64)
+    )
+    w = decompose_contour(contour, 12)
+    out, tr = _remesh_traced(w, n_points, i_max=100, std_target=0.0)
+    eta0 = _angle_of(w, out.points[0])
+    ref, chord = _equal_chord_polygon(w, eta0, n_points)
+    seg = _chords(out.points)
+    assert tr.stop_reason == "converged"
+    assert seg.std() <= 1e-3 * chord
+    assert np.abs(seg - chord).max() <= 5e-3 * chord
+    assert np.linalg.norm(out.points - ref, axis=1).max() <= 1e-2 * chord
+
+
+@pytest.mark.parametrize("n", [5, 6, 17, 96])
+def test_ring_implicit_step_matches_dense(n):
+    rng = np.random.default_rng(n)
+    masses = rng.uniform(0.1, 2.0, n)
+    conductance = rng.uniform(0.5, 50.0, n)
+    u = rng.uniform(0.0, 1.0, n)
+    for dt in (1e-3, 1.0, 1e2):
+        # conductance[j] couples nodes j - 1 and j
+        system = np.diag(masses)
+        for j in range(n):
+            i = (j - 1) % n
+            system[[i, j], [i, j]] += dt * conductance[j]
+            system[[i, j], [j, i]] -= dt * conductance[j]
+        expected = np.linalg.solve(system, masses * u)
+        got = contour2d._ring_implicit_step(masses, conductance, u, dt)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +428,45 @@ def test_self_intersects():
     assert self_intersects(bowtie)
 
 
+def _self_intersects_loop(points):
+    """Reference: every non-adjacent segment pair tested one row at a time."""
+    n = points.shape[0]
+    a, b = points, np.roll(points, -1, axis=0)
+
+    def orient(p, q, r):
+        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
+            q[..., 1] - p[..., 1]
+        ) * (r[..., 0] - p[..., 0])
+
+    for i in range(n - 2):
+        j = np.arange(i + 2, n if i > 0 else n - 1)
+        o1 = orient(a[i], b[i], a[j])
+        o2 = orient(a[i], b[i], b[j])
+        o3 = orient(a[j], b[j], a[i])
+        o4 = orient(a[j], b[j], b[i])
+        if np.any((o1 * o2 < 0.0) & (o3 * o4 < 0.0)):
+            return True
+    return False
+
+
+def test_self_intersects_matches_loop():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for k in range(300):
+        n = int(rng.integers(3, 40))
+        if k % 2:
+            pts = rng.normal(size=(n, 2))
+        else:  # star-shaped, mostly simple
+            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            r = 1.0 + rng.uniform(-0.3, 0.3, n)
+            pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        for p in (pts, pts[::-1].copy()):
+            expected = _self_intersects_loop(p)
+            assert self_intersects(Contour2D(points=p, closed=True)) == expected
+            verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_microstructure_batch_scales_budgets():
     contours = [
         ellipse_contour(a=1.0, b=0.6, n_points=48),
@@ -299,7 +483,7 @@ def test_microstructure_batch_scales_budgets():
 
 def test_microstructure_reports_intersecting_particles():
     with pytest.raises(IntersectionError) as exc:
-        remesh_microstructure_2d([star_contour()], 30, n_max=4, i_max=300)
+        remesh_microstructure_2d([star_contour()], 40, n_max=4, i_max=300)
     assert exc.value.particle_ids == [0]
 
 
