@@ -64,9 +64,7 @@ from .harmonics import (
     save_weights,
 )
 from .operators import (
-    diffusion_tensors,
     face_directors,
-    face_mass_matrix,
     gradient_operator,
     laplacian_aniso,
     laplacian_iso,

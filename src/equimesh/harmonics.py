@@ -7,8 +7,11 @@ prefix slice. Real surfaces have conjugate-consistent weights. The fit and
 the fast reconstruction share one real-arithmetic kernel that runs order by
 order: the Legendre block P_nm (n = m..n_max) times cos(m phi) and sin(m phi),
 so fitted weights are conjugate-consistent by construction and no complex
-basis is built. basis_matrix and reconstruct_full stay the independent
-complex-basis reference.
+basis is built. The fit solves the normal equations by Cholesky with one
+step of iterative refinement, and falls back to the SVD least-squares solver
+when the Cholesky factorization fails or the condition estimate of the
+normal matrix exceeds 1e8. basis_matrix and reconstruct_full stay the
+independent complex-basis reference.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import EngineError, FormatError, GuardError
 from .spheroidal import KINDS, SpheroidDomain, xi_of_eta
@@ -37,8 +41,9 @@ __all__ = [
 
 MAX_DEGREE = 80
 
-# dense least squares below this basis size, iterative normal equations above
-_DENSE_LSQ_LIMIT = 3000
+# largest 1-norm condition estimate of B^T B fitted through the normal
+# equations (cond(B) up to about 1e4); worse bases go to the SVD solver
+_MAX_NORMAL_COND = 1e8
 
 
 @dataclass(frozen=True)
@@ -239,15 +244,19 @@ def _order_blocks(coords, n_max):
 def decompose(mesh, coords, config):
     """Least-squares expansion weights of mesh vertices over the basis.
 
-    The fit is real: column (n, m >= 0) holds P_nm cos(m phi) and column
-    (n, -m) holds P_nm sin(m phi), filled order by order. Coefficients a, b
-    map to q_n0 = a, q_nm = (a - i b) / 2, q_n,-m = (-1)^m conj(q_nm), so
-    fitted weights are conjugate-consistent by construction.
+    The fit is real: basis row (n, m >= 0) holds P_nm cos(m phi) and row
+    (n, -m) holds P_nm sin(m phi), filled order by order into the
+    transposed (beta, n_v) basis Bt. Coefficients a, b map to q_n0 = a,
+    q_nm = (a - i b) / 2, q_n,-m = (-1)^m conj(q_nm), so fitted weights are
+    conjugate-consistent by construction.
 
-    Requires n_v >= beta. Dense orthogonal factorization is used up to
-    beta = 3000 columns; larger problems go through conjugate-gradient
-    normal equations. Raises EngineError for underdetermined or rank
-    deficient systems.
+    Requires n_v >= beta. The normal equations G = Bt Bt^T are solved by
+    Cholesky with one step of iterative refinement on the residual, which
+    gives the least-squares solution to working accuracy for a
+    well-conditioned basis. When the Cholesky factorization fails or the
+    condition estimate of G exceeds 1e8, the fit runs the SVD least-squares
+    solver instead. Raises EngineError for underdetermined, rank-deficient
+    or ill-conditioned systems.
     """
     if mesh.n_v != coords.n:
         raise ValueError("mesh and coords disagree on vertex count")
@@ -259,15 +268,16 @@ def decompose(mesh, coords, config):
             f"underdetermined decomposition: {mesh.n_v} samples < {beta} basis "
             "columns"
         )
-    B = np.empty((mesh.n_v, beta))
+    Bt = np.empty((beta, mesh.n_v))
     for m, block, cos_m, sin_m in _order_blocks(coords, n_max):
         n = np.arange(m, n_max + 1)
-        B[:, FourierWeights.row_index(n, m)] = (block * cos_m).T
+        Bt[FourierWeights.row_index(n, m)] = block * cos_m
         if m:
-            B[:, FourierWeights.row_index(n, -m)] = (block * sin_m).T
+            Bt[FourierWeights.row_index(n, -m)] = block * sin_m
     V = mesh.vertices
-    if beta <= _DENSE_LSQ_LIMIT:
-        coef, _, rank, sv = np.linalg.lstsq(B, V, rcond=None)
+    coef = _cholesky_lsq(Bt, V)
+    if coef is None:
+        coef, _, rank, sv = np.linalg.lstsq(Bt.T, V, rcond=None)
         if rank < beta:
             raise EngineError(
                 f"rank-deficient basis (rank {rank} < {beta}); sampling does "
@@ -276,9 +286,7 @@ def decompose(mesh, coords, config):
         cond = sv[0] / sv[-1]
         if cond > 1e12:
             raise EngineError(f"basis condition estimate {cond:.3e} too large")
-    else:
-        coef = _normal_equation_lsq(B, V)
-    resid = ((B @ coef - V) ** 2).sum(axis=1)
+    resid = ((V - Bt.T @ coef) ** 2).sum(axis=1)
     residual_rms = float(np.sqrt(resid.mean()))
     n, m = full_orders(n_max)
     pos = np.flatnonzero(m > 0)
@@ -291,21 +299,20 @@ def decompose(mesh, coords, config):
     )
 
 
-def _normal_equation_lsq(B, V):
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    n_cols = B.shape[1]
-    op = LinearOperator((n_cols, n_cols), matvec=lambda x: B.T @ (B @ x))
-    q = np.empty((n_cols, V.shape[1]))
-    for j in range(V.shape[1]):
-        rhs = B.T @ V[:, j]
-        x, info = cg(op, rhs, rtol=1e-12, atol=0.0, maxiter=10 * n_cols)
-        if info != 0:
-            raise EngineError(
-                f"normal-equation solve failed to converge (info={info})"
-            )
-        q[:, j] = x
-    return q
+def _cholesky_lsq(Bt, V):
+    """Normal equations solved by Cholesky plus one refinement step on the
+    residual, or None when the factorization fails or the estimate of
+    cond_1(Bt Bt^T) exceeds _MAX_NORMAL_COND."""
+    G = Bt @ Bt.T
+    factor, info = lapack.dpotrf(G)
+    if info != 0:
+        return None
+    rcond, info = lapack.dpocon(factor, np.abs(G).sum(axis=0).max())
+    if info != 0 or not rcond * _MAX_NORMAL_COND >= 1.0:
+        return None
+    coef, _ = lapack.dpotrs(factor, Bt @ V)
+    correction, _ = lapack.dpotrs(factor, Bt @ (V - Bt.T @ coef))
+    return coef + correction
 
 
 def _check_domains_match(weights, coords):

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateMeshError
-from .mesh import _voronoi_masses, face_metrics, vertex_voronoi_areas
+from .mesh import _voronoi_masses, vertex_voronoi_areas
 
 __all__ = [
     "ALPHA_CAP",
@@ -23,12 +23,10 @@ __all__ = [
     "FaceGeometry",
     "MeshTopology",
     "gradient_operator",
-    "face_mass_matrix",
     "vertex_mass_matrix",
     "laplacian_iso",
     "face_directors",
     "rodrigues_quarter_turn",
-    "diffusion_tensors",
     "laplacian_aniso",
     "max_diffusion_rate",
 ]
@@ -178,14 +176,6 @@ def gradient_operator(mesh):
     )
 
 
-def face_mass_matrix(mesh):
-    """Diagonal (3*n_f, 3*n_f): each face area repeated per component."""
-    areas, _, _ = face_metrics(mesh)
-    if np.any(areas <= 0.0):
-        raise ValueError("degenerate face in mass matrix")
-    return sp.diags(np.repeat(areas, 3), format="csr")
-
-
 def vertex_mass_matrix(mesh):
     """Diagonal (n_v, n_v) of Voronoi vertex areas; trace = total area."""
     return sp.diags(vertex_voronoi_areas(mesh), format="csr")
@@ -240,19 +230,6 @@ def rodrigues_quarter_turn(normal):
         ]
     )
     return np.eye(3) + skew + skew @ skew
-
-
-def diffusion_tensors(mesh, gamma, alpha_cap=ALPHA_CAP):
-    """Per-face 3x3 SPD diffusion tensors (n_f, 3, 3).
-
-    Directors are rotated a quarter turn about the face normal, then
-    D = alpha1 v1p v1p^T + alpha2 v2p v2p^T + n n^T: anisotropy acts in the
-    tangent plane, the normal component passes through unchanged.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    axes, rates, _ = FaceGeometry(mesh.vertices, mesh.faces).directors(gamma, alpha_cap)
-    return np.einsum("fj,fjc,fjd->fcd", rates, axes, axes)
 
 
 def laplacian_aniso(mesh, gamma, alpha_cap=ALPHA_CAP):

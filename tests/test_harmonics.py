@@ -10,9 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
-from equimesh import harmonics
+from equimesh import benchmarks
 from equimesh.errors import EngineError, FormatError, GuardError
 from equimesh.harmonics import (
     ExpansionConfig,
@@ -35,6 +34,8 @@ from equimesh.spheroidal import (
     PROLATE_HEMISPHEROID,
     CurvilinearCoords,
     SpheroidDomain,
+    forward_coords,
+    sample_cap_grid,
     sample_icosphere,
 )
 
@@ -368,33 +369,108 @@ def test_kernel_edge_cases(kind, n_max):
     assert got.conjugate_error() == 0.0
 
 
-def _dense_and_iterative_fits(monkeypatch, domain, n_max):
-    coords, faces = sample_icosphere(domain, 2)
-    w = _random_consistent_weights(n_max, domain, np.random.default_rng(9))
-    mesh = TriangleMesh(reconstruct_full(w, coords), faces)
-    config = ExpansionConfig(n_max)
-    dense = decompose(mesh, coords, config)
-    monkeypatch.setattr(harmonics, "_DENSE_LSQ_LIMIT", config.beta - 1)
-    return dense, lambda: decompose(mesh, coords, config)
+def _svd_reference(mesh, coords, n_max):
+    """Weights and residual rms of an SVD least-squares fit on the real basis
+    taken from the complex reference basis: Re and Im of column (n, m >= 0)
+    are the cos and sin columns (n, m) and (n, -m)."""
+    n, m = full_orders(n_max)
+    complex_basis = basis_matrix(coords, ExpansionConfig(n_max))
+    pos = m >= 0
+    B = np.empty(complex_basis.shape)
+    B[:, pos] = complex_basis[:, pos].real
+    B[:, ~pos] = complex_basis[:, FourierWeights.row_index(n[~pos], -m[~pos])].imag
+    coef = np.linalg.lstsq(B, mesh.vertices, rcond=None)[0]
+    q = coef.astype(np.complex128)
+    for k in np.flatnonzero(m > 0):
+        neg = FourierWeights.row_index(n[k], -m[k])
+        q[k] = 0.5 * (coef[k] - 1j * coef[neg])
+        q[neg] = (-1.0) ** m[k] * np.conj(q[k])
+    rms = np.sqrt(((B @ coef - mesh.vertices) ** 2).sum(axis=1).mean())
+    return q, rms
 
 
-def test_iterative_lsq_matches_dense(monkeypatch, oblate_dom):
-    dense, iterative = _dense_and_iterative_fits(monkeypatch, oblate_dom, 4)
-    got = iterative()
-    assert np.abs(got.q - dense.q).max() < 1e-10
+def _bumpy_fixture(domain, refinement, n_max):
+    weights = benchmarks.bumpy_weights(domain, n_max=n_max, seed=3)
+    coords, faces = sample_icosphere(domain, refinement)
+    return weights, coords, faces
+
+
+def _cap_fixture():
+    weights = benchmarks.cap_weights()
+    coords, faces = sample_cap_grid(weights.domain, rings=40, sectors=64)
+    return weights, coords, faces
+
+
+_FIT_FIXTURES = {
+    "prolate-r3-n12": lambda: _bumpy_fixture(benchmarks.prolate_domain(), 3, 12),
+    "oblate-r4-n30": lambda: _bumpy_fixture(benchmarks.oblate_domain(), 4, 30),
+    "cap-n25": _cap_fixture,
+}
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+@pytest.mark.parametrize("fixture", sorted(_FIT_FIXTURES))
+def test_decompose_matches_svd_reference(fixture, noise):
+    weights, coords, faces = _FIT_FIXTURES[fixture]()
+    points = reconstruct_fast(weights, coords)
+    points += noise * np.random.default_rng(5).normal(size=points.shape)
+    mesh = TriangleMesh(points, faces)
+    got = decompose(mesh, coords, ExpansionConfig(weights.n_max))
+    q_ref, rms_ref = _svd_reference(mesh, coords, weights.n_max)
+    assert np.abs(got.q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
     assert got.conjugate_error() == 0.0
+    if noise:
+        assert got.residual_rms == pytest.approx(rms_ref, rel=1e-12, abs=0.0)
+    else:
+        assert np.abs(got.q - weights.q).max() < 1e-12
 
 
-def test_iterative_lsq_nonconvergence_raises(monkeypatch, oblate_dom):
-    _, iterative = _dense_and_iterative_fits(monkeypatch, oblate_dom, 4)
-    real_cg = scipy.sparse.linalg.cg
+def test_ill_conditioned_fit_takes_svd_path(monkeypatch):
+    # cond(B) is about 4e8 on this chart at degree 12, far past the
+    # normal-equation limit; the cap basis (cond about 1e3) stays on Cholesky
+    domain = SpheroidDomain(PROLATE_HEMISPHEROID, e=0.8, zeta0=1.1)
+    coords = _edge_case_coords(domain, 12, np.random.default_rng(12))
+    w = _random_consistent_weights(12, domain, np.random.default_rng(12))
+    mesh = TriangleMesh(reconstruct_full(w, coords), np.zeros((0, 3), dtype=int),
+                        validate=False)
+    calls, lstsq = [], np.linalg.lstsq
 
-    def one_step_cg(*args, **kwargs):
-        return real_cg(*args, **{**kwargs, "maxiter": 1})
+    def spy(B, *args, **kwargs):
+        calls.append(B.shape)
+        return lstsq(B, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "cg", one_step_cg)
-    with pytest.raises(EngineError, match="failed to converge"):
-        iterative()
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    decompose(mesh, coords, ExpansionConfig(12))
+    assert calls == [(coords.n, 169)]
+
+    calls.clear()
+    weights, coords, faces = _cap_fixture()
+    decompose(TriangleMesh(reconstruct_fast(weights, coords), faces), coords,
+              ExpansionConfig(25))
+    assert calls == []
+
+
+def test_decompose_error_messages(oblate_dom):
+    coords, _ = sample_icosphere(oblate_dom, 1)
+    squashed = CurvilinearCoords(
+        np.full_like(coords.eta, 0.3), np.full_like(coords.phi, 1.0), oblate_dom
+    )
+    mesh = TriangleMesh(forward_coords(oblate_dom, coords.eta, coords.phi),
+                        np.zeros((0, 3), dtype=int), validate=False)
+    with pytest.raises(EngineError, match=r"^rank-deficient basis \(rank 1 < 9\); "
+                       "sampling does not resolve the requested degree$"):
+        decompose(mesh, squashed, ExpansionConfig(2))
+
+    # full numerical rank, but cond(B) about 3e12 on this chart at degree 17
+    domain = SpheroidDomain(PROLATE_HEMISPHEROID, e=0.8, zeta0=1.1)
+    rng = np.random.default_rng(0)
+    lo, hi = domain.eta_range
+    eta, phi = rng.uniform(lo, hi, 648), rng.uniform(0.0, 2.0 * np.pi, 648)
+    mesh = TriangleMesh(forward_coords(domain, eta, phi),
+                        np.zeros((0, 3), dtype=int), validate=False)
+    with pytest.raises(EngineError,
+                       match=r"^basis condition estimate \d\.\d{3}e\+12 too large$"):
+        decompose(mesh, CurvilinearCoords(eta, phi, domain), ExpansionConfig(17))
 
 
 # ---------------------------------------------------------------------------

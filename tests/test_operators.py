@@ -17,9 +17,7 @@ from equimesh.operators import (
     ALPHA_CAP,
     FaceGeometry,
     MeshTopology,
-    diffusion_tensors,
     face_directors,
-    face_mass_matrix,
     gradient_operator,
     laplacian_aniso,
     laplacian_iso,
@@ -156,9 +154,6 @@ def test_gradient_rejects_degenerate_face():
 
 def test_mass_matrices():
     mesh = bumpy_sphere(1)
-    A = face_mass_matrix(mesh)
-    assert A.shape == (3 * mesh.n_f, 3 * mesh.n_f)
-    assert A.diagonal().sum() == pytest.approx(3.0 * mesh.total_area(), rel=1e-12)
     M = vertex_mass_matrix(mesh)
     assert M.shape == (mesh.n_v, mesh.n_v)
     assert M.diagonal().sum() == pytest.approx(mesh.total_area(), rel=1e-12)
@@ -246,16 +241,6 @@ def test_rodrigues_quarter_turn():
     assert R @ n == pytest.approx(n, abs=1e-12)
     with pytest.raises(ValueError):
         rodrigues_quarter_turn(np.array([0.0, 0.0, 2.0]))
-
-
-def test_diffusion_tensors_shape_and_symmetry():
-    mesh = bumpy_sphere(1)
-    D = diffusion_tensors(mesh, gamma=5.0)
-    assert D.shape == (mesh.n_f, 3, 3)
-    assert np.abs(D - D.transpose(0, 2, 1)).max() < 1e-12
-    for k in range(0, mesh.n_f, 17):
-        eigs = np.linalg.eigvalsh(D[k])
-        assert eigs.min() > 0.0
 
 
 def test_aniso_equals_iso_on_equilateral_mesh():
