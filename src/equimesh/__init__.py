@@ -64,12 +64,10 @@ from .harmonics import (
     save_weights,
 )
 from .operators import (
-    face_directors,
     gradient_operator,
     laplacian_aniso,
     laplacian_iso,
     max_diffusion_rate,
-    rodrigues_quarter_turn,
     vertex_mass_matrix,
 )
 from .solver import backward_euler_step, estimate_dt, solve_sparse

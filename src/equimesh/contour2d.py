@@ -28,6 +28,7 @@ from .errors import (
 )
 from .harmonics import MAX_DEGREE
 from .mesh import Contour2D
+from .spheroidal import _SINGULAR_ZETA, SPHERE_FOCAL_FRACTION, SPHERE_GAP
 
 __all__ = [
     "MIN_SEGMENTS",
@@ -51,10 +52,6 @@ __all__ = [
 ]
 
 MIN_SEGMENTS = 5
-
-# mirror the 3D near-sphere fallback: floor e at 5% of the long semi-axis
-_CIRCLE_GAP = 1e-3
-_CIRCLE_FOCAL_FRACTION = 0.05
 
 _MAX_DT_HALVINGS = 20
 # largest explicit eta move of a sample, as a fraction of its smaller gap
@@ -90,10 +87,10 @@ class EllipticDomain:
         return np.array([[c, -s], [s, c]])
 
 
-def elliptic_coords(domain, eta, zeta=None):
+def elliptic_coords(domain, eta):
     """Points on the shell ellipse at angles eta, in world coordinates."""
     eta = np.asarray(eta, dtype=float)
-    z0 = domain.zeta0 if zeta is None else zeta
+    z0 = domain.zeta0
     local = np.column_stack(
         [
             domain.e * np.cosh(z0) * np.cos(eta),
@@ -103,11 +100,11 @@ def elliptic_coords(domain, eta, zeta=None):
     return local @ domain._rotation_matrix().T + np.asarray(domain.center)
 
 
-def inverse_elliptic(domain, points, singular_tol=1e-8):
+def inverse_elliptic(domain, points):
     """Elliptic chart coordinates (zeta, eta) of world points.
 
-    eta is wrapped to [0, 2*pi). Points on the focal segment have an
-    ambiguous angle and raise SingularityError.
+    eta is wrapped to [0, 2*pi). Points on the focal segment (|zeta| below
+    1e-8) have an ambiguous angle and raise SingularityError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -115,7 +112,7 @@ def inverse_elliptic(domain, points, singular_tol=1e-8):
     local = (pts - np.asarray(domain.center)) @ domain._rotation_matrix()
     w = np.arccosh((local[:, 0] + 1j * local[:, 1]) / domain.e)
     zeta = np.real(w)
-    if np.any(np.abs(zeta) < singular_tol):
+    if np.any(np.abs(zeta) < _SINGULAR_ZETA):
         raise SingularityError(
             "point lies on the focal segment; its elliptic angle is ambiguous"
         )
@@ -128,8 +125,9 @@ def fit_ellipse(contour):
     """Second-moment ellipse of a closed contour as an EllipticDomain.
 
     Center and covariance come from the vertices; the principal axis sets
-    the rotation. Near-circles get the focal-distance floor so the chart
-    stays nondegenerate.
+    the rotation. Near-circles get the focal-distance floor of the 3D
+    near-sphere fallback (`spheroidal.SPHERE_GAP`, `SPHERE_FOCAL_FRACTION`)
+    so the chart stays nondegenerate.
     """
     if not contour.closed:
         raise ValueError("ellipse fitting expects a closed contour")
@@ -147,8 +145,8 @@ def fit_ellipse(contour):
     if major[0] < 0.0 or (major[0] == 0.0 and major[1] < 0.0):
         major = -major
     rotation = float(np.arctan2(major[1], major[0]))
-    if (a - b) / a < _CIRCLE_GAP:
-        e = _CIRCLE_FOCAL_FRACTION * a
+    if (a - b) / a < SPHERE_GAP:
+        e = SPHERE_FOCAL_FRACTION * a
         zeta0 = float(np.arccosh(a / e))
     else:
         e = float(np.sqrt(a * a - b * b))

@@ -49,14 +49,13 @@ class DiffusionConfig:
 
     stages: sequence of (n_max, i_max) pairs with strictly increasing
     degrees — a single pair is the flat schedule. gamma = 0 selects the
-    isotropic operator.
+    isotropic operator; anisotropic rates are capped at operators.ALPHA_CAP.
     """
 
     stages: tuple
     gamma: float = 0.0
     dt_scale: float = DT_SCALE
     std_tolerance: float = 1e-6
-    alpha_cap: float = 1e4
 
     def __post_init__(self):
         stages = tuple((int(n), int(i)) for n, i in self.stages)
@@ -76,8 +75,6 @@ class DiffusionConfig:
             raise ValueError("dt_scale must be positive")
         if self.std_tolerance < 0.0:
             raise ValueError("std_tolerance must be nonnegative")
-        if self.alpha_cap < 1.0:
-            raise ValueError("alpha_cap must be at least 1")
 
 
 @dataclass
@@ -221,7 +218,6 @@ def _run_stage(
         if is_open:
             trace.initial_boundary_length = float(rim.sum()) / scale
 
-    mode = "aniso" if config.gamma > 0.0 else "iso"
     dt_initial = None
     u_bar_prev = float(u.mean())
     window = deque(maxlen=_EARLY_STOP_WINDOW)
@@ -230,10 +226,10 @@ def _run_stage(
     for t in range(1, i_max + 1):
         directors, alpha = None, 1.0
         if config.gamma > 0.0:
-            directors = geometry.directors(config.gamma, config.alpha_cap)
+            directors = geometry.directors(config.gamma)
             alpha = directors[2]
         mesh = template.with_vertices(geometry.points)
-        dt = estimate_dt(mesh, mode, alpha, c=config.dt_scale)
+        dt = estimate_dt(mesh, alpha, c=config.dt_scale)
         if dt_initial is None:
             dt_initial = dt_allowance = dt
         dt = min(dt_allowance, dt)

@@ -49,7 +49,8 @@ class TriangleMesh:
     Raises
     ------
     ValueError
-        Malformed arrays, out-of-range indices, or degenerate faces.
+        Malformed arrays, non-finite coordinates, out-of-range indices, or
+        degenerate faces.
     TopologyError
         Non-manifold edges, inconsistent orientation, or more than one
         boundary loop.
@@ -84,6 +85,8 @@ class TriangleMesh:
         return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
 
     def _validate(self):
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         f = self.faces
         if self.n_f == 0:
             self._boundary_loop = None
@@ -100,32 +103,14 @@ class TriangleMesh:
                 "non-manifold or inconsistently oriented edge "
                 "(directed edge used twice)"
             )
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        ukey = lo * n + hi
-        _, inverse, counts = np.unique(ukey, return_inverse=True, return_counts=True)
-        if counts.max() > 2:
-            raise TopologyError("non-manifold edge (shared by more than two faces)")
-        boundary_mask = counts[inverse] == 1
-        loops = _chain_loops(edges[boundary_mask])
-        if len(loops) > 1:
-            raise TopologyError(f"{len(loops)} boundary loops (at most one supported)")
-        self._boundary_loop = loops[0] if loops else None
+        self._boundary_loop = _single_boundary_loop(edges, n)
 
     def boundary_loop(self):
         """Ordered vertex indices of the boundary, or None when closed."""
         if self._boundary_loop is _UNSET:
-            edges = self.directed_edges()
-            n = self.n_v
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            _, inverse, counts = np.unique(
-                lo * n + hi, return_inverse=True, return_counts=True
+            self._boundary_loop = _single_boundary_loop(
+                self.directed_edges(), self.n_v
             )
-            loops = _chain_loops(edges[counts[inverse] == 1])
-            if len(loops) > 1:
-                raise TopologyError(f"{len(loops)} boundary loops")
-            self._boundary_loop = loops[0] if loops else None
         return self._boundary_loop
 
     @property
@@ -159,6 +144,19 @@ class TriangleMesh:
         m._boundary_loop = self._boundary_loop
         m._unique_edges = self.unique_edges()
         return m
+
+
+def _single_boundary_loop(edges, n_v):
+    """The one loop of directed edges whose undirected edge has a single
+    face, or None; TopologyError when there is more than one loop."""
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    _, inverse, counts = np.unique(lo * n_v + hi, return_inverse=True,
+                                   return_counts=True)
+    loops = _chain_loops(edges[counts[inverse] == 1])
+    if len(loops) > 1:
+        raise TopologyError(f"{len(loops)} boundary loops (at most one supported)")
+    return loops[0] if loops else None
 
 
 def _chain_loops(boundary_edges):
@@ -202,6 +200,8 @@ class Contour2D:
         p = np.ascontiguousarray(self.points, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array")
+        if not np.isfinite(p).all():
+            raise ValueError("contour points must be finite")
         if self.closed and p.shape[0] < 3:
             raise ValueError("closed contour needs at least 3 points")
         if p.shape[0] >= 2:

@@ -5,8 +5,8 @@ array: areas, normals, mixed-Voronoi masses, hat-function gradients
 g_k = n x e_k / 2A and closed-form stretch directors. `MeshTopology` fixes
 the CSR pattern of the weak-form operator L = -sum_f A_f g_k^T D_f g_l once
 per connectivity and fills it face by face (D = I when isotropic). The
-public operators wrap this kernel; `face_directors` stays on the SVD as an
-independent reference.
+public operators wrap this kernel. Rates are capped at ALPHA_CAP; the
+SVD-based per-face reference they are checked against lives in the tests.
 """
 from __future__ import annotations
 
@@ -18,27 +18,24 @@ from .mesh import _voronoi_masses, vertex_voronoi_areas
 
 __all__ = [
     "ALPHA_CAP",
-    "ALPHA_MIN",
     "COLLAPSE_RATIO",
     "FaceGeometry",
     "MeshTopology",
     "gradient_operator",
     "vertex_mass_matrix",
     "laplacian_iso",
-    "face_directors",
-    "rodrigues_quarter_turn",
     "laplacian_aniso",
     "max_diffusion_rate",
 ]
 
 ALPHA_CAP = 1e4
-ALPHA_MIN = 1.0 / ALPHA_CAP
 COLLAPSE_RATIO = 1e-8
 
 
-def _rates(ratio, gamma, alpha_cap):
-    """Rates damping along (alpha1) and amplifying across (alpha2) the stretch."""
-    log_cap = np.log(alpha_cap)
+def _rates(ratio, gamma):
+    """Rates damping along (alpha1) and amplifying across (alpha2) the stretch,
+    each within [1/ALPHA_CAP, ALPHA_CAP]."""
+    log_cap = np.log(ALPHA_CAP)
     alpha1 = np.exp(np.maximum((1.0 - ratio) / gamma, -log_cap))
     alpha2 = np.exp(np.minimum((1.0 - 1.0 / ratio) * gamma, log_cap))
     return alpha1, alpha2
@@ -95,7 +92,7 @@ class FaceGeometry:
             for c in range(3)
         ])
 
-    def directors(self, gamma, alpha_cap=ALPHA_CAP):
+    def directors(self, gamma):
         """Per-face axes (v1, v2, n), rates (alpha2, alpha1, 1), largest rate.
 
         The quarter turn about n maps v1 to v2 and v2 to -v1, so the tensor
@@ -119,7 +116,7 @@ class FaceGeometry:
         theta = 0.5 * np.arctan2(sxy, half_gap)
         cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
         axes = np.stack([cos * t1 + sin * t2, cos * t2 - sin * t1, self.normals], 1)
-        alpha1, alpha2 = _rates(sigma1 / sigma2, gamma, alpha_cap)
+        alpha1, alpha2 = _rates(sigma1 / sigma2, gamma)
         rates = np.column_stack([alpha2, alpha1, np.ones_like(alpha1)])
         return axes, rates, float(np.maximum(alpha1, alpha2).max())
 
@@ -190,49 +187,7 @@ def laplacian_iso(mesh):
     return laplacian_aniso(mesh, 0.0)
 
 
-def face_directors(face_vertices, gamma, alpha_cap=ALPHA_CAP):
-    """Principal stretch frame and diffusion rates of a single face.
-
-    Returns (v1, v2, normal, lambda1, lambda2, alpha1, alpha2). The face
-    vertices are centered on their centroid before the singular value
-    decomposition, so the two nonzero singular values measure in-plane
-    stretch only. alpha1 = exp((1 - lambda1/lambda2)/gamma) damps diffusion
-    along the stretch direction; alpha2 = exp((1 - lambda2/lambda1)*gamma)
-    amplifies it across, with the exponent capped at ln(alpha_cap).
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    tri = np.asarray(face_vertices, dtype=float).reshape(3, 3)
-    # right singular vectors span {stretch, secondary, normal}
-    _, sigma, vt = np.linalg.svd(tri - tri.mean(axis=0))
-    lam1, lam2 = float(sigma[0]), float(sigma[1])
-    if lam1 <= 0.0 or lam2 / lam1 < COLLAPSE_RATIO:
-        raise DegenerateMeshError("collapsed face in director computation")
-    v1 = vt[0]
-    # geometric normal fixes the sign ambiguity of the SVD frame
-    normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-    normal /= np.linalg.norm(normal)
-    alpha1, alpha2 = _rates(lam1 / lam2, gamma, alpha_cap)
-    v2 = np.cross(normal, v1)
-    return v1, v2, normal, lam1, lam2, float(alpha1), float(alpha2)
-
-
-def rodrigues_quarter_turn(normal):
-    """Rotation by +pi/2 about the unit normal: R = I + N + N^2."""
-    n = np.asarray(normal, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise ValueError("normal must be a unit 3-vector")
-    skew = np.array(
-        [
-            [0.0, -n[2], n[1]],
-            [n[2], 0.0, -n[0]],
-            [-n[1], n[0], 0.0],
-        ]
-    )
-    return np.eye(3) + skew + skew @ skew
-
-
-def laplacian_aniso(mesh, gamma, alpha_cap=ALPHA_CAP):
+def laplacian_aniso(mesh, gamma):
     """Anisotropic weak-form operator L = -G^T D A G.
 
     gamma = 0 is the isotropic operator (all rates clamp to 1, D = I).
@@ -240,12 +195,12 @@ def laplacian_aniso(mesh, gamma, alpha_cap=ALPHA_CAP):
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     geometry = FaceGeometry(mesh.vertices, mesh.faces)
-    directors = geometry.directors(gamma, alpha_cap) if gamma > 0.0 else None
+    directors = geometry.directors(gamma) if gamma > 0.0 else None
     return MeshTopology(mesh.faces, mesh.n_v).laplacian(geometry, directors)
 
 
-def max_diffusion_rate(mesh, gamma, alpha_cap=ALPHA_CAP):
+def max_diffusion_rate(mesh, gamma):
     """Largest per-face diffusion rate max(alpha1, alpha2); 1 when gamma=0."""
     if gamma == 0.0:
         return 1.0
-    return FaceGeometry(mesh.vertices, mesh.faces).directors(gamma, alpha_cap)[2]
+    return FaceGeometry(mesh.vertices, mesh.faces).directors(gamma)[2]

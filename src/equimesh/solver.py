@@ -112,13 +112,8 @@ def backward_euler_step(
     return solve_sparse(S, b, tolerance=tolerance)
 
 
-def estimate_dt(mesh, mode="iso", alpha_max=1.0, c=DT_SCALE):
-    """Diffusion time step c * (mean edge length)^2, reduced by the largest
-    anisotropic rate in aniso mode."""
-    if mode not in ("iso", "aniso"):
-        raise ValueError("mode must be 'iso' or 'aniso'")
+def estimate_dt(mesh, alpha_max=1.0, c=DT_SCALE):
+    """Diffusion time step c * (mean edge length)^2 / alpha_max, where
+    alpha_max is the largest diffusion rate (1 for isotropic flow)."""
     h = mesh.mean_edge_length()
-    dt = c * h * h
-    if mode == "aniso":
-        dt /= alpha_max
-    return dt
+    return c * h * h / alpha_max

@@ -40,12 +40,17 @@ OBLATE_HEMISPHEROID = "oblate-hemispheroid"
 PROLATE_HEMISPHEROID = "prolate-hemispheroid"
 KINDS = (OBLATE, PROLATE, OBLATE_HEMISPHEROID, PROLATE_HEMISPHEROID)
 
-# relative semi-axis gap below which a shape counts as a sphere and the
-# focal distance is floored at 5% of the equatorial radius
+# relative semi-axis gap below which a shape counts as a sphere (a contour
+# as a circle) and the focal distance is floored at 5% of the larger radius
 SPHERE_GAP = 1e-3
 SPHERE_FOCAL_FRACTION = 0.05
 
-DEFAULT_EPS_ETA = 1e-3
+# eta offset between the rim ring of a cap grid and the open edge
+_RIM_OFFSET = 1e-3
+# |zeta| below which a point counts as on the focal set
+_SINGULAR_ZETA = 1e-8
+# eta and phi gap below which two mapped vertices count as collapsed
+_COLLAPSE_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -135,14 +140,14 @@ def _wrap_phi(phi):
     return phi
 
 
-def forward_coords(domain, eta, phi, zeta=None):
-    """Map (eta, phi) on the shell (or at an explicit zeta) to 3-space.
+def forward_coords(domain, eta, phi):
+    """Map (eta, phi) on the shell zeta = zeta0 to 3-space.
 
     Returns an (n, 3) array.
     """
     eta = np.asarray(eta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    z0 = domain.zeta0 if zeta is None else zeta
+    z0 = domain.zeta0
     if domain.is_oblate_family:
         rho = domain.e * np.cosh(z0) * np.cos(eta)
         z = domain.e * np.sinh(z0) * np.sin(eta)
@@ -152,16 +157,16 @@ def forward_coords(domain, eta, phi, zeta=None):
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
-def inverse_coords(domain, points, singular_tol=1e-8):
+def inverse_coords(domain, points):
     """Analytic inversion of the spheroidal chart.
+
+    Points with |zeta| below 1e-8 lie on the focal set, where eta is
+    ambiguous, and raise SingularityError.
 
     Parameters
     ----------
     domain : SpheroidDomain
     points : (n, 3) array
-    singular_tol : float
-        Minimum |zeta|; points closer to the focal set than this have an
-        ambiguous eta and raise SingularityError.
 
     Returns
     -------
@@ -178,7 +183,7 @@ def inverse_coords(domain, points, singular_tol=1e-8):
         w = np.arccosh((z + 1j * rho) / domain.e)
     zeta = np.real(w)
     eta = np.imag(w)
-    if np.any(np.abs(zeta) < singular_tol):
+    if np.any(np.abs(zeta) < _SINGULAR_ZETA):
         raise SingularityError(
             "point lies on the singular focal set (zeta below tolerance); "
             "eta is ambiguous there"
@@ -334,7 +339,7 @@ def _parameter_orientation_sign(domain):
     return -1.0 if domain.is_oblate_family else 1.0
 
 
-def map_to_domain(mesh, domain, collapse_tol=1e-8):
+def map_to_domain(mesh, domain):
     """Hyperbolic projection of mesh vertices onto the shell.
 
     Every vertex keeps only (eta, phi). Raises FoldError when a non-pole
@@ -349,7 +354,7 @@ def map_to_domain(mesh, domain, collapse_tol=1e-8):
     de = np.diff(eta[order])
     dp = np.abs(np.diff(phi[order]))
     dp = np.minimum(dp, 2.0 * np.pi - dp)
-    if np.any((np.abs(de) < collapse_tol) & (dp < collapse_tol)):
+    if np.any((np.abs(de) < _COLLAPSE_GAP) & (dp < _COLLAPSE_GAP)):
         raise ValueError("two vertices collapse onto the same (eta, phi) point")
 
     f = mesh.faces
@@ -399,26 +404,24 @@ def sample_icosphere(domain, refinements):
     return coords, base.faces
 
 
-def sample_cap_grid(domain, rings, sectors, eps_eta=DEFAULT_EPS_ETA):
+def sample_cap_grid(domain, rings, sectors):
     """Sample a hemispheroidal cap on a pole-fan polar grid.
 
     Ring latitudes are placed so every cell covers (nearly) the same shell
     area: the pole fan holds `sectors` triangles and each ring band holds
     twice that, so ring j sits at cumulative area fraction (2j-1)/(2*rings-1)
-    measured from the pole. The rim ring keeps the offset eps_eta from the
-    true edge so no sample touches the open boundary. Returns (coords, faces).
+    measured from the pole. The rim ring sits 1e-3 in eta inside the true
+    edge so no sample touches the open boundary. Returns (coords, faces).
     """
     if not domain.is_hemispheroid:
         raise ValueError("cap sampling requires a hemispheroidal domain")
     if rings < 1 or sectors < 3:
         raise ValueError("need rings >= 1 and sectors >= 3")
-    if not 0.0 < eps_eta < np.pi / 4.0:
-        raise ValueError("eps_eta out of range")
     lo, hi = domain.eta_range
     if domain.kind == PROLATE_HEMISPHEROID:
-        pole, rim = lo, hi - eps_eta
+        pole, rim = lo, hi - _RIM_OFFSET
     else:
-        pole, rim = hi, lo + eps_eta
+        pole, rim = hi, lo + _RIM_OFFSET
     # cumulative shell area from the pole, by trapezoid quadrature of the
     # axisymmetric area element  hoop_radius * |d p / d eta|
     eta_fine = np.linspace(pole, rim, 4096)

@@ -261,6 +261,30 @@ def test_garbage_mesh_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_mesh_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.obj"
+    bad.write_text(
+        "v nan 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+        "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
+    )
+    out = tmp_path / "w.txt"
+    rc = main(["decompose", "--in", str(bad), "--out", str(out), "--nmax", "1"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_remesh2d_non_finite_csv_exits_2(tmp_path, capsys):
+    csv = tmp_path / "nan.csv"
+    csv.write_text("x,y\n0,0\n1,0\nnan,1\n0,1\n")
+    rc = main(["remesh2d", "--in", str(csv), "--out", str(tmp_path / "o.txt"),
+               "--max-segments", "30", "--nmax", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "budget" not in captured.out
+
+
 def test_nonmanifold_mesh_exits_3(tmp_path, capsys):
     bad = tmp_path / "pinch.obj"
     bad.write_text(

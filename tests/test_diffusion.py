@@ -49,7 +49,6 @@ def test_config_accepts_flat_and_staged_schedules():
         dict(stages=((10, 30),), dt_scale=0.0),
         dict(stages=((10, 30),), std_tolerance=-1e-3),
         dict(stages=((-1, 30),)),  # negative degree
-        dict(stages=((10, 30),), alpha_cap=0.5),
     ],
 )
 def test_config_rejects_bad_values(kwargs):

@@ -3,15 +3,18 @@ import pytest
 
 from equimesh import (
     Contour2D,
+    SpheroidDomain,
     TopologyError,
     TriangleMesh,
     area_density,
     compare_surfaces,
     detect_normal_flips,
     face_metrics,
+    forward_coords,
     icosphere,
     load_mesh,
     quality_report,
+    sample_cap_grid,
     save_mesh,
     vertex_voronoi_areas,
 )
@@ -46,11 +49,30 @@ def test_single_triangle_boundary_loop():
     assert not m.is_closed
     loop = m.boundary_loop()
     assert sorted(loop) == [0, 1, 2]
+    # an unvalidated mesh finds its loop lazily, the same one validation finds
+    domain = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
+    coords, faces = sample_cap_grid(domain, rings=6, sectors=12)
+    cap = TriangleMesh(forward_coords(domain, coords.eta, coords.phi), faces)
+    assert len(cap.boundary_loop()) == 12
+    for mesh in (m, cap, icosphere(2)):
+        lazy = TriangleMesh(mesh.vertices, mesh.faces, validate=False)
+        if mesh.is_closed:
+            assert lazy.boundary_loop() is None
+        else:
+            assert np.array_equal(lazy.boundary_loop(), mesh.boundary_loop())
 
 
 def test_rejects_out_of_range_face_index():
     with pytest.raises(ValueError):
         TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 3]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_vertex(bad):
+    v = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    v[1][2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        TriangleMesh(v, [[0, 1, 2]])
 
 
 def test_rejects_degenerate_face():
@@ -265,6 +287,16 @@ def test_load_mesh_rejects_garbage(tmp_path):
         load_mesh(path)
 
 
+def test_load_mesh_rejects_non_finite_vertex(tmp_path):
+    path = tmp_path / "nan.obj"
+    path.write_text(
+        "v nan 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+        "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
+    )
+    with pytest.raises(ValueError, match="finite"):
+        load_mesh(path)
+
+
 # ---------------------------------------------------------------------------
 # contours
 
@@ -278,6 +310,13 @@ def test_contour_segment_lengths():
 def test_contour_rejects_repeated_point():
     with pytest.raises(ValueError):
         Contour2D(np.array([[0, 0], [0, 0], [1, 1]], dtype=float))
+
+
+def test_contour_rejects_non_finite_point():
+    with pytest.raises(ValueError, match="finite"):
+        Contour2D(np.array([[0, 0], [1, 0], [np.inf, 1]], dtype=float))
+    with pytest.raises(ValueError, match="finite"):
+        Contour2D(np.array([[0, 0], [1, 0], [1, np.nan]], dtype=float))
 
 
 def test_contour_rejects_too_few_points():

@@ -3,7 +3,8 @@
 laplacian_iso is assembled as -G^T A G; the oracle here is the classical
 half-cotangent-weight matrix coded with plain Python loops, so the two
 routes are independent. The anisotropic kernel is checked against a dense
-loop over faces built on the SVD-based `face_directors`.
+loop over faces built on the SVD-based `face_directors` below, which
+writes the diffusion rates out on its own.
 """
 
 import numpy as np
@@ -15,14 +16,13 @@ from equimesh.harmonics import reconstruct_fast
 from equimesh.mesh import TriangleMesh, icosphere
 from equimesh.operators import (
     ALPHA_CAP,
+    COLLAPSE_RATIO,
     FaceGeometry,
     MeshTopology,
-    face_directors,
     gradient_operator,
     laplacian_aniso,
     laplacian_iso,
     max_diffusion_rate,
-    rodrigues_quarter_turn,
     vertex_mass_matrix,
 )
 from equimesh.spheroidal import sample_cap_grid
@@ -100,6 +100,50 @@ def voronoi_oracle(mesh):
                 m = 3 - k - j
                 masses[face[k]] += np.sum((pts[j] - pts[k]) ** 2) * cot[m] / 8.0
     return masses
+
+
+def face_directors(face_vertices, gamma, alpha_cap=ALPHA_CAP):
+    """Principal stretch frame and diffusion rates of a single face.
+
+    Returns (v1, v2, normal, lambda1, lambda2, alpha1, alpha2). The face
+    vertices are centered on their centroid before the singular value
+    decomposition, so the two nonzero singular values measure in-plane
+    stretch only. alpha1 = exp((1 - lambda1/lambda2)/gamma) damps diffusion
+    along the stretch direction; alpha2 = exp((1 - lambda2/lambda1)*gamma)
+    amplifies it across, with the exponent capped at ln(alpha_cap).
+    """
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    tri = np.asarray(face_vertices, dtype=float).reshape(3, 3)
+    # right singular vectors span {stretch, secondary, normal}
+    _, sigma, vt = np.linalg.svd(tri - tri.mean(axis=0))
+    lam1, lam2 = float(sigma[0]), float(sigma[1])
+    if lam1 <= 0.0 or lam2 / lam1 < COLLAPSE_RATIO:
+        raise DegenerateMeshError("collapsed face in director computation")
+    v1 = vt[0]
+    # geometric normal fixes the sign ambiguity of the SVD frame
+    normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    normal /= np.linalg.norm(normal)
+    log_cap = np.log(alpha_cap)
+    alpha1 = np.exp(max((1.0 - lam1 / lam2) / gamma, -log_cap))
+    alpha2 = np.exp(min((1.0 - lam2 / lam1) * gamma, log_cap))
+    v2 = np.cross(normal, v1)
+    return v1, v2, normal, lam1, lam2, float(alpha1), float(alpha2)
+
+
+def rodrigues_quarter_turn(normal):
+    """Rotation by +pi/2 about the unit normal: R = I + N + N^2."""
+    n = np.asarray(normal, dtype=float)
+    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
+        raise ValueError("normal must be a unit 3-vector")
+    skew = np.array(
+        [
+            [0.0, -n[2], n[1]],
+            [n[2], 0.0, -n[0]],
+            [-n[1], n[0], 0.0],
+        ]
+    )
+    return np.eye(3) + skew + skew @ skew
 
 
 def anisotropic_oracle(mesh, gamma):

@@ -155,11 +155,7 @@ def test_estimate_dt_formula():
     assert mesh.mean_edge_length() == pytest.approx(1.0, rel=1e-12)
     assert estimate_dt(mesh) == pytest.approx(DT_SCALE)
     assert estimate_dt(mesh, c=0.5) == pytest.approx(0.5)
-    assert estimate_dt(mesh, mode="aniso", alpha_max=8.0, c=0.5) == (
-        pytest.approx(0.0625)
-    )
-    with pytest.raises(ValueError):
-        estimate_dt(mesh, mode="fast")
+    assert estimate_dt(mesh, alpha_max=8.0, c=0.5) == pytest.approx(0.0625)
 
 
 def test_estimate_dt_scales_with_edge_length():
