@@ -3,18 +3,24 @@
 Surfaces are encoded as complex weights Q[(n, m), axis] of fully normalized
 associated Legendre functions times circular harmonics in phi. Rows are
 n-major with m ascending from -n, so truncating to a lower degree is a
-prefix slice. Real surfaces have conjugate-consistent weights. The fit and
-the fast reconstruction share one real-arithmetic kernel that runs order by
-order: the Legendre block P_nm (n = m..n_max) times cos(m phi) and sin(m phi),
-so fitted weights are conjugate-consistent by construction and no complex
-basis is built. The fit solves the normal equations by Cholesky with one
-step of iterative refinement, and falls back to the SVD least-squares solver
-when the Cholesky factorization fails or the condition estimate of the
-normal matrix exceeds 1e8. basis_matrix and reconstruct_full stay the
-independent complex-basis reference.
+prefix slice. Real surfaces have conjugate-consistent weights.
+
+The fit and the fast reconstruction share one real-arithmetic kernel, a
+double Fourier series (Townsend, Wilber & Wright 2016): with t = arccos xi,
+each P_nm(cos t) is a short trigonometric series in t, cos(k t) for even m
+and sin((k + 1) t) for odd m, whose coefficients are cached per degree. So
+the basis needs only cos/sin rows of k t and m phi, built by angle
+addition, and one small GEMM per order parity; no complex basis is built
+and fitted weights are conjugate-consistent by construction. The fit
+solves the normal equations by Cholesky with one step of iterative
+refinement, and falls back to the SVD least-squares solver when the
+Cholesky factorization fails or the condition estimate of the normal
+matrix exceeds 1e8. basis_matrix and reconstruct_full, which evaluate the
+Legendre recurrence directly, stay the independent complex-basis reference.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,6 +159,15 @@ def _seed_amplitudes(n_max):
     return amp
 
 
+def _checked_xi(xi):
+    """xi as a float array, clipped to [-1, 1]; ValueError when it holds a
+    value more than 1e-12 outside that range or a NaN."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.size and not (xi.min() >= -1.0 - 1e-12 and xi.max() <= 1.0 + 1e-12):
+        raise ValueError("xi outside [-1, 1]")
+    return np.clip(xi, -1.0, 1.0)
+
+
 def _legendre_blocks(n_max, xi):
     """Yield (m, P_m) for m = 0..n_max: the (n_max - m + 1, k) block of
     normalized associated Legendre values P_nm(xi), n = m..n_max. The
@@ -160,10 +175,7 @@ def _legendre_blocks(n_max, xi):
     supported degree range (values stay O(sqrt(n)))."""
     if not 0 <= n_max <= MAX_DEGREE:
         raise GuardError(f"n_max must be in [0, {MAX_DEGREE}]")
-    xi = np.asarray(xi, dtype=float)
-    if xi.size and (xi.min() < -1.0 - 1e-12 or xi.max() > 1.0 + 1e-12):
-        raise ValueError("xi outside [-1, 1]")
-    xi = np.clip(xi, -1.0, 1.0)
+    xi = _checked_xi(xi)
     amp = _seed_amplitudes(n_max)
     sin_pow = np.sqrt(np.maximum(0.0, 1.0 - xi * xi))
     for m in range(n_max + 1):
@@ -178,6 +190,61 @@ def _legendre_blocks(n_max, xi):
                         / ((2.0 * n - 3.0) * (n * n - m * m)))
             block[n - m] = a * xi * block[n - m - 1] - b * block[n - m - 2]
         yield m, block
+
+
+# one entry per degree in use (a staged run uses a few); the largest,
+# n_max 80, holds about 2 MiB
+@functools.lru_cache(maxsize=16)
+def _fourier_table(n_max):
+    """Tuple of read-only F_m, m = 0..n_max, each (n_max - m + 1, n_max + 1):
+    P_nm(cos t) = sum_k F_m[n - m, k] tau_k(t), with tau_k = cos(k t) for
+    even m and sin((k + 1) t) for odd m.
+
+    P_nm(cos t) is sin^m t times a polynomial of degree n - m in cos t, so
+    the series is exact. F_m interpolates the recurrence: cosine series at
+    t_j = pi j / n_max, which include both poles, so the series reproduce
+    the pole values there; sine series, which vanish at the poles, at
+    t_j = pi (j + 1) / (n_max + 2). Both matrices are orthogonal up to
+    weights and well conditioned.
+    """
+    size = n_max + 1
+    k = np.arange(size)
+    t_cos = np.pi * k / max(n_max, 1)
+    t_sin = np.pi * (k + 1) / (size + 1)
+    tau = (np.cos(np.outer(t_cos, k)), np.sin(np.outer(t_sin, k + 1)))
+    table = []
+    for m, block in _legendre_blocks(n_max, np.cos(np.concatenate([t_cos, t_sin]))):
+        odd = m % 2
+        nodes = block[:, size:] if odd else block[:, :size]
+        f_m = np.linalg.solve(tau[odd], nodes.T).T
+        f_m.setflags(write=False)
+        table.append(f_m)
+    return tuple(table)
+
+
+def _multiple_angles(cos_1, sin_1, count):
+    """(count, k) rows cos(j a) and sin(j a), j = 0..count-1, from cos a and
+    sin a by angle addition, written in place row by row."""
+    cos_j = np.empty((count, cos_1.shape[0]))
+    sin_j = np.empty_like(cos_j)
+    cos_j[0], sin_j[0] = 1.0, 0.0
+    for j in range(1, count):
+        np.multiply(cos_j[j - 1], cos_1, out=cos_j[j])
+        cos_j[j] -= sin_j[j - 1] * sin_1
+        np.multiply(sin_j[j - 1], cos_1, out=sin_j[j])
+        sin_j[j] += cos_j[j - 1] * sin_1
+    return cos_j, sin_j
+
+
+def _fourier_rows(coords, n_max):
+    """Trigonometric rows of the double Fourier kernel at coords: the tau
+    rows cos(k t) and sin((k + 1) t), k = 0..n_max, at t = arccos xi, and
+    cos(m phi), sin(m phi) for m = 0..n_max; each (n_max + 1, k)."""
+    xi = _checked_xi(xi_of_eta(coords.domain, coords.eta))
+    cos_kt, sin_kt = _multiple_angles(xi, np.sqrt(1.0 - xi * xi), n_max + 2)
+    cos_m, sin_m = _multiple_angles(np.cos(coords.phi), np.sin(coords.phi),
+                                    n_max + 1)
+    return (cos_kt[:-1], sin_kt[1:]), cos_m, sin_m
 
 
 def alp_table(n_max, xi):
@@ -228,35 +295,25 @@ def basis_matrix(coords, config):
     return out
 
 
-def _order_blocks(coords, n_max):
-    """Yield (m, P_m, cos(m phi), sin(m phi)) per order m = 0..n_max, with
-    cos and sin advanced by the angle-addition recurrence."""
-    xi = xi_of_eta(coords.domain, coords.eta)
-    cos_1, sin_1 = np.cos(coords.phi), np.sin(coords.phi)
-    cos_m, sin_m = np.ones_like(cos_1), np.zeros_like(sin_1)
-    for m, block in _legendre_blocks(n_max, xi):
-        if m:
-            cos_m, sin_m = (cos_m * cos_1 - sin_m * sin_1,
-                            sin_m * cos_1 + cos_m * sin_1)
-        yield m, block, cos_m, sin_m
-
-
 def decompose(mesh, coords, config):
     """Least-squares expansion weights of mesh vertices over the basis.
 
     The fit is real: basis row (n, m >= 0) holds P_nm cos(m phi) and row
-    (n, -m) holds P_nm sin(m phi), filled order by order into the
-    transposed (beta, n_v) basis Bt. Coefficients a, b map to q_n0 = a,
+    (n, -m) holds P_nm sin(m phi), filled into the transposed (beta, n_v)
+    basis Bt order by order (_real_basis). Each order's Legendre block is
+    its cached Fourier table times the cos(k t) or sin((k + 1) t) rows
+    (_fourier_table). Coefficients a, b map to q_n0 = a,
     q_nm = (a - i b) / 2, q_n,-m = (-1)^m conj(q_nm), so fitted weights are
     conjugate-consistent by construction.
 
-    Requires n_v >= beta. The normal equations G = Bt Bt^T are solved by
-    Cholesky with one step of iterative refinement on the residual, which
-    gives the least-squares solution to working accuracy for a
-    well-conditioned basis. When the Cholesky factorization fails or the
-    condition estimate of G exceeds 1e8, the fit runs the SVD least-squares
-    solver instead. Raises EngineError for underdetermined, rank-deficient
-    or ill-conditioned systems.
+    Requires n_v >= beta; non-finite vertices raise ValueError. The
+    normal equations G = Bt Bt^T are solved by Cholesky with one step of
+    iterative refinement on the residual, which gives the least-squares
+    solution to working accuracy for a well-conditioned basis. When the
+    Cholesky factorization fails or the condition estimate of G exceeds
+    1e8, the fit runs the SVD least-squares solver instead. Raises
+    EngineError for underdetermined, rank-deficient or ill-conditioned
+    systems.
     """
     if mesh.n_v != coords.n:
         raise ValueError("mesh and coords disagree on vertex count")
@@ -268,13 +325,10 @@ def decompose(mesh, coords, config):
             f"underdetermined decomposition: {mesh.n_v} samples < {beta} basis "
             "columns"
         )
-    Bt = np.empty((beta, mesh.n_v))
-    for m, block, cos_m, sin_m in _order_blocks(coords, n_max):
-        n = np.arange(m, n_max + 1)
-        Bt[FourierWeights.row_index(n, m)] = block * cos_m
-        if m:
-            Bt[FourierWeights.row_index(n, -m)] = block * sin_m
     V = mesh.vertices
+    if not np.isfinite(V).all():
+        raise ValueError("mesh vertices must be finite")
+    Bt = _real_basis(coords, n_max)
     coef = _cholesky_lsq(Bt, V)
     if coef is None:
         coef, _, rank, sv = np.linalg.lstsq(Bt.T, V, rcond=None)
@@ -297,6 +351,26 @@ def decompose(mesh, coords, config):
     return FourierWeights(
         q=q, n_max=n_max, domain=coords.domain, residual_rms=residual_rms
     )
+
+
+def _real_basis(coords, n_max):
+    """Transposed real basis Bt, (beta, n): row (n, m >= 0) holds
+    P_nm cos(m phi) and row (n, -m) holds P_nm sin(m phi)."""
+    table = _fourier_table(n_max)
+    tau, cos_m, sin_m = _fourier_rows(coords, n_max)
+    Bt = np.empty(((n_max + 1) ** 2, coords.n))
+    for m in range(n_max + 1):
+        # P_nm(-xi) = (-1)^(n+m) P_nm(xi), so row j = n - m of F_m is zero
+        # at every k of the other parity than j
+        f_m, tau_m = table[m], tau[m % 2]
+        block = np.empty((n_max - m + 1, coords.n))
+        block[0::2] = f_m[0::2, 0::2] @ tau_m[0::2]
+        block[1::2] = f_m[1::2, 1::2] @ tau_m[1::2]
+        n = np.arange(m, n_max + 1)
+        Bt[FourierWeights.row_index(n, m)] = block * cos_m[m]
+        if m:
+            Bt[FourierWeights.row_index(n, -m)] = block * sin_m[m]
+    return Bt
 
 
 def _cholesky_lsq(Bt, V):
@@ -347,21 +421,34 @@ def reconstruct_full(weights, coords):
 
 
 def reconstruct_fast(weights, coords):
-    """Evaluate the expansion order by order in real arithmetic.
+    """Evaluate the expansion as a double Fourier series in real arithmetic.
 
-    For each order m the Legendre block is contracted with its weight rows
-    first, C_m = P_m^T [Re Q_m, Im Q_m], and only then combined with phi as
-    (2 - delta_m0) (Re C_m cos(m phi) - Im C_m sin(m phi)). For
+    With t = arccos xi, the expansion is sum_m a_m(t) cos(m phi) +
+    b_m(t) sin(m phi), where a_m = (2 - delta_m0) sum_n Re q_nm P_nm and
+    b_m = -2 sum_n Im q_nm P_nm. Each order's weight rows are folded into
+    the Fourier coefficients of a_m and b_m in t through the cached table
+    F_m (_fourier_table); per order parity one GEMM of those coefficients
+    with the cos(k t) or sin((k + 1) t) rows evaluates every a_m and b_m,
+    which are then contracted with the cos(m phi) and sin(m phi) rows. For
     conjugate-consistent weights this equals reconstruct_full.
     """
     _check_domains_match(weights, coords)
     n_max = weights.n_max
+    table = _fourier_table(n_max)
+    tau, cos_m, sin_m = _fourier_rows(coords, n_max)
     out = np.zeros((3, coords.n))
-    for m, block, cos_m, sin_m in _order_blocks(coords, n_max):
-        n = np.arange(m, n_max + 1)
-        q_m = weights.q[FourierWeights.row_index(n, m)]
-        c_m = np.vstack([q_m.real.T, q_m.imag.T]) @ block
-        out += 2.0 * (c_m[:3] * cos_m - c_m[3:] * sin_m) if m else c_m[:3]
+    for parity in (0, 1):
+        orders = range(parity, n_max + 1, 2)
+        if not orders:
+            continue
+        coef = []
+        for m in orders:
+            q_m = weights.q[FourierWeights.row_index(np.arange(m, n_max + 1), m)]
+            ab_m = np.vstack([q_m.real.T, -q_m.imag.T]) * (2.0 if m else 1.0)
+            coef.append(ab_m @ table[m])
+        vals = (np.vstack(coef) @ tau[parity]).reshape(len(orders), 2, 3, -1)
+        out += np.einsum("mcv,mv->cv", vals[:, 0], cos_m[parity::2])
+        out += np.einsum("mcv,mv->cv", vals[:, 1], sin_m[parity::2])
     return np.ascontiguousarray(out.T)
 
 

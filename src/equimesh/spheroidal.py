@@ -342,7 +342,9 @@ def _parameter_orientation_sign(domain):
 def map_to_domain(mesh, domain):
     """Hyperbolic projection of mesh vertices onto the shell.
 
-    Every vertex keeps only (eta, phi). Raises FoldError when a non-pole
+    Every vertex keeps only (eta, phi). A pole face has a vertex within
+    1e-9 of a pole or wraps a pole: its phi steps around the three edges,
+    each wrapped to [-pi, pi), sum to +-2 pi. Raises FoldError when a non-pole
     parameter triangle reverses orientation (the projection folded) and
     ValueError when two vertices collapse onto the same parameter point.
     """
@@ -378,7 +380,11 @@ def map_to_domain(mesh, domain):
     at_pole = np.zeros(mesh.n_v, dtype=bool)
     for pe in pole_eta:
         at_pole |= np.abs(eta - pe) < 1e-9
-    face_at_pole = at_pole[f].any(axis=1)
+    # a face around a pole winds once in phi although no vertex sits on it
+    turn = np.diff(phi[f[:, [0, 1, 2, 0]]], axis=1)
+    turn = (turn + np.pi) % (2.0 * np.pi) - np.pi
+    winds = np.abs(turn.sum(axis=1)) > np.pi
+    face_at_pole = at_pole[f].any(axis=1) | winds
     expected = _parameter_orientation_sign(domain)
     folded = (~face_at_pole) & (signed * expected <= 0.0)
     if np.any(folded):

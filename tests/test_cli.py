@@ -86,6 +86,30 @@ def test_remesh_inline_decompose(oblate_obj, tmp_path):
     assert out.exists()
 
 
+def test_bumpy_obj_round_trip(tmp_path, capsys):
+    """A bumpy closed surface read back from OBJ decomposes and remeshes:
+    its two faces around the poles are not mistaken for folds."""
+    from equimesh.benchmarks import bumpy_weights, oblate_domain
+    from equimesh.harmonics import reconstruct_fast
+    from equimesh.mesh import TriangleMesh, save_mesh
+    from equimesh.spheroidal import sample_icosphere
+
+    domain = oblate_domain()
+    coords, faces = sample_icosphere(domain, 3)
+    bumpy = tmp_path / "bumpy.obj"
+    save_mesh(TriangleMesh(reconstruct_fast(bumpy_weights(domain), coords), faces),
+              bumpy)
+    weights = tmp_path / "w.txt"
+    assert main(["decompose", "--in", str(bumpy), "--out", str(weights),
+                 "--nmax", "12"]) == 0
+    assert load_weights(weights).domain.kind == "oblate"
+    out = tmp_path / "m.obj"
+    assert main(["remesh", "--in", str(bumpy), "--nmax", "12", "--imax", "3",
+                 "--out", str(out)]) == 0
+    assert load_mesh(out).n_v == 2562
+    capsys.readouterr()
+
+
 def test_remesh_staged_schedule(weights_file, tmp_path):
     out = tmp_path / "m.obj"
     trace = tmp_path / "t.csv"

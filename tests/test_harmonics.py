@@ -16,6 +16,7 @@ from equimesh.errors import EngineError, FormatError, GuardError
 from equimesh.harmonics import (
     ExpansionConfig,
     FourierWeights,
+    _fourier_table,
     alp_table,
     basis_matrix,
     decompose,
@@ -163,6 +164,8 @@ def test_alp_validation():
     with pytest.raises(GuardError):
         alp_table(99, np.array([0.0]))
     with pytest.raises(ValueError):
+        alp_table(3, np.array([0.5, np.nan]))
+    with pytest.raises(ValueError):
         normalized_alp(2, 3, 0.0)
     assert isinstance(normalized_alp(2, 1, 0.5), float)
     assert normalized_alp(2, 1, np.array([0.5])).shape == (1,)
@@ -174,6 +177,29 @@ def test_high_degree_stays_finite():
     assert np.isfinite(table).all()
     # normalized values grow like sqrt(n), never explode
     assert np.abs(table).max() < 50.0
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 30, 80])
+def test_fourier_table_reproduces_alp(n_max):
+    """P_nm(cos t) = sum_k F_m[n - m, k] tau_k(t), with tau_k = cos(k t) for
+    even m and sin((k + 1) t) for odd m, at random angles and both poles;
+    t = arccos xi as in the kernel."""
+    rng = np.random.default_rng(n_max)
+    xi = np.concatenate([[1.0, -1.0], np.cos(rng.uniform(0.0, np.pi, 200))])
+    t = np.arccos(xi)
+    k = np.arange(n_max + 1)
+    tau = (np.cos(np.outer(k, t)), np.sin(np.outer(k + 1, t)))
+    expected = alp_table(n_max, xi)
+    table = _fourier_table(n_max)
+    assert len(table) == n_max + 1
+    for m, f_m in enumerate(table):
+        n = np.arange(m, n_max + 1)
+        assert f_m.shape == (n_max - m + 1, n_max + 1)
+        assert not f_m.flags.writeable
+        got = f_m @ tau[m % 2]
+        want = expected[:, n * (n + 1) // 2 + m].T
+        # values grow like sqrt(n) (3.6 at degree 80), and so does round-off
+        assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +333,17 @@ def test_reconstruct_rejects_domain_mismatch(oblate_dom, prolate_dom, rng):
         reconstruct_fast(w, CurvilinearCoords(eta, phi, prolate_dom))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_rejects_non_finite_vertices(bad):
+    """with_vertices skips TriangleMesh validation, so decompose checks."""
+    weights, coords, faces = _bumpy_fixture(benchmarks.oblate_domain(), 3, 12)
+    mesh = TriangleMesh(reconstruct_fast(weights, coords), faces)
+    points = mesh.vertices.copy()
+    points[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        decompose(mesh.with_vertices(points), coords, ExpansionConfig(12))
+
+
 def test_decompose_underdetermined_raises(oblate_dom):
     coords, faces = sample_icosphere(oblate_dom, 0)  # 12 vertices
     from equimesh.spheroidal import forward_coords
@@ -367,6 +404,28 @@ def test_kernel_edge_cases(kind, n_max):
         assert np.abs(got.q - w.q).max() < 1e-10
     assert got.residual_rms < 1e-12
     assert got.conjugate_error() == 0.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reconstruct_fast_equals_full_at_max_degree(kind):
+    """The double Fourier kernel at MAX_DEGREE, on both ends of the eta
+    range (xi = +-1, or pole and rim), on the phi seam and at random
+    points; test_kernel_edge_cases covers the lower degrees."""
+    domain = SpheroidDomain(kind, e=0.8, zeta0=1.1)
+    rng = np.random.default_rng(80)
+    lo, hi = domain.eta_range
+    phi_top = np.nextafter(2.0 * np.pi, 0.0)
+    eta = np.concatenate([[lo, hi, lo, hi], rng.uniform(lo, hi, 300),
+                          rng.uniform(lo, hi, 50)])
+    phi = np.concatenate([[0.0, 0.0, phi_top, phi_top],
+                          rng.uniform(0.0, 2.0 * np.pi, 300),
+                          np.zeros(25), np.full(25, phi_top)])
+    coords = CurvilinearCoords(eta, phi, domain)
+    w = _random_consistent_weights(80, domain, rng)
+    full = reconstruct_full(w, coords)
+    fast = reconstruct_fast(w, coords)
+    assert np.abs(fast - full).max() <= 1e-12 * np.abs(full).max()
+    assert np.abs(fast[:4] - full[:4]).max() <= 1e-12
 
 
 def _svd_reference(mesh, coords, n_max):

@@ -21,6 +21,8 @@ from equimesh import (
     surface_normals,
     xi_of_eta,
 )
+from equimesh.benchmarks import bumpy_weights, oblate_domain, prolate_domain
+from equimesh.harmonics import reconstruct_fast
 
 
 def all_domains():
@@ -272,6 +274,33 @@ def test_map_to_domain_detects_fold():
     pts[5] = pts[6]
     with pytest.raises((FoldError, ValueError)):
         map_to_domain(TriangleMesh(pts, faces, validate=False), d)
+
+
+def _bumpy_mesh(domain):
+    weights = bumpy_weights(domain, n_max=30)
+    coords, faces = sample_icosphere(domain, 3)
+    return TriangleMesh(reconstruct_fast(weights, coords), faces)
+
+
+@pytest.mark.parametrize("make_domain", [oblate_domain, prolate_domain])
+def test_map_to_domain_skips_faces_around_a_pole(make_domain):
+    """The bumps move each pole vertex about 0.02 in eta off its pole, so
+    the face that now covers the pole has no vertex on it; it is told apart
+    by its phi winding, not flagged as folded."""
+    mesh = _bumpy_mesh(make_domain())
+    domain = fit_domain(mesh)
+    coords = map_to_domain(mesh, domain)
+    lo, hi = domain.eta_range
+    assert np.all((np.abs(coords.eta - lo) > 1e-3) & (np.abs(coords.eta - hi) > 1e-3))
+
+
+def test_map_to_domain_detects_fold_next_to_pole_faces():
+    mesh = _bumpy_mesh(oblate_domain())
+    domain = fit_domain(mesh)
+    faces = mesh.faces.copy()
+    faces[100] = faces[100, ::-1]
+    with pytest.raises(FoldError, match="1 parameter triangles"):
+        map_to_domain(TriangleMesh(mesh.vertices, faces, validate=False), domain)
 
 
 # ---------------------------------------------------------------------------
