@@ -171,6 +171,11 @@ def _require(args, *names):
             raise FormatError(f"missing required option {flag}")
 
 
+def _given(**options):
+    """The options the user set; the library keeps its own defaults."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _parse_stages(text):
     stages = []
     for part in text.split(","):
@@ -242,9 +247,7 @@ def cmd_remesh(args):
         stages = [(weights.n_max, i_max)]
     config = DiffusionConfig(
         stages=tuple(stages),
-        gamma=0.0 if args.gamma is None else args.gamma,
-        dt_scale=0.5 if args.dt_scale is None else args.dt_scale,
-        std_tolerance=1e-6 if args.std_tol is None else args.std_tol,
+        **_given(gamma=args.gamma, dt_scale=args.dt_scale, std_tolerance=args.std_tol),
     )
     coords, faces = _sample_for(weights.domain, refine, args.rings, args.sectors)
     try:
@@ -277,9 +280,8 @@ def cmd_remesh(args):
 
 def cmd_metrics(args):
     _require(args, "input", "out")
-    bins = 16 if args.bins is None else args.bins
     mesh = load_mesh(args.input)
-    report = quality_report(mesh, bins=bins)
+    report = quality_report(mesh, **_given(bins=args.bins))
     report.to_csv(args.out)
     for line in report.summary_lines():
         print(line)
@@ -289,7 +291,6 @@ def cmd_metrics(args):
 
 def cmd_remesh2d(args):
     _require(args, "input", "out", "max_segments", "nmax")
-    i_max = 200 if args.imax is None else args.imax
     try:
         named = read_contours(args.input)
     except FormatError:
@@ -303,7 +304,7 @@ def cmd_remesh2d(args):
     for pid, length, budget in zip(ids, lengths, budgets):
         print(f"{pid} {length:.6g} {budget}")
     remeshed = remesh_microstructure_2d(
-        contours, args.max_segments, args.nmax, i_max=i_max
+        contours, args.max_segments, args.nmax, **_given(i_max=args.imax)
     )
     write_contours(list(zip(ids, remeshed)), args.out)
     print(f"wrote {args.out}")

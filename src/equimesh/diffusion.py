@@ -8,9 +8,10 @@ the shell. The weights object is never touched: remeshing only re-samples
 the same morphology.
 
 Connectivity is fixed, so a run builds its `MeshTopology` once and makes
-one `FaceGeometry` pass per reconstructed vertex array, reused after
-acceptance. Engine failures, geometric ones included, raise `EngineError`
-subclasses carrying the partial trace.
+one `mesh.FaceGeometry` pass per reconstructed vertex array, the source of
+every area, normal, mass and gradient, reused after acceptance. Engine
+failures, geometric ones included, raise `EngineError` subclasses carrying
+the partial trace.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ import scipy.sparse as sp
 
 from .errors import EngineError, GuardError
 from .harmonics import reconstruct_fast
-from .mesh import TriangleMesh
-from .operators import FaceGeometry, MeshTopology
+from .mesh import FaceGeometry, TriangleMesh
+from .operators import MeshTopology, stretch_directors
 from .solver import DT_SCALE, backward_euler_step, estimate_dt
 from .spheroidal import CurvilinearCoords, forward_coords, pullback, surface_normals
 
@@ -169,7 +170,7 @@ def update_coordinates(coords, vertex_gradient, dt, domain):
     if g.shape != (coords.n, 3):
         raise ValueError("vertex gradient must be (n, 3)")
     points = forward_coords(domain, coords.eta, coords.phi)
-    normals = surface_normals(domain, coords.eta, coords.phi)
+    normals = surface_normals(domain, points)
     tangential = g - (g * normals).sum(axis=1, keepdims=True) * normals
     return pullback(domain, points + dt * tangential)
 
@@ -198,7 +199,7 @@ def _run_stage(
 
     points = reconstruct_fast(w, coords)
     evals += cost
-    area0 = template.with_vertices(points).total_area()
+    area0 = float(FaceGeometry(points, faces).areas.sum())
     if not area0 > 0.0:
         raise EngineError("reconstruction has nonpositive area")
     scale = 1.0 / np.sqrt(area0)
@@ -226,7 +227,7 @@ def _run_stage(
     for t in range(1, i_max + 1):
         directors, alpha = None, 1.0
         if config.gamma > 0.0:
-            directors = geometry.directors(config.gamma)
+            directors = stretch_directors(geometry, config.gamma)
             alpha = directors[2]
         mesh = template.with_vertices(geometry.points)
         dt = estimate_dt(mesh, alpha, c=config.dt_scale)

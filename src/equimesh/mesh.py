@@ -1,4 +1,8 @@
-"""Triangle meshes and planar contours: containers, file IO, quality measures."""
+"""Triangle meshes and planar contours: containers, file IO, quality measures.
+
+`FaceGeometry` is the one pass from a vertex array to face edges, areas,
+normals, masses and gradients; every measure here and the engine read it.
+"""
 from __future__ import annotations
 
 import csv
@@ -8,11 +12,12 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import FormatError, GuardError, TopologyError
+from .errors import DegenerateMeshError, FormatError, GuardError, TopologyError
 
 __all__ = [
     "TriangleMesh",
     "Contour2D",
+    "FaceGeometry",
     "QualityReport",
     "load_mesh",
     "save_mesh",
@@ -132,8 +137,7 @@ class TriangleMesh:
         return float(np.mean(np.linalg.norm(d, axis=1)))
 
     def total_area(self):
-        areas, _, _ = face_metrics(self)
-        return float(areas.sum())
+        return float(FaceGeometry(self.vertices, self.faces).areas.sum())
 
     def euler_characteristic(self):
         return self.n_v - self.unique_edges().shape[0] + self.n_f
@@ -526,51 +530,59 @@ def icosphere(refinements):
 # ---------------------------------------------------------------------------
 # per-face and per-vertex measures
 
-def face_metrics(mesh):
-    """Per-face areas, unit normals, and normalized circumradius.
+class FaceGeometry:
+    """One geometry pass over a vertex array with fixed faces.
 
-    The normalized circumradius rho_hat = circumradius * sqrt(3) / mean side
-    is 1 for equilateral triangles and approaches 2 as a triangle collapses;
-    zero-area faces get the sentinel value 2 and a zero normal.
-
-    Returns
-    -------
-    areas : (n_f,) float
-    normals : (n_f, 3) float
-    rho_hat : (n_f,) float
+    edges[f, k] is the edge opposite corner k, areas and unit normals
+    (zero on zero-area faces) are per face, masses per vertex, and
+    grads[f, k] is the gradient of corner k's hat function on face f.
     """
-    v = mesh.vertices
-    f = mesh.faces
-    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    cross = np.cross(p1 - p0, p2 - p0)
-    double_area = np.linalg.norm(cross, axis=1)
-    areas = 0.5 * double_area
-    a = np.linalg.norm(p2 - p1, axis=1)
-    b = np.linalg.norm(p0 - p2, axis=1)
-    c = np.linalg.norm(p1 - p0, axis=1)
-    ok = double_area > 0.0
-    normals = np.zeros_like(cross)
-    normals[ok] = cross[ok] / double_area[ok, None]
-    rho_hat = np.full(f.shape[0], DEGENERATE_RHO_HAT)
-    a_avg = (a + b + c) / 3.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        circum = a * b * c / (4.0 * areas)
-        rho_hat[ok] = circum[ok] * np.sqrt(3.0) / a_avg[ok]
-    return areas, normals, rho_hat
 
+    def __init__(self, points, faces):
+        self.points = points
+        self.faces = faces
+        p = points[faces]
+        self.edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+        # cross(e2, -e1) is cross(p1 - p0, p2 - p0): negation is exact
+        cross = np.cross(self.edges[:, 2], -self.edges[:, 1])
+        self.double_area = np.linalg.norm(cross, axis=1)
+        self.areas = 0.5 * self.double_area
+        ok = self.double_area[:, None] > 0.0
+        self.normals = np.divide(cross, self.double_area[:, None], where=ok,
+                                 out=np.zeros_like(cross))
+        self.masses = _voronoi_masses(faces, len(points), self.edges, self.double_area)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.grads = np.cross(self.normals[:, None, :], self.edges)
+            self.grads /= self.double_area[:, None, None]
 
-def vertex_voronoi_areas(mesh):
-    """Per-vertex area mass under the mixed Voronoi rule.
+    def hat_gradients(self):
+        """grads, after checking that every face still has area."""
+        if np.any(self.areas <= 0.0):
+            raise DegenerateMeshError("degenerate face in gradient operator")
+        return self.grads
 
-    Non-obtuse triangles are split by the true Voronoi (circumcentric) cells;
-    obtuse triangles give half their area to the obtuse corner and a quarter
-    to each other corner, which keeps every contribution positive. The masses
-    always sum to the total surface area.
-    """
-    p = mesh.vertices[mesh.faces]  # (n_f, 3, 3)
-    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # e_k opposite corner k
-    double_area = np.linalg.norm(np.cross(edges[:, 2], -edges[:, 1]), axis=1)
-    return _voronoi_masses(mesh.faces, mesh.n_v, edges, double_area)
+    def density(self):
+        """Normalized vertex area density u = A_i / sum(A)."""
+        total = self.masses.sum()
+        # an engine failure (exit 4); `area_density` checks a caller's mesh
+        # and raises a plain ValueError (bad input, exit 2) instead
+        if not total > 0.0:
+            raise DegenerateMeshError("mesh has no area or a collapsed face")
+        return self.masses / total
+
+    def face_gradients(self, u):
+        """(n_f, 3) gradient of the piecewise-linear interpolant of u."""
+        return np.einsum("fkc,fk->fc", self.grads, u[self.faces])
+
+    def vertex_gradients(self, u):
+        """(n_v, 3) area-weighted average of the face gradients around each vertex."""
+        index, n_v = self.faces.ravel(), self.points.shape[0]
+        weighted = np.repeat(self.face_gradients(u) * self.areas[:, None], 3, axis=0)
+        total = np.bincount(index, weights=np.repeat(self.areas, 3), minlength=n_v)
+        return np.column_stack([
+            np.bincount(index, weights=weighted[:, c], minlength=n_v) / total
+            for c in range(3)
+        ])
 
 
 # zero-area faces give non-finite cotangents quietly; callers check the masses
@@ -604,11 +616,47 @@ def _voronoi_masses(f, n_v, edges, double_area):
     return np.bincount(f.ravel(), weights=contrib.ravel(), minlength=n_v)
 
 
+def face_metrics(mesh):
+    """Per-face areas, unit normals, and normalized circumradius.
+
+    The normalized circumradius rho_hat = circumradius * sqrt(3) / mean side
+    is 1 for equilateral triangles and approaches 2 as a triangle collapses;
+    zero-area faces get the sentinel value 2 and a zero normal.
+
+    Returns
+    -------
+    areas : (n_f,) float
+    normals : (n_f, 3) float
+    rho_hat : (n_f,) float
+    """
+    geometry = FaceGeometry(mesh.vertices, mesh.faces)
+    a, b, c = np.linalg.norm(geometry.edges, axis=2).T
+    ok = geometry.double_area > 0.0
+    rho_hat = np.full(mesh.n_f, DEGENERATE_RHO_HAT)
+    a_avg = (a + b + c) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        circum = a * b * c / (4.0 * geometry.areas)
+        rho_hat[ok] = circum[ok] * np.sqrt(3.0) / a_avg[ok]
+    return geometry.areas, geometry.normals, rho_hat
+
+
+def vertex_voronoi_areas(mesh):
+    """Per-vertex area mass under the mixed Voronoi rule.
+
+    Non-obtuse triangles are split by the true Voronoi (circumcentric) cells;
+    obtuse triangles give half their area to the obtuse corner and a quarter
+    to each other corner, which keeps every contribution positive. The masses
+    always sum to the total surface area.
+    """
+    return FaceGeometry(mesh.vertices, mesh.faces).masses
+
+
 def area_density(mesh):
     """Normalized per-vertex area density u = A_i / sum(A); sums to 1."""
     masses = vertex_voronoi_areas(mesh)
     total = masses.sum()
-    # a zero-area face makes the Voronoi masses, and so the total, NaN
+    # a zero-area face makes the total NaN; bad input, not the engine
+    # error of FaceGeometry.density(), so `equimesh metrics` exits 2
     if not (total > 0.0 and np.isfinite(total)):
         raise ValueError("mesh has no area or a collapsed face")
     return masses / total
@@ -621,7 +669,7 @@ def detect_normal_flips(mesh, reference_normals):
         raise ValueError(
             f"reference normals shape {ref.shape} does not match {mesh.n_f} faces"
         )
-    _, normals, _ = face_metrics(mesh)
+    normals = FaceGeometry(mesh.vertices, mesh.faces).normals
     return np.nonzero(np.einsum("ij,ij->i", normals, ref) < 0.0)[0]
 
 

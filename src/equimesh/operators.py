@@ -1,10 +1,10 @@
 """Discrete differential operators on the evolving manifold mesh.
 
-One kernel serves every operator. `FaceGeometry` is one pass over a vertex
-array: areas, normals, mixed-Voronoi masses, hat-function gradients
-g_k = n x e_k / 2A and closed-form stretch directors. `MeshTopology` fixes
-the CSR pattern of the weak-form operator L = -sum_f A_f g_k^T D_f g_l once
-per connectivity and fills it face by face (D = I when isotropic). The
+One kernel serves every operator. It reads `mesh.FaceGeometry` (areas,
+normals, masses, hat-function gradients g_k = n x e_k / 2A), and
+`stretch_directors` adds closed-form stretch axes and rates. `MeshTopology`
+fixes the CSR pattern of the weak-form operator L = -sum_f A_f g_k^T D_f g_l
+once per connectivity and fills it face by face (D = I when isotropic). The
 public operators wrap this kernel. Rates are capped at ALPHA_CAP; the
 SVD-based per-face reference they are checked against lives in the tests.
 """
@@ -14,13 +14,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateMeshError
-from .mesh import _voronoi_masses, vertex_voronoi_areas
+from .mesh import FaceGeometry, vertex_voronoi_areas
 
 __all__ = [
     "ALPHA_CAP",
     "COLLAPSE_RATIO",
-    "FaceGeometry",
     "MeshTopology",
+    "stretch_directors",
     "gradient_operator",
     "vertex_mass_matrix",
     "laplacian_iso",
@@ -41,84 +41,34 @@ def _rates(ratio, gamma):
     return alpha1, alpha2
 
 
-class FaceGeometry:
-    """One geometry pass over a vertex array with fixed faces.
+def stretch_directors(geometry, gamma):
+    """Per-face stretch axes (v1, v2, n), rates (alpha2, alpha1, 1) and the
+    largest rate of a `FaceGeometry`.
 
-    edges[f, k] is the edge opposite corner k, areas and unit normals
-    (zero on zero-area faces) are per face, masses per vertex, and
-    grads[f, k] is the gradient of corner k's hat function on face f.
+    The quarter turn about n maps v1 to v2 and v2 to -v1, so the tensor
+    is D = sum_j rates_j axes_j axes_j^T. sigma1 and v1 come from the
+    in-plane Gram matrix of the centred corners, a third of
+    sum_k e_k e_k^T; sigma2 = 2A / (sqrt(3) sigma1) has no cancellation.
     """
-
-    def __init__(self, points, faces):
-        self.points = points
-        self.faces = faces
-        p = points[faces]
-        self.edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-        cross = np.cross(self.edges[:, 2], -self.edges[:, 1])
-        self.double_area = np.linalg.norm(cross, axis=1)
-        self.areas = 0.5 * self.double_area
-        ok = self.double_area[:, None] > 0.0
-        self.normals = np.divide(cross, self.double_area[:, None], where=ok,
-                                 out=np.zeros_like(cross))
-        self.masses = _voronoi_masses(faces, len(points), self.edges, self.double_area)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.grads = np.cross(self.normals[:, None, :], self.edges)
-            self.grads /= self.double_area[:, None, None]
-
-    def hat_gradients(self):
-        """grads, after checking that every face still has area."""
-        if np.any(self.areas <= 0.0):
-            raise DegenerateMeshError("degenerate face in gradient operator")
-        return self.grads
-
-    def density(self):
-        """Normalized vertex area density u = A_i / sum(A)."""
-        total = self.masses.sum()
-        if not total > 0.0:
-            raise DegenerateMeshError("mesh has no area or a collapsed face")
-        return self.masses / total
-
-    def face_gradients(self, u):
-        """(n_f, 3) gradient of the piecewise-linear interpolant of u."""
-        return np.einsum("fkc,fk->fc", self.grads, u[self.faces])
-
-    def vertex_gradients(self, u):
-        """(n_v, 3) area-weighted average of the face gradients around each vertex."""
-        index, n_v = self.faces.ravel(), self.points.shape[0]
-        weighted = np.repeat(self.face_gradients(u) * self.areas[:, None], 3, axis=0)
-        total = np.bincount(index, weights=np.repeat(self.areas, 3), minlength=n_v)
-        return np.column_stack([
-            np.bincount(index, weights=weighted[:, c], minlength=n_v) / total
-            for c in range(3)
-        ])
-
-    def directors(self, gamma):
-        """Per-face axes (v1, v2, n), rates (alpha2, alpha1, 1), largest rate.
-
-        The quarter turn about n maps v1 to v2 and v2 to -v1, so the tensor
-        is D = sum_j rates_j axes_j axes_j^T. sigma1 and v1 come from the
-        in-plane Gram matrix of the centred corners, a third of
-        sum_k e_k e_k^T; sigma2 = 2A / (sqrt(3) sigma1) has no cancellation.
-        """
-        edge = self.edges[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = edge / np.linalg.norm(edge, axis=1, keepdims=True)
-            t2 = np.cross(self.normals, t1)
-            x = np.einsum("fkc,fc->fk", self.edges, t1)
-            y = np.einsum("fkc,fc->fk", self.edges, t2)
-            sxx, syy, sxy = ((a * b).sum(1) / 3 for a, b in ((x, x), (y, y), (x, y)))
-            half_gap = 0.5 * (sxx - syy)
-            sigma1 = np.sqrt(0.5 * (sxx + syy) + np.hypot(half_gap, sxy))
-            sigma2 = self.double_area / (np.sqrt(3.0) * sigma1)
-        # written so that NaN from a collapsed face also trips it
-        if not np.all(sigma2 >= COLLAPSE_RATIO * sigma1):
-            raise DegenerateMeshError("collapsed face in director computation")
-        theta = 0.5 * np.arctan2(sxy, half_gap)
-        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        axes = np.stack([cos * t1 + sin * t2, cos * t2 - sin * t1, self.normals], 1)
-        alpha1, alpha2 = _rates(sigma1 / sigma2, gamma)
-        rates = np.column_stack([alpha2, alpha1, np.ones_like(alpha1)])
-        return axes, rates, float(np.maximum(alpha1, alpha2).max())
+    edge = geometry.edges[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = edge / np.linalg.norm(edge, axis=1, keepdims=True)
+        t2 = np.cross(geometry.normals, t1)
+        x = np.einsum("fkc,fc->fk", geometry.edges, t1)
+        y = np.einsum("fkc,fc->fk", geometry.edges, t2)
+        sxx, syy, sxy = ((a * b).sum(1) / 3 for a, b in ((x, x), (y, y), (x, y)))
+        half_gap = 0.5 * (sxx - syy)
+        sigma1 = np.sqrt(0.5 * (sxx + syy) + np.hypot(half_gap, sxy))
+        sigma2 = geometry.double_area / (np.sqrt(3.0) * sigma1)
+    # written so that NaN from a collapsed face also trips it
+    if not np.all(sigma2 >= COLLAPSE_RATIO * sigma1):
+        raise DegenerateMeshError("collapsed face in director computation")
+    theta = 0.5 * np.arctan2(sxy, half_gap)
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    axes = np.stack([cos * t1 + sin * t2, cos * t2 - sin * t1, geometry.normals], 1)
+    alpha1, alpha2 = _rates(sigma1 / sigma2, gamma)
+    rates = np.column_stack([alpha2, alpha1, np.ones_like(alpha1)])
+    return axes, rates, float(np.maximum(alpha1, alpha2).max())
 
 
 class MeshTopology:
@@ -195,7 +145,7 @@ def laplacian_aniso(mesh, gamma):
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     geometry = FaceGeometry(mesh.vertices, mesh.faces)
-    directors = geometry.directors(gamma) if gamma > 0.0 else None
+    directors = stretch_directors(geometry, gamma) if gamma > 0.0 else None
     return MeshTopology(mesh.faces, mesh.n_v).laplacian(geometry, directors)
 
 
@@ -203,4 +153,4 @@ def max_diffusion_rate(mesh, gamma):
     """Largest per-face diffusion rate max(alpha1, alpha2); 1 when gamma=0."""
     if gamma == 0.0:
         return 1.0
-    return FaceGeometry(mesh.vertices, mesh.faces).directors(gamma)[2]
+    return stretch_directors(FaceGeometry(mesh.vertices, mesh.faces), gamma)[2]

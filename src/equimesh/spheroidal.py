@@ -216,11 +216,11 @@ def xi_of_eta(domain, eta):
     return 1.0 - np.cos(eta)
 
 
-def surface_normals(domain, eta, phi):
-    """Outward unit normals of the shell at (eta, phi); pole-safe."""
-    pts = forward_coords(domain, eta, phi)
+def surface_normals(domain, points):
+    """Outward unit normals of the shell at its (n, 3) points, as
+    `forward_coords` returns them; pole-safe."""
     a, c = domain.semi_axes()
-    n = pts / np.array([a * a, a * a, c * c])
+    n = np.asarray(points, dtype=float) / np.array([a * a, a * a, c * c])
     norm = np.linalg.norm(n, axis=1)
     norm[norm == 0.0] = 1.0
     return n / norm[:, None]
@@ -275,9 +275,7 @@ def fit_domain(mesh_or_points, kind_hint=None):
         raise ValueError("need at least 4 points to fit a spheroid")
     hemis = None
     if kind_hint is not None:
-        if kind_hint == "hemispheroid":
-            hemis = True
-        elif kind_hint in (OBLATE_HEMISPHEROID, PROLATE_HEMISPHEROID):
+        if kind_hint in ("hemispheroid", OBLATE_HEMISPHEROID, PROLATE_HEMISPHEROID):
             hemis = True
         elif kind_hint in (OBLATE, PROLATE):
             hemis = False
@@ -368,15 +366,10 @@ def map_to_domain(mesh, domain):
     signed = (e2 - e1) * (p3 - p1) - (e3 - e1) * (p2 - p1)
     # parameter triangles touching a pole are degenerate; skip them
     lo, hi = domain.eta_range
-    pole_eta = []
-    if domain.kind == OBLATE:
-        pole_eta = [lo, hi]
-    elif domain.kind == PROLATE:
-        pole_eta = [lo, hi]
-    elif domain.kind == OBLATE_HEMISPHEROID:
-        pole_eta = [hi]
+    if domain.is_hemispheroid:
+        pole_eta = [hi] if domain.kind == OBLATE_HEMISPHEROID else [lo]
     else:
-        pole_eta = [lo]
+        pole_eta = [lo, hi]
     at_pole = np.zeros(mesh.n_v, dtype=bool)
     for pe in pole_eta:
         at_pole |= np.abs(eta - pe) < 1e-9
@@ -470,7 +463,7 @@ def sample_cap_grid(domain, rings, sectors):
     cross = np.cross(
         pts[faces[:, 1]] - pts[faces[:, 0]], pts[faces[:, 2]] - pts[faces[:, 0]]
     )
-    outward = surface_normals(domain, coords.eta, coords.phi)[faces[:, 0]]
+    outward = surface_normals(domain, pts)[faces[:, 0]]
     if np.median(np.einsum("ij,ij->i", cross, outward)) < 0:
         faces = faces[:, [0, 2, 1]].copy()
     return coords, faces

@@ -215,6 +215,24 @@ def test_remesh_is_reproducible(weights_file, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_remesh_defaults_are_the_library_defaults(weights_file, tmp_path):
+    from equimesh.diffusion import DiffusionConfig, diffuse_remesh
+    from equimesh.spheroidal import sample_icosphere
+
+    cli_trace = tmp_path / "cli.csv"
+    rc = main(["remesh", "--weights", str(weights_file), "--out",
+               str(tmp_path / "m.obj"), "--trace", str(cli_trace),
+               "--refine", "2", "--imax", "4"])
+    assert rc == 0
+    weights = load_weights(weights_file)
+    coords, faces = sample_icosphere(weights.domain, 2)
+    config = DiffusionConfig(stages=((weights.n_max, 4),))
+    *_, trace = diffuse_remesh(weights, coords, faces, config)
+    lib_trace = tmp_path / "lib.csv"
+    trace.to_csv(lib_trace)
+    assert cli_trace.read_bytes() == lib_trace.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # config file merging
 
@@ -307,6 +325,20 @@ def test_remesh2d_non_finite_csv_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "finite" in captured.err
     assert "budget" not in captured.out
+
+
+def test_collapsed_face_mesh_exits_2(tmp_path, capsys):
+    from equimesh.mesh import save_mesh
+
+    # icosphere(2) with the three corners of face 0 moved onto one point
+    mesh = icosphere(2)
+    v = mesh.vertices.copy()
+    v[mesh.faces[0]] = v[mesh.faces[0, 0]]
+    path = tmp_path / "collapsed.obj"
+    save_mesh(mesh.with_vertices(v), path)
+    rc = main(["metrics", "--in", str(path), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2  # bad input, not an engine failure (4)
+    assert "collapsed face" in capsys.readouterr().err
 
 
 def test_nonmanifold_mesh_exits_3(tmp_path, capsys):

@@ -175,10 +175,10 @@ def test_xi_monotone_and_range(domain):
 def test_surface_normals_unit_and_outward(domain):
     eta = interior_eta(domain, 200)
     phi = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
-    n = surface_normals(domain, eta, phi)
+    pts = forward_coords(domain, eta, phi)
+    n = surface_normals(domain, pts)
     np.testing.assert_allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-12)
     # outward: positive component along the position direction for a convex shell
-    pts = forward_coords(domain, eta, phi)
     assert (np.einsum("ij,ij->i", n, pts) > 0).all()
 
 
@@ -186,7 +186,7 @@ def test_surface_normals_orthogonal_to_tangents():
     d = SpheroidDomain(kind="prolate", e=0.9, zeta0=0.9)
     eta = interior_eta(d, 100)
     phi = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
-    n = surface_normals(d, eta, phi)
+    n = surface_normals(d, forward_coords(d, eta, phi))
     h = 1e-6
     t_eta = (forward_coords(d, eta + h, phi) - forward_coords(d, eta - h, phi)) / (2 * h)
     t_phi = (forward_coords(d, eta, phi + h) - forward_coords(d, eta, phi - h)) / (2 * h)
