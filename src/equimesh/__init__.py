@@ -57,7 +57,6 @@ from .harmonics import (
     basis_matrix,
     decompose,
     load_weights,
-    normalized_alp,
     psd_descriptors,
     reconstruct_fast,
     reconstruct_full,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .errors import (
     GuardError,
     SingularityError,
     TopologyError,
+    read_text,
 )
 from .harmonics import ExpansionConfig, decompose, load_weights, save_weights
 from .mesh import MAX_ICOSPHERE_REFINEMENTS, load_mesh, quality_report, save_mesh
@@ -138,29 +138,31 @@ def _build_parser():
     p.add_argument("--imax", type=int, default=None, help="diffusion iterations")
     _add_config_flag(p)
 
-    return parser
+    return parser, sub.choices
 
 
-def _merge_config(args):
-    """Overlay config-file values under explicit flags; flags win."""
+def _merge_config(args, command_parser):
+    """Overlay config-file values under explicit flags; flags win. Each value
+    goes through its flag's type, as the same text on the command line would."""
     values = vars(args)
     if args.config is not None:
         try:
-            raw = Path(args.config).read_text()
-        except OSError as exc:
-            raise FormatError(f"cannot read config {args.config}: {exc}") from exc
-        try:
-            data = json.loads(raw)
+            data = json.loads(read_text(args.config))
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad config file: {exc}") from exc
         if not isinstance(data, dict):
             raise FormatError("config file must hold a JSON object")
+        types = {action.dest: action.type for action in command_parser._actions}
         for key, value in data.items():
             name = key.replace("-", "_")
             if name not in values:
                 raise FormatError(f"unknown config key {key!r}")
-            if values[name] is None:
-                values[name] = value
+            if values[name] is not None:
+                continue
+            try:
+                values[name] = value if types[name] is None else types[name](str(value))
+            except ValueError as exc:
+                raise FormatError(f"bad config value {value!r} for {key!r}") from exc
     return args
 
 
@@ -320,10 +322,10 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, command_parsers = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, command_parsers[args.command])
         return _COMMANDS[args.command](args)
     except (FormatError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

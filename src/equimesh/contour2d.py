@@ -25,6 +25,7 @@ from .errors import (
     GuardError,
     IntersectionError,
     SingularityError,
+    read_text,
 )
 from .harmonics import MAX_DEGREE
 from .mesh import Contour2D
@@ -470,19 +471,17 @@ def remesh_microstructure_2d(contours, max_segments_largest, n_max, i_max=200):
 # contour files
 
 def read_contour_csv(path):
-    """Single contour from a CSV of x,y rows (header optional)."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for ln, line in enumerate(text.splitlines(), start=1):
+    """Single contour from a CSV of x,y rows; the first row that is not blank
+    or a # comment may be a header."""
+    rows, may_be_header = [], True
+    for ln, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p for p in line.replace(",", " ").split() if p]
-        if ln == 1 and any(not _is_float(p) for p in parts):
-            continue  # header row
+        parts = line.replace(",", " ").split()
+        header, may_be_header = may_be_header, False
+        if header and not all(_is_float(p) for p in parts):
+            continue
         if len(parts) != 2 or not all(_is_float(p) for p in parts):
             raise FormatError(f"{path}:{ln}: expected two numbers per row")
         rows.append((float(parts[0]), float(parts[1])))
@@ -511,11 +510,7 @@ _CONTOURS_MAGIC = "contours v1"
 
 def read_contours(path):
     """Multi-contour document: list of (particle_id, Contour2D)."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0] != _CONTOURS_MAGIC:
         raise FormatError(f"{path}: not a contours document")
     if len(lines) < 2 or not lines[1].startswith("count "):

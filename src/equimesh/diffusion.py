@@ -70,12 +70,13 @@ class DiffusionConfig:
             if i_max < 1:
                 raise ValueError("every stage needs i_max >= 1")
             previous = n_max
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
-        if self.dt_scale <= 0.0:
-            raise ValueError("dt_scale must be positive")
-        if self.std_tolerance < 0.0:
-            raise ValueError("std_tolerance must be nonnegative")
+        # chained comparisons are false for NaN
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and nonnegative")
+        if not 0.0 < self.dt_scale < np.inf:
+            raise ValueError("dt_scale must be finite and positive")
+        if not 0.0 <= self.std_tolerance < np.inf:
+            raise ValueError("std_tolerance must be finite and nonnegative")
 
 
 @dataclass

@@ -2,8 +2,11 @@
 
 The command line maps these onto distinct exit codes: format/parse
 problems, topology problems, engine (numerical) failures, and resource
-guards are kept separate so callers can react programmatically.
+guards are kept separate so callers can react programmatically. Every
+input text file is read through `read_text`, so a file that cannot be read
+or decoded is a FormatError (exit 2) wherever it is opened.
 """
+from pathlib import Path
 
 
 class EquimeshError(Exception):
@@ -12,6 +15,17 @@ class EquimeshError(Exception):
 
 class FormatError(EquimeshError):
     """Malformed input file or unparsable value."""
+
+
+def read_text(path):
+    """The UTF-8 text of `path`; a file that cannot be read or decoded
+    raises FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text (a binary file?): {exc}") from exc
 
 
 class TopologyError(EquimeshError):

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import EngineError, FormatError, GuardError
+from .errors import EngineError, FormatError, GuardError, read_text
 from .spheroidal import KINDS, SpheroidDomain, xi_of_eta
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ExpansionConfig",
     "FourierWeights",
     "PsdDescriptors",
-    "normalized_alp",
     "basis_matrix",
     "decompose",
     "reconstruct_full",
@@ -257,21 +256,6 @@ def alp_table(n_max, xi):
     return out
 
 
-def normalized_alp(n, m, xi):
-    """Fully normalized associated Legendre value(s) at xi.
-
-    Includes the sqrt((2n+1)/(4pi) * (n-m)!/(n+m)!) normalization and the
-    Condon-Shortley phase. m must satisfy 0 <= m <= n <= MAX_DEGREE.
-    """
-    if not (0 <= m <= n <= MAX_DEGREE):
-        raise ValueError(f"need 0 <= m <= n <= {MAX_DEGREE}, got n={n}, m={m}")
-    scalar = np.isscalar(xi) or np.asarray(xi).ndim == 0
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    table = alp_table(n, xi_arr)
-    vals = table[:, n * (n + 1) // 2 + m]
-    return float(vals[0]) if scalar else vals
-
-
 # ---------------------------------------------------------------------------
 # basis evaluation
 
@@ -489,11 +473,7 @@ def save_weights(weights, path):
 
 
 def load_weights(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0] != _WEIGHTS_MAGIC:
         raise FormatError("not a spheroidal weights file")
     header = {}

@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateMeshError, FormatError, GuardError, TopologyError
+from .errors import (
+    DegenerateMeshError,
+    FormatError,
+    GuardError,
+    TopologyError,
+    read_text,
+)
 
 __all__ = [
     "TriangleMesh",
@@ -139,9 +145,6 @@ class TriangleMesh:
     def total_area(self):
         return float(FaceGeometry(self.vertices, self.faces).areas.sum())
 
-    def euler_characteristic(self):
-        return self.n_v - self.unique_edges().shape[0] + self.n_f
-
     def with_vertices(self, vertices):
         """Same connectivity, new vertex positions; structural caches carry over."""
         m = TriangleMesh(vertices, self.faces, validate=False)
@@ -233,37 +236,21 @@ class Contour2D:
 # ---------------------------------------------------------------------------
 # file IO
 
-_EXT_TO_FORMAT = {".obj": "obj", ".off": "off", ".ply": "ply"}
-
-
-def _resolve_format(path, fmt):
-    if fmt is None:
-        fmt = _EXT_TO_FORMAT.get(Path(path).suffix.lower())
-        if fmt is None:
-            raise FormatError(f"cannot infer mesh format from {path!r}")
-    fmt = fmt.lower()
+def _mesh_format(path):
+    fmt = Path(path).suffix.lower()[1:]
     if fmt not in ("obj", "off", "ply"):
-        raise FormatError(f"unsupported mesh format {fmt!r}")
+        raise FormatError(f"cannot infer mesh format from {str(path)!r}")
     return fmt
 
 
-def load_mesh(path, fmt=None):
-    """Read an OBJ, OFF, or ascii-PLY triangle mesh.
+def load_mesh(path):
+    """Read an OBJ, OFF, or ascii-PLY triangle mesh; the extension names the format.
 
     Polygonal faces are fan-triangulated. Parse problems raise FormatError;
     connectivity problems raise TopologyError.
     """
-    fmt = _resolve_format(path, fmt)
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    if fmt == "obj":
-        vertices, polygons = _parse_obj(text)
-    elif fmt == "off":
-        vertices, polygons = _parse_off(text)
-    else:
-        vertices, polygons = _parse_ply(text)
+    parsers = {"obj": _parse_obj, "off": _parse_off, "ply": _parse_ply}
+    vertices, polygons = parsers[_mesh_format(path)](read_text(path))
     if not vertices:
         raise FormatError("mesh file contains no vertices")
     faces = []
@@ -315,152 +302,120 @@ def _significant_lines(text):
             yield line
 
 
-def _parse_off(text):
-    lines = _significant_lines(text)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise FormatError("empty OFF file") from None
-    counts_line = None
-    if header.upper().startswith("OFF"):
-        rest = header[3:].strip()
-        if rest:
-            counts_line = rest
-    else:
-        counts_line = header  # headerless variant
-    if counts_line is None:
-        try:
-            counts_line = next(lines)
-        except StopIteration:
-            raise FormatError("OFF file missing counts line") from None
-    try:
-        n_v, n_f = (int(x) for x in counts_line.split()[:2])
-    except ValueError as exc:
-        raise FormatError("bad OFF counts line") from exc
+def _read_rows(lines, elements, label):
+    """The vertices and polygons of a counted format (OFF, ascii PLY).
+
+    `elements` lists (name, count, xyz) in file order: each "vertex" row
+    holds x, y, z at the columns xyz, each "face" row a count k and then k
+    non-negative indices, and the rows of any other element are skipped.
+    """
     vertices, polygons = [], []
-    try:
-        for _ in range(n_v):
-            parts = next(lines).split()
-            vertices.append(tuple(float(x) for x in parts[:3]))
-        for _ in range(n_f):
-            parts = next(lines).split()
-            k = int(parts[0])
-            if len(parts) < 1 + k:
-                raise FormatError("OFF face row shorter than its count")
-            poly = [int(x) for x in parts[1 : 1 + k]]
-            if min(poly) < 0:
-                raise FormatError("negative OFF face index")
-            polygons.append(poly)
-    except StopIteration:
-        raise FormatError("truncated OFF file") from None
-    except ValueError as exc:
-        raise FormatError(f"bad OFF value: {exc}") from exc
+    for name, count, xyz in elements:
+        for _ in range(count):
+            parts = next(lines, "").split()
+            if not parts:
+                raise FormatError(f"truncated {label} {name} data")
+            if name == "vertex":
+                try:
+                    vertices.append(tuple(float(parts[c]) for c in xyz))
+                except (ValueError, IndexError):
+                    raise FormatError(f"bad {label} vertex row {parts}") from None
+            elif name == "face":
+                try:
+                    k = int(parts[0])
+                    poly = [int(x) for x in parts[1 : 1 + k]]
+                except ValueError:
+                    raise FormatError(f"bad {label} face row {parts}") from None
+                if len(poly) != k:
+                    raise FormatError(f"{label} face row shorter than its count")
+                if poly and min(poly) < 0:
+                    raise FormatError(f"negative {label} face index")
+                polygons.append(poly)
     return vertices, polygons
 
 
+def _parse_off(text):
+    lines = _significant_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise FormatError("empty OFF file")
+    # the counts follow "OFF" on the same line or the next, or open a
+    # headerless file
+    counts = header[3:] if header.upper().startswith("OFF") else header
+    if not counts.strip():
+        counts = next(lines, "")
+    try:
+        n_v, n_f = (int(x) for x in counts.split()[:2])
+    except ValueError:
+        raise FormatError(f"bad or missing OFF counts line {counts!r}") from None
+    elements = [("vertex", n_v, (0, 1, 2)), ("face", n_f, None)]
+    return _read_rows(lines, elements, "OFF")
+
+
 def _parse_ply(text):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
+    lines = _significant_lines(text)
+    if next(lines, None) != "ply":
         raise FormatError("not a PLY file")
-    elements = []  # (name, count, properties)
-    i = 1
+    elements = []  # (name, count, scalar property names)
     fmt_seen = False
-    while i < len(lines):
-        parts = lines[i].strip().split()
-        i += 1
-        if not parts or parts[0] == "comment":
-            continue
-        if parts[0] == "format":
-            if len(parts) < 2 or parts[1] != "ascii":
+    for line in lines:
+        key, *args = line.split()
+        if key == "format":
+            if not args or args[0] != "ascii":
                 raise FormatError("only ascii PLY is supported")
             fmt_seen = True
-        elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
-        elif parts[0] == "property":
+        elif key == "element":
+            try:
+                name, count = args
+                elements.append((name, int(count), []))
+            except ValueError:
+                raise FormatError(f"bad PLY element line {line!r}") from None
+        elif key == "property":
             if not elements:
                 raise FormatError("PLY property before any element")
-            elements[-1][2].append(parts[1:])
-        elif parts[0] == "end_header":
+            if not args:
+                raise FormatError("PLY property line without a type")
+            if args[0] != "list":
+                elements[-1][2].append(args[-1])
+        elif key == "end_header":
             break
     else:
         raise FormatError("PLY header missing end_header")
     if not fmt_seen:
         raise FormatError("PLY header missing format line")
-    vertices, polygons = [], []
+    rows = []
     for name, count, props in elements:
+        xyz = None
         if name == "vertex":
-            scalar_names = [p[-1] for p in props if p[0] != "list"]
-            try:
-                ix, iy, iz = (scalar_names.index(c) for c in ("x", "y", "z"))
-            except ValueError:
-                raise FormatError("PLY vertex element lacks x/y/z") from None
-            for _ in range(count):
-                if i >= len(lines):
-                    raise FormatError("truncated PLY vertex data")
-                parts = lines[i].split()
-                i += 1
-                try:
-                    vertices.append(
-                        (float(parts[ix]), float(parts[iy]), float(parts[iz]))
-                    )
-                except (ValueError, IndexError) as exc:
-                    raise FormatError("bad PLY vertex row") from exc
-        elif name == "face":
-            for _ in range(count):
-                if i >= len(lines):
-                    raise FormatError("truncated PLY face data")
-                parts = lines[i].split()
-                i += 1
-                try:
-                    k = int(parts[0])
-                    poly = [int(x) for x in parts[1 : 1 + k]]
-                except (ValueError, IndexError) as exc:
-                    raise FormatError("bad PLY face row") from exc
-                if len(poly) != k or (poly and min(poly) < 0):
-                    raise FormatError("bad PLY face row")
-                polygons.append(poly)
-        else:
-            for _ in range(count):  # skip unknown element payload
-                i += 1
-    return vertices, polygons
+            if not {"x", "y", "z"} <= set(props):
+                raise FormatError("PLY vertex element lacks x/y/z")
+            xyz = [props.index(c) for c in "xyz"]
+        rows.append((name, count, xyz))
+    return _read_rows(lines, rows, "PLY")
 
 
-def save_mesh(mesh, path, fmt=None):
-    """Write a mesh; floats carry 17 significant digits so loads round-trip."""
-    fmt = _resolve_format(path, fmt)
-    v, f = mesh.vertices, mesh.faces
-    out = []
-    if fmt == "obj":
-        for p in v:
-            out.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-        for a, b, c in f + 1:
-            out.append(f"f {a} {b} {c}")
-    elif fmt == "off":
-        out.append("OFF")
-        out.append(f"{mesh.n_v} {mesh.n_f} 0")
-        for p in v:
-            out.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-        for a, b, c in f:
-            out.append(f"3 {a} {b} {c}")
-    else:
-        out.extend(
-            [
-                "ply",
-                "format ascii 1.0",
-                f"element vertex {mesh.n_v}",
-                "property double x",
-                "property double y",
-                "property double z",
-                f"element face {mesh.n_f}",
-                "property list uchar int vertex_indices",
-                "end_header",
-            ]
-        )
-        for p in v:
-            out.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-        for a, b, c in f:
-            out.append(f"3 {a} {b} {c}")
-    Path(path).write_text("\n".join(out) + "\n")
+# header template, vertex-row prefix, face-row prefix, first vertex index
+_LAYOUTS = {
+    "obj": ("", "v ", "f ", 1),
+    "off": ("OFF\n{n_v} {n_f} 0\n", "", "3 ", 0),
+    "ply": (
+        "ply\nformat ascii 1.0\nelement vertex {n_v}\nproperty double x\n"
+        "property double y\nproperty double z\nelement face {n_f}\n"
+        "property list uchar int vertex_indices\nend_header\n",
+        "", "3 ", 0,
+    ),
+}
+
+
+def save_mesh(mesh, path):
+    """Write a mesh in the format its extension names; floats carry 17
+    significant digits so loads round-trip."""
+    header, v_prefix, f_prefix, base = _LAYOUTS[_mesh_format(path)]
+    out = [header.format(n_v=mesh.n_v, n_f=mesh.n_f)]
+    out.extend(f"{v_prefix}{x:.17g} {y:.17g} {z:.17g}\n"
+               for x, y, z in mesh.vertices)
+    out.extend(f"{f_prefix}{a} {b} {c}\n" for a, b, c in mesh.faces + base)
+    Path(path).write_text("".join(out))
 
 
 # ---------------------------------------------------------------------------

@@ -308,16 +308,16 @@ def fit_domain(mesh_or_points, kind_hint=None):
         family = "oblate" if a >= c else "prolate"
 
     big, small = (a, c) if family == "oblate" else (c, a)
+    if (small - big) / big >= SPHERE_GAP:
+        raise ValueError(
+            f"extents (a={a:.6g}, c={c:.6g}) are inconsistent with a "
+            f"{family} domain"
+        )
     if (big - small) / big < SPHERE_GAP:
         # sphere-like: floor the focal distance, keep the larger radius exact
         e = SPHERE_FOCAL_FRACTION * big
         zeta0 = float(np.arccosh(big / e))
     else:
-        if small >= big:
-            raise ValueError(
-                f"extents (a={a:.6g}, c={c:.6g}) are inconsistent with a "
-                f"{family} domain"
-            )
         e = float(np.sqrt(big * big - small * small))
         zeta0 = float(np.arctanh(small / big))
     if family == "oblate":

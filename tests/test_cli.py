@@ -279,6 +279,23 @@ def test_bad_config_is_a_parse_error(oblate_obj, tmp_path, payload, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_value_goes_through_flag_type(weights_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": "0.5", "imax": "2", "refine": 1}))
+    rc = main(["remesh", "--weights", str(weights_file),
+               "--out", str(tmp_path / "m.obj"), "--config", str(cfg)])
+    assert rc == 0
+
+
+def test_config_value_the_type_refuses_exits_2(weights_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"std_tol": [1]}))
+    rc = main(["remesh", "--weights", str(weights_file),
+               "--out", str(tmp_path / "m.obj"), "--config", str(cfg)])
+    assert rc == 2
+    assert "std_tol" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -301,6 +318,31 @@ def test_garbage_mesh_exits_2(tmp_path, capsys):
     rc = main(["metrics", "--in", str(bad), "--out", str(tmp_path / "r.csv")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_malformed_ply_header_exits_2(tmp_path, capsys):
+    bad = tmp_path / "no_count.ply"
+    bad.write_text(
+        "ply\nformat ascii 1.0\nelement vertex\nproperty float x\n"
+        "property float y\nproperty float z\nend_header\n0 0 0\n"
+    )
+    rc = main(["metrics", "--in", str(bad), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert "element" in capsys.readouterr().err
+
+
+def test_contradicting_kind_hint_exits_2(tmp_path, capsys):
+    from equimesh.mesh import save_mesh
+
+    prolate = tmp_path / "prolate.obj"
+    save_mesh(icosphere(2).with_vertices(icosphere(2).vertices * [0.7, 0.7, 1.4]),
+              prolate)
+    out = tmp_path / "w.txt"
+    rc = main(["decompose", "--in", str(prolate), "--out", str(out),
+               "--nmax", "4", "--kind", "oblate"])
+    assert rc == 2
+    assert "inconsistent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_mesh_exits_2(tmp_path, capsys):
@@ -400,6 +442,13 @@ def test_bad_value_exits_2(weights_file, tmp_path, capsys):
                "--out", str(tmp_path / "m.obj"), "--dt-scale", "0"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_nan_dt_scale_exits_2(weights_file, tmp_path, capsys):
+    rc = main(["remesh", "--weights", str(weights_file),
+               "--out", str(tmp_path / "m.obj"), "--dt-scale", "nan"])
+    assert rc == 2
+    assert "dt_scale" in capsys.readouterr().err
 
 
 def test_bad_stage_syntax_exits_2(weights_file, tmp_path, capsys):

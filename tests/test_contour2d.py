@@ -512,6 +512,17 @@ def test_contour_csv_headerless_and_comments(tmp_path):
     assert c.points[1] == pytest.approx([1.0, 0.0])
 
 
+def test_contour_csv_header_after_comments(tmp_path):
+    path = tmp_path / "grain.csv"
+    path.write_text("# grain 7\n\nx,y\n0,0\n1,0\n1,1\n0,1\n")
+    c = read_contour_csv(path)
+    assert c.points.shape == (4, 2)
+    # only the first row may be a header
+    path.write_text("# grain 7\nx,y\n0,0\nu,v\n1,1\n0,1\n")
+    with pytest.raises(FormatError, match=":4:"):
+        read_contour_csv(path)
+
+
 def test_contour_csv_errors(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,y\n0,0\n1,oops\n2,2\n")

@@ -50,6 +50,12 @@ def test_config_accepts_flat_and_staged_schedules():
         dict(stages=((10, 30),), dt_scale=0.0),
         dict(stages=((10, 30),), std_tolerance=-1e-3),
         dict(stages=((-1, 30),)),  # negative degree
+        dict(stages=((10, 30),), gamma=np.nan),
+        dict(stages=((10, 30),), gamma=np.inf),
+        dict(stages=((10, 30),), dt_scale=np.nan),
+        dict(stages=((10, 30),), dt_scale=np.inf),
+        dict(stages=((10, 30),), std_tolerance=np.nan),
+        dict(stages=((10, 30),), std_tolerance=np.inf),
     ],
 )
 def test_config_rejects_bad_values(kwargs):

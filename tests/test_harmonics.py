@@ -23,7 +23,6 @@ from equimesh.harmonics import (
     full_orders,
     half_orders,
     load_weights,
-    normalized_alp,
     psd_descriptors,
     reconstruct_fast,
     reconstruct_full,
@@ -125,37 +124,47 @@ def test_order_layouts():
 # ---------------------------------------------------------------------------
 # associated Legendre values
 
+def alp(n, m, xi):
+    """P_nm at the points xi, read from the degree-n table."""
+    return alp_table(n, np.atleast_1d(np.asarray(xi, dtype=float)))[
+        :, n * (n + 1) // 2 + m
+    ]
+
+
 def test_alp_matches_rodrigues_oracle():
     xs = np.linspace(-0.95, 0.95, 11)
     for n in range(9):
         for m in range(n + 1):
-            got = normalized_alp(n, m, xs)
+            got = alp(n, m, xs)
             want = np.array([oracle_alp(n, m, x) for x in xs])
             assert got == pytest.approx(want, rel=1e-11, abs=1e-13), (n, m)
 
 
 def test_alp_anchor_values():
-    assert normalized_alp(0, 0, 0.3) == pytest.approx(
+    assert alp(0, 0, 0.3)[0] == pytest.approx(
         math.sqrt(1.0 / (4.0 * math.pi)), rel=1e-14
     )
-    assert normalized_alp(1, 0, 1.0) == pytest.approx(
+    assert alp(1, 0, 1.0)[0] == pytest.approx(
         math.sqrt(3.0 / (4.0 * math.pi)), rel=1e-14
     )
-    assert normalized_alp(1, 1, 0.0) == pytest.approx(
+    assert alp(1, 1, 0.0)[0] == pytest.approx(
         -math.sqrt(3.0 / (8.0 * math.pi)), rel=1e-14
     )
-    assert normalized_alp(2, 0, 1.0) == pytest.approx(
+    assert alp(2, 0, 1.0)[0] == pytest.approx(
         math.sqrt(5.0 / (4.0 * math.pi)), rel=1e-14
     )
 
 
 def test_alp_table_layout_matches_scalar_calls():
+    """Column j of the degree-5 table is (n, m) = half_orders(5)[j], and its
+    values do not depend on the table's degree."""
     xs = np.array([-0.7, 0.0, 0.4, 0.9])
     table = alp_table(5, xs)
     assert table.shape == (4, 21)
     nh, mh = half_orders(5)
     for j, (n, m) in enumerate(zip(nh, mh)):
-        assert table[:, j] == pytest.approx(normalized_alp(n, m, xs), rel=1e-14)
+        assert j == n * (n + 1) // 2 + m
+        assert table[:, j] == pytest.approx(alp(n, m, xs), rel=1e-14)
 
 
 def test_alp_validation():
@@ -165,10 +174,6 @@ def test_alp_validation():
         alp_table(99, np.array([0.0]))
     with pytest.raises(ValueError):
         alp_table(3, np.array([0.5, np.nan]))
-    with pytest.raises(ValueError):
-        normalized_alp(2, 3, 0.0)
-    assert isinstance(normalized_alp(2, 1, 0.5), float)
-    assert normalized_alp(2, 1, np.array([0.5])).shape == (1,)
 
 
 def test_high_degree_stays_finite():

@@ -41,7 +41,7 @@ def test_tetrahedron_is_closed():
     m = tetrahedron()
     assert m.is_closed
     assert m.boundary_loop() is None
-    assert m.euler_characteristic() == 2
+    assert m.n_v - len(m.unique_edges()) + m.n_f == 2
 
 
 def test_single_triangle_boundary_loop():
@@ -146,7 +146,7 @@ def test_icosphere_vertices_on_unit_sphere():
 def test_icosphere_valid_closed_mesh():
     m = icosphere(2)
     assert m.is_closed
-    assert m.euler_characteristic() == 2
+    assert m.n_v - len(m.unique_edges()) + m.n_f == 2
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +270,6 @@ def test_mesh_roundtrip(tmp_path, ext):
     assert np.array_equal(back.faces, m.faces)
 
 
-def test_load_mesh_format_override(tmp_path):
-    m = icosphere(0)
-    path = tmp_path / "mesh.dat"
-    save_mesh(m, path, fmt="obj")
-    back = load_mesh(path, fmt="obj")
-    assert back.n_v == m.n_v
-
-
 def test_load_mesh_rejects_garbage(tmp_path):
     from equimesh import FormatError
 
@@ -294,6 +286,111 @@ def test_load_mesh_rejects_non_finite_vertex(tmp_path):
         "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
     )
     with pytest.raises(ValueError, match="finite"):
+        load_mesh(path)
+
+
+# ---------------------------------------------------------------------------
+# OFF and PLY files, accepted and rejected
+
+_TET_V = "1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n"
+_TET_F = "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
+_OFF_TET = "OFF\n4 4 6\n" + _TET_V + _TET_F
+_PLY_XYZ = "property float x\nproperty float y\nproperty float z\n"
+_PLY_FACE = "element face 4\nproperty list uchar int vertex_indices\nend_header\n"
+_PLY_TET = ("ply\nformat ascii 1.0\nelement vertex 4\n" + _PLY_XYZ + _PLY_FACE
+            + _TET_V + _TET_F)
+
+# unit cube of outward quads, fan-triangulated on load
+_CUBE_V = "0 0 0\n1 0 0\n1 1 0\n0 1 0\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n"
+_CUBE_QUADS = [(0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
+               (2, 3, 7, 6), (0, 4, 7, 3), (1, 2, 6, 5)]
+
+
+def _cube():
+    faces = [t for a, b, c, d in _CUBE_QUADS for t in ((a, b, c), (a, c, d))]
+    return TriangleMesh(np.loadtxt(_CUBE_V.splitlines()), faces)
+
+
+_ACCEPTED = {
+    "plain.off": (_OFF_TET, tetrahedron),
+    "counts_on_header.off": ("OFF 4 4 6\n" + _TET_V + _TET_F, tetrahedron),
+    "headerless.off": ("4 4 6\n" + _TET_V + _TET_F, tetrahedron),
+    "comments.off": (
+        "# scanned grain\nOFF\n4 4 6  # counts\n\n"
+        + _TET_V.replace("\n", "  # xyz\n", 1) + _TET_F,
+        tetrahedron,
+    ),
+    "plain.ply": (_PLY_TET, tetrahedron),
+    "extra_property.ply": (
+        _PLY_TET.replace(_PLY_XYZ, "property float confidence\n" + _PLY_XYZ
+                         + "property uchar red\n")
+        .replace(_TET_V, "".join(f"0.5 {row} 7\n" for row in _TET_V.splitlines())),
+        tetrahedron,
+    ),
+    "unknown_element_first.ply": (
+        _PLY_TET.replace("element vertex", "comment made by a scanner\n"
+                         "element material 2\nproperty float k\nelement vertex")
+        .replace(_TET_V, "0.1\n0.2\n" + _TET_V),
+        tetrahedron,
+    ),
+    "quads.ply": (
+        _PLY_TET.replace("vertex 4", "vertex 8").replace("face 4", "face 6")
+        .replace(_TET_V + _TET_F, _CUBE_V + "".join(
+            "4 %d %d %d %d\n" % q for q in _CUBE_QUADS)),
+        _cube,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ACCEPTED))
+def test_load_mesh_accepts(tmp_path, name):
+    text, expected = _ACCEPTED[name]
+    path = tmp_path / name
+    path.write_text(text)
+    got, want = load_mesh(path), expected()
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.faces, want.faces)
+
+
+_REJECTED = {
+    "truncated.off": _OFF_TET[: _OFF_TET.index("3 0 2 3")],
+    "short_face_row.off": _OFF_TET.replace("3 1 3 2", "4 1 3 2"),
+    "negative_index.off": _OFF_TET.replace("3 1 3 2", "3 1 -3 2"),
+    "bad_counts.off": _OFF_TET.replace("4 4 6", "four 4 6"),
+    "missing_counts.off": "OFF\n",
+    "empty.off": "",
+    "short_vertex_row.off": _OFF_TET.replace("1 1 1\n", "0 0\n"),
+    "no_end_header.ply": _PLY_TET.replace("end_header\n", ""),
+    "no_format.ply": _PLY_TET.replace("format ascii 1.0\n", ""),
+    "property_first.ply": _PLY_TET.replace("element vertex",
+                                           "property float w\nelement vertex"),
+    "no_xyz.ply": _PLY_TET.replace(_PLY_XYZ, "property float a\n" * 3),
+    "truncated.ply": _PLY_TET[: _PLY_TET.index("3 0 2 3")],
+    "bad_face_row.ply": _PLY_TET.replace("3 1 3 2", "3 1 3"),
+    "not_a_ply.ply": _PLY_TET.replace("ply\n", "plx\n", 1),
+    "no_element_count.ply": _PLY_TET.replace("vertex 4", "vertex"),
+    "bare_property.ply": _PLY_TET.replace("property float y", "property"),
+    "word_count.ply": _PLY_TET.replace("vertex 4", "vertex four"),
+    # scanners write binary PLY; its float bytes are not UTF-8
+    "binary.ply": (
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+        + _PLY_XYZ.encode() + b"end_header\n"
+        + np.array([1.0, -0.5, 0.25], dtype="<f4").tobytes()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_REJECTED))
+def test_load_mesh_rejects(tmp_path, name):
+    from equimesh import FormatError
+
+    content = _REJECTED[name]
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    with pytest.raises(FormatError):
         load_mesh(path)
 
 

@@ -248,6 +248,20 @@ def test_fit_domain_sphere_fallback():
     assert c == pytest.approx(1.0, rel=2e-3)
 
 
+def test_fit_domain_rejects_contradicting_kind_hint():
+    d = SpheroidDomain(kind="prolate", e=float(np.sqrt(1.4**2 - 0.7**2)),
+                       zeta0=float(np.arctanh(0.7 / 1.4)))
+    coords, faces = sample_icosphere(d, 3)
+    pts = forward_coords(d, coords.eta, coords.phi)
+    assert fit_domain(pts, kind_hint="prolate").kind == "prolate"
+    with pytest.raises(ValueError, match="inconsistent"):
+        fit_domain(pts, kind_hint="oblate")
+    # a near-sphere within SPHERE_GAP still fits whichever family is hinted
+    sphere = icosphere(3).vertices * np.array([1.0, 1.0, 1.0005])
+    for hint in ("oblate", "prolate"):
+        assert fit_domain(sphere, kind_hint=hint).kind == hint
+
+
 def test_fit_domain_kind_hint_hemispheroid():
     d = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
     coords, faces = sample_cap_grid(d, rings=12, sectors=24)
