@@ -14,6 +14,7 @@ from .spheroidal import (
     OBLATE_HEMISPHEROID,
     PROLATE,
     SpheroidDomain,
+    focal_chart,
     forward_coords,
     sample_cap_grid,
     sample_icosphere,
@@ -39,22 +40,17 @@ _N11 = np.sqrt(3.0 / (8.0 * np.pi))
 
 def oblate_domain(a=1.2, c=0.8):
     """Closed oblate test domain with semi-axes (a, a, c), a > c."""
-    e = float(np.sqrt(a * a - c * c))
-    return SpheroidDomain(kind=OBLATE, e=e, zeta0=float(np.arctanh(c / a)))
+    return SpheroidDomain(OBLATE, *focal_chart(a, c))
 
 
 def prolate_domain(a=0.7, c=1.4):
     """Closed prolate test domain with semi-axes (a, a, c), c > a."""
-    e = float(np.sqrt(c * c - a * a))
-    return SpheroidDomain(kind=PROLATE, e=e, zeta0=float(np.arctanh(a / c)))
+    return SpheroidDomain(PROLATE, *focal_chart(c, a))
 
 
 def cap_domain(a=1.0, c=0.55):
     """Open oblate-hemispheroid domain (rim on the z = 0 plane)."""
-    e = float(np.sqrt(a * a - c * c))
-    return SpheroidDomain(
-        kind=OBLATE_HEMISPHEROID, e=e, zeta0=float(np.arctanh(c / a))
-    )
+    return SpheroidDomain(OBLATE_HEMISPHEROID, *focal_chart(a, c))
 
 
 def shell_weights(domain, n_max=1):

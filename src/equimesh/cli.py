@@ -41,22 +41,6 @@ from .spheroidal import (
     sample_icosphere,
 )
 
-EXIT_PARSE = 2
-EXIT_TOPOLOGY = 3
-EXIT_ENGINE = 4
-EXIT_GUARD = 5
-
-_KIND_CHOICES = tuple(KINDS) + ("hemispheroid",)
-
-
-def _add_config_flag(parser):
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="JSON file of option values; explicit flags win",
-    )
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="equimesh",
@@ -66,84 +50,73 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="fit a domain and write weights")
-    p.add_argument("--in", dest="input", default=None, help="mesh file (obj/off/ply)")
-    p.add_argument("--out", default=None, help="weights file to write")
-    p.add_argument("--nmax", type=int, default=None, help="expansion degree")
-    p.add_argument(
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument(
+        "--config", help="JSON file of option values; explicit flags win"
+    )
+    mesh_in = argparse.ArgumentParser(add_help=False)
+    mesh_in.add_argument(
+        "--in", dest="input", help="mesh file (obj/off/ply) to decompose"
+    )
+    mesh_in.add_argument("--nmax", type=int, help="expansion degree")
+    mesh_in.add_argument(
         "--kind",
-        default=None,
-        choices=_KIND_CHOICES,
+        choices=KINDS + ("hemispheroid",),
         help="domain kind hint (open meshes need a hemispheroidal one)",
     )
-    p.add_argument(
+    mesh_in.add_argument(
         "--no-align",
         action="store_true",
         default=None,
-        help="skip principal-axes alignment of the input",
+        help="skip principal-axes alignment of the input mesh",
     )
-    _add_config_flag(p)
 
-    p = sub.add_parser("remesh", help="density-equalize a surface sampling")
-    p.add_argument("--weights", default=None, help="weights file from decompose")
-    p.add_argument("--in", dest="input", default=None, help="mesh to decompose inline")
-    p.add_argument("--nmax", type=int, default=None, help="degree for inline decompose")
+    p = sub.add_parser("decompose", parents=[mesh_in, config],
+                       help="fit a domain and write weights")
+    p.add_argument("--out", help="weights file to write")
+
+    p = sub.add_parser("remesh", parents=[mesh_in, config],
+                       help="density-equalize a surface sampling")
+    p.add_argument("--weights", help="weights file from decompose (instead of --in)")
+    p.add_argument("--out", help="remeshed mesh file")
+    p.add_argument("--trace", help="iteration trace CSV")
     p.add_argument(
-        "--kind", default=None, choices=_KIND_CHOICES, help="domain kind hint"
-    )
-    p.add_argument(
-        "--no-align",
-        action="store_true",
-        default=None,
-        help="skip principal-axes alignment of the inline-decomposed input",
-    )
-    p.add_argument("--out", default=None, help="remeshed mesh file")
-    p.add_argument("--trace", default=None, help="iteration trace CSV")
-    p.add_argument(
-        "--refine",
-        type=int,
-        default=None,
+        "--refine", type=int,
         help="icosphere refinements for closed sampling (default 4)",
     )
-    p.add_argument("--rings", type=int, default=None, help="cap sampling rings")
-    p.add_argument("--sectors", type=int, default=None, help="cap sampling sectors")
+    p.add_argument("--rings", type=int, help="cap sampling rings")
+    p.add_argument("--sectors", type=int, help="cap sampling sectors")
     p.add_argument(
         "--stages",
-        default=None,
         help="schedule nmax:imax[,nmax:imax...]; default one stage at the "
         "weight degree",
     )
-    p.add_argument("--imax", type=int, default=None, help="iterations (default 50)")
-    p.add_argument("--gamma", type=float, default=None, help="anisotropy strength")
-    p.add_argument("--dt-scale", type=float, default=None, help="time-step constant")
-    p.add_argument("--std-tol", type=float, default=None, help="early-stop threshold")
-    _add_config_flag(p)
+    p.add_argument("--imax", type=int, help="iterations (default 50)")
+    p.add_argument("--gamma", type=float, help="anisotropy strength")
+    p.add_argument("--dt-scale", type=float, help="time-step constant")
+    p.add_argument("--std-tol", type=float, help="early-stop threshold")
 
-    p = sub.add_parser("metrics", help="per-face/vertex quality report")
-    p.add_argument("--in", dest="input", default=None, help="mesh file")
-    p.add_argument("--out", default=None, help="report CSV")
-    p.add_argument("--bins", type=int, default=None, help="histogram bins")
-    _add_config_flag(p)
+    p = sub.add_parser("metrics", parents=[config],
+                       help="per-face/vertex quality report")
+    p.add_argument("--in", dest="input", help="mesh file")
+    p.add_argument("--out", help="report CSV")
+    p.add_argument("--bins", type=int, help="histogram bins")
 
-    p = sub.add_parser("remesh2d", help="remesh planar particle contours")
-    p.add_argument(
-        "--in", dest="input", default=None, help="contours document or contour CSV"
-    )
-    p.add_argument("--out", default=None, help="remeshed contours document")
-    p.add_argument(
-        "--max-segments", type=int, default=None, help="budget of the longest contour"
-    )
-    p.add_argument("--nmax", type=int, default=None, help="contour expansion degree")
-    p.add_argument("--imax", type=int, default=None, help="diffusion iterations")
-    _add_config_flag(p)
+    p = sub.add_parser("remesh2d", parents=[config],
+                       help="remesh planar particle contours")
+    p.add_argument("--in", dest="input", help="contours document or contour CSV")
+    p.add_argument("--out", help="remeshed contours document")
+    p.add_argument("--max-segments", type=int, help="budget of the longest contour")
+    p.add_argument("--nmax", type=int, help="contour expansion degree")
+    p.add_argument("--imax", type=int, help="diffusion iterations")
 
     return parser, sub.choices
 
 
 def _merge_config(args, command_parser):
     """Overlay config-file values under explicit flags; flags win. Each value
-    goes through its flag's type, as the same text on the command line would."""
+    goes through its flag's type, as the same text on the command line would;
+    a switch such as no_align takes a JSON true or false."""
     values = vars(args)
     if args.config is not None:
         try:
@@ -152,15 +125,18 @@ def _merge_config(args, command_parser):
             raise FormatError(f"bad config file: {exc}") from exc
         if not isinstance(data, dict):
             raise FormatError("config file must hold a JSON object")
-        types = {action.dest: action.type for action in command_parser._actions}
+        actions = {action.dest: action for action in command_parser._actions}
         for key, value in data.items():
             name = key.replace("-", "_")
             if name not in values:
                 raise FormatError(f"unknown config key {key!r}")
             if values[name] is not None:
                 continue
+            kind = actions[name].type
+            if actions[name].nargs == 0 and not isinstance(value, bool):
+                raise FormatError(f"config value for {key!r} must be true or false")
             try:
-                values[name] = value if types[name] is None else types[name](str(value))
+                values[name] = value if kind is None else kind(str(value))
             except ValueError as exc:
                 raise FormatError(f"bad config value {value!r} for {key!r}") from exc
     return args
@@ -321,27 +297,29 @@ _COMMANDS = {
 }
 
 
+# exit code of each error class, first match wins: FoldError and
+# SingularityError are EngineErrors, and DegenerateMeshError is both an
+# EngineError and a ValueError
+_EXIT_CODES = {
+    FormatError: 2,
+    TopologyError: 3,
+    FoldError: 3,
+    SingularityError: 3,
+    GuardError: 5,
+    EngineError: 4,
+    ValueError: 2,
+}
+
+
 def main(argv=None):
     parser, command_parsers = _build_parser()
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args, command_parsers[args.command])
         return _COMMANDS[args.command](args)
-    except (FormatError, json.JSONDecodeError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (TopologyError, FoldError, SingularityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOPOLOGY
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

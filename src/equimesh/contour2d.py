@@ -5,6 +5,12 @@ confocal ellipse, expanded in a periodic Fourier basis, and re-sampled by
 1D diffusion of the eta samples until segment lengths equalize. A batch
 driver applies this per particle for 2D microstructures.
 
+The decisions the plane shares with the surface are made once, in the
+surface modules: the ellipse chart takes its focal distance and its
+inversion from `spheroidal.focal_chart` and `spheroidal.confocal_inverse`,
+the trace is a `diffusion.TraceTable`, and the time-step halving budget is
+`diffusion.MAX_DT_HALVINGS`.
+
 The 1D step is staggered: the density lives on segments and each sample
 moves by the jump of the diffused density across it, so alternating
 segment lengths are seen and corrected. The time step is the largest at
@@ -13,23 +19,17 @@ iteration count grows about linearly with the segment budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .errors import (
-    EngineError,
-    FormatError,
-    GuardError,
-    IntersectionError,
-    SingularityError,
-    read_text,
-)
+from .diffusion import MAX_DT_HALVINGS, TraceTable, column
+from .errors import EngineError, FormatError, GuardError, IntersectionError, read_text
 from .harmonics import MAX_DEGREE
 from .mesh import Contour2D
-from .spheroidal import _SINGULAR_ZETA, SPHERE_FOCAL_FRACTION, SPHERE_GAP
+from .spheroidal import confocal_inverse, focal_chart, wrap_angle
 
 __all__ = [
     "MIN_SEGMENTS",
@@ -54,7 +54,6 @@ __all__ = [
 
 MIN_SEGMENTS = 5
 
-_MAX_DT_HALVINGS = 20
 # largest explicit eta move of a sample, as a fraction of its smaller gap
 _ETA_MOVE_FRACTION = 0.3
 
@@ -104,31 +103,23 @@ def elliptic_coords(domain, eta):
 def inverse_elliptic(domain, points):
     """Elliptic chart coordinates (zeta, eta) of world points.
 
-    eta is wrapped to [0, 2*pi). Points on the focal segment (|zeta| below
-    1e-8) have an ambiguous angle and raise SingularityError.
+    eta is wrapped to [0, 2*pi). Points on the focal segment have an
+    ambiguous angle and raise SingularityError (`confocal_inverse`).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     local = (pts - np.asarray(domain.center)) @ domain._rotation_matrix()
-    w = np.arccosh((local[:, 0] + 1j * local[:, 1]) / domain.e)
-    zeta = np.real(w)
-    if np.any(np.abs(zeta) < _SINGULAR_ZETA):
-        raise SingularityError(
-            "point lies on the focal segment; its elliptic angle is ambiguous"
-        )
-    eta = np.mod(np.imag(w), 2.0 * np.pi)
-    eta[eta >= 2.0 * np.pi] = 0.0
-    return zeta, eta
+    zeta, eta = confocal_inverse(local[:, 0], local[:, 1], domain.e)
+    return zeta, wrap_angle(eta)
 
 
 def fit_ellipse(contour):
     """Second-moment ellipse of a closed contour as an EllipticDomain.
 
     Center and covariance come from the vertices; the principal axis sets
-    the rotation. Near-circles get the focal-distance floor of the 3D
-    near-sphere fallback (`spheroidal.SPHERE_GAP`, `SPHERE_FOCAL_FRACTION`)
-    so the chart stays nondegenerate.
+    the rotation. Near-circles get the focal floor of `focal_chart`, as
+    near-spheres do, so the chart stays nondegenerate.
     """
     if not contour.closed:
         raise ValueError("ellipse fitting expects a closed contour")
@@ -146,12 +137,7 @@ def fit_ellipse(contour):
     if major[0] < 0.0 or (major[0] == 0.0 and major[1] < 0.0):
         major = -major
     rotation = float(np.arctan2(major[1], major[0]))
-    if (a - b) / a < SPHERE_GAP:
-        e = SPHERE_FOCAL_FRACTION * a
-        zeta0 = float(np.arccosh(a / e))
-    else:
-        e = float(np.sqrt(a * a - b * b))
-        zeta0 = float(np.arctanh(b / a))
+    e, zeta0 = focal_chart(a, b)
     return EllipticDomain(
         e=e, zeta0=zeta0, center=(center[0], center[1]), rotation=rotation
     )
@@ -246,37 +232,17 @@ def contour_tangents(weights, eta):
 
 
 @dataclass
-class ContourTrace:
+class ContourTrace(TraceTable):
     """Per-iteration log of a 1D remeshing run."""
 
-    t: list = field(default_factory=list)
-    dt: list = field(default_factory=list)
-    std_length: list = field(default_factory=list)
-    mean_length: list = field(default_factory=list)
-    total_length: list = field(default_factory=list)
+    t: list = column(int)
+    dt: list = column(float)
+    std_length: list = column(float)
+    mean_length: list = column(float)
+    total_length: list = column(float)
     initial_std_length: float = float("nan")
     initial_mean_length: float = float("nan")
     stop_reason: str = ""
-
-    @property
-    def n_rows(self):
-        return len(self.t)
-
-    def append(self, t, dt, std_length, mean_length, total_length):
-        self.t.append(int(t))
-        self.dt.append(float(dt))
-        self.std_length.append(float(std_length))
-        self.mean_length.append(float(mean_length))
-        self.total_length.append(float(total_length))
-
-    def to_csv(self, path):
-        lines = ["t,dt,std_length,mean_length,total_length"]
-        for i in range(self.n_rows):
-            lines.append(
-                f"{self.t[i]},{self.dt[i]:.17g},{self.std_length[i]:.17g},"
-                f"{self.mean_length[i]:.17g},{self.total_length[i]:.17g}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _ring_segments(points):
@@ -335,7 +301,7 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
         )
         dt = _ETA_MOVE_FRACTION / float(reach.max())
         accepted = False
-        for _ in range(_MAX_DT_HALVINGS + 1):
+        for _ in range(MAX_DT_HALVINGS + 1):
             # implicit ring-diffusion step: (M - dt L) u' = M u
             u_new = _ring_implicit_step(seg, 1.0 / h, u, dt)
             cand = np.mod(eta + dt * _eta_velocity(u_new, h, speed), 2.0 * np.pi)
@@ -353,7 +319,10 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
         eta = cand
         points = reconstruct_contour(weights, eta)
         seg = _ring_segments(points)
-        trace.append(t, dt, float(seg.std()), float(seg.mean()), float(seg.sum()))
+        trace.append(
+            t=t, dt=dt, std_length=seg.std(), mean_length=seg.mean(),
+            total_length=seg.sum(),
+        )
 
     if float(seg.std()) > goal:
         trace.stop_reason = "i_max"

@@ -11,12 +11,13 @@ Connectivity is fixed, so a run builds its `MeshTopology` once and makes
 one `mesh.FaceGeometry` pass per reconstructed vertex array, the source of
 every area, normal, mass and gradient, reused after acceptance. Engine
 failures, geometric ones included, raise `EngineError` subclasses carrying
-the partial trace.
+the partial trace. A trace is a `TraceTable`: its columns are declared once,
+as fields, and `contour2d.ContourTrace` is the planar one.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,8 @@ from .spheroidal import CurvilinearCoords, forward_coords, pullback, surface_nor
 __all__ = [
     "MAX_DT_HALVINGS",
     "DiffusionConfig",
+    "column",
+    "TraceTable",
     "DiffusionTrace",
     "update_coordinates",
     "diffuse_remesh",
@@ -79,8 +82,48 @@ class DiffusionConfig:
             raise ValueError("std_tolerance must be finite and nonnegative")
 
 
+def column(kind):
+    """A trace column: one `kind` (int or float) value per row."""
+    return field(default_factory=list, metadata={"column": kind})
+
+
+# CSV cell format of each column kind
+_CELL_FORMATS = {int: "d", float: ".17g"}
+
+
+class TraceTable:
+    """Per-iteration log whose dataclass fields made by `column` are its
+    columns, in CSV order. Rows are appended by column name."""
+
+    def columns(self):
+        """(name, kind) of each column, in CSV order."""
+        return [(f.name, f.metadata["column"]) for f in fields(self)
+                if "column" in f.metadata]
+
+    @property
+    def n_rows(self):
+        return len(getattr(self, self.columns()[0][0]))
+
+    def append(self, **row):
+        columns = self.columns()
+        if row.keys() != {name for name, _ in columns}:
+            raise TypeError(
+                f"a row needs exactly the columns {[name for name, _ in columns]}"
+            )
+        for name, kind in columns:
+            getattr(self, name).append(kind(row[name]))
+
+    def to_csv(self, path):
+        columns = self.columns()
+        lines = [",".join(name for name, _ in columns)]
+        cells = [(getattr(self, name), _CELL_FORMATS[kind]) for name, kind in columns]
+        for i in range(self.n_rows):
+            lines.append(",".join(format(values[i], spec) for values, spec in cells))
+        Path(path).write_text("\n".join(lines) + "\n")
+
+
 @dataclass
-class DiffusionTrace:
+class DiffusionTrace(TraceTable):
     """Convergence log: one row per accepted iteration.
 
     basis_evaluation_count is cumulative and includes rejected candidate
@@ -89,57 +132,26 @@ class DiffusionTrace:
     could lower the STD); it stays empty when the run raises.
     """
 
-    stage: list = field(default_factory=list)
-    t: list = field(default_factory=list)
-    dt: list = field(default_factory=list)
-    std_u: list = field(default_factory=list)
-    mean_u: list = field(default_factory=list)
-    flip_count: list = field(default_factory=list)
-    boundary_length: list = field(default_factory=list)
-    area: list = field(default_factory=list)
-    basis_evaluation_count: list = field(default_factory=list)
+    stage: list = column(int)
+    t: list = column(int)
+    dt: list = column(float)
+    std_u: list = column(float)
+    mean_u: list = column(float)
+    flip_count: list = column(int)
+    boundary_length: list = column(float)
+    area: list = column(float)
+    basis_evaluation_count: list = column(int)
     initial_std_u: float = float("nan")
     initial_mean_u: float = float("nan")
     initial_area: float = float("nan")
     initial_boundary_length: float = 0.0
     stop_reason: str = ""
 
-    def append(
-        self, stage, t, dt, std_u, mean_u, flip_count, boundary_length, area,
-        basis_evaluation_count,
-    ):
-        if self.basis_evaluation_count and (
-            basis_evaluation_count < self.basis_evaluation_count[-1]
-        ):
+    def append(self, **row):
+        counts = self.basis_evaluation_count
+        if counts and row.get("basis_evaluation_count", counts[-1]) < counts[-1]:
             raise ValueError("basis evaluation count must be monotone")
-        self.stage.append(int(stage))
-        self.t.append(int(t))
-        self.dt.append(float(dt))
-        self.std_u.append(float(std_u))
-        self.mean_u.append(float(mean_u))
-        self.flip_count.append(int(flip_count))
-        self.boundary_length.append(float(boundary_length))
-        self.area.append(float(area))
-        self.basis_evaluation_count.append(int(basis_evaluation_count))
-
-    @property
-    def n_rows(self):
-        return len(self.t)
-
-    def to_csv(self, path):
-        header = (
-            "stage,t,dt,std_u,mean_u,flip_count,boundary_length,area,"
-            "basis_evaluation_count"
-        )
-        lines = [header]
-        for i in range(self.n_rows):
-            lines.append(
-                f"{self.stage[i]},{self.t[i]},{self.dt[i]:.17g},"
-                f"{self.std_u[i]:.17g},{self.mean_u[i]:.17g},"
-                f"{self.flip_count[i]},{self.boundary_length[i]:.17g},"
-                f"{self.area[i]:.17g},{self.basis_evaluation_count[i]}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        super().append(**row)
 
 
 def _rim_segments(points, loop):

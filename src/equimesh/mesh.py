@@ -305,26 +305,27 @@ def _significant_lines(text):
 def _read_rows(lines, elements, label):
     """The vertices and polygons of a counted format (OFF, ascii PLY).
 
-    `elements` lists (name, count, xyz) in file order: each "vertex" row
-    holds x, y, z at the columns xyz, each "face" row a count k and then k
-    non-negative indices, and the rows of any other element are skipped.
+    `elements` lists (name, count, columns) in file order: each "vertex" row
+    holds x, y, z at the three columns, each "face" row a count k at its
+    column and then k non-negative indices, and the rows of any other
+    element are skipped.
     """
     vertices, polygons = [], []
-    for name, count, xyz in elements:
+    for name, count, columns in elements:
         for _ in range(count):
             parts = next(lines, "").split()
             if not parts:
                 raise FormatError(f"truncated {label} {name} data")
             if name == "vertex":
                 try:
-                    vertices.append(tuple(float(parts[c]) for c in xyz))
+                    vertices.append(tuple(float(parts[c]) for c in columns))
                 except (ValueError, IndexError):
                     raise FormatError(f"bad {label} vertex row {parts}") from None
             elif name == "face":
                 try:
-                    k = int(parts[0])
-                    poly = [int(x) for x in parts[1 : 1 + k]]
-                except ValueError:
+                    k = int(parts[columns])
+                    poly = [int(x) for x in parts[columns + 1 : columns + 1 + k]]
+                except (ValueError, IndexError):
                     raise FormatError(f"bad {label} face row {parts}") from None
                 if len(poly) != k:
                     raise FormatError(f"{label} face row shorter than its count")
@@ -348,7 +349,7 @@ def _parse_off(text):
         n_v, n_f = (int(x) for x in counts.split()[:2])
     except ValueError:
         raise FormatError(f"bad or missing OFF counts line {counts!r}") from None
-    elements = [("vertex", n_v, (0, 1, 2)), ("face", n_f, None)]
+    elements = [("vertex", n_v, (0, 1, 2)), ("face", n_f, 0)]
     return _read_rows(lines, elements, "OFF")
 
 
@@ -356,7 +357,7 @@ def _parse_ply(text):
     lines = _significant_lines(text)
     if next(lines, None) != "ply":
         raise FormatError("not a PLY file")
-    elements = []  # (name, count, scalar property names)
+    elements = []  # (name, count, [(is_list, property name)])
     fmt_seen = False
     for line in lines:
         key, *args = line.split()
@@ -375,8 +376,7 @@ def _parse_ply(text):
                 raise FormatError("PLY property before any element")
             if not args:
                 raise FormatError("PLY property line without a type")
-            if args[0] != "list":
-                elements[-1][2].append(args[-1])
+            elements[-1][2].append((args[0] == "list", args[-1]))
         elif key == "end_header":
             break
     else:
@@ -385,12 +385,20 @@ def _parse_ply(text):
         raise FormatError("PLY header missing format line")
     rows = []
     for name, count, props in elements:
-        xyz = None
+        names = [prop for _, prop in props]
+        # a list's length varies per row, so only the columns up to the
+        # first list (its count included) have a fixed position
+        fixed = next((k for k, (is_list, _) in enumerate(props) if is_list), len(props))
+        columns = None
         if name == "vertex":
-            if not {"x", "y", "z"} <= set(props):
-                raise FormatError("PLY vertex element lacks x/y/z")
-            xyz = [props.index(c) for c in "xyz"]
-        rows.append((name, count, xyz))
+            if not {"x", "y", "z"} <= set(names[:fixed]):
+                raise FormatError("PLY vertex element lacks x/y/z before any list")
+            columns = [names.index(c) for c in "xyz"]
+        elif name == "face":
+            if fixed == len(props):
+                raise FormatError("PLY face element has no index list")
+            columns = fixed
+        rows.append((name, count, columns))
     return _read_rows(lines, rows, "PLY")
 
 

@@ -1,9 +1,11 @@
 """Spheroidal coordinate charts: forward/inverse maps, domain fitting, sampling.
 
 A spheroid shell is parameterized by (eta, phi) at a fixed radial coordinate
-zeta0. Oblate and prolate families share one complex-arccosh inversion; the
-hemispheroidal variants restrict eta to the upper half range and keep a small
-offset between sampling points and the open rim.
+zeta0. Oblate and prolate families, and the planar ellipse chart of
+`contour2d`, share one focal-distance rule (`focal_chart`) and one
+complex-arccosh inversion (`confocal_inverse`). The hemispheroidal
+variants restrict eta to the upper half range and keep a small offset
+between sampling points and the open rim.
 """
 from __future__ import annotations
 
@@ -22,6 +24,9 @@ __all__ = [
     "KINDS",
     "SpheroidDomain",
     "CurvilinearCoords",
+    "wrap_angle",
+    "focal_chart",
+    "confocal_inverse",
     "forward_coords",
     "inverse_coords",
     "pullback",
@@ -86,15 +91,6 @@ class SpheroidDomain:
             return (0.0, np.pi)
         return (0.0, np.pi / 2.0)
 
-    @property
-    def rim_eta(self):
-        """eta value of the open rim, or None for closed kinds."""
-        if self.kind == OBLATE_HEMISPHEROID:
-            return 0.0  # equator; the pole sits at eta = pi/2
-        if self.kind == PROLATE_HEMISPHEROID:
-            return np.pi / 2.0  # equator; the pole sits at eta = 0
-        return None
-
     def semi_axes(self):
         """(equatorial, polar) radii of the shell."""
         if self.is_oblate_family:
@@ -133,11 +129,42 @@ class CurvilinearCoords:
         return self.eta.shape[0]
 
 
-def _wrap_phi(phi):
-    phi = np.mod(phi, 2.0 * np.pi)
+def wrap_angle(angle):
+    """Angles wrapped to [0, 2*pi)."""
+    angle = np.mod(angle, 2.0 * np.pi)
     # mod can return 2*pi for tiny negative inputs
-    phi[phi >= 2.0 * np.pi] = 0.0
-    return phi
+    angle[angle >= 2.0 * np.pi] = 0.0
+    return angle
+
+
+def focal_chart(big, small):
+    """(e, zeta0) of the confocal shell whose semi-axes are big >= small.
+
+    The ellipse and spheroid charts share this: a shape within SPHERE_GAP
+    of round (a sphere, a circle) gets the focal distance floored at
+    SPHERE_FOCAL_FRACTION of big, which stays exact, so the chart stays
+    nondegenerate.
+    """
+    if (big - small) / big < SPHERE_GAP:
+        e = SPHERE_FOCAL_FRACTION * big
+        return e, float(np.arccosh(big / e))
+    return float(np.sqrt(big * big - small * small)), float(np.arctanh(small / big))
+
+
+def confocal_inverse(u, v, e):
+    """(zeta, eta) with u + i*v = e*cosh(zeta + i*eta), by complex arccosh.
+
+    u runs along the focal axis. Points with |zeta| below 1e-8 lie on the
+    focal set, where eta is ambiguous, and raise SingularityError.
+    """
+    w = np.arccosh((u + 1j * v) / e)
+    zeta = np.real(w)
+    if np.any(np.abs(zeta) < _SINGULAR_ZETA):
+        raise SingularityError(
+            "point lies on the singular focal set (zeta below tolerance); "
+            "eta is ambiguous there"
+        )
+    return zeta, np.imag(w)
 
 
 def forward_coords(domain, eta, phi):
@@ -178,18 +205,10 @@ def inverse_coords(domain, points):
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     rho = np.hypot(x, y)
     if domain.is_oblate_family:
-        w = np.arccosh((rho + 1j * z) / domain.e)
+        zeta, eta = confocal_inverse(rho, z, domain.e)
     else:
-        w = np.arccosh((z + 1j * rho) / domain.e)
-    zeta = np.real(w)
-    eta = np.imag(w)
-    if np.any(np.abs(zeta) < _SINGULAR_ZETA):
-        raise SingularityError(
-            "point lies on the singular focal set (zeta below tolerance); "
-            "eta is ambiguous there"
-        )
-    phi = _wrap_phi(np.arctan2(y, x))
-    return zeta, eta, phi
+        zeta, eta = confocal_inverse(z, rho, domain.e)
+    return zeta, eta, wrap_angle(np.arctan2(y, x))
 
 
 def pullback(domain, points):
@@ -265,8 +284,8 @@ def fit_domain(mesh_or_points, kind_hint=None):
 
     Semi-axes come from coordinate extents: a = max cylindrical radius,
     c = half the z extent (full extent for hemispheroids, whose rim is
-    expected near the z = 0 plane). Near-spheres fall back to a slightly
-    oblate domain with e floored at 5% of a. `kind_hint` may force one of
+    expected near the z = 0 plane). Near-spheres get the focal floor of
+    `focal_chart`. `kind_hint` may force one of
     the four kinds or the value "hemispheroid" (family chosen from extents);
     open meshes require a hemispheroidal hint.
     """
@@ -313,13 +332,7 @@ def fit_domain(mesh_or_points, kind_hint=None):
             f"extents (a={a:.6g}, c={c:.6g}) are inconsistent with a "
             f"{family} domain"
         )
-    if (big - small) / big < SPHERE_GAP:
-        # sphere-like: floor the focal distance, keep the larger radius exact
-        e = SPHERE_FOCAL_FRACTION * big
-        zeta0 = float(np.arccosh(big / e))
-    else:
-        e = float(np.sqrt(big * big - small * small))
-        zeta0 = float(np.arctanh(small / big))
+    e, zeta0 = focal_chart(big, small)
     if family == "oblate":
         kind = OBLATE_HEMISPHEROID if hemis else OBLATE
     else:

@@ -296,6 +296,44 @@ def test_config_value_the_type_refuses_exits_2(weights_file, tmp_path, capsys):
     assert "std_tol" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def tilted_obj(tmp_path_factory):
+    """An oblate ellipsoid mesh whose symmetry axis lies along y."""
+    from equimesh.mesh import save_mesh
+
+    mesh = icosphere(2)
+    path = tmp_path_factory.mktemp("cli") / "tilted.obj"
+    save_mesh(mesh.with_vertices(mesh.vertices * np.array([1.2, 0.8, 1.2])), path)
+    return path
+
+
+def _decompose_report(mesh_path, tmp_path, capsys, *extra):
+    rc = main(["decompose", "--in", str(mesh_path), "--out",
+               str(tmp_path / "w.txt"), "--nmax", "4", *extra])
+    assert rc == 0
+    return capsys.readouterr().out.splitlines()[0]
+
+
+def test_config_switch_takes_json_false(tilted_obj, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no_align": False}))
+    aligned = _decompose_report(tilted_obj, tmp_path, capsys)
+    unaligned = _decompose_report(tilted_obj, tmp_path, capsys, "--no-align")
+    assert aligned != unaligned
+    configured = _decompose_report(tilted_obj, tmp_path, capsys, "--config", str(cfg))
+    assert configured == aligned
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_config_switch_rejects_non_bool(tilted_obj, tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no_align": value}))
+    rc = main(["decompose", "--in", str(tilted_obj), "--out",
+               str(tmp_path / "w.txt"), "--nmax", "4", "--config", str(cfg)])
+    assert rc == 2
+    assert "no_align" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -33,6 +33,7 @@ from equimesh.errors import (
     SingularityError,
 )
 from equimesh.mesh import Contour2D
+from equimesh.spheroidal import SPHERE_GAP, fit_domain
 
 
 def star_contour(n_points=40, spikes=5, depth=0.95):
@@ -110,6 +111,24 @@ def test_fit_ellipse_circle_floor():
     a, b = dom.semi_axes()
     assert dom.e == pytest.approx(0.05, rel=1e-6)  # focal floor kicks in
     assert a == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "big, small",
+    [(1.0, 0.5), (2.0, 2.0 * (1.0 - 2.0 * SPHERE_GAP)),  # above the gap
+     (1.0, 1.0), (2.0, 2.0 * (1.0 - 0.5 * SPHERE_GAP))],  # below it
+)
+def test_ellipse_and_spheroid_fits_share_the_chart(big, small):
+    # four points on the axes: second-moment semi-axes (big, small)
+    rim = Contour2D(np.array([[big, 0.0], [0.0, small], [-big, 0.0], [0.0, -small]]))
+    tips = np.array([[big, 0.0, 0.0], [-big, 0.0, 0.0], [0.0, big, 0.0],
+                     [0.0, -big, 0.0], [0.0, 0.0, small], [0.0, 0.0, -small]])
+    plane, solid = fit_ellipse(rim), fit_domain(tips)
+    assert solid.kind == "oblate"
+    assert plane.e == pytest.approx(solid.e, rel=1e-12)
+    assert plane.zeta0 == pytest.approx(solid.zeta0, rel=1e-12)
+    floored = (big - small) / big < SPHERE_GAP
+    assert (plane.e == pytest.approx(0.05 * big, rel=1e-12)) == floored
 
 
 def test_fit_ellipse_rejects_open_contour():

@@ -1,6 +1,6 @@
 """Tests for the density-equalizing diffusion engine."""
 
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from equimesh.diffusion import (
     update_coordinates,
 )
 from equimesh import diffusion
+from equimesh.contour2d import ContourTrace
 from equimesh.errors import DegenerateMeshError, EngineError, GuardError
 from equimesh.harmonics import FourierWeights, reconstruct_fast
 from equimesh.mesh import TriangleMesh
@@ -63,13 +64,19 @@ def test_config_rejects_bad_values(kwargs):
         DiffusionConfig(**kwargs)
 
 
+def _trace_row(t, std_u, flip_count, basis_evaluation_count):
+    return dict(stage=0, t=t, dt=0.1, std_u=std_u, mean_u=1.0,
+                flip_count=flip_count, boundary_length=0.0, area=12.5,
+                basis_evaluation_count=basis_evaluation_count)
+
+
 def test_trace_append_and_csv(tmp_path):
     tr = DiffusionTrace()
-    tr.append(0, 1, 0.1, 0.5, 1.0, 0, 0.0, 12.5, 100)
-    tr.append(0, 2, 0.1, 0.4, 1.0, 2, 0.0, 12.5, 250)
+    tr.append(**_trace_row(1, 0.5, 0, 100))
+    tr.append(**_trace_row(2, 0.4, 2, 250))
     assert tr.n_rows == 2
     with pytest.raises(ValueError):
-        tr.append(0, 3, 0.1, 0.3, 1.0, 0, 0.0, 12.5, 200)  # evals went down
+        tr.append(**_trace_row(3, 0.3, 0, 200))  # evals went down
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     lines = path.read_text().splitlines()
@@ -79,6 +86,30 @@ def test_trace_append_and_csv(tmp_path):
     )
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "1"
+
+
+@pytest.mark.parametrize("trace_cls", [DiffusionTrace, ContourTrace])
+def test_trace_header_is_its_column_fields(tmp_path, trace_cls):
+    tr = trace_cls()
+    path = tmp_path / "trace.csv"
+    tr.to_csv(path)
+    lists = [f.name for f in fields(tr) if isinstance(getattr(tr, f.name), list)]
+    assert path.read_text().splitlines() == [",".join(lists)]
+
+
+@pytest.mark.parametrize("trace_cls", [DiffusionTrace, ContourTrace])
+def test_trace_append_needs_exactly_its_columns(trace_cls):
+    tr = trace_cls()
+    row = {name: 1 for name, _ in tr.columns()}
+    tr.append(**row)
+    for name in row:
+        with pytest.raises(TypeError):
+            tr.append(**{k: v for k, v in row.items() if k != name})
+    with pytest.raises(TypeError):
+        tr.append(**row, extra=1.0)
+    with pytest.raises(TypeError):
+        tr.append(*row.values())
+    assert tr.n_rows == 1
 
 
 # ---------------------------------------------------------------------------

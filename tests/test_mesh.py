@@ -333,6 +333,11 @@ _ACCEPTED = {
         .replace(_TET_V, "0.1\n0.2\n" + _TET_V),
         tetrahedron,
     ),
+    "face_scalar_before_list.ply": (
+        _PLY_TET.replace("property list", "property uchar flags\nproperty list")
+        .replace(_TET_F, "".join(f"0 {row}\n" for row in _TET_F.splitlines())),
+        tetrahedron,
+    ),
     "quads.ply": (
         _PLY_TET.replace("vertex 4", "vertex 8").replace("face 4", "face 6")
         .replace(_TET_V + _TET_F, _CUBE_V + "".join(
@@ -371,6 +376,11 @@ _REJECTED = {
     "no_element_count.ply": _PLY_TET.replace("vertex 4", "vertex"),
     "bare_property.ply": _PLY_TET.replace("property float y", "property"),
     "word_count.ply": _PLY_TET.replace("vertex 4", "vertex four"),
+    "vertex_list_before_xyz.ply": _PLY_TET.replace(
+        _PLY_XYZ, "property list uchar float normal\n" + _PLY_XYZ
+    ).replace(_TET_V, "".join(f"3 0 0 1 {row}\n" for row in _TET_V.splitlines())),
+    "face_without_list.ply": _PLY_TET.replace("property list uchar int vertex_indices",
+                                              "property int vertex_index"),
     # scanners write binary PLY; its float bytes are not UTF-8
     "binary.ply": (
         b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
