@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .contour2d import (
-    read_contour_csv,
     read_contours,
     remesh_microstructure_2d,
     segment_budgets,
@@ -142,11 +141,14 @@ def _merge_config(args, command_parser):
     return args
 
 
+def _flag(name):
+    return "--in" if name == "input" else "--" + name.replace("_", "-")
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
-            flag = "--in" if name == "input" else "--" + name.replace("_", "-")
-            raise FormatError(f"missing required option {flag}")
+            raise FormatError(f"missing required option {_flag(name)}")
 
 
 def _given(**options):
@@ -209,6 +211,10 @@ def _sample_for(domain, refine, rings, sectors):
 
 
 def cmd_remesh(args):
+    # each pair sets one thing twice, from flags or config alike
+    for first, second in (("weights", "input"), ("stages", "imax")):
+        if getattr(args, first) is not None and getattr(args, second) is not None:
+            raise FormatError(f"{_flag(first)} and {_flag(second)} exclude each other")
     if args.weights is not None:
         weights = load_weights(args.weights)
     else:
@@ -218,11 +224,10 @@ def cmd_remesh(args):
     _require(args, "out")
 
     refine = 4 if args.refine is None else args.refine
-    i_max = 50 if args.imax is None else args.imax
     if args.stages is not None:
         stages = _parse_stages(args.stages)
     else:
-        stages = [(weights.n_max, i_max)]
+        stages = [(weights.n_max, 50 if args.imax is None else args.imax)]
     config = DiffusionConfig(
         stages=tuple(stages),
         **_given(gamma=args.gamma, dt_scale=args.dt_scale, std_tolerance=args.std_tol),
@@ -269,11 +274,7 @@ def cmd_metrics(args):
 
 def cmd_remesh2d(args):
     _require(args, "input", "out", "max_segments", "nmax")
-    try:
-        named = read_contours(args.input)
-    except FormatError:
-        # fall back to a single-contour CSV
-        named = [("0", read_contour_csv(args.input))]
+    named = read_contours(args.input)
     ids = [pid for pid, _ in named]
     contours = [c for _, c in named]
     lengths = [c.length() for c in contours]

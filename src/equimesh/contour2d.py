@@ -26,7 +26,14 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .diffusion import MAX_DT_HALVINGS, TraceTable, column
-from .errors import EngineError, FormatError, GuardError, IntersectionError, read_text
+from .errors import (
+    EngineError,
+    FormatError,
+    GuardError,
+    IntersectionError,
+    read_lines,
+    row_values,
+)
 from .harmonics import MAX_DEGREE
 from .mesh import Contour2D
 from .spheroidal import confocal_inverse, focal_chart, wrap_angle
@@ -440,20 +447,18 @@ def remesh_microstructure_2d(contours, max_segments_largest, n_max, i_max=200):
 # contour files
 
 def read_contour_csv(path):
-    """Single contour from a CSV of x,y rows; the first row that is not blank
-    or a # comment may be a header."""
-    rows, may_be_header = [], True
-    for ln, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    """Single contour from a CSV of x,y rows; the first significant row may be
+    a header."""
+    return _csv_contour(path, read_lines(path))
+
+
+def _csv_contour(path, lines):
+    rows = []
+    for k, (number, line) in enumerate(lines):
         parts = line.replace(",", " ").split()
-        header, may_be_header = may_be_header, False
-        if header and not all(_is_float(p) for p in parts):
-            continue
-        if len(parts) != 2 or not all(_is_float(p) for p in parts):
-            raise FormatError(f"{path}:{ln}: expected two numbers per row")
-        rows.append((float(parts[0]), float(parts[1])))
+        if k == 0 and not all(_is_float(p) for p in parts):
+            continue  # a header such as x,y
+        rows.append(row_values(path, number, "point", parts, float, 2))
     if len(rows) < 3:
         raise FormatError(f"{path}: a contour needs at least 3 points")
     return Contour2D(points=np.array(rows), closed=True)
@@ -478,50 +483,51 @@ _CONTOURS_MAGIC = "contours v1"
 
 
 def read_contours(path):
-    """Multi-contour document: list of (particle_id, Contour2D)."""
-    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
-    if not lines or lines[0] != _CONTOURS_MAGIC:
-        raise FormatError(f"{path}: not a contours document")
-    if len(lines) < 2 or not lines[1].startswith("count "):
+    """Particles of a file as a list of (particle_id, Contour2D). A file whose
+    first significant line is `contours v1` is a multi-contour document;
+    any other file is a single-contour CSV, read as particle "0"."""
+    lines = list(read_lines(path))
+    if not lines or lines[0][1] != _CONTOURS_MAGIC:
+        return [("0", _csv_contour(path, lines))]
+    if len(lines) < 2 or lines[1][1].split()[0] != "count":
         raise FormatError(f"{path}: missing contour count")
-    try:
-        count = int(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"{path}: bad contour count") from exc
+    number, line = lines[1]
+    (count,) = row_values(path, number, "contour count", line.split()[1:], int, 1)
     out = []
     idx = 2
     for _ in range(count):
         if idx >= len(lines):
             raise FormatError(f"{path}: truncated document")
-        parts = lines[idx].split()
+        number, line = lines[idx]
+        parts = line.split()
         if len(parts) != 3 or parts[0] != "contour":
-            raise FormatError(f"{path}: expected 'contour <id> <n>' header")
+            raise FormatError(f"{path}:{number}: expected 'contour <id> <n>' header")
         pid = parts[1]
-        try:
-            n = int(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad point count for {pid}") from exc
-        idx += 1
-        if idx + n > len(lines):
-            raise FormatError(f"{path}: contour {pid} is truncated")
-        pts = np.empty((n, 2))
-        for k in range(n):
-            vals = lines[idx + k].split()
-            if len(vals) != 2 or not all(_is_float(v) for v in vals):
-                raise FormatError(
-                    f"{path}: contour {pid} row {k} is not two numbers"
-                )
-            pts[k] = (float(vals[0]), float(vals[1]))
-        idx += n
-        out.append((pid, Contour2D(points=pts, closed=True)))
+        (n,) = row_values(path, number, "point count", parts[2:], int, 1)
+        block = lines[idx + 1 : idx + 1 + n]
+        if len(block) != n:
+            raise FormatError(
+                f"{path}:{number}: contour {pid} is truncated: {n} points declared, "
+                f"{len(block)} follow"
+            )
+        pts = [row_values(path, k, "point", row.split(), float, 2) for k, row in block]
+        idx += 1 + n
+        out.append((pid, Contour2D(points=np.array(pts), closed=True)))
+    if idx < len(lines):
+        raise FormatError(
+            f"{path}:{lines[idx][0]}: text after the {count} declared contours"
+        )
     return out
 
 
 def write_contours(named_contours, path):
     lines = [_CONTOURS_MAGIC, f"count {len(named_contours)}"]
     for pid, contour in named_contours:
-        if " " in str(pid):
-            raise ValueError("particle ids must not contain spaces")
+        pid = str(pid)
+        if "#" in pid or pid.split() != [pid]:
+            raise ValueError(
+                f"particle id {pid!r} is empty or holds whitespace or '#'"
+            )
         pts = contour.points
         lines.append(f"contour {pid} {pts.shape[0]}")
         for x, y in pts:

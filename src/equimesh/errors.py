@@ -4,7 +4,10 @@ The command line maps these onto distinct exit codes: format/parse
 problems, topology problems, engine (numerical) failures, and resource
 guards are kept separate so callers can react programmatically. Every
 input text file is read through `read_text`, so a file that cannot be read
-or decoded is a FormatError (exit 2) wherever it is opened.
+or decoded is a FormatError (exit 2) wherever it is opened. The line
+formats (meshes, weights, contours) take their lines from `read_lines`,
+one comment rule for all, and convert each row through `row_values`, so a
+bad row is a FormatError naming `path:line`.
 """
 from pathlib import Path
 
@@ -26,6 +29,29 @@ def read_text(path):
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text (a binary file?): {exc}") from exc
+
+
+def read_lines(path):
+    """Yield (line number, text) for each line of `path` that is not blank
+    once its `#` comment is cut off; the text is stripped."""
+    for number, raw in enumerate(read_text(path).splitlines(), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield number, text
+
+
+def row_values(path, number, what, tokens, convert, count=None):
+    """`convert` applied to each token of the `what` on line `number` of
+    `path`. A token it refuses, or other than `count` tokens when `count` is
+    given, raises FormatError naming path:line."""
+    if count is not None and len(tokens) != count:
+        raise FormatError(
+            f"{path}:{number}: {what}: expected {count} values, found {len(tokens)}"
+        )
+    try:
+        return [convert(token) for token in tokens]
+    except ValueError as exc:
+        raise FormatError(f"{path}:{number}: {what}: {exc}") from None
 
 
 class TopologyError(EquimeshError):

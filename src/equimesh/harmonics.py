@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import EngineError, FormatError, GuardError, read_text
+from .errors import EngineError, FormatError, GuardError, read_lines, row_values
 from .spheroidal import KINDS, SpheroidDomain, xi_of_eta
 
 __all__ = [
@@ -448,6 +448,9 @@ def psd_descriptors(weights):
 # weights file format
 
 _WEIGHTS_MAGIC = "spheroidal-weights v1"
+_WEIGHTS_HEADER = (
+    ("kind", str), ("e", float), ("zeta0", float), ("n_max", int), ("rows", int)
+)
 
 
 def save_weights(weights, path):
@@ -473,48 +476,40 @@ def save_weights(weights, path):
 
 
 def load_weights(path):
-    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
-    if not lines or lines[0] != _WEIGHTS_MAGIC:
-        raise FormatError("not a spheroidal weights file")
+    lines = read_lines(path)
+    if next(lines, (None, None))[1] != _WEIGHTS_MAGIC:
+        raise FormatError(f"{path}: not a spheroidal weights file")
     header = {}
-    idx = 1
-    for key in ("kind", "e", "zeta0", "n_max", "rows"):
-        if idx >= len(lines):
-            raise FormatError("truncated weights header")
-        parts = lines[idx].split()
-        if len(parts) != 2 or parts[0] != key:
-            raise FormatError(f"expected {key!r} on weights line {idx + 1}")
-        header[key] = parts[1]
-        idx += 1
+    for key, convert in _WEIGHTS_HEADER:
+        number, line = next(lines, (None, None))
+        if line is None:
+            raise FormatError(f"{path}: truncated weights header")
+        name, *value = line.split()
+        if name != key:
+            raise FormatError(f"{path}:{number}: expected {key!r}")
+        (header[key],) = row_values(path, number, key, value, convert, 1)
     try:
         domain = SpheroidDomain(
-            kind=header["kind"], e=float(header["e"]), zeta0=float(header["zeta0"])
+            kind=header["kind"], e=header["e"], zeta0=header["zeta0"]
         )
-        n_max = int(header["n_max"])
-        rows = int(header["rows"])
-    except (ValueError, KeyError) as exc:
-        raise FormatError(f"bad weights header: {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad weights header: {exc}") from exc
+    n_max, rows = header["n_max"], header["rows"]
     beta = (n_max + 1) ** 2
     if rows != beta:
-        raise FormatError(f"weights row count {rows} != beta {beta}")
-    if len(lines) - idx != rows:
-        raise FormatError(
-            f"expected {rows} weight rows, found {len(lines) - idx}"
-        )
+        raise FormatError(f"{path}:{number}: weights row count {rows} != beta {beta}")
+    body = list(lines)
+    if len(body) != rows:
+        raise FormatError(f"{path}: expected {rows} weight rows, found {len(body)}")
     n_expected, m_expected = full_orders(n_max)
     q = np.empty((beta, 3), dtype=np.complex128)
-    for i in range(rows):
-        parts = lines[idx + i].split()
-        if len(parts) != 8:
-            raise FormatError(f"weights row {i} malformed")
-        try:
-            n_i, m_i = int(parts[0]), int(parts[1])
-            vals = [float(x) for x in parts[2:]]
-        except ValueError as exc:
-            raise FormatError(f"weights row {i} malformed: {exc}") from exc
+    for i, (number, line) in enumerate(body):
+        parts = line.split()
+        n_i, m_i = row_values(path, number, "orders", parts[:2], int, 2)
+        vals = row_values(path, number, "weights", parts[2:], float, 6)
         if n_i != n_expected[i] or m_i != m_expected[i]:
             raise FormatError(
-                f"weights row {i} has orders ({n_i}, {m_i}); expected "
+                f"{path}:{number}: orders ({n_i}, {m_i}); expected "
                 f"({n_expected[i]}, {m_expected[i]})"
             )
         q[i] = [

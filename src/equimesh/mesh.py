@@ -17,7 +17,8 @@ from .errors import (
     FormatError,
     GuardError,
     TopologyError,
-    read_text,
+    read_lines,
+    row_values,
 )
 
 __all__ = [
@@ -246,143 +247,111 @@ def _mesh_format(path):
 def load_mesh(path):
     """Read an OBJ, OFF, or ascii-PLY triangle mesh; the extension names the format.
 
-    Polygonal faces are fan-triangulated. Parse problems raise FormatError;
-    connectivity problems raise TopologyError.
+    Polygonal faces are fan-triangulated. Parse problems, a face index past
+    the vertex list included, raise FormatError; connectivity problems
+    raise TopologyError.
     """
     parsers = {"obj": _parse_obj, "off": _parse_off, "ply": _parse_ply}
-    vertices, polygons = parsers[_mesh_format(path)](read_text(path))
+    vertices, polygons = parsers[_mesh_format(path)](path, read_lines(path))
     if not vertices:
-        raise FormatError("mesh file contains no vertices")
+        raise FormatError(f"{path}: mesh file contains no vertices")
     faces = []
-    for poly in polygons:
+    for number, poly in polygons:
         if len(poly) < 3:
-            raise FormatError("face with fewer than 3 vertices")
+            raise FormatError(f"{path}:{number}: face with fewer than 3 vertices")
+        if min(poly) < 0 or max(poly) >= len(vertices):
+            raise FormatError(
+                f"{path}:{number}: face index out of range for {len(vertices)} vertices"
+            )
         for k in range(1, len(poly) - 1):
             faces.append((poly[0], poly[k], poly[k + 1]))
     if not faces:
-        raise FormatError("mesh file contains no faces")
+        raise FormatError(f"{path}: mesh file contains no faces")
     return TriangleMesh(np.asarray(vertices, dtype=float), np.asarray(faces))
 
 
-def _parse_obj(text):
+def _parse_obj(path, lines):
     vertices, polygons = [], []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise FormatError(f"line {ln}: vertex needs 3 coordinates")
-            try:
-                vertices.append(tuple(float(x) for x in parts[1:4]))
-            except ValueError as exc:
-                raise FormatError(f"line {ln}: bad vertex coordinate") from exc
-        elif parts[0] == "f":
-            poly = []
-            for ref in parts[1:]:
-                token = ref.split("/", 1)[0]
-                try:
-                    idx = int(token)
-                except ValueError as exc:
-                    raise FormatError(f"line {ln}: bad face index {ref!r}") from exc
-                if idx < 1:
-                    raise FormatError(
-                        f"line {ln}: face index {idx} out of range (1-based)"
-                    )
-                poly.append(idx - 1)
-            polygons.append(poly)
+    for number, line in lines:
+        key, *args = line.split()
+        if key == "v":
+            vertices.append(row_values(path, number, "vertex", args[:3], float, 3))
+        elif key == "f":
+            refs = [arg.split("/", 1)[0] for arg in args]
+            indices = row_values(path, number, "face", refs, int)
+            polygons.append((number, [i - 1 for i in indices]))
     return vertices, polygons
 
 
-def _significant_lines(text):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
-
-
-def _read_rows(lines, elements, label):
-    """The vertices and polygons of a counted format (OFF, ascii PLY).
+def _read_rows(path, lines, elements):
+    """The vertices and (line number, polygon) pairs of a counted format
+    (OFF, ascii PLY).
 
     `elements` lists (name, count, columns) in file order: each "vertex" row
     holds x, y, z at the three columns, each "face" row a count k at its
-    column and then k non-negative indices, and the rows of any other
-    element are skipped.
+    column and then k indices, and the rows of any other element are
+    skipped.
     """
     vertices, polygons = [], []
     for name, count, columns in elements:
         for _ in range(count):
-            parts = next(lines, "").split()
-            if not parts:
-                raise FormatError(f"truncated {label} {name} data")
+            number, line = next(lines, (None, None))
+            if line is None:
+                raise FormatError(f"{path}: truncated {name} data")
+            parts = line.split()
             if name == "vertex":
-                try:
-                    vertices.append(tuple(float(parts[c]) for c in columns))
-                except (ValueError, IndexError):
-                    raise FormatError(f"bad {label} vertex row {parts}") from None
+                width = max(columns) + 1
+                row = row_values(path, number, "vertex", parts[:width], float, width)
+                vertices.append([row[c] for c in columns])
             elif name == "face":
-                try:
-                    k = int(parts[columns])
-                    poly = [int(x) for x in parts[columns + 1 : columns + 1 + k]]
-                except (ValueError, IndexError):
-                    raise FormatError(f"bad {label} face row {parts}") from None
-                if len(poly) != k:
-                    raise FormatError(f"{label} face row shorter than its count")
-                if poly and min(poly) < 0:
-                    raise FormatError(f"negative {label} face index")
-                polygons.append(poly)
+                head = parts[columns : columns + 1]
+                (k,) = row_values(path, number, "face count", head, int, 1)
+                indices = parts[columns + 1 : columns + 1 + k]
+                poly = row_values(path, number, "face", indices, int, k)
+                polygons.append((number, poly))
     return vertices, polygons
 
 
-def _parse_off(text):
-    lines = _significant_lines(text)
-    header = next(lines, None)
+def _parse_off(path, lines):
+    number, header = next(lines, (None, None))
     if header is None:
-        raise FormatError("empty OFF file")
+        raise FormatError(f"{path}: empty OFF file")
     # the counts follow "OFF" on the same line or the next, or open a
     # headerless file
     counts = header[3:] if header.upper().startswith("OFF") else header
     if not counts.strip():
-        counts = next(lines, "")
-    try:
-        n_v, n_f = (int(x) for x in counts.split()[:2])
-    except ValueError:
-        raise FormatError(f"bad or missing OFF counts line {counts!r}") from None
+        number, counts = next(lines, (number, ""))
+    n_v, n_f = row_values(path, number, "OFF counts", counts.split()[:2], int, 2)
     elements = [("vertex", n_v, (0, 1, 2)), ("face", n_f, 0)]
-    return _read_rows(lines, elements, "OFF")
+    return _read_rows(path, lines, elements)
 
 
-def _parse_ply(text):
-    lines = _significant_lines(text)
-    if next(lines, None) != "ply":
-        raise FormatError("not a PLY file")
+def _parse_ply(path, lines):
+    if next(lines, (None, None))[1] != "ply":
+        raise FormatError(f"{path}: not a PLY file")
     elements = []  # (name, count, [(is_list, property name)])
     fmt_seen = False
-    for line in lines:
+    for number, line in lines:
         key, *args = line.split()
         if key == "format":
             if not args or args[0] != "ascii":
-                raise FormatError("only ascii PLY is supported")
+                raise FormatError(f"{path}:{number}: only ascii PLY is supported")
             fmt_seen = True
         elif key == "element":
-            try:
-                name, count = args
-                elements.append((name, int(count), []))
-            except ValueError:
-                raise FormatError(f"bad PLY element line {line!r}") from None
+            (count,) = row_values(path, number, "PLY element", args[1:], int, 1)
+            elements.append((args[0], count, []))
         elif key == "property":
             if not elements:
-                raise FormatError("PLY property before any element")
+                raise FormatError(f"{path}:{number}: PLY property before any element")
             if not args:
-                raise FormatError("PLY property line without a type")
+                raise FormatError(f"{path}:{number}: PLY property line without a type")
             elements[-1][2].append((args[0] == "list", args[-1]))
         elif key == "end_header":
             break
     else:
-        raise FormatError("PLY header missing end_header")
+        raise FormatError(f"{path}: PLY header missing end_header")
     if not fmt_seen:
-        raise FormatError("PLY header missing format line")
+        raise FormatError(f"{path}: PLY header missing format line")
     rows = []
     for name, count, props in elements:
         names = [prop for _, prop in props]
@@ -392,14 +361,16 @@ def _parse_ply(text):
         columns = None
         if name == "vertex":
             if not {"x", "y", "z"} <= set(names[:fixed]):
-                raise FormatError("PLY vertex element lacks x/y/z before any list")
+                raise FormatError(
+                    f"{path}: PLY vertex element lacks x/y/z before any list"
+                )
             columns = [names.index(c) for c in "xyz"]
         elif name == "face":
             if fixed == len(props):
-                raise FormatError("PLY face element has no index list")
+                raise FormatError(f"{path}: PLY face element has no index list")
             columns = fixed
         rows.append((name, count, columns))
-    return _read_rows(lines, rows, "PLY")
+    return _read_rows(path, lines, rows)
 
 
 # header template, vertex-row prefix, face-row prefix, first vertex index

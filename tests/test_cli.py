@@ -192,6 +192,16 @@ def test_remesh2d_single_csv_fallback(tmp_path):
     assert [pid for pid, _ in back] == ["0"]
 
 
+def test_remesh2d_truncated_document_exits_2(tmp_path, capsys):
+    doc = tmp_path / "grains.txt"
+    write_contours([("a", blob_contour(16)), ("b", blob_contour(16))], doc)
+    doc.write_text("".join(doc.read_text().splitlines(True)[:-2]))
+    rc = main(["remesh2d", "--in", str(doc), "--out", str(tmp_path / "out.txt"),
+               "--max-segments", "30", "--nmax", "8"])
+    assert rc == 2
+    assert "contour b is truncated" in capsys.readouterr().err
+
+
 def test_remesh2d_config_rejects_workers(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 2}))
@@ -200,6 +210,22 @@ def test_remesh2d_config_rejects_workers(tmp_path, capsys):
                "--nmax", "8", "--config", str(cfg)])
     assert rc == 2
     assert "unknown config key 'workers'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config, pair", [
+    (["--in", "missing.obj", "--nmax", "99"], {}, "--weights and --in"),
+    (["--nmax", "99"], {"input": "missing.obj"}, "--weights and --in"),
+    (["--stages", "6:2", "--imax", "7"], {}, "--stages and --imax"),
+    (["--stages", "6:2"], {"imax": 7}, "--stages and --imax"),
+])
+def test_remesh_conflicting_options_exit_2(weights_file, tmp_path, capsys, flags,
+                                           config, pair):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["remesh", "--weights", str(weights_file), "--out", str(tmp_path / "o.obj"),
+               "--refine", "1", "--config", str(cfg), *flags])
+    assert rc == 2
+    assert pair in capsys.readouterr().err
 
 
 def test_remesh_is_reproducible(weights_file, tmp_path):

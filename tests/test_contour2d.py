@@ -583,3 +583,25 @@ def test_contours_document_errors(tmp_path):
         read_contours(p)
     with pytest.raises(ValueError):
         write_contours([("has space", blob_contour(16))], tmp_path / "x.txt")
+
+
+def test_contours_document_rejects_undeclared_particles(tmp_path):
+    path = tmp_path / "doc.txt"
+    write_contours([("a", blob_contour(8)), ("b", blob_contour(9))], path)
+    path.write_text(path.read_text().replace("count 2", "count 1"))
+    with pytest.raises(FormatError, match=r"doc\.txt:12: text after the 1 declared"):
+        read_contours(path)
+
+
+@pytest.mark.parametrize("pid", ["tab\tid", "hash#id", ""])
+def test_write_contours_rejects_ids_the_reader_would_split(tmp_path, pid):
+    with pytest.raises(ValueError):
+        write_contours([(pid, blob_contour(16))], tmp_path / "x.txt")
+
+
+def test_read_contours_picks_the_format_by_its_first_line(tmp_path):
+    csv = tmp_path / "grain.txt"
+    write_contour_csv(blob_contour(12), csv)
+    [(pid, contour)] = read_contours(csv)
+    assert pid == "0"
+    assert np.array_equal(contour.points, read_contour_csv(csv).points)

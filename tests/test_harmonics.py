@@ -569,6 +569,16 @@ def test_load_rejects_truncated_file(tmp_path, oblate_dom, rng):
         load_weights(p)
 
 
+def test_load_weights_messages_give_file_lines(tmp_path, oblate_dom, rng):
+    p = tmp_path / "w.txt"
+    save_weights(_random_consistent_weights(2, oblate_dom, rng), p)
+    lines = p.read_text().splitlines()
+    lines[2] = "eccentricity 0.5"
+    p.write_text("\n\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=r"w\.txt:5: expected 'e'"):
+        load_weights(p)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FormatError):
         load_weights(tmp_path / "absent.txt")

@@ -379,6 +379,9 @@ _REJECTED = {
     "vertex_list_before_xyz.ply": _PLY_TET.replace(
         _PLY_XYZ, "property list uchar float normal\n" + _PLY_XYZ
     ).replace(_TET_V, "".join(f"3 0 0 1 {row}\n" for row in _TET_V.splitlines())),
+    # the face rows still name vertex 4 after its v line is gone
+    "index_past_vertices.obj": "".join(f"v {row}\n" for row in _TET_V.splitlines()[:3])
+    + "f 1 2 3\nf 1 4 2\nf 1 3 4\nf 2 4 3\n",
     "face_without_list.ply": _PLY_TET.replace("property list uchar int vertex_indices",
                                               "property int vertex_index"),
     # scanners write binary PLY; its float bytes are not UTF-8
