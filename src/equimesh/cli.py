@@ -92,7 +92,8 @@ def _build_parser():
     )
     p.add_argument("--imax", type=int, help="iterations (default 50)")
     p.add_argument("--gamma", type=float, help="anisotropy strength")
-    p.add_argument("--dt-scale", type=float, help="time-step constant")
+    p.add_argument("--dt-scale", type=float,
+                   help="first time step constant (the step then grows to a ceiling)")
     p.add_argument("--std-tol", type=float, help="early-stop threshold")
 
     p = sub.add_parser("metrics", parents=[config],
@@ -211,8 +212,11 @@ def _sample_for(domain, refine, rings, sectors):
 
 
 def cmd_remesh(args):
-    # each pair sets one thing twice, from flags or config alike
-    for first, second in (("weights", "input"), ("stages", "imax")):
+    # each pair sets one thing twice, or shapes a fit that --weights skips;
+    # from flags or config alike
+    conflicts = (("weights", "input"), ("weights", "nmax"), ("weights", "kind"),
+                 ("weights", "no_align"), ("stages", "imax"))
+    for first, second in conflicts:
         if getattr(args, first) is not None and getattr(args, second) is not None:
             raise FormatError(f"{_flag(first)} and {_flag(second)} exclude each other")
     if args.weights is not None:

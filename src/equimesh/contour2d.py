@@ -31,6 +31,7 @@ from .errors import (
     FormatError,
     GuardError,
     IntersectionError,
+    naming,
     read_lines,
     row_values,
 )
@@ -461,7 +462,8 @@ def _csv_contour(path, lines):
         rows.append(row_values(path, number, "point", parts, float, 2))
     if len(rows) < 3:
         raise FormatError(f"{path}: a contour needs at least 3 points")
-    return Contour2D(points=np.array(rows), closed=True)
+    with naming(path):
+        return Contour2D(points=np.array(rows), closed=True)
 
 
 def write_contour_csv(contour, path):
@@ -512,7 +514,8 @@ def read_contours(path):
             )
         pts = [row_values(path, k, "point", row.split(), float, 2) for k, row in block]
         idx += 1 + n
-        out.append((pid, Contour2D(points=np.array(pts), closed=True)))
+        with naming(f"{path}:{number}: contour {pid}"):
+            out.append((pid, Contour2D(points=np.array(pts), closed=True)))
     if idx < len(lines):
         raise FormatError(
             f"{path}:{lines[idx][0]}: text after the {count} declared contours"

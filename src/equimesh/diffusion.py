@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EngineError, GuardError
 from .harmonics import reconstruct_fast
@@ -45,6 +44,9 @@ MAX_DT_HALVINGS = 20
 # per-step slack on the monotone-STD acceptance test
 _STD_SLACK = 1e-9
 _EARLY_STOP_WINDOW = 5
+# growth limit of the time step on the unit-area surface, over alpha_max:
+# about 16 h^2 at icosphere refinement 4, 64 h^2 at refinement 5
+_DT_CEILING = 0.0075
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,12 @@ class DiffusionConfig:
     stages: sequence of (n_max, i_max) pairs with strictly increasing
     degrees — a single pair is the flat schedule. gamma = 0 selects the
     isotropic operator; anisotropic rates are capped at operators.ALPHA_CAP.
+    dt_scale sets each stage's first time step, dt_scale * h^2 / alpha_max
+    on the unit-area surface (h its mean edge length). Each accepted step
+    doubles the next, up to a fixed ceiling over alpha_max (or up to the
+    first step, if that is larger); a rejected candidate halves it.
+    std_tolerance stops a stage early once the STD falls by less than it
+    over five accepted iterations.
     """
 
     stages: tuple
@@ -127,7 +135,9 @@ class DiffusionTrace(TraceTable):
     """Convergence log: one row per accepted iteration.
 
     basis_evaluation_count is cumulative and includes rejected candidate
-    reconstructions, so it is the honest cost meter. stop_reason is why the
+    reconstructions, so it is the honest cost meter. halvings counts the
+    candidates a row rejected, each halving its time step; flip_count sums
+    the flipped faces of those candidates. stop_reason is why the
     last stage ended: "converged-early", "i_max" or "stalled" (no time step
     could lower the STD); it stays empty when the run raises.
     """
@@ -141,6 +151,7 @@ class DiffusionTrace(TraceTable):
     boundary_length: list = column(float)
     area: list = column(float)
     basis_evaluation_count: list = column(int)
+    halvings: list = column(int)
     initial_std_u: float = float("nan")
     initial_mean_u: float = float("nan")
     initial_area: float = float("nan")
@@ -202,7 +213,8 @@ def _run_stage(
     """One stage; returns (coords, geometry, scale, evals, stop_reason).
 
     An accepted candidate's geometry serves the next iteration: normals as
-    flip reference, masses for u and M_v, areas for averaging and trace.
+    flip reference, masses for u and the implicit step, areas for averaging
+    and trace.
     """
     w = weights.truncated(n_stage)
     domain = weights.domain
@@ -232,7 +244,7 @@ def _run_stage(
         if is_open:
             trace.initial_boundary_length = float(rim.sum()) / scale
 
-    dt_initial = None
+    dt = dt_first = None
     u_bar_prev = float(u.mean())
     window = deque(maxlen=_EARLY_STOP_WINDOW)
     stop_reason = "i_max"
@@ -242,24 +254,25 @@ def _run_stage(
         if config.gamma > 0.0:
             directors = stretch_directors(geometry, config.gamma)
             alpha = directors[2]
-        mesh = template.with_vertices(geometry.points)
-        dt = estimate_dt(mesh, alpha, c=config.dt_scale)
-        if dt_initial is None:
-            dt_initial = dt_allowance = dt
-        dt = min(dt_allowance, dt)
+        if dt is None:
+            mesh = template.with_vertices(geometry.points)
+            dt = dt_first = estimate_dt(mesh, alpha, c=config.dt_scale)
+        else:
+            # each accepted step doubles the next, up to the ceiling or
+            # the first step if that is larger
+            dt = min(2.0 * dt, max(dt_first, _DT_CEILING / alpha))
         L = topology.laplacian(geometry, directors)
-        M_v = sp.diags(geometry.masses, format="csr")
         if is_open:
             edge_masses = 0.5 * (rim + np.roll(rim, 1))
 
-        flips_seen = 0
+        flips_seen = halvings = 0
         candidate = None
         for _ in range(MAX_DT_HALVINGS + 1):
             rhs_extra = None
             if is_open:
                 rhs_extra = _rim_source(n_v, loop, u, u_bar_prev, edge_masses, dt)
             u_diffused = backward_euler_step(
-                M_v, L, u, dt, rhs_extra=rhs_extra, tolerance=1e-12
+                geometry.masses, L, u, dt, rhs_extra=rhs_extra, tolerance=1e-12
             )
             velocity = (
                 geometry.vertex_gradients(u_diffused)
@@ -278,8 +291,8 @@ def _run_stage(
                 candidate = cand_coords, cand, cand_u
                 break
             flips_seen += flips
+            halvings += 1
             dt *= 0.5
-            dt_allowance = dt
 
         if candidate is None:
             if flips_seen:
@@ -292,7 +305,6 @@ def _run_stage(
 
         u_bar_prev = float(u.mean())
         coords, geometry, u = candidate
-        dt_allowance = min(dt_allowance * 2.0, dt_initial)
 
         std_now = float(u.std())
         blen = 0.0
@@ -309,6 +321,7 @@ def _run_stage(
             boundary_length=blen,
             area=float(geometry.areas.sum()) / (scale * scale),
             basis_evaluation_count=evals,
+            halvings=halvings,
         )
         window.append(std_now)
         if (

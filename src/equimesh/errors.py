@@ -7,8 +7,11 @@ input text file is read through `read_text`, so a file that cannot be read
 or decoded is a FormatError (exit 2) wherever it is opened. The line
 formats (meshes, weights, contours) take their lines from `read_lines`,
 one comment rule for all, and convert each row through `row_values`, so a
-bad row is a FormatError naming `path:line`.
+bad row is a FormatError naming `path:line`; a fault the mesh or contour
+constructors find in the content is re-raised under `naming`, so its
+message names the file too.
 """
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -52,6 +55,19 @@ def row_values(path, number, what, tokens, convert, count=None):
         return [convert(token) for token in tokens]
     except ValueError as exc:
         raise FormatError(f"{path}:{number}: {what}: {exc}") from None
+
+
+@contextmanager
+def naming(place):
+    """Prefix `place` (a path, or path:line) to the message of a
+    TopologyError or ValueError raised in the block, as a mesh or contour
+    constructor raises for a file's content; the class stays, and so does
+    the exit code."""
+    try:
+        yield
+    except (TopologyError, ValueError) as exc:
+        exc.args = (f"{place}: {exc}",)
+        raise
 
 
 class TopologyError(EquimeshError):

@@ -17,6 +17,7 @@ from .errors import (
     FormatError,
     GuardError,
     TopologyError,
+    naming,
     read_lines,
     row_values,
 )
@@ -249,7 +250,7 @@ def load_mesh(path):
 
     Polygonal faces are fan-triangulated. Parse problems, a face index past
     the vertex list included, raise FormatError; connectivity problems
-    raise TopologyError.
+    raise TopologyError. Every message names the file.
     """
     parsers = {"obj": _parse_obj, "off": _parse_off, "ply": _parse_ply}
     vertices, polygons = parsers[_mesh_format(path)](path, read_lines(path))
@@ -267,7 +268,8 @@ def load_mesh(path):
             faces.append((poly[0], poly[k], poly[k + 1]))
     if not faces:
         raise FormatError(f"{path}: mesh file contains no faces")
-    return TriangleMesh(np.asarray(vertices, dtype=float), np.asarray(faces))
+    with naming(path):
+        return TriangleMesh(np.asarray(vertices, dtype=float), np.asarray(faces))
 
 
 def _parse_obj(path, lines):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .errors import SolverError
 
@@ -11,6 +11,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_MAX_ITERATIONS",
     "DT_SCALE",
+    "cg",
     "solve_sparse",
     "backward_euler_step",
     "estimate_dt",
@@ -21,13 +22,41 @@ DEFAULT_MAX_ITERATIONS = 2000
 DT_SCALE = 0.5
 
 
-def _jacobi_preconditioner(matrix):
-    diag = matrix.diagonal()
-    if np.any(diag == 0.0):
-        raise SolverError("zero diagonal entry; Jacobi preconditioner undefined")
-    inv = 1.0 / diag
-    n = matrix.shape[0]
-    return LinearOperator((n, n), matvec=lambda x: inv * x)
+def cg(A, b, x0, tolerance, max_iterations, callback=None):
+    """Jacobi-preconditioned conjugate gradient on the CSR matrix `A`,
+    started from `x0`, until ||b - A x|| <= tolerance * ||b||.
+
+    Returns (x, info): info is 0 on convergence, the iteration count when
+    the budget runs out and -1 on breakdown (p^T A p <= 0: A is not
+    positive definite). `callback(x)` runs once per iteration. The vector
+    updates are level-1 BLAS calls, in place: per call they cost about
+    half of the numpy operators they replace, which is most of an
+    iteration besides the mat-vec at a few thousand unknowns.
+    """
+    inv_diag = 1.0 / A.diagonal()
+    x = np.array(x0, dtype=float)
+    r = b - A @ x
+    z = inv_diag * r
+    p = z.copy()
+    rz = ddot(r, z)
+    threshold = (tolerance * np.linalg.norm(b)) ** 2
+    for k in range(max_iterations + 1):
+        if ddot(r, r) <= threshold:
+            return x, 0
+        if k == max_iterations:
+            return x, k
+        q = A @ p
+        pq = ddot(p, q)
+        if not pq > 0.0:
+            return x, -1
+        alpha = rz / pq
+        x = daxpy(p, x, a=alpha)
+        r = daxpy(q, r, a=-alpha)
+        np.multiply(inv_diag, r, out=z)
+        rz, rz_old = ddot(r, z), rz
+        p = daxpy(z, dscal(rz / rz_old, p))
+        if callback is not None:
+            callback(x)
 
 
 def solve_sparse(
@@ -35,9 +64,10 @@ def solve_sparse(
     rhs,
     tolerance=DEFAULT_TOLERANCE,
     max_iterations=DEFAULT_MAX_ITERATIONS,
+    x0=None,
 ):
-    """Jacobi-preconditioned conjugate gradient to relative residual
-    <= tolerance, for a symmetric positive definite matrix.
+    """Solve a symmetric positive definite system by `cg` to relative
+    residual <= tolerance, started from `x0` (zero when None).
 
     Raises SolverError on breakdown or when the iteration budget runs out,
     reporting the iteration count reached and the residual.
@@ -56,6 +86,8 @@ def solve_sparse(
         return np.zeros_like(b)
     if np.any(A.getnnz(axis=1) == 0):
         raise SolverError("singular system: empty matrix row")
+    if np.any(A.diagonal() == 0.0):
+        raise SolverError("zero diagonal entry; Jacobi preconditioner undefined")
 
     iterations = 0
 
@@ -66,10 +98,9 @@ def solve_sparse(
     x, info = cg(
         A,
         b,
-        rtol=tolerance,
-        atol=0.0,
-        maxiter=max_iterations,
-        M=_jacobi_preconditioner(A),
+        np.zeros(n) if x0 is None else x0,
+        tolerance,
+        max_iterations,
         callback=count,
     )
     residual = float(np.linalg.norm(A @ x - b) / b_norm)
@@ -93,23 +124,29 @@ def solve_sparse(
 def backward_euler_step(
     vertex_mass, laplacian, u_i, dt, rhs_extra=None, tolerance=1e-12
 ):
-    """One implicit step of du/dt = Lu: solve (M - dt L) u' = M u (+ extra).
+    """One implicit step of du/dt = Lu: solve (M - dt L) u' = M u (+ extra),
+    starting the solve from u_i.
 
-    For symmetric row-sum-zero L on closed surfaces the total mass
-    1^T M u is conserved to solver tolerance. The assembled matrix is
-    symmetric positive definite, so conjugate gradient applies.
+    vertex_mass is the lumped mass matrix or its diagonal. S = M - dt L
+    keeps L's CSR pattern, the masses added in its diagonal slots. For
+    symmetric row-sum-zero L on closed surfaces the total mass 1^T M u is
+    conserved to solver tolerance. S is symmetric positive definite, so
+    conjugate gradient applies.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     u_i = np.asarray(u_i, dtype=float)
-    M = sp.csr_matrix(vertex_mass)
-    if np.any(M.diagonal() <= 0.0):
+    if sp.issparse(vertex_mass):
+        vertex_mass = vertex_mass.diagonal()
+    masses = np.asarray(vertex_mass, dtype=float)
+    if np.any(masses <= 0.0):
         raise ValueError("vertex masses must be positive")
-    S = (M - dt * sp.csr_matrix(laplacian)).tocsr()
-    b = M @ u_i
+    S = sp.csr_matrix(laplacian) * -dt
+    S.setdiag(S.diagonal() + masses)
+    b = masses * u_i
     if rhs_extra is not None:
         b = b + rhs_extra
-    return solve_sparse(S, b, tolerance=tolerance)
+    return solve_sparse(S, b, tolerance=tolerance, x0=u_i)
 
 
 def estimate_dt(mesh, alpha_max=1.0, c=DT_SCALE):

@@ -217,6 +217,12 @@ def test_remesh2d_config_rejects_workers(tmp_path, capsys):
     (["--nmax", "99"], {"input": "missing.obj"}, "--weights and --in"),
     (["--stages", "6:2", "--imax", "7"], {}, "--stages and --imax"),
     (["--stages", "6:2"], {"imax": 7}, "--stages and --imax"),
+    (["--nmax", "99"], {}, "--weights and --nmax"),
+    ([], {"nmax": 99}, "--weights and --nmax"),
+    (["--kind", "prolate"], {}, "--weights and --kind"),
+    ([], {"kind": "prolate"}, "--weights and --kind"),
+    (["--no-align"], {}, "--weights and --no-align"),
+    ([], {"no_align": True}, "--weights and --no-align"),
 ])
 def test_remesh_conflicting_options_exit_2(weights_file, tmp_path, capsys, flags,
                                            config, pair):

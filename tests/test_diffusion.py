@@ -67,7 +67,7 @@ def test_config_rejects_bad_values(kwargs):
 def _trace_row(t, std_u, flip_count, basis_evaluation_count):
     return dict(stage=0, t=t, dt=0.1, std_u=std_u, mean_u=1.0,
                 flip_count=flip_count, boundary_length=0.0, area=12.5,
-                basis_evaluation_count=basis_evaluation_count)
+                basis_evaluation_count=basis_evaluation_count, halvings=0)
 
 
 def test_trace_append_and_csv(tmp_path):
@@ -82,7 +82,7 @@ def test_trace_append_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == (
         "stage,t,dt,std_u,mean_u,flip_count,boundary_length,area,"
-        "basis_evaluation_count"
+        "basis_evaluation_count,halvings"
     )
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "1"
@@ -303,8 +303,39 @@ def test_flip_recovery_absorbs_aggressive_steps():
     _, _, tr = diffuse_remesh(w, coords, faces, cfg)
     assert tr.n_rows == 5
     assert sum(tr.flip_count) > 0  # rejected candidates flipped, runs anyway
+    assert all(h > 0 for h, f in zip(tr.halvings, tr.flip_count) if f)
     stds = [tr.initial_std_u] + tr.std_u
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(stds, stds[1:]))
+    # a first step above the ceiling is kept: it bounds the regrowth
+    first = tr.dt[0] * 2.0 ** tr.halvings[0]
+    assert first > diffusion._DT_CEILING
+    for previous, dt, halvings in zip(tr.dt, tr.dt[1:], tr.halvings[1:]):
+        assert dt * 2.0**halvings == min(2.0 * previous, first)
+
+
+def test_time_step_doubles_up_to_the_ceiling(bumpy_setup):
+    _, w, coords, faces = bumpy_setup
+    cfg = DiffusionConfig(stages=((10, 8),), dt_scale=0.05, std_tolerance=0.0)
+    _, _, tr = diffuse_remesh(w, coords, faces, cfg)
+    assert tr.halvings == [0] * 8
+    assert tr.dt == [min(tr.dt[0] * 2.0**k, diffusion._DT_CEILING) for k in range(8)]
+    assert tr.dt[-1] == diffusion._DT_CEILING
+
+
+def test_iterations_to_target_hold_as_resolution_grows():
+    # the step grows to a ceiling set on the unit-area surface, so a finer
+    # sampling needs about as many iterations to the same STD ratio
+    dom = oblate_domain()
+    w = bumpy_weights(dom, n_max=10, band=10)
+    reached = []
+    for refinement in (3, 5):
+        coords, faces = sample_icosphere(dom, refinement)
+        cfg = DiffusionConfig(stages=((10, 20),), dt_scale=4.0, std_tolerance=0.0)
+        _, _, tr = diffuse_remesh(w, coords, faces, cfg)
+        ratios = np.asarray(tr.std_u) / tr.initial_std_u
+        assert ratios.min() <= 0.25, refinement
+        reached.append(tr.t[int(np.argmax(ratios <= 0.25))])
+    assert reached[1] <= 1.5 * reached[0], reached
 
 
 def test_engine_error_carries_trace():

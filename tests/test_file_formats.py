@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from equimesh.benchmarks import blob_contour, bumpy_weights, ellipse_contour, oblate_domain
+from equimesh.cli import main
 from equimesh.contour2d import (
     read_contour_csv,
     read_contours,
@@ -57,10 +58,11 @@ def test_malformed_variants_load_or_name_the_file(tmp_path, name):
             read(path)
         except FormatError as exc:
             assert str(path) in str(exc), (label, str(exc))
-        except TopologyError:
+        except TopologyError as exc:
             # an OBJ declares no counts, so a cut OBJ is a whole file of a
             # smaller surface, which may be non-manifold (exit 3)
             assert name == "mesh.obj" and label.startswith("cut"), label
+            assert str(path) in str(exc), (label, str(exc))
         except Exception as exc:
             pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
 
@@ -88,3 +90,29 @@ def test_comments_load_equal_to_the_original(tmp_path, name):
             assert np.array_equal(g.points, w.points)
     else:
         assert np.array_equal(got.points, want.points)
+
+
+def test_content_faults_name_the_file(tmp_path, capsys):
+    # the rows parse, but the mesh or contour they make is invalid: the
+    # constructor's error keeps its class and exit code and names the file
+    mesh = tmp_path / "cut.obj"
+    save_mesh(icosphere(0), mesh)
+    mesh.write_text("".join(mesh.read_text().splitlines(True)[:23]))
+    with pytest.raises(TopologyError, match=re.escape(f"{mesh}: non-manifold")):
+        load_mesh(mesh)
+    assert main(["metrics", "--in", str(mesh), "--out", str(tmp_path / "r.csv")]) == 3
+    assert f"{mesh}: non-manifold" in capsys.readouterr().err
+
+    doc = tmp_path / "grains.txt"
+    doc.write_text("contours v1\ncount 1\ncontour a 2\n0 0\n1 0\n")
+    message = f"{doc}:3: contour a: closed contour needs at least 3 points"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_contours(doc)
+    assert main(["remesh2d", "--in", str(doc), "--out", str(tmp_path / "o.txt"),
+                 "--max-segments", "30", "--nmax", "8"]) == 2
+    assert message in capsys.readouterr().err
+
+    csv = tmp_path / "grain.csv"
+    csv.write_text("x,y\n0,0\n0,0\n1,0\n0,1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{csv}: repeated consecutive point")):
+        read_contours(csv)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from equimesh import solver
 from equimesh.errors import SolverError
 from equimesh.mesh import TriangleMesh, icosphere
 from equimesh.operators import laplacian_iso, vertex_mass_matrix
-from equimesh.solver import DT_SCALE, backward_euler_step, estimate_dt, solve_sparse
+from equimesh.solver import DT_SCALE, backward_euler_step, cg, estimate_dt, solve_sparse
 
 
 def spd_system(n, rng):
@@ -74,10 +75,68 @@ def test_zero_diagonal_raises():
 
 def test_budget_exhaustion_reports_iterations(rng):
     A, b, _ = spd_system(60, rng)
+    x, info = cg(A, b, np.zeros(60), 1e-15, 3)
+    assert info == 3
+    residual = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
     with pytest.raises(SolverError) as exc:
-        solve_sparse(A, b, tolerance=1e-15, max_iterations=1)
-    assert exc.value.iterations >= 1
-    assert np.isfinite(exc.value.residual)
+        solve_sparse(A, b, tolerance=1e-15, max_iterations=3)
+    assert exc.value.iterations == 3
+    assert exc.value.residual == pytest.approx(residual, rel=1e-12)
+    assert exc.value.residual > 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the conjugate-gradient loop
+
+def test_cg_matches_dense_solve(rng):
+    A, b, _ = spd_system(50, rng)
+    x, info = cg(A, b, np.zeros(50), 1e-13, 500)
+    assert info == 0
+    assert x == pytest.approx(np.linalg.solve(A.toarray(), b), rel=1e-9, abs=1e-11)
+
+
+def test_cg_warm_start_at_the_solution_takes_no_iterations(rng):
+    A, b, _ = spd_system(50, rng)
+    x = solve_sparse(A, b, tolerance=1e-12)
+    calls = []
+    again, info = cg(A, b, x, 1e-12, 500, callback=calls.append)
+    assert (info, calls) == (0, [])
+    assert np.array_equal(again, x)
+    assert again is not x  # the start vector is not overwritten
+
+
+def test_cg_calls_back_once_per_iteration(rng, monkeypatch):
+    A, b, _ = spd_system(50, rng)
+    seen = []
+    x, info = cg(A, b, np.zeros(50), 1e-12, 500,
+                 callback=lambda xk: seen.append(xk.copy()))
+    assert info == 0
+    assert 0 < len(seen) <= 50
+    assert np.array_equal(seen[-1], x)
+    budget = []
+    _, info = cg(A, b, np.zeros(50), 1e-15, 7, callback=budget.append)
+    assert (info, len(budget)) == (7, 7)
+    # solve_sparse reaches the loop through the module attribute
+    counted = []
+
+    def counting_cg(*args, callback=None, **kwargs):
+        def chained(xk):
+            counted.append(1)
+            callback(xk)
+        return cg(*args, callback=chained, **kwargs)
+
+    monkeypatch.setattr(solver, "cg", counting_cg)
+    solve_sparse(A, b, tolerance=1e-12)
+    assert len(counted) == len(seen)
+
+
+def test_cg_breakdown_on_an_indefinite_matrix():
+    A = sp.csr_matrix(np.diag([1.0, -1.0]))
+    _, info = cg(A, np.array([1.0, 1.0]), np.zeros(2), 1e-12, 10)
+    assert info == -1
+    with pytest.raises(SolverError) as exc:
+        solve_sparse(A, np.array([1.0, 1.0]))
+    assert exc.value.iterations is not None
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +188,30 @@ def test_backward_euler_rhs_extra_enters_equation():
     S = (M - dt * L).tocsr()
     resid = S @ out - (M @ u + extra)
     assert np.abs(resid).max() < 1e-10
+
+
+def test_backward_euler_takes_mass_diagonal_and_starts_from_u(monkeypatch):
+    mesh = icosphere(2)
+    M = vertex_mass_matrix(mesh)
+    L = laplacian_iso(mesh)
+    u = mesh.vertices[:, 2] ** 2
+    dt = estimate_dt(mesh)
+    assert np.array_equal(
+        backward_euler_step(M, L, u, dt), backward_euler_step(M.diagonal(), L, u, dt)
+    )
+    # a uniform field is the solution, so the warm-started loop does not iterate
+    starts, iterations = [], []
+
+    def recording_cg(A, b, x0, *args, callback=None):
+        starts.append(x0)
+        return cg(A, b, x0, *args, callback=iterations.append)
+
+    monkeypatch.setattr(solver, "cg", recording_cg)
+    uniform = np.full(mesh.n_v, 0.25)
+    out = backward_euler_step(M, L, uniform, dt)
+    assert np.array_equal(starts[0], uniform)
+    assert iterations == []
+    assert out == pytest.approx(uniform, rel=1e-12)
 
 
 def test_backward_euler_validation():
