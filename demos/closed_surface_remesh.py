@@ -45,7 +45,8 @@ print(f"\n{trace.n_rows} iterations in {elapsed:.1f}s, "
 print(f"area-density STD: {trace.initial_std_u:.3e} -> {trace.std_u[-1]:.3e} "
       f"(x{ratio:.3f})")
 print(f"total area drift: {drift:.2e}")
-print(f"flip retries absorbed: {int(np.sum(trace.flip_count))}")
+print(f"rejected candidates: {sum(trace.halvings)}, "
+      f"flipped faces among them: {sum(trace.flip_count)}")
 
 # the morphology carrier is untouched, so the shape cannot have moved
 d, _, _ = compare_surfaces(before, after)

@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .contour2d import (
     read_contours,
     remesh_microstructure_2d,
@@ -94,7 +92,11 @@ def _build_parser():
     p.add_argument("--gamma", type=float, help="anisotropy strength")
     p.add_argument("--dt-scale", type=float,
                    help="first time step constant (the step then grows to a ceiling)")
-    p.add_argument("--std-tol", type=float, help="early-stop threshold")
+    p.add_argument(
+        "--std-tol", type=float,
+        help="stop a stage once the STD falls by less than this fraction of "
+        "the initial STD over five iterations; 0 never stops early",
+    )
 
     p = sub.add_parser("metrics", parents=[config],
                        help="per-face/vertex quality report")
@@ -253,11 +255,11 @@ def cmd_remesh(args):
     final_std = trace.std_u[-1] if trace.n_rows else trace.initial_std_u
     final_area = trace.area[-1] if trace.n_rows else trace.initial_area
     drift = abs(final_area - trace.initial_area) / trace.initial_area
-    flips = int(np.sum(trace.flip_count)) if trace.n_rows else 0
     print(
         f"iterations={trace.n_rows} initial_std={trace.initial_std_u:.6e} "
         f"final_std={final_std:.6e} area_drift={drift:.3%} "
-        f"flip_retries={flips} basis_evaluations="
+        f"rejected={sum(trace.halvings)} flipped_faces={sum(trace.flip_count)} "
+        f"basis_evaluations="
         f"{trace.basis_evaluation_count[-1] if trace.n_rows else 0} "
         f"stop_reason={trace.stop_reason}"
     )

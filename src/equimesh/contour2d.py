@@ -36,7 +36,7 @@ from .errors import (
     row_values,
 )
 from .harmonics import MAX_DEGREE
-from .mesh import Contour2D
+from .mesh import Contour2D, ring_lengths
 from .spheroidal import confocal_inverse, focal_chart, wrap_angle
 
 __all__ = [
@@ -253,10 +253,6 @@ class ContourTrace(TraceTable):
     stop_reason: str = ""
 
 
-def _ring_segments(points):
-    return np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
-
-
 def _cyclic_increasing(eta):
     """True when the angles wind once around the circle without crossing."""
     d = np.mod(np.diff(eta, append=eta[:1] + 2.0 * np.pi), 2.0 * np.pi)
@@ -284,7 +280,7 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
         trace = ContourTrace()
     eta = 2.0 * np.pi * np.arange(n_points) / n_points
     points = reconstruct_contour(weights, eta)
-    seg = _ring_segments(points)
+    seg = ring_lengths(points)
     std_initial = float(seg.std())
     trace.initial_std_length = std_initial
     trace.initial_mean_length = float(seg.mean())
@@ -326,7 +322,7 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
             raise exc
         eta = cand
         points = reconstruct_contour(weights, eta)
-        seg = _ring_segments(points)
+        seg = ring_lengths(points)
         trace.append(
             t=t, dt=dt, std_length=seg.std(), mean_length=seg.mean(),
             total_length=seg.sum(),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EngineError, GuardError
 from .harmonics import reconstruct_fast
-from .mesh import FaceGeometry, TriangleMesh
+from .mesh import FaceGeometry, TriangleMesh, ring_lengths
 from .operators import MeshTopology, stretch_directors
 from .solver import DT_SCALE, backward_euler_step, estimate_dt
 from .spheroidal import CurvilinearCoords, forward_coords, pullback, surface_normals
@@ -60,14 +60,15 @@ class DiffusionConfig:
     on the unit-area surface (h its mean edge length). Each accepted step
     doubles the next, up to a fixed ceiling over alpha_max (or up to the
     first step, if that is larger); a rejected candidate halves it.
-    std_tolerance stops a stage early once the STD falls by less than it
-    over five accepted iterations.
+    std_tolerance stops a stage early once the STD falls by less than
+    std_tolerance times the run's initial STD over five accepted iterations;
+    0 runs every stage to its i_max.
     """
 
     stages: tuple
     gamma: float = 0.0
     dt_scale: float = DT_SCALE
-    std_tolerance: float = 1e-6
+    std_tolerance: float = 1e-2
 
     def __post_init__(self):
         stages = tuple((int(n), int(i)) for n, i in self.stages)
@@ -165,12 +166,6 @@ class DiffusionTrace(TraceTable):
         super().append(**row)
 
 
-def _rim_segments(points, loop):
-    """Boundary edge lengths, from each loop vertex to the next."""
-    pts = points[loop]
-    return np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-
-
 def _rim_source(n_v, loop, u, u_bar_prev, edge_masses, dt):
     """Averaged-flux source of an open rim for the implicit-step RHS.
 
@@ -199,22 +194,17 @@ def update_coordinates(coords, vertex_gradient, dt, domain):
     return pullback(domain, points + dt * tangential)
 
 
-def _with_rim_reset(cand, loop, rim_eta, domain):
-    """Pin boundary vertices to the rim curve: they slide in phi only."""
-    eta = cand.eta.copy()
-    eta[loop] = rim_eta
-    return CurvilinearCoords(eta=eta, phi=cand.phi.copy(), domain=domain)
-
-
 def _run_stage(
-    weights, coords, template, topology, config, stage_index, n_stage, i_max,
-    trace, evals,
+    weights, coords, template, topology, rim, config, stage_index, n_stage,
+    i_max, trace, evals,
 ):
     """One stage; returns (coords, geometry, scale, evals, stop_reason).
 
-    An accepted candidate's geometry serves the next iteration: normals as
-    flip reference, masses for u and the implicit step, areas for averaging
-    and trace.
+    rim holds the boundary loop of an open surface and is empty on a closed
+    one, where every rim term is a no-op or an exact 0.0. An accepted
+    candidate's geometry serves the next iteration: normals as flip
+    reference, masses for u and the implicit step, areas for averaging and
+    trace.
     """
     w = weights.truncated(n_stage)
     domain = weights.domain
@@ -231,18 +221,15 @@ def _run_stage(
     geometry = FaceGeometry(points * scale, faces)
     u = geometry.density()
 
-    loop = topology.boundary_loop
-    is_open = loop is not None
-    if is_open:
-        rim_eta = coords.eta[loop].copy()
-        rim = _rim_segments(geometry.points, loop)
+    # rim vertices slide along the rim: their eta stays pinned
+    rim_eta = coords.eta[rim]
+    rim_lengths = ring_lengths(geometry.points[rim])
 
     if stage_index == 0:
         trace.initial_std_u = float(u.std())
         trace.initial_mean_u = float(u.mean())
         trace.initial_area = float(area0)
-        if is_open:
-            trace.initial_boundary_length = float(rim.sum()) / scale
+        trace.initial_boundary_length = float(rim_lengths.sum()) / scale
 
     dt = dt_first = None
     u_bar_prev = float(u.mean())
@@ -262,15 +249,12 @@ def _run_stage(
             # the first step if that is larger
             dt = min(2.0 * dt, max(dt_first, _DT_CEILING / alpha))
         L = topology.laplacian(geometry, directors)
-        if is_open:
-            edge_masses = 0.5 * (rim + np.roll(rim, 1))
+        edge_masses = 0.5 * (rim_lengths + np.roll(rim_lengths, 1))
 
         flips_seen = halvings = 0
         candidate = None
         for _ in range(MAX_DT_HALVINGS + 1):
-            rhs_extra = None
-            if is_open:
-                rhs_extra = _rim_source(n_v, loop, u, u_bar_prev, edge_masses, dt)
+            rhs_extra = _rim_source(n_v, rim, u, u_bar_prev, edge_masses, dt)
             u_diffused = backward_euler_step(
                 geometry.masses, L, u, dt, rhs_extra=rhs_extra, tolerance=1e-12
             )
@@ -278,9 +262,10 @@ def _run_stage(
                 geometry.vertex_gradients(u_diffused)
                 / np.maximum(u_diffused, 1e-15)[:, None]
             )
-            cand_coords = update_coordinates(coords, velocity, dt, domain)
-            if is_open:
-                cand_coords = _with_rim_reset(cand_coords, loop, rim_eta, domain)
+            moved = update_coordinates(coords, velocity, dt, domain)
+            eta = moved.eta.copy()
+            eta[rim] = rim_eta
+            cand_coords = CurvilinearCoords(eta, moved.phi, domain)
             cand = FaceGeometry(reconstruct_fast(w, cand_coords) * scale, faces)
             evals += cost
             flips = int(np.count_nonzero(
@@ -307,10 +292,7 @@ def _run_stage(
         coords, geometry, u = candidate
 
         std_now = float(u.std())
-        blen = 0.0
-        if is_open:
-            rim = _rim_segments(geometry.points, loop)
-            blen = float(rim.sum()) / scale
+        rim_lengths = ring_lengths(geometry.points[rim])
         trace.append(
             stage=stage_index,
             t=t,
@@ -318,7 +300,7 @@ def _run_stage(
             std_u=std_now,
             mean_u=float(u.mean()),
             flip_count=flips_seen,
-            boundary_length=blen,
+            boundary_length=float(rim_lengths.sum()) / scale,
             area=float(geometry.areas.sum()) / (scale * scale),
             basis_evaluation_count=evals,
             halvings=halvings,
@@ -326,7 +308,7 @@ def _run_stage(
         window.append(std_now)
         if (
             len(window) == _EARLY_STOP_WINDOW
-            and window[0] - window[-1] < config.std_tolerance
+            and window[0] - window[-1] < config.std_tolerance * trace.initial_std_u
         ):
             stop_reason = "converged-early"
             break
@@ -350,14 +332,17 @@ def diffuse_remesh(weights, initial_coords, faces, config):
             )
     # the connectivity checks need the vertex count only
     template = TriangleMesh(np.zeros((initial_coords.n, 3)), faces)
-    topology = MeshTopology(template.faces, template.n_v, template.boundary_loop())
+    topology = MeshTopology(template.faces, template.n_v)
+    loop = template.boundary_loop()
+    # a closed surface is the open case with an empty rim
+    rim = np.zeros(0, dtype=np.int64) if loop is None else loop
     trace = DiffusionTrace()
     coords = initial_coords
     evals = 0
     try:
         for k, (n_stage, i_max) in enumerate(config.stages):
             coords, geometry, scale, evals, stop_reason = _run_stage(
-                weights, coords, template, topology, config,
+                weights, coords, template, topology, rim, config,
                 stage_index=k, n_stage=n_stage, i_max=i_max, trace=trace,
                 evals=evals,
             )

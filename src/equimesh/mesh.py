@@ -30,6 +30,7 @@ __all__ = [
     "load_mesh",
     "save_mesh",
     "icosphere",
+    "ring_lengths",
     "face_metrics",
     "vertex_voronoi_areas",
     "area_density",
@@ -226,10 +227,9 @@ class Contour2D:
         return self.points.shape[0]
 
     def segment_lengths(self):
-        p = self.points
         if self.closed:
-            return np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
-        return np.linalg.norm(np.diff(p, axis=0), axis=1)
+            return ring_lengths(self.points)
+        return np.linalg.norm(np.diff(self.points, axis=0), axis=1)
 
     def length(self):
         return float(self.segment_lengths().sum())
@@ -432,28 +432,18 @@ def icosphere(refinements):
         dtype=np.int64,
     )
     for _ in range(int(refinements)):
-        verts_list = list(verts)
-        cache = {}
-
-        def midpoint(a, b):
-            key = (a, b) if a < b else (b, a)
-            idx = cache.get(key)
-            if idx is None:
-                p = verts_list[a] + verts_list[b]
-                p = p / np.linalg.norm(p)
-                idx = len(verts_list)
-                verts_list.append(p)
-                cache[key] = idx
-            return idx
-
-        new_faces = []
-        for a, b, c in faces:
-            ab = midpoint(a, b)
-            bc = midpoint(b, c)
-            ca = midpoint(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        verts = np.asarray(verts_list)
-        faces = np.asarray(new_faces, dtype=np.int64)
+        # face edges ab, bc, ca; each midpoint is numbered by its first use
+        edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+        keys = edges.min(axis=1) * len(verts) + edges.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ab, bc, ca = (len(verts) + np.argsort(order)[inverse]).reshape(-1, 3).T
+        m = verts[edges[first[order]]].sum(axis=1)
+        # the batched row dot rounds as np.linalg.norm does on one row
+        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+        verts = np.concatenate([verts, m])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1).reshape(-1, 3)
     # enforce outward orientation regardless of the seed table's handedness
     centroids = verts[faces].mean(axis=1)
     normals = np.cross(verts[faces[:, 1]] - verts[faces[:, 0]],
@@ -465,6 +455,12 @@ def icosphere(refinements):
 
 # ---------------------------------------------------------------------------
 # per-face and per-vertex measures
+
+def ring_lengths(points):
+    """Segment lengths of the closed polyline through `points`, from each
+    point to the next; empty for no points."""
+    return np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
+
 
 class FaceGeometry:
     """One geometry pass over a vertex array with fixed faces.

@@ -72,14 +72,13 @@ def stretch_directors(geometry, gamma):
 
 
 class MeshTopology:
-    """CSR pattern of L for one connectivity, and its rim (None if closed).
+    """CSR pattern of L for one connectivity.
 
     scatter maps the corner pairs (k, l) of every face f, in (k, l, f)
     order, to their slots in L.data."""
 
-    def __init__(self, faces, n_v, boundary_loop=None):
+    def __init__(self, faces, n_v):
         self.n_v = n_v
-        self.boundary_loop = boundary_loop
         rows = np.repeat(faces.T, 3, axis=0)  # row 3k + l holds corner k
         cols = np.tile(faces.T, (3, 1))  # and column corner l
         keys, self.scatter = np.unique((rows * n_v + cols).ravel(),

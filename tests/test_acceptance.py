@@ -211,7 +211,7 @@ def test_criterion_5_closed_surface_remeshing(closed_benchmark):
           and monotone and elapsed < 120.0)
     record(5, ok,
            f"STD ratio {ratio:.4f} <= 1/3; area drift {area_drift:.2e} <= 1%; "
-           f"flip retries {flips}; monotone={monotone}; {elapsed:.1f}s")
+           f"flipped faces {flips}; monotone={monotone}; {elapsed:.1f}s")
 
 
 def test_criterion_6_open_surface_fidelity():

@@ -134,6 +134,26 @@ def test_remesh_open_cap(tmp_path):
     assert mesh.boundary_loop() is not None
 
 
+def test_remesh_summary_counts_rejections_and_flipped_faces(tmp_path, capsys):
+    from equimesh.benchmarks import bumpy_weights, oblate_domain
+
+    # steps this large get candidates rejected for flipped faces
+    w = bumpy_weights(oblate_domain(), n_max=15, band=6, amplitude=0.8, seed=3)
+    wpath, trace = tmp_path / "bumpy.txt", tmp_path / "trace.csv"
+    save_weights(w, wpath)
+    rc = main(["remesh", "--weights", str(wpath), "--out", str(tmp_path / "b.obj"),
+               "--trace", str(trace), "--refine", "2", "--imax", "5",
+               "--dt-scale", "60", "--std-tol", "0"])
+    assert rc == 0
+    header, *rows = [line.split(",") for line in trace.read_text().splitlines()]
+    column = {name: [int(row[header.index(name)]) for row in rows]
+              for name in ("halvings", "flip_count")}
+    assert sum(column["flip_count"]) > 0
+    summary = capsys.readouterr().out.split()
+    assert f"rejected={sum(column['halvings'])}" in summary
+    assert f"flipped_faces={sum(column['flip_count'])}" in summary
+
+
 def test_remesh_open_cap_inline_no_align(tmp_path):
     from equimesh.mesh import TriangleMesh, save_mesh
     from equimesh.spheroidal import forward_coords, sample_cap_grid
@@ -469,6 +489,16 @@ def test_guard_violation_exits_5(oblate_obj, tmp_path, capsys):
                "--out", str(tmp_path / "w.txt"), "--nmax", "99"])
     assert rc == 5
     capsys.readouterr()
+
+
+def test_cap_refinement_guard_exits_5(tmp_path, capsys):
+    # a cap is sampled on a polar grid, but --refine keeps the icosphere cap
+    wpath = tmp_path / "cap.txt"
+    save_weights(cap_weights(cap_domain(), n_max=6, rings=12, sectors=24), wpath)
+    rc = main(["remesh", "--weights", str(wpath), "--out", str(tmp_path / "c.obj"),
+               "--refine", "9"])
+    assert rc == 5
+    assert "refinement 9" in capsys.readouterr().err
 
 
 def test_engine_failure_exits_4(tmp_path, capsys):

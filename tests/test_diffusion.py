@@ -295,10 +295,16 @@ def test_face_collapsing_mid_run_raises_engine_error_with_trace(
     assert exc.value.trace.stop_reason == ""
 
 
-def test_flip_recovery_absorbs_aggressive_steps():
+@pytest.fixture(scope="module")
+def aggressive_setup():
     dom = oblate_domain()
     w = bumpy_weights(dom, n_max=15, band=6, amplitude=0.8, seed=3)
     coords, faces = sample_icosphere(dom, 2)
+    return w, coords, faces
+
+
+def test_flip_recovery_absorbs_aggressive_steps(aggressive_setup):
+    w, coords, faces = aggressive_setup
     cfg = DiffusionConfig(stages=((15, 5),), dt_scale=60.0, std_tolerance=0.0)
     _, _, tr = diffuse_remesh(w, coords, faces, cfg)
     assert tr.n_rows == 5
@@ -311,6 +317,16 @@ def test_flip_recovery_absorbs_aggressive_steps():
     assert first > diffusion._DT_CEILING
     for previous, dt, halvings in zip(tr.dt, tr.dt[1:], tr.halvings[1:]):
         assert dt * 2.0**halvings == min(2.0 * previous, first)
+
+
+def test_flip_recovery_exhausted_raises_with_trace(aggressive_setup, monkeypatch):
+    monkeypatch.setattr(diffusion, "MAX_DT_HALVINGS", 2)
+    w, coords, faces = aggressive_setup
+    cfg = DiffusionConfig(stages=((15, 5),), dt_scale=60.0, std_tolerance=0.0)
+    with pytest.raises(EngineError, match="iteration 5") as exc:
+        diffuse_remesh(w, coords, faces, cfg)
+    assert exc.value.trace.n_rows == 4
+    assert exc.value.trace.stop_reason == ""
 
 
 def test_time_step_doubles_up_to_the_ceiling(bumpy_setup):
@@ -336,6 +352,23 @@ def test_iterations_to_target_hold_as_resolution_grows():
         assert ratios.min() <= 0.25, refinement
         reached.append(tr.t[int(np.argmax(ratios <= 0.25))])
     assert reached[1] <= 1.5 * reached[0], reached
+
+
+def test_early_stop_is_relative_to_the_initial_std():
+    # std_u scales as 1/n_v, so only a relative threshold stops a finer
+    # sampling after about as many rows and no sooner in STD ratio
+    dom = oblate_domain()
+    w = bumpy_weights(dom, n_max=10, band=10)
+    rows, ratios = [], []
+    for refinement in (3, 4):
+        coords, faces = sample_icosphere(dom, refinement)
+        cfg = DiffusionConfig(stages=((10, 60),), dt_scale=4.0)
+        _, _, tr = diffuse_remesh(w, coords, faces, cfg)
+        assert tr.stop_reason == "converged-early", refinement
+        rows.append(tr.n_rows)
+        ratios.append(tr.std_u[-1] / tr.initial_std_u)
+    assert abs(rows[1] - rows[0]) <= 3, rows
+    assert ratios[1] <= ratios[0], ratios
 
 
 def test_engine_error_carries_trace():

@@ -18,6 +18,7 @@ from equimesh import (
     save_mesh,
     vertex_voronoi_areas,
 )
+from equimesh.mesh import ring_lengths
 
 
 def tetrahedron():
@@ -415,6 +416,8 @@ def test_contour_segment_lengths():
     c = Contour2D(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
     np.testing.assert_allclose(c.segment_lengths(), 1.0)
     assert c.length() == pytest.approx(4.0)
+    # a closed surface's rim is the empty ring
+    assert ring_lengths(np.zeros((0, 3))).shape == (0,)
 
 
 def test_contour_rejects_repeated_point():

@@ -346,6 +346,18 @@ def test_sample_cap_grid_structure():
     assert len(mesh.boundary_loop()) == sectors
 
 
+def test_sample_cap_grid_prolate_hemispheroid():
+    d = SpheroidDomain(kind="prolate-hemispheroid", e=0.6, zeta0=1.2)
+    coords, faces = sample_cap_grid(d, rings=6, sectors=12)
+    assert coords.eta[0] == 0.0  # the pole
+    assert coords.eta[1:].max() == pytest.approx(np.pi / 2.0 - 1e-3, abs=1e-15)
+    pts = forward_coords(d, coords.eta, coords.phi)
+    p = pts[faces]
+    normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    outward = surface_normals(d, pts)[faces].sum(axis=1)
+    assert np.all(np.einsum("ij,ij->i", normals, outward) > 0.0)
+
+
 def test_sample_cap_grid_near_equal_face_areas():
     """Ring placement equalizes cell areas; spread stays within a few x."""
     d = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
