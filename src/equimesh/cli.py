@@ -28,10 +28,11 @@ from .errors import (
     read_text,
 )
 from .harmonics import ExpansionConfig, decompose, load_weights, save_weights
-from .mesh import MAX_ICOSPHERE_REFINEMENTS, load_mesh, quality_report, save_mesh
+from .mesh import load_mesh, quality_report, save_mesh
 from .spheroidal import (
     KINDS,
     align_to_principal_axes,
+    cap_grid_size,
     fit_domain,
     map_to_domain,
     sample_cap_grid,
@@ -202,15 +203,12 @@ def cmd_decompose(args):
 def _sample_for(domain, refine, rings, sectors):
     if not domain.is_hemispheroid:
         return sample_icosphere(domain, refine)
-    if refine > MAX_ICOSPHERE_REFINEMENTS:
-        raise GuardError(
-            f"refinement {refine} exceeds the cap of {MAX_ICOSPHERE_REFINEMENTS}"
-        )
-    if rings is None:
-        rings = 4 * (2**refine)
-    if sectors is None:
-        sectors = 8 * (2**refine)
-    return sample_cap_grid(domain, rings=rings, sectors=sectors)
+    default_rings, default_sectors = cap_grid_size(refine)
+    return sample_cap_grid(
+        domain,
+        rings=default_rings if rings is None else rings,
+        sectors=default_sectors if sectors is None else sectors,
+    )
 
 
 def cmd_remesh(args):
@@ -244,9 +242,8 @@ def cmd_remesh(args):
             weights, coords, faces, config
         )
     except EngineError as exc:
-        trace = getattr(exc, "trace", None)
-        if trace is not None and args.trace is not None:
-            trace.to_csv(args.trace)
+        if exc.trace is not None and args.trace is not None:
+            exc.trace.to_csv(args.trace)
             print(f"wrote partial trace {args.trace}", file=sys.stderr)
         raise
     save_mesh(remeshed, args.out)

@@ -29,13 +29,12 @@ from .diffusion import MAX_DT_HALVINGS, TraceTable, column
 from .errors import (
     EngineError,
     FormatError,
-    GuardError,
     IntersectionError,
     naming,
     read_lines,
     row_values,
 )
-from .harmonics import MAX_DEGREE
+from .harmonics import _check_degree
 from .mesh import Contour2D, ring_lengths
 from .spheroidal import confocal_inverse, focal_chart, wrap_angle
 
@@ -164,9 +163,8 @@ class ContourWeights:
     residual_rms: float | None = None
 
     def __post_init__(self):
+        _check_degree(self.n_max)
         q = np.ascontiguousarray(self.q, dtype=np.complex128)
-        if not (0 <= int(self.n_max) <= MAX_DEGREE):
-            raise GuardError(f"n_max must be in [0, {MAX_DEGREE}]")
         if q.shape != (self.n_max + 1, 2):
             raise ValueError(
                 f"weights must have shape ({self.n_max + 1}, 2)"
@@ -191,8 +189,7 @@ def decompose_contour(contour, n_max):
     """
     if not contour.closed:
         raise ValueError("decomposition expects a closed contour")
-    if not (0 <= n_max <= MAX_DEGREE):
-        raise GuardError(f"n_max must be in [0, {MAX_DEGREE}]")
+    _check_degree(n_max)
     n_pts = contour.points.shape[0]
     n_modes = 2 * n_max + 1
     if n_pts < n_modes:
@@ -315,11 +312,10 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
             dt *= 0.5
         if not accepted:
             trace.stop_reason = "ordering"
-            exc = EngineError(
-                f"sample ordering could not be preserved at iteration {t}"
+            raise EngineError(
+                f"sample ordering could not be preserved at iteration {t}",
+                trace=trace,
             )
-            exc.trace = trace
-            raise exc
         eta = cand
         points = reconstruct_contour(weights, eta)
         seg = ring_lengths(points)
@@ -330,12 +326,11 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
 
     if float(seg.std()) > goal:
         trace.stop_reason = "i_max"
-        exc = EngineError(
+        raise EngineError(
             f"segment spread {seg.std():.3e} still above target {goal:.3e} "
-            f"after {i_max} iterations"
+            f"after {i_max} iterations",
+            trace=trace,
         )
-        exc.trace = trace
-        raise exc
     trace.stop_reason = "converged"
     return Contour2D(points=points, closed=True)
 
@@ -418,11 +413,10 @@ def remesh_microstructure_2d(contours, max_segments_largest, n_max, i_max=200):
     """Independently remesh each particle with a length-scaled budget.
 
     The per-particle degree is lowered when a small contour cannot support
-    the requested n_max. Self-intersecting outputs abort the batch with the
-    offending particle indices.
+    the requested n_max, which must pass the degree cap itself.
+    Self-intersecting outputs abort the batch with the offending particles.
     """
-    if len(contours) == 0:
-        raise ValueError("need at least one contour")
+    _check_degree(n_max)
     lengths = [c.length() for c in contours]
     budgets = segment_budgets(lengths, max_segments_largest)
 

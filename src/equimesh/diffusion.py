@@ -255,9 +255,7 @@ def _run_stage(
         candidate = None
         for _ in range(MAX_DT_HALVINGS + 1):
             rhs_extra = _rim_source(n_v, rim, u, u_bar_prev, edge_masses, dt)
-            u_diffused = backward_euler_step(
-                geometry.masses, L, u, dt, rhs_extra=rhs_extra, tolerance=1e-12
-            )
+            u_diffused = backward_euler_step(geometry.masses, L, u, dt, rhs_extra)
             velocity = (
                 geometry.vertex_gradients(u_diffused)
                 / np.maximum(u_diffused, 1e-15)[:, None]

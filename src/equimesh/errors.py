@@ -75,7 +75,12 @@ class TopologyError(EquimeshError):
 
 
 class EngineError(EquimeshError):
-    """Numerical failure inside a solver or remeshing loop."""
+    """Numerical failure inside a solver or remeshing loop; `trace` is the
+    loop's log up to the failure, or None when no loop kept one."""
+
+    def __init__(self, *args, trace=None):
+        super().__init__(*args)
+        self.trace = trace
 
 
 class SolverError(EngineError):

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import EngineError, FormatError, GuardError, read_lines, row_values
-from .spheroidal import KINDS, SpheroidDomain, xi_of_eta
+from .spheroidal import SpheroidDomain, xi_of_eta
 
 __all__ = [
     "MAX_DEGREE",
@@ -51,6 +51,12 @@ MAX_DEGREE = 80
 _MAX_NORMAL_COND = 1e8
 
 
+def _check_degree(n_max):
+    """The one degree cap of every expansion, surface or contour."""
+    if not (isinstance(n_max, (int, np.integer)) and 0 <= n_max <= MAX_DEGREE):
+        raise GuardError(f"n_max must be an integer in [0, {MAX_DEGREE}]")
+
+
 @dataclass(frozen=True)
 class ExpansionConfig:
     """Expansion truncation; beta/beta_hat count full and half basis columns."""
@@ -58,9 +64,7 @@ class ExpansionConfig:
     n_max: int
 
     def __post_init__(self):
-        n = self.n_max
-        if not (isinstance(n, (int, np.integer)) and 0 <= n <= MAX_DEGREE):
-            raise GuardError(f"n_max must be an integer in [0, {MAX_DEGREE}]")
+        _check_degree(self.n_max)
 
     @property
     def beta(self):
@@ -99,14 +103,13 @@ class FourierWeights:
     residual_rms: float | None = None
 
     def __post_init__(self):
+        _check_degree(self.n_max)
         q = np.ascontiguousarray(self.q, dtype=np.complex128)
-        beta = (int(self.n_max) + 1) ** 2
+        beta = (self.n_max + 1) ** 2
         if q.shape != (beta, 3):
             raise ValueError(
                 f"weights must have shape ({beta}, 3) for n_max={self.n_max}"
             )
-        if not (0 <= int(self.n_max) <= MAX_DEGREE):
-            raise GuardError(f"n_max must be in [0, {MAX_DEGREE}]")
         self.q = q
 
     @staticmethod
@@ -172,8 +175,7 @@ def _legendre_blocks(n_max, xi):
     normalized associated Legendre values P_nm(xi), n = m..n_max. The
     three-term recurrence over n at fixed m is numerically stable for the
     supported degree range (values stay O(sqrt(n)))."""
-    if not 0 <= n_max <= MAX_DEGREE:
-        raise GuardError(f"n_max must be in [0, {MAX_DEGREE}]")
+    _check_degree(n_max)
     xi = _checked_xi(xi)
     amp = _seed_amplitudes(n_max)
     sin_pow = np.sqrt(np.maximum(0.0, 1.0 - xi * xi))
@@ -301,8 +303,6 @@ def decompose(mesh, coords, config):
     """
     if mesh.n_v != coords.n:
         raise ValueError("mesh and coords disagree on vertex count")
-    if coords.domain.kind not in KINDS:
-        raise ValueError("bad domain")
     n_max, beta = config.n_max, config.beta
     if mesh.n_v < beta:
         raise EngineError(

@@ -171,8 +171,6 @@ def _single_boundary_loop(edges, n_v):
 
 def _chain_loops(boundary_edges):
     """Chain directed boundary edges into ordered loops."""
-    if boundary_edges.shape[0] == 0:
-        return []
     succ = {}
     for a, b in boundary_edges:
         a = int(a)
@@ -402,16 +400,18 @@ def save_mesh(mesh, path):
 # ---------------------------------------------------------------------------
 # icosphere
 
+def _check_refinements(r):
+    """The one sampling depth cap, of the icosphere and the cap grid alike."""
+    if not (isinstance(r, (int, np.integer)) and 0 <= r <= MAX_ICOSPHERE_REFINEMENTS):
+        raise GuardError(f"refinement {r} is outside [0, {MAX_ICOSPHERE_REFINEMENTS}]")
+
+
 def icosphere(refinements):
     """Unit icosphere: icosahedron subdivided `refinements` times.
 
     Vertex/face counts are 10*4^r + 2 and 20*4^r.
     """
-    if not 0 <= int(refinements) <= MAX_ICOSPHERE_REFINEMENTS:
-        raise GuardError(
-            f"refinements must be in [0, {MAX_ICOSPHERE_REFINEMENTS}], "
-            f"got {refinements}"
-        )
+    _check_refinements(refinements)
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -431,7 +431,7 @@ def icosphere(refinements):
         ],
         dtype=np.int64,
     )
-    for _ in range(int(refinements)):
+    for _ in range(refinements):
         # face edges ab, bc, ca; each midpoint is numbered by its first use
         edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
         keys = edges.min(axis=1) * len(verts) + edges.max(axis=1)

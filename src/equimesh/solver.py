@@ -17,7 +17,7 @@ __all__ = [
     "estimate_dt",
 ]
 
-DEFAULT_TOLERANCE = 1e-10
+DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_ITERATIONS = 2000
 DT_SCALE = 0.5
 
@@ -122,7 +122,7 @@ def solve_sparse(
 
 
 def backward_euler_step(
-    vertex_mass, laplacian, u_i, dt, rhs_extra=None, tolerance=1e-12
+    vertex_mass, laplacian, u_i, dt, rhs_extra=None, tolerance=DEFAULT_TOLERANCE
 ):
     """One implicit step of du/dt = Lu: solve (M - dt L) u' = M u (+ extra),
     starting the solve from u_i.

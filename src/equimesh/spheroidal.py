@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FoldError, SingularityError, TopologyError
-from .mesh import TriangleMesh, icosphere
+from .errors import FoldError, GuardError, SingularityError, TopologyError
+from .mesh import MAX_ICOSPHERE_REFINEMENTS, TriangleMesh, _check_refinements, icosphere
 
 __all__ = [
     "OBLATE",
@@ -36,6 +36,7 @@ __all__ = [
     "map_to_domain",
     "surface_normals",
     "sample_icosphere",
+    "cap_grid_size",
     "sample_cap_grid",
 ]
 
@@ -416,6 +417,12 @@ def sample_icosphere(domain, refinements):
     return coords, base.faces
 
 
+def cap_grid_size(refinements):
+    """(rings, sectors) = (4 * 2^r, 8 * 2^r), the cap grid of refinement r."""
+    _check_refinements(refinements)
+    return 4 * 2**refinements, 8 * 2**refinements
+
+
 def sample_cap_grid(domain, rings, sectors):
     """Sample a hemispheroidal cap on a pole-fan polar grid.
 
@@ -423,12 +430,20 @@ def sample_cap_grid(domain, rings, sectors):
     area: the pole fan holds `sectors` triangles and each ring band holds
     twice that, so ring j sits at cumulative area fraction (2j-1)/(2*rings-1)
     measured from the pole. The rim ring sits 1e-3 in eta inside the true
-    edge so no sample touches the open boundary. Returns (coords, faces).
+    edge so no sample touches the open boundary. A grid of more cells than
+    `cap_grid_size(MAX_ICOSPHERE_REFINEMENTS)` raises GuardError before
+    anything is allocated. Returns (coords, faces).
     """
     if not domain.is_hemispheroid:
         raise ValueError("cap sampling requires a hemispheroidal domain")
     if rings < 1 or sectors < 3:
         raise ValueError("need rings >= 1 and sectors >= 3")
+    max_rings, max_sectors = cap_grid_size(MAX_ICOSPHERE_REFINEMENTS)
+    if rings * sectors > max_rings * max_sectors:
+        raise GuardError(
+            f"cap grid {rings} x {sectors} exceeds the {max_rings} x {max_sectors} "
+            f"grid of refinement {MAX_ICOSPHERE_REFINEMENTS}"
+        )
     lo, hi = domain.eta_range
     if domain.kind == PROLATE_HEMISPHEROID:
         pole, rim = lo, hi - _RIM_OFFSET
@@ -448,29 +463,19 @@ def sample_cap_grid(domain, rings, sectors):
     fractions = (2.0 * np.arange(1, rings + 1) - 1.0) / (2.0 * rings - 1.0)
     ring_etas = np.interp(fractions * band[-1], band, eta_fine)
     ring_etas[-1] = rim
-    eta = [pole]
-    phi = [0.0]
-    for j in range(1, rings + 1):
-        ring_eta = ring_etas[j - 1]
-        for k in range(sectors):
-            eta.append(ring_eta)
-            phi.append(2.0 * np.pi * k / sectors)
-    faces = []
-    # pole fan
-    for k in range(sectors):
-        faces.append((0, 1 + k, 1 + (k + 1) % sectors))
-    # quad strips
-    for j in range(1, rings):
-        inner = 1 + (j - 1) * sectors
-        outer = 1 + j * sectors
-        for k in range(sectors):
-            k2 = (k + 1) % sectors
-            faces.append((inner + k, outer + k, outer + k2))
-            faces.append((inner + k, outer + k2, inner + k2))
+    # the pole, then ring by ring one vertex per sector
+    k = np.arange(sectors)
     coords = CurvilinearCoords(
-        eta=np.asarray(eta), phi=np.asarray(phi), domain=domain
+        eta=np.concatenate(([pole], np.repeat(ring_etas, sectors))),
+        phi=np.concatenate(([0.0], np.tile(2.0 * np.pi * k / sectors, rings))),
+        domain=domain,
     )
-    faces = np.asarray(faces, dtype=np.int64)
+    # pole fan, then per ring band and sector the quad's two triangles
+    ring = 1 + k + sectors * np.arange(rings)[:, None]
+    step = np.roll(ring, -1, axis=1)
+    fan = np.stack([np.zeros_like(k), ring[0], step[0]], axis=1)
+    quads = [ring[:-1], ring[1:], step[1:], ring[:-1], step[1:], step[:-1]]
+    faces = np.concatenate([fan, np.stack(quads, axis=-1).reshape(-1, 3)])
     # fix winding so face normals point outward on the shell
     pts = forward_coords(domain, coords.eta, coords.phi)
     cross = np.cross(

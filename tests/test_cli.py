@@ -501,6 +501,38 @@ def test_cap_refinement_guard_exits_5(tmp_path, capsys):
     assert "refinement 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--refine", "-1"],
+    ["--refine", "-3"],
+    ["--refine", "9"],
+    ["--rings", "3000", "--sectors", "3000"],
+])
+def test_cap_sampling_size_exits_5_before_sampling(flags, tmp_path, monkeypatch, capsys):
+    import equimesh.spheroidal as spheroidal
+
+    wpath = tmp_path / "cap.txt"
+    save_weights(cap_weights(cap_domain(), n_max=6, rings=12, sectors=24), wpath)
+
+    def refused(*args):
+        raise AssertionError("the cap grid was sampled")
+
+    monkeypatch.setattr(spheroidal, "forward_coords", refused)
+    rc = main(["remesh", "--weights", str(wpath), "--out", str(tmp_path / "c.obj"),
+               *flags])
+    assert rc == 5
+    assert "error:" in capsys.readouterr().err
+
+
+def test_remesh2d_degree_above_cap_exits_5(tmp_path, capsys):
+    # the 64-point contours would lower any degree to 31 per particle
+    doc = tmp_path / "grains.txt"
+    write_contours([("ellipse", ellipse_contour()), ("blob", blob_contour())], doc)
+    rc = main(["remesh2d", "--in", str(doc), "--out", str(tmp_path / "o.txt"),
+               "--max-segments", "48", "--nmax", "99"])
+    assert rc == 5
+    assert "n_max must be an integer" in capsys.readouterr().err
+
+
 def test_engine_failure_exits_4(tmp_path, capsys):
     from equimesh.mesh import save_mesh
 

@@ -310,6 +310,14 @@ def test_stop_reason_ordering(monkeypatch):
     assert tr.stop_reason == "ordering"
 
 
+def test_engine_error_trace_is_declared():
+    # a failure outside any traced loop reads as trace None, not AttributeError
+    assert EngineError("no loop").trace is None
+    assert IntersectionError("crossed", particle_ids=[1]).trace is None
+    tr = ContourTrace()
+    assert EngineError("loop", trace=tr).trace is tr
+
+
 @pytest.mark.parametrize("budget", [8, 10, 16])
 def test_blob_even_budgets_converge(budget):
     # alternating segment lengths are invisible to a density collocated on

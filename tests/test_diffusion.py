@@ -1,5 +1,6 @@
 """Tests for the density-equalizing diffusion engine."""
 
+import inspect
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -17,7 +18,7 @@ from equimesh.diffusion import (
     diffuse_remesh,
     update_coordinates,
 )
-from equimesh import diffusion
+from equimesh import diffusion, solver
 from equimesh.contour2d import ContourTrace
 from equimesh.errors import DegenerateMeshError, EngineError, GuardError
 from equimesh.harmonics import FourierWeights, reconstruct_fast
@@ -198,6 +199,25 @@ def test_diffuse_remesh_reduces_density_spread(bumpy_setup):
     # cost meter is cumulative
     assert all(b >= a for a, b in
                zip(tr.basis_evaluation_count, tr.basis_evaluation_count[1:]))
+
+
+@pytest.mark.parametrize("setup", ["bumpy_setup", "cap_setup"])
+def test_every_engine_solve_uses_the_solver_tolerance(setup, request, monkeypatch):
+    _, w, coords, faces = request.getfixturevalue(setup)
+    tolerances = []
+    solve = solver.solve_sparse
+
+    def recording(*args, **kwargs):
+        call = inspect.signature(solve).bind(*args, **kwargs)
+        call.apply_defaults()
+        tolerances.append(call.arguments["tolerance"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_sparse", recording)
+    cfg = DiffusionConfig(stages=((6, 3), (10, 3)), dt_scale=4.0, std_tolerance=0.0)
+    diffuse_remesh(w, coords, faces, cfg)
+    assert len(tolerances) >= 6
+    assert set(tolerances) == {solver.DEFAULT_TOLERANCE}
 
 
 def test_diffuse_remesh_continuation_hands_off_exactly(bumpy_setup):

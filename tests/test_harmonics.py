@@ -12,11 +12,19 @@ import numpy as np
 import pytest
 
 from equimesh import benchmarks
+from equimesh.contour2d import (
+    ContourWeights,
+    EllipticDomain,
+    decompose_contour,
+    remesh_microstructure_2d,
+)
 from equimesh.errors import EngineError, FormatError, GuardError
 from equimesh.harmonics import (
+    MAX_DEGREE,
     ExpansionConfig,
     FourierWeights,
     _fourier_table,
+    _legendre_blocks,
     alp_table,
     basis_matrix,
     decompose,
@@ -103,6 +111,32 @@ def test_expansion_config_counts():
 def test_expansion_config_rejects_bad_degree(bad):
     with pytest.raises(GuardError):
         ExpansionConfig(bad)
+
+
+_ELLIPSE = EllipticDomain(e=1.0, zeta0=0.5)
+
+# every entry that takes an expansion degree; the contour batch lowers the
+# degree per particle, so its entry must refuse the requested one first
+_DEGREE_ENTRIES = {
+    "ExpansionConfig": ExpansionConfig,
+    "FourierWeights": lambda n: FourierWeights(
+        np.zeros((9, 3)), n, SpheroidDomain("oblate", 0.8, 1.1)
+    ),
+    "_legendre_blocks": lambda n: next(_legendre_blocks(n, np.zeros(3))),
+    "ContourWeights": lambda n: ContourWeights(np.zeros((3, 2)), n, _ELLIPSE),
+    "decompose_contour": lambda n: decompose_contour(benchmarks.ellipse_contour(), n),
+    "remesh_microstructure_2d": lambda n: remesh_microstructure_2d(
+        [benchmarks.ellipse_contour()], 16, n
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DEGREE_ENTRIES))
+@pytest.mark.parametrize("bad", [-1, 81, 2.5])
+def test_every_degree_entry_raises_one_guard(entry, bad):
+    with pytest.raises(GuardError) as exc:
+        _DEGREE_ENTRIES[entry](bad)
+    assert str(exc.value) == f"n_max must be an integer in [0, {MAX_DEGREE}]"
 
 
 def test_order_layouts():

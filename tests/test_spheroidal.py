@@ -21,8 +21,11 @@ from equimesh import (
     surface_normals,
     xi_of_eta,
 )
+from equimesh import spheroidal
 from equimesh.benchmarks import bumpy_weights, oblate_domain, prolate_domain
 from equimesh.harmonics import reconstruct_fast
+from equimesh.mesh import MAX_ICOSPHERE_REFINEMENTS
+from equimesh.spheroidal import cap_grid_size
 
 
 def all_domains():
@@ -367,6 +370,88 @@ def test_sample_cap_grid_near_equal_face_areas():
 
     areas, _, _ = face_metrics(TriangleMesh(pts, faces))
     assert areas.max() / areas.min() < 6.0
+
+
+def _loop_cap_grid(domain, rings, sectors):
+    """Reference: the cap grid built vertex by vertex and face by face."""
+    lo, hi = domain.eta_range
+    if domain.kind == "prolate-hemispheroid":
+        pole, rim = lo, hi - 1e-3
+    else:
+        pole, rim = hi, lo + 1e-3
+    eta_fine = np.linspace(pole, rim, 4096)
+    pts_fine = forward_coords(domain, eta_fine, np.zeros_like(eta_fine))
+    hoop = np.hypot(pts_fine[:, 0], pts_fine[:, 1])
+    speed = np.linalg.norm(np.gradient(pts_fine, eta_fine, axis=0), axis=1)
+    band = np.concatenate(
+        ([0.0], np.cumsum(np.abs(np.diff(eta_fine)) * 0.5 * (
+            (hoop * speed)[1:] + (hoop * speed)[:-1]
+        )))
+    )
+    fractions = (2.0 * np.arange(1, rings + 1) - 1.0) / (2.0 * rings - 1.0)
+    ring_etas = np.interp(fractions * band[-1], band, eta_fine)
+    ring_etas[-1] = rim
+    eta = [pole]
+    phi = [0.0]
+    for j in range(1, rings + 1):
+        for k in range(sectors):
+            eta.append(ring_etas[j - 1])
+            phi.append(2.0 * np.pi * k / sectors)
+    faces = []
+    for k in range(sectors):
+        faces.append((0, 1 + k, 1 + (k + 1) % sectors))
+    for j in range(1, rings):
+        inner = 1 + (j - 1) * sectors
+        outer = 1 + j * sectors
+        for k in range(sectors):
+            k2 = (k + 1) % sectors
+            faces.append((inner + k, outer + k, outer + k2))
+            faces.append((inner + k, outer + k2, inner + k2))
+    eta, phi = np.asarray(eta), np.asarray(phi)
+    faces = np.asarray(faces, dtype=np.int64)
+    pts = forward_coords(domain, eta, phi)
+    cross = np.cross(
+        pts[faces[:, 1]] - pts[faces[:, 0]], pts[faces[:, 2]] - pts[faces[:, 0]]
+    )
+    outward = surface_normals(domain, pts)[faces[:, 0]]
+    if np.median(np.einsum("ij,ij->i", cross, outward)) < 0:
+        faces = faces[:, [0, 2, 1]].copy()
+    return eta, phi, faces
+
+
+@pytest.mark.parametrize("kind", ["oblate-hemispheroid", "prolate-hemispheroid"])
+@pytest.mark.parametrize("rings, sectors", [(1, 3), (2, 5), (12, 24), (40, 64)])
+def test_sample_cap_grid_matches_loop_reference(kind, rings, sectors):
+    d = SpheroidDomain(kind=kind, e=0.7, zeta0=1.0)
+    coords, faces = sample_cap_grid(d, rings=rings, sectors=sectors)
+    eta, phi, ref_faces = _loop_cap_grid(d, rings, sectors)
+    assert coords.eta.tobytes() == eta.tobytes()
+    assert coords.phi.tobytes() == phi.tobytes()
+    assert faces.dtype == ref_faces.dtype
+    assert np.array_equal(faces, ref_faces)
+
+
+def test_cap_grid_size_follows_the_refinement_guard():
+    assert cap_grid_size(0) == (4, 8)
+    assert cap_grid_size(MAX_ICOSPHERE_REFINEMENTS) == (1024, 2048)
+    for bad in (-1, MAX_ICOSPHERE_REFINEMENTS + 1, 2.5):
+        with pytest.raises(GuardError) as cap:
+            cap_grid_size(bad)
+        with pytest.raises(GuardError) as sphere:
+            icosphere(bad)
+        assert str(cap.value) == str(sphere.value)
+
+
+def test_sample_cap_grid_refuses_more_cells_than_the_cap(monkeypatch):
+    d = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
+
+    def refused(*args):
+        raise AssertionError("the cap grid was sampled")
+
+    monkeypatch.setattr(spheroidal, "forward_coords", refused)
+    for rings, sectors in ((1025, 2048), (1, 1024 * 2048 + 1), (3000, 3000)):
+        with pytest.raises(GuardError, match="1024 x 2048"):
+            sample_cap_grid(d, rings=rings, sectors=sectors)
 
 
 def test_sample_cap_grid_requires_hemispheroid():
