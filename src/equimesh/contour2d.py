@@ -8,7 +8,9 @@ driver applies this per particle for 2D microstructures.
 The decisions the plane shares with the surface are made once, in the
 surface modules: the ellipse chart takes its focal distance and its
 inversion from `spheroidal.focal_chart` and `spheroidal.confocal_inverse`,
-the trace is a `diffusion.TraceTable`, and the time-step halving budget is
+the fit its cos/sin rows and its least-squares solver (with the surface
+fit's error messages) from `harmonics`, the trace is a
+`diffusion.TraceTable`, and the time-step halving budget is
 `diffusion.MAX_DT_HALVINGS`.
 
 The 1D step is staggered: the density lives on segments and each sample
@@ -34,7 +36,7 @@ from .errors import (
     read_lines,
     row_values,
 )
-from .harmonics import _check_degree
+from .harmonics import _check_degree, _least_squares, _multiple_angles
 from .mesh import Contour2D, ring_lengths
 from .spheroidal import confocal_inverse, focal_chart, wrap_angle
 
@@ -97,13 +99,8 @@ class EllipticDomain:
 def elliptic_coords(domain, eta):
     """Points on the shell ellipse at angles eta, in world coordinates."""
     eta = np.asarray(eta, dtype=float)
-    z0 = domain.zeta0
-    local = np.column_stack(
-        [
-            domain.e * np.cosh(z0) * np.cos(eta),
-            domain.e * np.sinh(z0) * np.sin(eta),
-        ]
-    )
+    a, b = domain.semi_axes()
+    local = np.column_stack([a * np.cos(eta), b * np.sin(eta)])
     return local @ domain._rotation_matrix().T + np.asarray(domain.center)
 
 
@@ -174,45 +171,26 @@ class ContourWeights:
         self.q = q
 
 
-def _fourier_matrix(eta, n_max):
-    """Full complex basis e^{i m eta}, m = -n_max .. n_max, (n, 2*n_max+1)."""
-    m = np.arange(-n_max, n_max + 1)
-    return np.exp(1j * np.outer(eta, m))
-
-
 def decompose_contour(contour, n_max):
     """Least-squares Fourier weights of a closed contour.
 
     Each vertex is assigned the elliptic angle of the fitted ellipse chart
     (the planar analogue of the surface projection); the fit then solves
-    for x(eta), y(eta). Requires at least 2*n_max + 1 points.
+    for x(eta), y(eta) over the real rows cos(m eta), m = 0..n_max, and
+    sin(m eta), m = 1..n_max, with the surface fit's solver
+    (`harmonics._least_squares`), so it needs at least 2*n_max + 1 points.
+    Coefficients a, b map to q_0 = a_0, q_m = (a_m - i b_m) / 2.
     """
     if not contour.closed:
         raise ValueError("decomposition expects a closed contour")
     _check_degree(n_max)
-    n_pts = contour.points.shape[0]
-    n_modes = 2 * n_max + 1
-    if n_pts < n_modes:
-        raise EngineError(
-            f"underdetermined contour fit: {n_pts} points < {n_modes} modes"
-        )
     domain = fit_ellipse(contour)
     _, eta = inverse_elliptic(domain, contour.points)
-    B = _fourier_matrix(eta, n_max)
-    target = contour.points.astype(np.complex128)
-    q_full, _, rank, _ = np.linalg.lstsq(B, target, rcond=None)
-    if rank < n_modes:
-        raise EngineError(
-            "rank-deficient contour fit: sample angles do not resolve the "
-            f"requested degree {n_max}"
-        )
-    # fold onto the conjugate-consistent half spectrum
-    pos = q_full[n_max:]
-    neg = q_full[n_max::-1]
-    q = 0.5 * (pos + np.conj(neg))
-    q[0] = q[0].real
-    resid = np.abs(B @ q_full - target) ** 2
-    residual_rms = float(np.sqrt(resid.sum(axis=1).mean()))
+    cos_m, sin_m = _multiple_angles(np.cos(eta), np.sin(eta), n_max + 1)
+    coef, residual_rms = _least_squares(np.vstack([cos_m, sin_m[1:]]),
+                                        contour.points)
+    q = coef[: n_max + 1].astype(np.complex128)
+    q[1:] = 0.5 * (coef[1 : n_max + 1] - 1j * coef[n_max + 1 :])
     return ContourWeights(
         q=q, n_max=n_max, domain=domain, residual_rms=residual_rms
     )
@@ -220,20 +198,25 @@ def decompose_contour(contour, n_max):
 
 def reconstruct_contour(weights, eta):
     """Evaluate the contour at angles eta; returns (n, 2) points."""
-    eta = np.asarray(eta, dtype=float)
-    m = np.arange(weights.n_max + 1)
-    phase = np.exp(1j * np.outer(eta, m))
-    scale = np.where(m == 0, 1.0, 2.0)[:, None]
-    return (phase @ (weights.q * scale)).real
+    return _evaluate(weights, eta)[0]
 
 
 def contour_tangents(weights, eta):
     """d(point)/d(eta) of the reconstruction — the local chart speed."""
+    return _evaluate(weights, eta)[1]
+
+
+def _evaluate(weights, eta):
+    """Points and their d/d(eta) at angles eta, each (n, 2), from one build
+    of the cos(m eta), sin(m eta) rows: with a_m = (2 - delta_m0) Re q_m
+    and b_m = -2 Im q_m, x(eta) = sum_m a_m cos(m eta) + b_m sin(m eta)."""
     eta = np.asarray(eta, dtype=float)
-    m = np.arange(weights.n_max + 1)
-    phase = np.exp(1j * np.outer(eta, m)) * (1j * m)
-    scale = np.where(m == 0, 1.0, 2.0)[:, None]
-    return (phase @ (weights.q * scale)).real
+    m = np.arange(weights.n_max + 1)[:, None]
+    a = np.where(m == 0, 1.0, 2.0) * weights.q.real
+    b = -2.0 * weights.q.imag
+    rows = np.vstack(_multiple_angles(np.cos(eta), np.sin(eta), m.shape[0]))
+    vals = rows.T @ np.block([[a, m * b], [b, -m * a]])
+    return vals[:, :2], vals[:, 2:]
 
 
 @dataclass
@@ -276,7 +259,7 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
     if trace is None:
         trace = ContourTrace()
     eta = 2.0 * np.pi * np.arange(n_points) / n_points
-    points = reconstruct_contour(weights, eta)
+    points, tangents = _evaluate(weights, eta)
     seg = ring_lengths(points)
     std_initial = float(seg.std())
     trace.initial_std_length = std_initial
@@ -291,9 +274,7 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
         # segments i - 1 and i, a spacing h_i apart
         u = seg / seg.sum()
         h = 0.5 * (seg + np.roll(seg, 1))
-        speed = np.maximum(
-            np.linalg.norm(contour_tangents(weights, eta), axis=1), 1e-15
-        )
+        speed = np.maximum(np.linalg.norm(tangents, axis=1), 1e-15)
         # the largest step whose explicit move keeps every sample within
         # _ETA_MOVE_FRACTION of its nearer neighbour in eta
         gap = np.mod(np.diff(eta, append=eta[:1] + 2.0 * np.pi), 2.0 * np.pi)
@@ -317,7 +298,7 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
                 trace=trace,
             )
         eta = cand
-        points = reconstruct_contour(weights, eta)
+        points, tangents = _evaluate(weights, eta)
         seg = ring_lengths(points)
         trace.append(
             t=t, dt=dt, std_length=seg.std(), mean_length=seg.mean(),

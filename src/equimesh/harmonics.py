@@ -15,8 +15,10 @@ and fitted weights are conjugate-consistent by construction. The fit
 solves the normal equations by Cholesky with one step of iterative
 refinement, and falls back to the SVD least-squares solver when the
 Cholesky factorization fails or the condition estimate of the normal
-matrix exceeds 1e8. basis_matrix and reconstruct_full, which evaluate the
-Legendre recurrence directly, stay the independent complex-basis reference.
+matrix exceeds 1e8. The planar pipeline fits and evaluates contours with
+the same least-squares solver and the same cos/sin row builder, in one
+angle. basis_matrix and reconstruct_full, which evaluate the Legendre
+recurrence directly, stay the independent complex-basis reference.
 """
 from __future__ import annotations
 
@@ -292,40 +294,12 @@ def decompose(mesh, coords, config):
     q_nm = (a - i b) / 2, q_n,-m = (-1)^m conj(q_nm), so fitted weights are
     conjugate-consistent by construction.
 
-    Requires n_v >= beta; non-finite vertices raise ValueError. The
-    normal equations G = Bt Bt^T are solved by Cholesky with one step of
-    iterative refinement on the residual, which gives the least-squares
-    solution to working accuracy for a well-conditioned basis. When the
-    Cholesky factorization fails or the condition estimate of G exceeds
-    1e8, the fit runs the SVD least-squares solver instead. Raises
-    EngineError for underdetermined, rank-deficient or ill-conditioned
-    systems.
+    The fit itself is _least_squares, shared with the contour fit.
     """
     if mesh.n_v != coords.n:
         raise ValueError("mesh and coords disagree on vertex count")
-    n_max, beta = config.n_max, config.beta
-    if mesh.n_v < beta:
-        raise EngineError(
-            f"underdetermined decomposition: {mesh.n_v} samples < {beta} basis "
-            "columns"
-        )
-    V = mesh.vertices
-    if not np.isfinite(V).all():
-        raise ValueError("mesh vertices must be finite")
-    Bt = _real_basis(coords, n_max)
-    coef = _cholesky_lsq(Bt, V)
-    if coef is None:
-        coef, _, rank, sv = np.linalg.lstsq(Bt.T, V, rcond=None)
-        if rank < beta:
-            raise EngineError(
-                f"rank-deficient basis (rank {rank} < {beta}); sampling does "
-                "not resolve the requested degree"
-            )
-        cond = sv[0] / sv[-1]
-        if cond > 1e12:
-            raise EngineError(f"basis condition estimate {cond:.3e} too large")
-    resid = ((V - Bt.T @ coef) ** 2).sum(axis=1)
-    residual_rms = float(np.sqrt(resid.mean()))
+    n_max = config.n_max
+    coef, residual_rms = _least_squares(_real_basis(coords, n_max), mesh.vertices)
     n, m = full_orders(n_max)
     pos = np.flatnonzero(m > 0)
     neg = FourierWeights.row_index(n[pos], -m[pos])
@@ -357,20 +331,45 @@ def _real_basis(coords, n_max):
     return Bt
 
 
-def _cholesky_lsq(Bt, V):
-    """Normal equations solved by Cholesky plus one refinement step on the
-    residual, or None when the factorization fails or the estimate of
-    cond_1(Bt Bt^T) exceeds _MAX_NORMAL_COND."""
+def _least_squares(Bt, V):
+    """Least-squares coefficients of the samples V (n, c) over the rows of
+    the transposed basis Bt (k, n), and the rms over samples of the
+    residual norm.
+
+    Requires n >= k; non-finite samples raise ValueError. The normal
+    equations G = Bt Bt^T are solved by Cholesky with one step of
+    iterative refinement on the residual, which gives the least-squares
+    solution to working accuracy for a well-conditioned basis. When the
+    Cholesky factorization fails or the estimate of cond_1(G) exceeds
+    _MAX_NORMAL_COND, the SVD least-squares solver runs instead. Raises
+    EngineError for underdetermined, rank-deficient or ill-conditioned
+    systems.
+    """
+    k, n = Bt.shape
+    if n < k:
+        raise EngineError(f"underdetermined fit: {n} samples < {k} basis columns")
+    if not np.isfinite(V).all():
+        raise ValueError("samples must be finite")
     G = Bt @ Bt.T
     factor, info = lapack.dpotrf(G)
-    if info != 0:
-        return None
-    rcond, info = lapack.dpocon(factor, np.abs(G).sum(axis=0).max())
-    if info != 0 or not rcond * _MAX_NORMAL_COND >= 1.0:
-        return None
-    coef, _ = lapack.dpotrs(factor, Bt @ V)
-    correction, _ = lapack.dpotrs(factor, Bt @ (V - Bt.T @ coef))
-    return coef + correction
+    if info == 0:
+        rcond, info = lapack.dpocon(factor, np.abs(G).sum(axis=0).max())
+    if info == 0 and rcond * _MAX_NORMAL_COND >= 1.0:
+        coef, _ = lapack.dpotrs(factor, Bt @ V)
+        correction, _ = lapack.dpotrs(factor, Bt @ (V - Bt.T @ coef))
+        coef = coef + correction
+    else:
+        coef, _, rank, sv = np.linalg.lstsq(Bt.T, V, rcond=None)
+        if rank < k:
+            raise EngineError(
+                f"rank-deficient basis (rank {rank} < {k}); sampling does "
+                "not resolve the requested degree"
+            )
+        cond = sv[0] / sv[-1]
+        if cond > 1e12:
+            raise EngineError(f"basis condition estimate {cond:.3e} too large")
+    resid = ((V - Bt.T @ coef) ** 2).sum(axis=1)
+    return coef, float(np.sqrt(resid.mean()))
 
 
 def _check_domains_match(weights, coords):

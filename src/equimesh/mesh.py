@@ -609,60 +609,38 @@ def detect_normal_flips(mesh, reference_normals):
 # surface-to-surface distance
 
 def _point_triangle_distance(point, tri):
-    """Distances from one point to each triangle in tri ((k,3,3) array)."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    ab = b - a
-    ac = c - a
+    """Distances from one point to each triangle in tri ((k,3,3) array).
+
+    The nearest point is the foot of the perpendicular on the plane when
+    its barycentric weights lie in [0, 1], and on one of the three edges
+    otherwise. A zero-area face has NaN weights and takes the edge branch.
+    Both candidates are points of the triangle, so the smaller distance is
+    exact even where round-off misjudges the weights of a sliver face.
+    """
+    a, ab, ac = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
     ap = point - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = point - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = point - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
-
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    closest = np.empty_like(tri[:, 0])
-    # vertex regions
-    reg_a = (d1 <= 0) & (d2 <= 0)
-    reg_b = (d3 >= 0) & (d4 <= d3)
-    reg_c = (d6 >= 0) & (d5 <= d6)
-    # edge regions
+    d00, d01, d11 = _dot(ab, ab), _dot(ab, ac), _dot(ac, ac)
+    d0p, d1p = _dot(ab, ap), _dot(ac, ap)
     with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = np.where(d1 - d3 != 0, d1 / (d1 - d3), 0.0)
-        w_ac = np.where(d2 - d6 != 0, d2 / (d2 - d6), 0.0)
-        denom_bc = (d4 - d3) + (d5 - d6)
-        w_bc = np.where(denom_bc != 0, (d4 - d3) / denom_bc, 0.0)
-    reg_ab = (~reg_a) & (~reg_b) & (~reg_c) & (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    reg_ac = (~reg_a) & (~reg_b) & (~reg_c) & (~reg_ab) & (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    reg_bc = (
-        (~reg_a) & (~reg_b) & (~reg_c) & (~reg_ab) & (~reg_ac)
-        & (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-    )
-    interior = ~(reg_a | reg_b | reg_c | reg_ab | reg_ac | reg_bc)
+        det = d00 * d11 - d01 * d01
+        v = (d11 * d0p - d01 * d1p) / det
+        w = (d00 * d1p - d01 * d0p) / det
+        inside = (v >= 0.0) & (w >= 0.0) & (v + w <= 1.0)
+    # edge i runs from vertex i to vertex i - 1; a zero-length edge is a point
+    edge, to_point = np.roll(tri, 1, axis=1) - tri, point - tri
+    length2 = _dot(edge, edge)
+    t = np.divide(_dot(to_point, edge), length2, out=np.zeros_like(length2),
+                  where=length2 > 0.0)
+    along = np.clip(t, 0.0, 1.0)[..., None] * edge
+    dist = np.linalg.norm(to_point - along, axis=2).min(axis=1)
+    foot = ap[inside] - v[inside, None] * ab[inside] - w[inside, None] * ac[inside]
+    dist[inside] = np.minimum(dist[inside], np.linalg.norm(foot, axis=1))
+    return dist
 
-    closest[reg_a] = a[reg_a]
-    closest[reg_b] = b[reg_b]
-    closest[reg_c] = c[reg_c]
-    closest[reg_ab] = a[reg_ab] + v_ab[reg_ab, None] * ab[reg_ab]
-    closest[reg_ac] = a[reg_ac] + w_ac[reg_ac, None] * ac[reg_ac]
-    closest[reg_bc] = b[reg_bc] + w_bc[reg_bc, None] * (c[reg_bc] - b[reg_bc])
-    if np.any(interior):
-        denom = va + vb + vc
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v_bar = np.where(denom != 0, vb / denom, 1.0 / 3.0)
-            w_bar = np.where(denom != 0, vc / denom, 1.0 / 3.0)
-        closest[interior] = (
-            a[interior]
-            + v_bar[interior, None] * ab[interior]
-            + w_bar[interior, None] * ac[interior]
-        )
-    return np.linalg.norm(point - closest, axis=1)
+
+def _dot(x, y):
+    """Dot products over the last axis."""
+    return np.einsum("...j,...j->...", x, y)
 
 
 def _mean_distance_to_surface(points, target):
@@ -709,7 +687,6 @@ class QualityReport:
     mean_u: float
     std_u: float
     mean_rho_hat: float
-    hist_u: tuple  # (bin_edges, counts)
     hist_rho_hat: tuple
 
     def to_csv(self, path):
@@ -739,7 +716,6 @@ class QualityReport:
 def quality_report(mesh, bins=16):
     areas, _, rho_hat = face_metrics(mesh)
     u = area_density(mesh)
-    hist_u = np.histogram(u, bins=bins)
     hist_rho = np.histogram(rho_hat, bins=bins, range=(1.0, 2.0))
     return QualityReport(
         face_areas=areas,
@@ -748,6 +724,5 @@ def quality_report(mesh, bins=16):
         mean_u=float(u.mean()),
         std_u=float(u.std()),
         mean_rho_hat=float(rho_hat.mean()),
-        hist_u=(hist_u[1], hist_u[0]),
         hist_rho_hat=(hist_rho[1], hist_rho[0]),
     )

@@ -175,13 +175,11 @@ def forward_coords(domain, eta, phi):
     """
     eta = np.asarray(eta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    z0 = domain.zeta0
+    a, c = domain.semi_axes()
     if domain.is_oblate_family:
-        rho = domain.e * np.cosh(z0) * np.cos(eta)
-        z = domain.e * np.sinh(z0) * np.sin(eta)
+        rho, z = a * np.cos(eta), c * np.sin(eta)
     else:
-        rho = domain.e * np.sinh(z0) * np.sin(eta)
-        z = domain.e * np.cosh(z0) * np.cos(eta)
+        rho, z = a * np.sin(eta), c * np.cos(eta)
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 

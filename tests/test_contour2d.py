@@ -32,8 +32,15 @@ from equimesh.errors import (
     IntersectionError,
     SingularityError,
 )
-from equimesh.mesh import Contour2D
-from equimesh.spheroidal import SPHERE_GAP, fit_domain
+from equimesh.harmonics import ExpansionConfig, decompose
+from equimesh.mesh import Contour2D, TriangleMesh
+from equimesh.spheroidal import (
+    SPHERE_GAP,
+    CurvilinearCoords,
+    fit_domain,
+    forward_coords,
+    sample_icosphere,
+)
 
 
 def star_contour(n_points=40, spikes=5, depth=0.95):
@@ -197,15 +204,65 @@ def test_decompose_underdetermined():
         decompose_contour(c, 5)  # 11 modes > 9 points
 
 
-def test_decompose_rank_deficient():
-    # 12 points in 3 tight clusters: only 3 resolvable chart angles
+def _clustered_contour():
+    """12 points in 3 tight clusters: only 3 resolvable chart angles."""
     t = np.concatenate(
         [base + np.arange(4) * 1e-13
          for base in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)]
     )
     pts = np.column_stack([2.0 * np.cos(t), 1.0 * np.sin(t)])
+    return Contour2D(points=pts, closed=True)
+
+
+def test_decompose_rank_deficient():
     with pytest.raises(EngineError):
-        decompose_contour(Contour2D(points=pts, closed=True), 5)
+        decompose_contour(_clustered_contour(), 5)
+
+
+def _complex_lstsq_weights(contour, n_max):
+    """Reference fit: complex least squares over e^{i m eta}, m = -n_max ..
+    n_max, folded onto the conjugate-consistent half spectrum."""
+    _, eta = inverse_elliptic(fit_ellipse(contour), contour.points)
+    B = np.exp(1j * np.outer(eta, np.arange(-n_max, n_max + 1)))
+    q_full = np.linalg.lstsq(B, contour.points.astype(complex), rcond=None)[0]
+    return 0.5 * (q_full[n_max:] + np.conj(q_full[n_max::-1]))
+
+
+@pytest.mark.parametrize(
+    "contour, n_max",
+    [(ellipse_contour(), 12), (blob_contour(), 12), (blob_contour(128), 40)],
+)
+def test_decompose_matches_complex_reference(contour, n_max):
+    q = decompose_contour(contour, n_max).q
+    assert np.abs(q - _complex_lstsq_weights(contour, n_max)).max() < 1e-12
+
+
+def test_surface_and_contour_fits_share_error_wording(oblate_dom):
+    coords, faces = sample_icosphere(oblate_dom, 0)  # 12 vertices
+    mesh = TriangleMesh(forward_coords(oblate_dom, coords.eta, coords.phi), faces)
+    under = r"^underdetermined fit: \d+ samples < \d+ basis columns$"
+    with pytest.raises(EngineError, match=under):
+        decompose(mesh, coords, ExpansionConfig(5))
+    with pytest.raises(EngineError, match=under):
+        decompose_contour(ellipse_contour(n_points=9), 5)
+
+    rank = (r"^rank-deficient basis \(rank \d+ < \d+\); sampling does not "
+            "resolve the requested degree$")
+    squashed = CurvilinearCoords(
+        np.full_like(coords.eta, 0.3), np.full_like(coords.phi, 1.0), oblate_dom
+    )
+    with pytest.raises(EngineError, match=rank):
+        decompose(mesh, squashed, ExpansionConfig(2))
+    with pytest.raises(EngineError, match=rank):
+        decompose_contour(_clustered_contour(), 5)
+
+
+def test_contour_tangents_match_central_difference():
+    w = decompose_contour(blob_contour(), 12)
+    eta = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
+    h = 1e-5
+    diff = (reconstruct_contour(w, eta + h) - reconstruct_contour(w, eta - h)) / (2 * h)
+    assert contour_tangents(w, eta) == pytest.approx(diff, abs=1e-8)
 
 
 def test_decompose_rejects_open():

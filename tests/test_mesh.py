@@ -18,7 +18,7 @@ from equimesh import (
     save_mesh,
     vertex_voronoi_areas,
 )
-from equimesh.mesh import ring_lengths
+from equimesh.mesh import _point_triangle_distance, ring_lengths
 
 
 def tetrahedron():
@@ -242,6 +242,36 @@ def test_compare_surfaces_offset_spheres():
     d, _, _ = compare_surfaces(ma, mb)
     # concentric spheres 1.0 and 1.1: nearest-distance is about 0.1
     assert d == pytest.approx(0.1, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "point, expected",
+    [
+        ((-1.0, -1.0, 0.0), np.sqrt(2.0)),  # vertex region of (0, 0, 0)
+        ((2.0, -1.0, 1.0), np.sqrt(3.0)),  # vertex region of (1, 0, 0)
+        ((0.5, -2.0, 0.0), 2.0),  # edge region of the x-axis edge
+        ((1.0, 1.0, 3.0), np.sqrt(9.5)),  # edge region of the hypotenuse
+        ((0.25, 0.25, -0.7), 0.7),  # face interior
+    ],
+)
+def test_point_triangle_distance_hand_values(point, expected):
+    tri = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    d = _point_triangle_distance(np.array(point), tri)
+    assert d == pytest.approx([expected], rel=1e-15)
+
+
+def test_point_triangle_distance_zero_area_faces():
+    tri = np.array(
+        [
+            [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]],  # collinear
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]],  # repeated vertex
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]],  # a point
+        ]
+    )
+    d = _point_triangle_distance(np.array([1.0, 1.0, 1.0]), tri)
+    assert d == pytest.approx([np.sqrt(2.0), np.sqrt(2.0), 1.0], rel=1e-15)
+    d = _point_triangle_distance(np.array([3.0, 0.0, 4.0]), tri)
+    assert d == pytest.approx([np.sqrt(17.0), np.sqrt(13.0), np.sqrt(21.0)], rel=1e-15)
 
 
 def test_quality_report_summary(unit_sphere_2, tmp_path):
