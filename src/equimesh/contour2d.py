@@ -177,8 +177,9 @@ def decompose_contour(contour, n_max):
     Each vertex is assigned the elliptic angle of the fitted ellipse chart
     (the planar analogue of the surface projection); the fit then solves
     for x(eta), y(eta) over the real rows cos(m eta), m = 0..n_max, and
-    sin(m eta), m = 1..n_max, with the surface fit's solver
-    (`harmonics._least_squares`), so it needs at least 2*n_max + 1 points.
+    sin(m eta), m = 1..n_max, which it passes as dense rows to the surface
+    fit's least-squares policy (`harmonics._least_squares`), so it needs at
+    least 2*n_max + 1 points.
     Coefficients a, b map to q_0 = a_0, q_m = (a_m - i b_m) / 2.
     """
     if not contour.closed:
@@ -187,8 +188,10 @@ def decompose_contour(contour, n_max):
     domain = fit_ellipse(contour)
     _, eta = inverse_elliptic(domain, contour.points)
     cos_m, sin_m = _multiple_angles(np.cos(eta), np.sin(eta), n_max + 1)
-    coef, residual_rms = _least_squares(np.vstack([cos_m, sin_m[1:]]),
-                                        contour.points)
+    Bt = np.vstack([cos_m, sin_m[1:]])
+    coef, residual_rms = _least_squares(
+        Bt @ Bt.T, lambda R: Bt @ R, lambda c: Bt.T @ c, contour.points, lambda: Bt
+    )
     q = coef[: n_max + 1].astype(np.complex128)
     q[1:] = 0.5 * (coef[1 : n_max + 1] - 1j * coef[n_max + 1 :])
     return ContourWeights(

@@ -11,14 +11,21 @@ each P_nm(cos t) is a short trigonometric series in t, cos(k t) for even m
 and sin((k + 1) t) for odd m, whose coefficients are cached per degree. So
 the basis needs only cos/sin rows of k t and m phi, built by angle
 addition, and one small GEMM per order parity; no complex basis is built
-and fitted weights are conjugate-consistent by construction. The fit
-solves the normal equations by Cholesky with one step of iterative
-refinement, and falls back to the SVD least-squares solver when the
-Cholesky factorization fails or the condition estimate of the normal
-matrix exceeds 1e8. The planar pipeline fits and evaluates contours with
-the same least-squares solver and the same cos/sin row builder, in one
-angle. basis_matrix and reconstruct_full, which evaluate the Legendre
-recurrence directly, stay the independent complex-basis reference.
+and fitted weights are conjugate-consistent by construction.
+
+The fit solves the normal equations without forming the (n_v, beta) basis.
+By the product-to-sum rules its Gram matrix is a Toeplitz-plus-Hankel
+array of trigonometric moments sum_v {cos, sin}(a t_v) {cos, sin}(b phi_v)
+(Feichtinger, Groechenig & Strohmer 1995; Keiner, Kunis & Potts 2007),
+taken through the cached series on both sides; B^T R and B c come from the
+same cos/sin rows. It solves by Cholesky with one step of iterative
+refinement, and falls back to the SVD least-squares solver on the dense
+basis, which a memory guard bounds, when the Cholesky factorization fails
+or the condition estimate of the normal matrix exceeds 1e8. The planar
+pipeline passes its dense cos/sin rows in one angle through the same
+least-squares policy. basis_matrix and reconstruct_full, which evaluate
+the Legendre recurrence directly, stay the independent complex-basis
+reference.
 """
 from __future__ import annotations
 
@@ -195,9 +202,11 @@ def _legendre_blocks(n_max, xi):
         yield m, block
 
 
-# one entry per degree in use (a staged run uses a few); the largest,
-# n_max 80, holds about 2 MiB
-@functools.lru_cache(maxsize=16)
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
 def _fourier_table(n_max):
     """Tuple of read-only F_m, m = 0..n_max, each (n_max - m + 1, n_max + 1):
     P_nm(cos t) = sum_k F_m[n - m, k] tau_k(t), with tau_k = cos(k t) for
@@ -219,35 +228,50 @@ def _fourier_table(n_max):
     for m, block in _legendre_blocks(n_max, np.cos(np.concatenate([t_cos, t_sin]))):
         odd = m % 2
         nodes = block[:, size:] if odd else block[:, :size]
-        f_m = np.linalg.solve(tau[odd], nodes.T).T
-        f_m.setflags(write=False)
-        table.append(f_m)
+        table.append(_read_only(np.linalg.solve(tau[odd], nodes.T).T))
     return tuple(table)
 
 
-def _multiple_angles(cos_1, sin_1, count):
-    """(count, k) rows cos(j a) and sin(j a), j = 0..count-1, from cos a and
-    sin a by angle addition, written in place row by row."""
-    cos_j = np.empty((count, cos_1.shape[0]))
-    sin_j = np.empty_like(cos_j)
+def _multiple_angles(cos_1, sin_1, count, stepwise=None):
+    """(2, count, k) rows cos(j a) and sin(j a), j = 0..count-1, from cos a
+    and sin a by angle addition: row by row, in place, up to
+    j = stepwise - 1 (all rows by default), then each further row j from
+    the rows stepwise - 1 and j - stepwise + 1 (so count < 2 stepwise)."""
+    stepwise = count if stepwise is None else stepwise
+    rows = np.empty((2, count, cos_1.shape[0]))
+    cos_j, sin_j = rows
     cos_j[0], sin_j[0] = 1.0, 0.0
-    for j in range(1, count):
+    for j in range(1, stepwise):
         np.multiply(cos_j[j - 1], cos_1, out=cos_j[j])
         cos_j[j] -= sin_j[j - 1] * sin_1
         np.multiply(sin_j[j - 1], cos_1, out=sin_j[j])
         sin_j[j] += cos_j[j - 1] * sin_1
-    return cos_j, sin_j
+    if count > stepwise:
+        top, low = stepwise - 1, slice(1, count - stepwise + 1)
+        np.multiply(cos_j[low], cos_j[top], out=cos_j[stepwise:])
+        cos_j[stepwise:] -= sin_j[low] * sin_j[top]
+        np.multiply(sin_j[low], cos_j[top], out=sin_j[stepwise:])
+        sin_j[stepwise:] += cos_j[low] * sin_j[top]
+    return rows
 
 
-def _fourier_rows(coords, n_max):
-    """Trigonometric rows of the double Fourier kernel at coords: the tau
-    rows cos(k t) and sin((k + 1) t), k = 0..n_max, at t = arccos xi, and
-    cos(m phi), sin(m phi) for m = 0..n_max; each (n_max + 1, k)."""
+def _angle_rows(coords, n_max, moments=False):
+    """Trigonometric rows of the double Fourier kernel at coords, each
+    (2, count, n): cos and sin of a t, at t = arccos xi, and of b phi.
+
+    The kernel takes the tau rows cos(k t) and sin((k + 1) t) and the rows
+    cos(m phi), sin(m phi), k, m = 0..n_max, built row by row. With
+    moments, the rows go on to a = 2 n_max + 2 and b = 2 n_max for the
+    fit's moments, built from those by angle addition of whole blocks.
+    """
     xi = _checked_xi(xi_of_eta(coords.domain, coords.eta))
-    cos_kt, sin_kt = _multiple_angles(xi, np.sqrt(1.0 - xi * xi), n_max + 2)
-    cos_m, sin_m = _multiple_angles(np.cos(coords.phi), np.sin(coords.phi),
-                                    n_max + 1)
-    return (cos_kt[:-1], sin_kt[1:]), cos_m, sin_m
+    t_count, phi_count = n_max + 2, n_max + 1
+    if moments:
+        t_count, phi_count = 2 * n_max + 3, 2 * n_max + 1
+    return (
+        _multiple_angles(xi, np.sqrt(1.0 - xi * xi), t_count, n_max + 2),
+        _multiple_angles(np.cos(coords.phi), np.sin(coords.phi), phi_count, n_max + 1),
+    )
 
 
 def alp_table(n_max, xi):
@@ -286,20 +310,33 @@ def basis_matrix(coords, config):
 def decompose(mesh, coords, config):
     """Least-squares expansion weights of mesh vertices over the basis.
 
-    The fit is real: basis row (n, m >= 0) holds P_nm cos(m phi) and row
-    (n, -m) holds P_nm sin(m phi), filled into the transposed (beta, n_v)
-    basis Bt order by order (_real_basis). Each order's Legendre block is
-    its cached Fourier table times the cos(k t) or sin((k + 1) t) rows
-    (_fourier_table). Coefficients a, b map to q_n0 = a,
-    q_nm = (a - i b) / 2, q_n,-m = (-1)^m conj(q_nm), so fitted weights are
-    conjugate-consistent by construction.
+    The fit is real: basis column (n, m >= 0) holds P_nm cos(m phi) and
+    column (n, -m) holds P_nm sin(m phi). Coefficients a, b map to
+    q_n0 = a, q_nm = (a - i b) / 2, q_n,-m = (-1)^m conj(q_nm), so fitted
+    weights are conjugate-consistent by construction.
 
-    The fit itself is _least_squares, shared with the contour fit.
+    The normal equations never form the (n_v, beta) basis. Each column is
+    F_m tau(t) {cos, sin}(m phi) (_fourier_table), so the Gram matrix
+    B^T B follows from trigonometric moments of the samples
+    (_moment_gram), B^T R from the tau rows weighted by R against the
+    m phi rows (_project), and B c is the reconstruction kernel
+    (_synthesize); one build of the cos/sin rows serves all three. The fit
+    policy is _least_squares, shared with the contour fit; only its SVD
+    fallback builds the dense basis (_real_basis).
     """
     if mesh.n_v != coords.n:
         raise ValueError("mesh and coords disagree on vertex count")
     n_max = config.n_max
-    coef, residual_rms = _least_squares(_real_basis(coords, n_max), mesh.vertices)
+    rows = _angle_rows(coords, n_max, moments=True)
+    fit, residual_rms = _least_squares(
+        _moment_gram(n_max, *rows),
+        lambda R: _project(n_max, *rows, R),
+        lambda c: _synthesize(n_max, *rows, c),
+        mesh.vertices,
+        lambda: _real_basis(n_max, *rows),
+    )
+    coef = np.empty_like(fit)
+    coef[_fit_tables(n_max).column] = fit
     n, m = full_orders(n_max)
     pos = np.flatnonzero(m > 0)
     neg = FourierWeights.row_index(n[pos], -m[pos])
@@ -311,55 +348,275 @@ def decompose(mesh, coords, config):
     )
 
 
-def _real_basis(coords, n_max):
-    """Transposed real basis Bt, (beta, n): row (n, m >= 0) holds
-    P_nm cos(m phi) and row (n, -m) holds P_nm sin(m phi)."""
-    table = _fourier_table(n_max)
-    tau, cos_m, sin_m = _fourier_rows(coords, n_max)
-    Bt = np.empty(((n_max + 1) ** 2, coords.n))
-    for m in range(n_max + 1):
-        # P_nm(-xi) = (-1)^(n+m) P_nm(xi), so row j = n - m of F_m is zero
-        # at every k of the other parity than j
-        f_m, tau_m = table[m], tau[m % 2]
-        block = np.empty((n_max - m + 1, coords.n))
-        block[0::2] = f_m[0::2, 0::2] @ tau_m[0::2]
-        block[1::2] = f_m[1::2, 1::2] @ tau_m[1::2]
-        n = np.arange(m, n_max + 1)
-        Bt[FourierWeights.row_index(n, m)] = block * cos_m[m]
+# the product-to-sum rules of the tau rows k and k' of two orders of
+# parities p and p', as (sign, cos or sin, c0) of a term at t-frequency
+# k - k' + c0 (Toeplitz) and one at k + k' + c0 (Hankel):
+#   cos(k t) cos(k' t)             = (cos((k - k') t) + cos((k + k') t)) / 2
+#   sin((k + 1) t) sin((k' + 1) t) = (cos((k - k') t) - cos((k + k' + 2) t)) / 2
+#   cos(k t) sin((k' + 1) t)       = (-sin((k - k' - 1) t) + sin((k + k' + 1) t)) / 2
+#   sin((k + 1) t) cos(k' t)       = (sin((k - k' + 1) t) + sin((k + k' + 1) t)) / 2
+_TAU_PRODUCTS = {
+    (0, 0): ((1.0, 0, 0), (1.0, 0, 0)),
+    (1, 1): ((1.0, 0, 0), (-1.0, 0, 2)),
+    (0, 1): ((-1.0, 1, -1), (1.0, 1, 1)),
+    (1, 0): ((1.0, 1, 1), (1.0, 1, 1)),
+}
+
+# classes (c, c') of a Gram block in the order (cos, cos), (cos, sin),
+# (sin, cos), (sin, sin). With d = m' - m and s = m' + m,
+# {cos, sin}(m phi) {cos, sin}(m' phi) = (eps_d Y(d phi) + eps_s Y(s phi)) / 2,
+# where Y is cos for c = c' and sin otherwise.
+_CLASS_Y = np.array([0, 1, 1, 0])
+_CLASS_EPS = np.array([[1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])  # eps_d, eps_s
+
+
+@dataclass(frozen=True)
+class _FitTables:
+    """Read-only tables of the real fit at one degree.
+
+    The fit orders its basis columns order-major: order m holds its
+    cos(m phi) columns (m + j, m), then, for m > 0, its sin(m phi) columns
+    (m + j, -m), j = 0..n_max - m. present[m, c, j] marks these columns
+    among all (m, c, j), c = 1 for sin, in that order; start[m] is the
+    first column of order m and column[i] the row_index of column i.
+    table[m] is F_m of _fourier_table zero-padded to n_max + 1 rows.
+
+    The reconstruction reads only these fields; the fit also reads the
+    properties, which are built on its first use of the degree.
+    """
+
+    n_max: int
+    table: np.ndarray
+    present: np.ndarray
+    start: np.ndarray
+    column: np.ndarray
+
+    @functools.cached_property
+    def exact(self):
+        """table with the entries j + k odd set to 0: P_nm(-xi) =
+        (-1)^(n+m) P_nm(xi), so row j = n - m of F_m is zero, up to
+        round-off, at every k of the other parity."""
+        k = np.arange(self.n_max + 1)
+        return _read_only(np.where((k[:, None] + k) % 2 == 0, self.table, 0.0))
+
+    @functools.cached_property
+    def moment_layout(self):
+        """(index, sign): sign * moments.take(index) lays the moments
+        [y, b, x, a] of _moment_gram (y, x = cos, sin) out as
+        [part, p, b, class, term, n_max + a'].
+
+        Part 0 holds the phi-frequency b = m' - m and part 1 b = m' + m of
+        a class pair, times its eps; term 0 holds the Toeplitz and term 1
+        the Hankel term of the tau product of an order of parity p with
+        one of parity p + b, at t-frequency a' + c0, times its sign
+        (_TAU_PRODUCTS); 1/4 comes from the two product-to-sum rules.
+        """
+        size = self.n_max + 1
+        count = 2 * size - 1
+        a = np.arange(3 * size - 2) - self.n_max
+        index = np.empty((2, count, 4, 2, a.size), dtype=np.intp)
+        sign = np.empty((2,) + index.shape)
+        for p in (0, 1):
+            for b in range(count):
+                for term, (rule, x, c0) in enumerate(_TAU_PRODUCTS[p, (p + b) % 2]):
+                    freq = a + c0
+                    row = (_CLASS_Y[:, None] * count + b) * 2 + x
+                    index[p, b, :, term] = row * (count + 2) + np.abs(freq)
+                    parity = np.where((x == 1) & (freq < 0), -1.0, 1.0)
+                    sign[:, p, b, :, term] = (
+                        0.25 * rule * parity * _CLASS_EPS[..., None])
+        return _read_only(index), _read_only(sign)
+
+    @functools.cached_property
+    def tile_rows(self):
+        """tile_rows[m] picks the columns of orders m' = m + d >= m, in
+        column order, from the (d, j, c') rows, j <= n_max - m, of the
+        blocks that _moment_gram computes for order m."""
+        rows = []
+        for m in range(self.n_max + 1):
+            span = self.n_max + 1 - m
+            d, c, j = np.nonzero(self.present[m:, :, :span])
+            rows.append(_read_only((d * span + j) * 2 + c))
+        return tuple(rows)
+
+
+# one entry per degree in use (a staged run uses a few); at n_max 30 one
+# holds 0.25 MiB, 2.6 MiB once the fit has used it (24 MiB at MAX_DEGREE)
+@functools.lru_cache(maxsize=16)
+def _fit_tables(n_max):
+    size = n_max + 1
+    j = np.arange(size)
+    table = np.zeros((size, size, size))
+    for m, f_m in enumerate(_fourier_table(n_max)):
+        table[m, : size - m] = f_m
+    m = j[:, None, None]
+    present = (m + j <= n_max) & ((np.arange(2)[:, None] == 0) | (m > 0))
+    start = np.concatenate([[0], np.cumsum(present.sum(axis=(1, 2)))])
+    m, c, j = np.nonzero(present)
+    column = FourierWeights.row_index(m + j, np.where(c, -m, m))
+    return _FitTables(n_max, *map(_read_only, (table, present, start, column)))
+
+
+def _moment_gram(n_max, t_rows, phi_rows):
+    """Gram matrix B^T B of the real basis, in the column order of
+    _FitTables, from trigonometric moments.
+
+    One GEMM gives the moments S(a, b) = sum_v {cos, sin}(a t_v)
+    {cos, sin}(b phi_v), a <= 2 n_max + 2, b <= 2 n_max. The product-to-sum
+    rules write the block of orders m <= m' and classes c, c' as
+    F_m T F_m'^T, where T[k, k'] is a Toeplitz plus a Hankel matrix of
+    moments at t-frequencies k - k' and k + k' (_TAU_PRODUCTS) and
+    phi-frequencies m' - m and m' + m. The moments are laid out once per
+    parity of m (_FitTables.moment_layout) so that, per order m, two
+    strided views give T for every m' >= m and class pair; two GEMMs then
+    apply F_m' and F_m, and the blocks fill G below the block diagonal
+    and, mirrored, above it.
+    """
+    size = n_max + 1
+    tables = _fit_tables(n_max)
+    F, start = tables.exact, tables.start.tolist()
+    n = t_rows.shape[2]
+    moments = (phi_rows.reshape(-1, n) @ t_rows.reshape(-1, n).T).ravel()
+    index, sign = tables.moment_layout
+    by_diff, by_sum = sign * np.take(moments, index)
+    phi_terms = np.empty((size,) + by_diff.shape[2:])
+    # windows[d, term, r, c', c, k] = phi_terms[d, 2 c + c', term, r + k]
+    step = phi_terms.strides
+    windows = np.ndarray(
+        (size, 2, 2 * size - 1, 2, 2, size), buffer=phi_terms,
+        strides=(step[0], step[2], step[3], step[1], 2 * step[1], step[3]))
+    toeplitz = windows[:, 0, :size][:, ::-1]
+    hankel = windows[:, 1, n_max:]
+    kernel = np.empty((size, size, 2, 2, size))  # [d, k', c', c, k]
+    G = np.empty((start[-1], start[-1]))
+    for m in range(size):
+        span, first, last = size - m, start[m], start[m + 1]
+        np.add(by_diff[m % 2, :span], by_sum[m % 2, 2 * m : size + m],
+               out=phi_terms[:span])
+        np.add(toeplitz[:span], hankel[:span], out=kernel[:span])
+        half = np.matmul(F[m:, :span], kernel[:span].reshape(span, size, 4 * size))
+        block = half.reshape(-1, size) @ F[m, :span].T  # [(d, j', c'), (c, j)]
+        tile = np.take(block.reshape(-1, 2 * span), tables.tile_rows[m], axis=0)
+        tile = tile[:, : last - first]
+        G[first:, first:last] = tile
+        G[first:last, last:] = tile[last - first :].T
+    return G
+
+
+def _project(n_max, t_rows, phi_rows, R):
+    """B^T R for samples R (n, c): per order parity, one GEMM of the tau
+    rows weighted by each column of R with the m phi rows, then F_m per
+    order."""
+    size = n_max + 1
+    tables = _fit_tables(n_max)
+    n, c = R.shape
+    weighted = np.empty((size, c, n))
+    moments = np.empty((size, 2, size, c))  # [m, class, k, column of R]
+    for p, tau in enumerate((t_rows[0, :size], t_rows[1, 1 : size + 1])):
+        np.multiply(tau[:, None], R.T, out=weighted)
+        z = np.matmul(weighted.reshape(size * c, -1),
+                      phi_rows[:, p:size:2].transpose(0, 2, 1))
+        moments[p::2] = z.reshape(2, size, c, -1).transpose(3, 0, 1, 2)
+    out = np.matmul(tables.exact[:, None], moments)
+    return out.reshape(-1, c)[tables.present.ravel()]
+
+
+def _synthesize(n_max, t_rows, phi_rows, coef):
+    """B coef, (n, c), for real coefficients coef (beta, c) in the column
+    order of _FitTables.
+
+    With t = arccos xi, the expansion is sum_m a_m(t) cos(m phi) +
+    b_m(t) sin(m phi). Each order's rows are folded into the Fourier
+    coefficients of a_m and b_m in t through the cached table F_m
+    (_fourier_table); per order parity one GEMM of those coefficients with
+    the cos(k t) or sin((k + 1) t) rows evaluates every a_m and b_m, which
+    are then contracted with the cos(m phi) and sin(m phi) rows.
+    """
+    size = n_max + 1
+    tables = _fit_tables(n_max)
+    tau = (t_rows[0, :size], t_rows[1, 1 : size + 1])
+    cos_m, sin_m = phi_rows[:, :size]
+    c = coef.shape[1]
+    ab = np.zeros((size, 2, c, size))  # [m, class, column, j]
+    ab.transpose(0, 1, 3, 2)[tables.present] = coef
+    fold = np.matmul(ab.reshape(size, 2 * c, size), tables.table)
+    out = np.zeros((c, t_rows.shape[2]))
+    buffer = np.empty(((size + 1) // 2 * 2 * c, t_rows.shape[2]))
+    for parity in (0, 1):
+        orders = len(range(parity, size, 2))
+        if not orders:
+            continue
+        vals = np.matmul(fold[parity::2].reshape(-1, size), tau[parity],
+                         out=buffer[: orders * 2 * c]).reshape(orders, 2, c, -1)
+        out += np.einsum("mcv,mv->cv", vals[:, 0], cos_m[parity::2])
+        out += np.einsum("mcv,mv->cv", vals[:, 1], sin_m[parity::2])
+    return np.ascontiguousarray(out.T)
+
+
+# largest dense basis, in bytes, that the SVD fallback of the surface fit
+# builds; refinement 6 at MAX_DEGREE would take 2.1 GB
+_MAX_DENSE_BASIS_BYTES = 2**30
+
+
+def _real_basis(n_max, t_rows, phi_rows):
+    """Transposed real basis Bt, (beta, n), in the column order of
+    _FitTables: P_nm cos(m phi) and P_nm sin(m phi). Raises GuardError
+    before allocating more than _MAX_DENSE_BASIS_BYTES."""
+    size = n_max + 1
+    n = t_rows.shape[2]
+    nbytes = size * size * n * 8
+    if nbytes > _MAX_DENSE_BASIS_BYTES:
+        raise GuardError(
+            f"dense fit basis of {n} samples x {size * size} columns needs "
+            f"{nbytes / 2**20:.1f} MiB, more than "
+            f"{_MAX_DENSE_BASIS_BYTES / 2**20:.1f} MiB"
+        )
+    tables = _fit_tables(n_max)
+    start = tables.start
+    tau = (t_rows[0, :size], t_rows[1, 1 : size + 1])
+    cos_m, sin_m = phi_rows[:, :size]
+    Bt = np.empty((size * size, n))
+    for m in range(size):
+        block = tables.exact[m, : size - m] @ tau[m % 2]
+        Bt[start[m] : start[m] + size - m] = block * cos_m[m]
         if m:
-            Bt[FourierWeights.row_index(n, -m)] = block * sin_m[m]
+            Bt[start[m] + size - m : start[m + 1]] = block * sin_m[m]
     return Bt
 
 
-def _least_squares(Bt, V):
-    """Least-squares coefficients of the samples V (n, c) over the rows of
-    the transposed basis Bt (k, n), and the rms over samples of the
-    residual norm.
+def _least_squares(G, project, evaluate, V, basis):
+    """Least-squares coefficients of the samples V (n, c) over a real basis
+    B (n, k), and the rms over samples of the residual norm.
 
-    Requires n >= k; non-finite samples raise ValueError. The normal
-    equations G = Bt Bt^T are solved by Cholesky with one step of
-    iterative refinement on the residual, which gives the least-squares
-    solution to working accuracy for a well-conditioned basis. When the
-    Cholesky factorization fails or the estimate of cond_1(G) exceeds
+    The basis enters as its Gram matrix G = B^T B (k, k), which is factored
+    in place, and through project(R) = B^T R and evaluate(x) = B x; basis()
+    returns the transposed basis B^T (k, n) and is called only on the SVD
+    fallback. Requires n >= k; non-finite samples raise ValueError. The
+    normal equations are solved by Cholesky with one step of iterative
+    refinement on the residual, which gives the least-squares solution to
+    working accuracy for a well-conditioned basis. When the Cholesky
+    factorization fails or the estimate of cond_1(G) exceeds
     _MAX_NORMAL_COND, the SVD least-squares solver runs instead. Raises
     EngineError for underdetermined, rank-deficient or ill-conditioned
     systems.
     """
-    k, n = Bt.shape
+    k, n = G.shape[0], V.shape[0]
     if n < k:
         raise EngineError(f"underdetermined fit: {n} samples < {k} basis columns")
     if not np.isfinite(V).all():
         raise ValueError("samples must be finite")
-    G = Bt @ Bt.T
-    factor, info = lapack.dpotrf(G)
+    norm_1 = np.abs(G).sum(axis=0).max()
+    # G is symmetric: its transpose is G in the Fortran order dpotrf
+    # overwrites
+    factor, info = lapack.dpotrf(G.T, overwrite_a=True)
     if info == 0:
-        rcond, info = lapack.dpocon(factor, np.abs(G).sum(axis=0).max())
+        rcond, info = lapack.dpocon(factor, norm_1)
     if info == 0 and rcond * _MAX_NORMAL_COND >= 1.0:
-        coef, _ = lapack.dpotrs(factor, Bt @ V)
-        correction, _ = lapack.dpotrs(factor, Bt @ (V - Bt.T @ coef))
+        coef, _ = lapack.dpotrs(factor, project(V))
+        correction, _ = lapack.dpotrs(factor, project(V - evaluate(coef)))
         coef = coef + correction
     else:
-        coef, _, rank, sv = np.linalg.lstsq(Bt.T, V, rcond=None)
+        coef, _, rank, sv = np.linalg.lstsq(basis().T, V, rcond=None)
         if rank < k:
             raise EngineError(
                 f"rank-deficient basis (rank {rank} < {k}); sampling does "
@@ -368,7 +625,7 @@ def _least_squares(Bt, V):
         cond = sv[0] / sv[-1]
         if cond > 1e12:
             raise EngineError(f"basis condition estimate {cond:.3e} too large")
-    resid = ((V - Bt.T @ coef) ** 2).sum(axis=1)
+    resid = ((V - evaluate(coef)) ** 2).sum(axis=1)
     return coef, float(np.sqrt(resid.mean()))
 
 
@@ -406,33 +663,20 @@ def reconstruct_full(weights, coords):
 def reconstruct_fast(weights, coords):
     """Evaluate the expansion as a double Fourier series in real arithmetic.
 
-    With t = arccos xi, the expansion is sum_m a_m(t) cos(m phi) +
-    b_m(t) sin(m phi), where a_m = (2 - delta_m0) sum_n Re q_nm P_nm and
-    b_m = -2 sum_n Im q_nm P_nm. Each order's weight rows are folded into
-    the Fourier coefficients of a_m and b_m in t through the cached table
-    F_m (_fourier_table); per order parity one GEMM of those coefficients
-    with the cos(k t) or sin((k + 1) t) rows evaluates every a_m and b_m,
-    which are then contracted with the cos(m phi) and sin(m phi) rows. For
-    conjugate-consistent weights this equals reconstruct_full.
+    The weights become real coefficients a_nm = (2 - delta_m0) Re q_nm and
+    b_nm = -2 Im q_nm, and the fit's reconstruction kernel (_synthesize)
+    evaluates them. For conjugate-consistent weights this equals
+    reconstruct_full.
     """
     _check_domains_match(weights, coords)
     n_max = weights.n_max
-    table = _fourier_table(n_max)
-    tau, cos_m, sin_m = _fourier_rows(coords, n_max)
-    out = np.zeros((3, coords.n))
-    for parity in (0, 1):
-        orders = range(parity, n_max + 1, 2)
-        if not orders:
-            continue
-        coef = []
-        for m in orders:
-            q_m = weights.q[FourierWeights.row_index(np.arange(m, n_max + 1), m)]
-            ab_m = np.vstack([q_m.real.T, -q_m.imag.T]) * (2.0 if m else 1.0)
-            coef.append(ab_m @ table[m])
-        vals = (np.vstack(coef) @ tau[parity]).reshape(len(orders), 2, 3, -1)
-        out += np.einsum("mcv,mv->cv", vals[:, 0], cos_m[parity::2])
-        out += np.einsum("mcv,mv->cv", vals[:, 1], sin_m[parity::2])
-    return np.ascontiguousarray(out.T)
+    column = _fit_tables(n_max).column
+    n, m = full_orders(n_max)
+    n, m = n[column], m[column]
+    q = weights.q[FourierWeights.row_index(n, np.abs(m))]
+    coef = np.where(m[:, None] > 0, 2.0 * q.real, q.real)
+    coef[m < 0] = -2.0 * q[m < 0].imag
+    return _synthesize(n_max, *_angle_rows(coords, n_max), coef)
 
 
 def psd_descriptors(weights):

@@ -6,12 +6,13 @@ the basis is checked for orthonormality under Gauss-Legendre quadrature.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from equimesh import benchmarks
+from equimesh import benchmarks, harmonics
 from equimesh.contour2d import (
     ContourWeights,
     EllipticDomain,
@@ -23,8 +24,13 @@ from equimesh.harmonics import (
     MAX_DEGREE,
     ExpansionConfig,
     FourierWeights,
+    _angle_rows,
     _fourier_table,
     _legendre_blocks,
+    _moment_gram,
+    _project,
+    _real_basis,
+    _synthesize,
     alp_table,
     basis_matrix,
     decompose,
@@ -523,14 +529,20 @@ def test_decompose_matches_svd_reference(fixture, noise):
         assert np.abs(got.q - weights.q).max() < 1e-12
 
 
-def test_ill_conditioned_fit_takes_svd_path(monkeypatch):
-    # cond(B) is about 4e8 on this chart at degree 12, far past the
-    # normal-equation limit; the cap basis (cond about 1e3) stays on Cholesky
+def _ill_conditioned_fixture():
+    """Degree-12 samples on the prolate hemispheroid, where cond(B) is about
+    4e8, far past the normal-equation limit."""
     domain = SpheroidDomain(PROLATE_HEMISPHEROID, e=0.8, zeta0=1.1)
     coords = _edge_case_coords(domain, 12, np.random.default_rng(12))
     w = _random_consistent_weights(12, domain, np.random.default_rng(12))
     mesh = TriangleMesh(reconstruct_full(w, coords), np.zeros((0, 3), dtype=int),
                         validate=False)
+    return mesh, coords
+
+
+def test_ill_conditioned_fit_takes_svd_path(monkeypatch):
+    # the cap basis (cond about 1e3) stays on Cholesky
+    mesh, coords = _ill_conditioned_fixture()
     calls, lstsq = [], np.linalg.lstsq
 
     def spy(B, *args, **kwargs):
@@ -546,6 +558,73 @@ def test_ill_conditioned_fit_takes_svd_path(monkeypatch):
     decompose(TriangleMesh(reconstruct_fast(weights, coords), faces), coords,
               ExpansionConfig(25))
     assert calls == []
+
+
+def test_svd_fallback_guards_dense_basis_memory(monkeypatch):
+    # the guard counts n_v * beta float64 values before the basis exists
+    mesh, coords = _ill_conditioned_fixture()
+    nbytes = coords.n * 169 * 8
+    monkeypatch.setattr(harmonics, "_MAX_DENSE_BASIS_BYTES", nbytes - 1)
+    with pytest.raises(GuardError, match=rf"^dense fit basis of {coords.n} samples x "
+                       r"169 columns needs 0\.9 MiB, more than 0\.9 MiB$"):
+        decompose(mesh, coords, ExpansionConfig(12))
+    monkeypatch.setattr(harmonics, "_MAX_DENSE_BASIS_BYTES", nbytes)
+    decompose(mesh, coords, ExpansionConfig(12))
+
+
+def _check_moment_products(coords, n_max, rng):
+    """The moment Gram, B^T R and B c against products with the dense basis."""
+    rows = _angle_rows(coords, n_max, moments=True)
+    Bt = _real_basis(n_max, *rows)
+    R = rng.normal(size=(coords.n, 3))
+    coef = rng.normal(size=(Bt.shape[0], 3))
+    for got, want in (
+        (_moment_gram(n_max, *rows), Bt @ Bt.T),
+        (_project(n_max, *rows, R), Bt @ R),
+        (_synthesize(n_max, *rows, coef), Bt.T @ coef),
+    ):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 12, 30])
+@pytest.mark.parametrize("kind", KINDS)
+def test_moment_products_match_dense_basis(kind, n_max):
+    domain = SpheroidDomain(kind, e=0.8, zeta0=1.1)
+    rng = np.random.default_rng(n_max)
+    _check_moment_products(_edge_case_coords(domain, n_max, rng), n_max, rng)
+
+
+def test_moment_products_match_dense_basis_on_cap_grid():
+    _, coords, _ = _cap_fixture()
+    _check_moment_products(coords, 25, np.random.default_rng(25))
+
+
+def test_cholesky_path_never_builds_dense_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the dense basis was built on the Cholesky path")
+
+    monkeypatch.setattr(harmonics, "_real_basis", refuse)
+    weights, coords, faces = _FIT_FIXTURES["oblate-r4-n30"]()
+    mesh = TriangleMesh(reconstruct_fast(weights, coords), faces)
+    got = decompose(mesh, coords, ExpansionConfig(30))
+    assert np.abs(got.q - weights.q).max() < 1e-12
+
+
+def test_decompose_memory_stays_below_dense_basis():
+    # the (n_v, beta) basis alone would take 75 MiB at refinement 5, n_max 30
+    weights, coords, faces = _bumpy_fixture(benchmarks.prolate_domain(), 5, 30)
+    mesh = TriangleMesh(reconstruct_fast(weights, coords), faces)
+    config = ExpansionConfig(30)
+    decompose(mesh, coords, config)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        got = decompose(mesh, coords, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert np.abs(got.q - weights.q).max() < 1e-12
 
 
 def test_decompose_error_messages(oblate_dom):
