@@ -8,10 +8,11 @@ prefix slice. Real surfaces have conjugate-consistent weights.
 The fit and the fast reconstruction share one real-arithmetic kernel, a
 double Fourier series (Townsend, Wilber & Wright 2016): with t = arccos xi,
 each P_nm(cos t) is a short trigonometric series in t, cos(k t) for even m
-and sin((k + 1) t) for odd m, whose coefficients are cached per degree. So
-the basis needs only cos/sin rows of k t and m phi, built by angle
-addition, and one small GEMM per order parity; no complex basis is built
-and fitted weights are conjugate-consistent by construction.
+and sin((k + 1) t) for odd m, whose coefficients are cached per degree in
+one table, with the zeros of the parity of P_nm exact. So the basis needs
+only cos/sin rows of k t and m phi, built row by row by angle addition,
+and one small GEMM per order parity; no complex basis is built and fitted
+weights are conjugate-consistent by construction.
 
 The fit solves the normal equations without forming the (n_v, beta) basis.
 By the product-to-sum rules its Gram matrix is a Toeplitz-plus-Hankel
@@ -20,12 +21,12 @@ array of trigonometric moments sum_v {cos, sin}(a t_v) {cos, sin}(b phi_v)
 taken through the cached series on both sides; B^T R and B c come from the
 same cos/sin rows. It solves by Cholesky with one step of iterative
 refinement, and falls back to the SVD least-squares solver on the dense
-basis, which a memory guard bounds, when the Cholesky factorization fails
-or the condition estimate of the normal matrix exceeds 1e8. The planar
-pipeline passes its dense cos/sin rows in one angle through the same
-least-squares policy. basis_matrix and reconstruct_full, which evaluate
-the Legendre recurrence directly, stay the independent complex-basis
-reference.
+basis when the Cholesky factorization fails or the condition estimate of
+the normal matrix exceeds 1e8. One memory limit bounds both the rows with
+the Gram matrix and the dense basis. The planar pipeline passes its dense
+cos/sin rows in one angle through the same least-squares policy.
+basis_matrix and reconstruct_full, which evaluate the Legendre recurrence
+directly, stay the independent complex-basis reference.
 """
 from __future__ import annotations
 
@@ -55,6 +56,11 @@ __all__ = [
 
 MAX_DEGREE = 80
 
+# largest array set, in bytes, that one surface fit allocates: the moment
+# rows and Gram matrix, or the dense basis of the SVD fallback. Refinement 8
+# at MAX_DEGREE would take 3.4 GB of rows, refinement 6 2.1 GB of basis
+_MAX_FIT_BYTES = 2**30
+
 # largest 1-norm condition estimate of B^T B fitted through the normal
 # equations (cond(B) up to about 1e4); worse bases go to the SVD solver
 _MAX_NORMAL_COND = 1e8
@@ -64,6 +70,16 @@ def _check_degree(n_max):
     """The one degree cap of every expansion, surface or contour."""
     if not (isinstance(n_max, (int, np.integer)) and 0 <= n_max <= MAX_DEGREE):
         raise GuardError(f"n_max must be an integer in [0, {MAX_DEGREE}]")
+
+
+def _check_fit_bytes(what, nbytes):
+    """The one memory cap of the surface fit: GuardError when `what` needs
+    more than _MAX_FIT_BYTES."""
+    if nbytes > _MAX_FIT_BYTES:
+        raise GuardError(
+            f"{what} needs {nbytes / 2**20:.1f} MiB, more than "
+            f"{_MAX_FIT_BYTES / 2**20:.1f} MiB"
+        )
 
 
 @dataclass(frozen=True)
@@ -207,51 +223,17 @@ def _read_only(array):
     return array
 
 
-def _fourier_table(n_max):
-    """Tuple of read-only F_m, m = 0..n_max, each (n_max - m + 1, n_max + 1):
-    P_nm(cos t) = sum_k F_m[n - m, k] tau_k(t), with tau_k = cos(k t) for
-    even m and sin((k + 1) t) for odd m.
-
-    P_nm(cos t) is sin^m t times a polynomial of degree n - m in cos t, so
-    the series is exact. F_m interpolates the recurrence: cosine series at
-    t_j = pi j / n_max, which include both poles, so the series reproduce
-    the pole values there; sine series, which vanish at the poles, at
-    t_j = pi (j + 1) / (n_max + 2). Both matrices are orthogonal up to
-    weights and well conditioned.
-    """
-    size = n_max + 1
-    k = np.arange(size)
-    t_cos = np.pi * k / max(n_max, 1)
-    t_sin = np.pi * (k + 1) / (size + 1)
-    tau = (np.cos(np.outer(t_cos, k)), np.sin(np.outer(t_sin, k + 1)))
-    table = []
-    for m, block in _legendre_blocks(n_max, np.cos(np.concatenate([t_cos, t_sin]))):
-        odd = m % 2
-        nodes = block[:, size:] if odd else block[:, :size]
-        table.append(_read_only(np.linalg.solve(tau[odd], nodes.T).T))
-    return tuple(table)
-
-
-def _multiple_angles(cos_1, sin_1, count, stepwise=None):
+def _multiple_angles(cos_1, sin_1, count):
     """(2, count, k) rows cos(j a) and sin(j a), j = 0..count-1, from cos a
-    and sin a by angle addition: row by row, in place, up to
-    j = stepwise - 1 (all rows by default), then each further row j from
-    the rows stepwise - 1 and j - stepwise + 1 (so count < 2 stepwise)."""
-    stepwise = count if stepwise is None else stepwise
+    and sin a by angle addition, row by row in place."""
     rows = np.empty((2, count, cos_1.shape[0]))
     cos_j, sin_j = rows
     cos_j[0], sin_j[0] = 1.0, 0.0
-    for j in range(1, stepwise):
+    for j in range(1, count):
         np.multiply(cos_j[j - 1], cos_1, out=cos_j[j])
         cos_j[j] -= sin_j[j - 1] * sin_1
         np.multiply(sin_j[j - 1], cos_1, out=sin_j[j])
         sin_j[j] += cos_j[j - 1] * sin_1
-    if count > stepwise:
-        top, low = stepwise - 1, slice(1, count - stepwise + 1)
-        np.multiply(cos_j[low], cos_j[top], out=cos_j[stepwise:])
-        cos_j[stepwise:] -= sin_j[low] * sin_j[top]
-        np.multiply(sin_j[low], cos_j[top], out=sin_j[stepwise:])
-        sin_j[stepwise:] += cos_j[low] * sin_j[top]
     return rows
 
 
@@ -260,17 +242,16 @@ def _angle_rows(coords, n_max, moments=False):
     (2, count, n): cos and sin of a t, at t = arccos xi, and of b phi.
 
     The kernel takes the tau rows cos(k t) and sin((k + 1) t) and the rows
-    cos(m phi), sin(m phi), k, m = 0..n_max, built row by row. With
-    moments, the rows go on to a = 2 n_max + 2 and b = 2 n_max for the
-    fit's moments, built from those by angle addition of whole blocks.
+    cos(m phi), sin(m phi), k, m = 0..n_max. With moments, the rows go on
+    to a = 2 n_max + 2 and b = 2 n_max for the fit's moments.
     """
     xi = _checked_xi(xi_of_eta(coords.domain, coords.eta))
     t_count, phi_count = n_max + 2, n_max + 1
     if moments:
         t_count, phi_count = 2 * n_max + 3, 2 * n_max + 1
     return (
-        _multiple_angles(xi, np.sqrt(1.0 - xi * xi), t_count, n_max + 2),
-        _multiple_angles(np.cos(coords.phi), np.sin(coords.phi), phi_count, n_max + 1),
+        _multiple_angles(xi, np.sqrt(1.0 - xi * xi), t_count),
+        _multiple_angles(np.cos(coords.phi), np.sin(coords.phi), phi_count),
     )
 
 
@@ -316,7 +297,7 @@ def decompose(mesh, coords, config):
     weights are conjugate-consistent by construction.
 
     The normal equations never form the (n_v, beta) basis. Each column is
-    F_m tau(t) {cos, sin}(m phi) (_fourier_table), so the Gram matrix
+    F_m tau(t) {cos, sin}(m phi) (_fit_tables), so the Gram matrix
     B^T B follows from trigonometric moments of the samples
     (_moment_gram), B^T R from the tau rows weighted by R against the
     m phi rows (_project), and B c is the reconstruction kernel
@@ -327,6 +308,9 @@ def decompose(mesh, coords, config):
     if mesh.n_v != coords.n:
         raise ValueError("mesh and coords disagree on vertex count")
     n_max = config.n_max
+    # 8 (n_max + 1) cos/sin values per sample, and G
+    _check_fit_bytes(f"fit of {coords.n} samples at degree {n_max}",
+                     64 * (n_max + 1) * coords.n + 8 * (n_max + 1) ** 4)
     rows = _angle_rows(coords, n_max, moments=True)
     fit, residual_rms = _least_squares(
         _moment_gram(n_max, *rows),
@@ -379,7 +363,15 @@ class _FitTables:
     (m + j, -m), j = 0..n_max - m. present[m, c, j] marks these columns
     among all (m, c, j), c = 1 for sin, in that order; start[m] is the
     first column of order m and column[i] the row_index of column i.
-    table[m] is F_m of _fourier_table zero-padded to n_max + 1 rows.
+
+    table[m] is F_m, zero-padded to n_max + 1 rows: P_nm(cos t) =
+    sum_k F_m[n - m, k] tau_k(t), tau_k = cos(k t) for even m and
+    sin((k + 1) t) for odd m, exact as P_nm(cos t) is sin^m t times a
+    polynomial of degree n - m in cos t. F_m interpolates the recurrence at
+    t_j = pi j / n_max, poles included, for cosine series and at
+    t_j = pi (j + 1) / (n_max + 2) for sine series, which vanish there;
+    both matrices are well conditioned. As P_nm(-xi) = (-1)^(n+m) P_nm(xi),
+    the entries j + k odd are exactly 0.
 
     The reconstruction reads only these fields; the fit also reads the
     properties, which are built on its first use of the degree.
@@ -390,14 +382,6 @@ class _FitTables:
     present: np.ndarray
     start: np.ndarray
     column: np.ndarray
-
-    @functools.cached_property
-    def exact(self):
-        """table with the entries j + k odd set to 0: P_nm(-xi) =
-        (-1)^(n+m) P_nm(xi), so row j = n - m of F_m is zero, up to
-        round-off, at every k of the other parity."""
-        k = np.arange(self.n_max + 1)
-        return _read_only(np.where((k[:, None] + k) % 2 == 0, self.table, 0.0))
 
     @functools.cached_property
     def moment_layout(self):
@@ -441,14 +425,19 @@ class _FitTables:
 
 
 # one entry per degree in use (a staged run uses a few); at n_max 30 one
-# holds 0.25 MiB, 2.6 MiB once the fit has used it (24 MiB at MAX_DEGREE)
+# holds 0.24 MiB, 2.4 MiB once the fit has used it (20 MiB at MAX_DEGREE)
 @functools.lru_cache(maxsize=16)
 def _fit_tables(n_max):
     size = n_max + 1
     j = np.arange(size)
+    t_cos = np.pi * j / max(n_max, 1)
+    t_sin = np.pi * (j + 1) / (size + 1)
+    tau = (np.cos(np.outer(t_cos, j)), np.sin(np.outer(t_sin, j + 1)))
     table = np.zeros((size, size, size))
-    for m, f_m in enumerate(_fourier_table(n_max)):
-        table[m, : size - m] = f_m
+    for m, block in _legendre_blocks(n_max, np.cos(np.concatenate([t_cos, t_sin]))):
+        nodes = block[:, size:] if m % 2 else block[:, :size]
+        table[m, : size - m] = np.linalg.solve(tau[m % 2], nodes.T).T
+    table[:, (j[:, None] + j) % 2 == 1] = 0.0
     m = j[:, None, None]
     present = (m + j <= n_max) & ((np.arange(2)[:, None] == 0) | (m > 0))
     start = np.concatenate([[0], np.cumsum(present.sum(axis=(1, 2)))])
@@ -474,7 +463,7 @@ def _moment_gram(n_max, t_rows, phi_rows):
     """
     size = n_max + 1
     tables = _fit_tables(n_max)
-    F, start = tables.exact, tables.start.tolist()
+    F, start = tables.table, tables.start.tolist()
     n = t_rows.shape[2]
     moments = (phi_rows.reshape(-1, n) @ t_rows.reshape(-1, n).T).ravel()
     index, sign = tables.moment_layout
@@ -517,7 +506,7 @@ def _project(n_max, t_rows, phi_rows, R):
         z = np.matmul(weighted.reshape(size * c, -1),
                       phi_rows[:, p:size:2].transpose(0, 2, 1))
         moments[p::2] = z.reshape(2, size, c, -1).transpose(3, 0, 1, 2)
-    out = np.matmul(tables.exact[:, None], moments)
+    out = np.matmul(tables.table[:, None], moments)
     return out.reshape(-1, c)[tables.present.ravel()]
 
 
@@ -528,7 +517,7 @@ def _synthesize(n_max, t_rows, phi_rows, coef):
     With t = arccos xi, the expansion is sum_m a_m(t) cos(m phi) +
     b_m(t) sin(m phi). Each order's rows are folded into the Fourier
     coefficients of a_m and b_m in t through the cached table F_m
-    (_fourier_table); per order parity one GEMM of those coefficients with
+    (_fit_tables); per order parity one GEMM of those coefficients with
     the cos(k t) or sin((k + 1) t) rows evaluates every a_m and b_m, which
     are then contracted with the cos(m phi) and sin(m phi) rows.
     """
@@ -553,31 +542,21 @@ def _synthesize(n_max, t_rows, phi_rows, coef):
     return np.ascontiguousarray(out.T)
 
 
-# largest dense basis, in bytes, that the SVD fallback of the surface fit
-# builds; refinement 6 at MAX_DEGREE would take 2.1 GB
-_MAX_DENSE_BASIS_BYTES = 2**30
-
-
 def _real_basis(n_max, t_rows, phi_rows):
     """Transposed real basis Bt, (beta, n), in the column order of
     _FitTables: P_nm cos(m phi) and P_nm sin(m phi). Raises GuardError
-    before allocating more than _MAX_DENSE_BASIS_BYTES."""
+    before allocating more than _MAX_FIT_BYTES."""
     size = n_max + 1
     n = t_rows.shape[2]
-    nbytes = size * size * n * 8
-    if nbytes > _MAX_DENSE_BASIS_BYTES:
-        raise GuardError(
-            f"dense fit basis of {n} samples x {size * size} columns needs "
-            f"{nbytes / 2**20:.1f} MiB, more than "
-            f"{_MAX_DENSE_BASIS_BYTES / 2**20:.1f} MiB"
-        )
+    _check_fit_bytes(f"dense fit basis of {n} samples x {size * size} columns",
+                     size * size * n * 8)
     tables = _fit_tables(n_max)
     start = tables.start
     tau = (t_rows[0, :size], t_rows[1, 1 : size + 1])
     cos_m, sin_m = phi_rows[:, :size]
     Bt = np.empty((size * size, n))
     for m in range(size):
-        block = tables.exact[m, : size - m] @ tau[m % 2]
+        block = tables.table[m, : size - m] @ tau[m % 2]
         Bt[start[m] : start[m] + size - m] = block * cos_m[m]
         if m:
             Bt[start[m] + size - m : start[m + 1]] = block * sin_m[m]

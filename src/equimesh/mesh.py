@@ -220,10 +220,6 @@ class Contour2D:
                 raise ValueError("closed contour must not repeat its first point")
         self.points = p
 
-    @property
-    def n_points(self):
-        return self.points.shape[0]
-
     def segment_lengths(self):
         if self.closed:
             return ring_lengths(self.points)
@@ -409,7 +405,9 @@ def _check_refinements(r):
 def icosphere(refinements):
     """Unit icosphere: icosahedron subdivided `refinements` times.
 
-    Vertex/face counts are 10*4^r + 2 and 20*4^r.
+    Vertex/face counts are 10*4^r + 2 and 20*4^r. The seed faces wind
+    outward and midpoint subdivision keeps their winding, so every face
+    normal points outward.
     """
     _check_refinements(refinements)
     t = (1.0 + np.sqrt(5.0)) / 2.0
@@ -444,12 +442,6 @@ def icosphere(refinements):
         verts = np.concatenate([verts, m])
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1).reshape(-1, 3)
-    # enforce outward orientation regardless of the seed table's handedness
-    centroids = verts[faces].mean(axis=1)
-    normals = np.cross(verts[faces[:, 1]] - verts[faces[:, 0]],
-                       verts[faces[:, 2]] - verts[faces[:, 0]])
-    inward = np.einsum("ij,ij->i", normals, centroids) < 0
-    faces[inward] = faces[inward][:, [0, 2, 1]]
     return TriangleMesh(verts, faces)
 
 

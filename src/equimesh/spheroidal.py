@@ -468,18 +468,11 @@ def sample_cap_grid(domain, rings, sectors):
         phi=np.concatenate(([0.0], np.tile(2.0 * np.pi * k / sectors, rings))),
         domain=domain,
     )
-    # pole fan, then per ring band and sector the quad's two triangles
+    # pole fan, then per ring band and sector the quad's two triangles, all
+    # wound so that their normals point outward on the shell
     ring = 1 + k + sectors * np.arange(rings)[:, None]
     step = np.roll(ring, -1, axis=1)
     fan = np.stack([np.zeros_like(k), ring[0], step[0]], axis=1)
     quads = [ring[:-1], ring[1:], step[1:], ring[:-1], step[1:], step[:-1]]
     faces = np.concatenate([fan, np.stack(quads, axis=-1).reshape(-1, 3)])
-    # fix winding so face normals point outward on the shell
-    pts = forward_coords(domain, coords.eta, coords.phi)
-    cross = np.cross(
-        pts[faces[:, 1]] - pts[faces[:, 0]], pts[faces[:, 2]] - pts[faces[:, 0]]
-    )
-    outward = surface_normals(domain, pts)[faces[:, 0]]
-    if np.median(np.einsum("ij,ij->i", cross, outward)) < 0:
-        faces = faces[:, [0, 2, 1]].copy()
     return coords, faces

@@ -491,6 +491,19 @@ def test_guard_violation_exits_5(oblate_obj, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_memory_guard_exits_5(oblate_obj, tmp_path, monkeypatch, capsys):
+    from equimesh import harmonics
+
+    # 162 samples at degree 6 take 91784 bytes of rows and Gram matrix
+    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", 2**16)
+    out = tmp_path / "w.txt"
+    rc = main(["decompose", "--in", str(oblate_obj), "--out", str(out),
+               "--nmax", "6"])
+    assert rc == 5
+    assert "fit of 162 samples at degree 6 needs 0.1 MiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cap_refinement_guard_exits_5(tmp_path, capsys):
     # a cap is sampled on a polar grid, but --refine keeps the icosphere cap
     wpath = tmp_path / "cap.txt"

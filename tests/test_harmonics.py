@@ -25,9 +25,10 @@ from equimesh.harmonics import (
     ExpansionConfig,
     FourierWeights,
     _angle_rows,
-    _fourier_table,
+    _fit_tables,
     _legendre_blocks,
     _moment_gram,
+    _multiple_angles,
     _project,
     _real_basis,
     _synthesize,
@@ -235,7 +236,7 @@ def test_fourier_table_reproduces_alp(n_max):
     k = np.arange(n_max + 1)
     tau = (np.cos(np.outer(k, t)), np.sin(np.outer(k + 1, t)))
     expected = alp_table(n_max, xi)
-    table = _fourier_table(n_max)
+    table = [f[: n_max + 1 - m] for m, f in enumerate(_fit_tables(n_max).table)]
     assert len(table) == n_max + 1
     for m, f_m in enumerate(table):
         n = np.arange(m, n_max + 1)
@@ -245,6 +246,27 @@ def test_fourier_table_reproduces_alp(n_max):
         want = expected[:, n * (n + 1) // 2 + m].T
         # values grow like sqrt(n) (3.6 at degree 80), and so does round-off
         assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 12, 30, 80])
+def test_fourier_table_parity_zeros_are_exact(n_max):
+    # P_nm(-xi) = (-1)^(n+m) P_nm(xi): row j = n - m of F_m has no term at
+    # a k of the other parity
+    table = _fit_tables(n_max).table
+    j = np.arange(n_max + 1)
+    odd = (j[:, None] + j) % 2 == 1
+    assert np.all(table[:, odd] == 0.0)
+
+
+def test_multiple_angles_match_cos_sin():
+    # 2 MAX_DEGREE + 3 rows, the most the fit's moments take
+    count = 2 * MAX_DEGREE + 3
+    a = np.concatenate([[0.0, np.pi / 2.0, np.pi],
+                        np.random.default_rng(3).uniform(-np.pi, np.pi, 61)])
+    cos_j, sin_j = _multiple_angles(np.cos(a), np.sin(a), count)
+    j = np.arange(count)[:, None]
+    assert np.abs(cos_j - np.cos(j * a)).max() <= 1e-12
+    assert np.abs(sin_j - np.sin(j * a)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +586,31 @@ def test_svd_fallback_guards_dense_basis_memory(monkeypatch):
     # the guard counts n_v * beta float64 values before the basis exists
     mesh, coords = _ill_conditioned_fixture()
     nbytes = coords.n * 169 * 8
-    monkeypatch.setattr(harmonics, "_MAX_DENSE_BASIS_BYTES", nbytes - 1)
+    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", nbytes - 1)
     with pytest.raises(GuardError, match=rf"^dense fit basis of {coords.n} samples x "
                        r"169 columns needs 0\.9 MiB, more than 0\.9 MiB$"):
         decompose(mesh, coords, ExpansionConfig(12))
-    monkeypatch.setattr(harmonics, "_MAX_DENSE_BASIS_BYTES", nbytes)
+    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", nbytes)
+    decompose(mesh, coords, ExpansionConfig(12))
+
+
+def test_fit_guards_rows_and_gram_memory(monkeypatch):
+    # 8 (n_max + 1) cos/sin values per sample and the beta^2 Gram matrix,
+    # refused before any row is built
+    weights, coords, faces = _cap_fixture()
+    mesh = TriangleMesh(reconstruct_fast(weights, coords), faces)
+    nbytes = 64 * 13 * coords.n + 8 * 13**4
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the rows were built")
+
+    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", nbytes - 1)
+    monkeypatch.setattr(harmonics, "_angle_rows", refused)
+    with pytest.raises(GuardError, match=rf"^fit of {coords.n} samples at degree 12 "
+                       r"needs \d+\.\d MiB, more than \d+\.\d MiB$"):
+        decompose(mesh, coords, ExpansionConfig(12))
+    monkeypatch.undo()
+    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", nbytes)
     decompose(mesh, coords, ExpansionConfig(12))
 
 

@@ -144,6 +144,14 @@ def test_icosphere_vertices_on_unit_sphere():
     np.testing.assert_allclose(radii, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("r", range(7))
+def test_icosphere_faces_point_outward(r):
+    m = icosphere(r)
+    p = m.vertices[m.faces]
+    normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    assert np.all(np.einsum("ij,ij->i", normals, p.mean(axis=1)) > 0.0)
+
+
 def test_icosphere_valid_closed_mesh():
     m = icosphere(2)
     assert m.is_closed

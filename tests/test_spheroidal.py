@@ -25,7 +25,7 @@ from equimesh import spheroidal
 from equimesh.benchmarks import bumpy_weights, oblate_domain, prolate_domain
 from equimesh.harmonics import reconstruct_fast
 from equimesh.mesh import MAX_ICOSPHERE_REFINEMENTS
-from equimesh.spheroidal import cap_grid_size
+from equimesh.spheroidal import cap_grid_size, focal_chart
 
 
 def all_domains():
@@ -354,6 +354,21 @@ def test_sample_cap_grid_prolate_hemispheroid():
     coords, faces = sample_cap_grid(d, rings=6, sectors=12)
     assert coords.eta[0] == 0.0  # the pole
     assert coords.eta[1:].max() == pytest.approx(np.pi / 2.0 - 1e-3, abs=1e-15)
+    pts = forward_coords(d, coords.eta, coords.phi)
+    p = pts[faces]
+    normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    outward = surface_normals(d, pts)[faces].sum(axis=1)
+    assert np.all(np.einsum("ij,ij->i", normals, outward) > 0.0)
+
+
+@pytest.mark.parametrize("kind", ["oblate-hemispheroid", "prolate-hemispheroid"])
+@pytest.mark.parametrize("aspect", [0.05, 0.55, 0.999, 0.9995])
+@pytest.mark.parametrize("rings, sectors", [(1, 3), (40, 64)])
+def test_sample_cap_grid_faces_point_outward(kind, aspect, rings, sectors):
+    # 0.9995 is within SPHERE_GAP of round and takes the floored focal chart
+    e, zeta0 = focal_chart(1.0, aspect)
+    d = SpheroidDomain(kind=kind, e=e, zeta0=zeta0)
+    coords, faces = sample_cap_grid(d, rings=rings, sectors=sectors)
     pts = forward_coords(d, coords.eta, coords.phi)
     p = pts[faces]
     normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
