@@ -52,6 +52,6 @@ print(f"rejected candidates: {sum(trace.halvings)}, "
 d, _, _ = compare_surfaces(before, after)
 print(f"mean surface distance before/after: {d:.3e} "
       f"({d / before.mean_edge_length():.2%} of mean edge length)")
-power = psd_descriptors(weights).total()
+power = psd_descriptors(weights).sum(axis=1)
 print(f"descriptor power, degrees 0..3: {np.round(power[:4], 6)}")
 print(f"\nwrote {out_dir}/bumpy_before.obj, bumpy_after.obj, bumpy_trace.csv")

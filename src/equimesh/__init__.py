@@ -53,7 +53,6 @@ from .spheroidal import (
 from .harmonics import (
     ExpansionConfig,
     FourierWeights,
-    PsdDescriptors,
     basis_matrix,
     decompose,
     load_weights,

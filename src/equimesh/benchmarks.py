@@ -102,25 +102,20 @@ def bumpy_weights(domain, n_max=30, band=10, amplitude=0.04, seed=7):
     return FourierWeights(q=q, n_max=n_max, domain=domain)
 
 
-def protrusion_weights(domain=None, n_max=12, amplitude=0.6):
-    """A single smooth protrusion at the north pole of a prolate shell.
+def protrusion_weights(amplitude=0.6):
+    """A single smooth protrusion at the north pole of the prolate test shell.
 
     The surface is shell * (1 + amplitude * ((1 + xi)/2)^8), which is
     band-limited to degree 9, so the returned degree-12 weights capture it
     exactly (fit residual at rounding level).
     """
-    if domain is None:
-        domain = prolate_domain()
-    if domain.is_hemispheroid:
-        raise ValueError("protrusion benchmark expects a closed domain")
-    if n_max < 9:
-        raise ValueError("n_max must be at least 9 to hold the protrusion")
+    domain = prolate_domain()
     coords, faces = sample_icosphere(domain, refinements=3)
     xi = xi_of_eta(domain, coords.eta)
     factor = 1.0 + amplitude * ((1.0 + xi) / 2.0) ** 8
     points = forward_coords(domain, coords.eta, coords.phi) * factor[:, None]
     mesh = TriangleMesh(points, faces)
-    return decompose(mesh, coords, ExpansionConfig(n_max))
+    return decompose(mesh, coords, ExpansionConfig(12))
 
 
 def cap_weights(domain=None, n_max=25, rings=40, sectors=64):

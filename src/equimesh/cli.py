@@ -119,7 +119,8 @@ def _build_parser():
 def _merge_config(args, command_parser):
     """Overlay config-file values under explicit flags; flags win. Each value
     goes through its flag's type, as the same text on the command line would;
-    a switch such as no_align takes a JSON true or false."""
+    a flag without a type takes a JSON string, and a switch such as no_align
+    a JSON true or false."""
     values = vars(args)
     if args.config is not None:
         try:
@@ -136,8 +137,11 @@ def _merge_config(args, command_parser):
             if values[name] is not None:
                 continue
             kind = actions[name].type
-            if actions[name].nargs == 0 and not isinstance(value, bool):
-                raise FormatError(f"config value for {key!r} must be true or false")
+            if actions[name].nargs == 0:
+                if not isinstance(value, bool):
+                    raise FormatError(f"config value for {key!r} must be true or false")
+            elif kind is None and not isinstance(value, str):
+                raise FormatError(f"config value for {key!r} must be a string")
             try:
                 values[name] = value if kind is None else kind(str(value))
             except ValueError as exc:

@@ -348,5 +348,5 @@ def diffuse_remesh(weights, initial_coords, faces, config):
         exc.trace = trace
         raise
     trace.stop_reason = stop_reason
-    final_mesh = TriangleMesh(geometry.points / scale, template.faces, validate=True)
+    final_mesh = TriangleMesh(geometry.points / scale, template.faces)
     return coords, final_mesh, trace

@@ -44,7 +44,6 @@ __all__ = [
     "MAX_DEGREE",
     "ExpansionConfig",
     "FourierWeights",
-    "PsdDescriptors",
     "basis_matrix",
     "decompose",
     "reconstruct_full",
@@ -84,7 +83,7 @@ def _check_fit_bytes(what, nbytes):
 
 @dataclass(frozen=True)
 class ExpansionConfig:
-    """Expansion truncation; beta/beta_hat count full and half basis columns."""
+    """Expansion truncation; beta counts the basis columns."""
 
     n_max: int
 
@@ -94,10 +93,6 @@ class ExpansionConfig:
     @property
     def beta(self):
         return (self.n_max + 1) ** 2
-
-    @property
-    def beta_hat(self):
-        return (self.n_max + 1) * (self.n_max + 2) // 2
 
 
 def full_orders(n_max):
@@ -156,20 +151,6 @@ class FourierWeights:
         neg = self.row_index(n, -m)
         expected = ((-1.0) ** m)[:, None] * np.conj(self.q[neg])
         return float(np.abs(self.q - expected).max())
-
-
-@dataclass
-class PsdDescriptors:
-    """Per-degree power of the expansion, one column per coordinate."""
-
-    power: np.ndarray  # (n_max + 1, 3)
-
-    @property
-    def n_max(self):
-        return self.power.shape[0] - 1
-
-    def total(self):
-        return self.power.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +640,12 @@ def reconstruct_fast(weights, coords):
 
 
 def psd_descriptors(weights):
-    """Per-degree power spectrum: sum over m of |Q|^2, per coordinate."""
+    """Per-degree power spectrum, an (n_max + 1, 3) array: row n holds the
+    sum over m of |Q_nm|^2, one column per coordinate."""
     n, _ = full_orders(weights.n_max)
     power = np.zeros((weights.n_max + 1, 3))
     np.add.at(power, n, np.abs(weights.q) ** 2)
-    return PsdDescriptors(power=power)
+    return power
 
 
 # ---------------------------------------------------------------------------

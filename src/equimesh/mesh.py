@@ -39,8 +39,6 @@ __all__ = [
     "quality_report",
 ]
 
-_UNSET = object()
-
 # ρ̂ sentinel reported for zero-area faces, one past the open upper bound of
 # the valid range [1, 2).
 DEGENERATE_RHO_HAT = 2.0
@@ -49,16 +47,13 @@ MAX_ICOSPHERE_REFINEMENTS = 8
 
 
 class TriangleMesh:
-    """Immutable oriented triangle mesh.
+    """Immutable oriented triangle mesh, checked once when it is built.
 
     Parameters
     ----------
     vertices : (n_v, 3) float array
     faces : (n_f, 3) int array
         Consistently oriented (counter-clockwise seen from outside).
-    validate : bool
-        Run the structural checks. Internal callers that reuse a known
-        connectivity may skip them.
 
     Raises
     ------
@@ -70,7 +65,7 @@ class TriangleMesh:
         boundary loop.
     """
 
-    def __init__(self, vertices, faces, validate=True):
+    def __init__(self, vertices, faces):
         v = np.ascontiguousarray(vertices, dtype=np.float64)
         f = np.ascontiguousarray(faces, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
@@ -81,10 +76,7 @@ class TriangleMesh:
         f.setflags(write=False)
         self.vertices = v
         self.faces = f
-        self._boundary_loop = _UNSET
-        self._unique_edges = None
-        if validate:
-            self._validate()
+        self._boundary_loop = self._validate()
 
     @property
     def n_v(self):
@@ -99,12 +91,12 @@ class TriangleMesh:
         return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
 
     def _validate(self):
+        """The boundary loop, after the structural checks."""
         if not np.isfinite(self.vertices).all():
             raise ValueError("vertex coordinates must be finite")
         f = self.faces
         if self.n_f == 0:
-            self._boundary_loop = None
-            return
+            return None
         if f.min() < 0 or f.max() >= self.n_v:
             raise ValueError("face index out of range")
         if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])):
@@ -117,14 +109,10 @@ class TriangleMesh:
                 "non-manifold or inconsistently oriented edge "
                 "(directed edge used twice)"
             )
-        self._boundary_loop = _single_boundary_loop(edges, n)
+        return _single_boundary_loop(edges, n)
 
     def boundary_loop(self):
         """Ordered vertex indices of the boundary, or None when closed."""
-        if self._boundary_loop is _UNSET:
-            self._boundary_loop = _single_boundary_loop(
-                self.directed_edges(), self.n_v
-            )
         return self._boundary_loop
 
     @property
@@ -132,13 +120,11 @@ class TriangleMesh:
         return self.boundary_loop() is None
 
     def unique_edges(self):
-        if self._unique_edges is None:
-            e = self.directed_edges()
-            lo = np.minimum(e[:, 0], e[:, 1])
-            hi = np.maximum(e[:, 0], e[:, 1])
-            self._unique_edges = np.unique(np.column_stack([lo, hi]), axis=0)
-            self._unique_edges.setflags(write=False)
-        return self._unique_edges
+        """(n_e, 2) vertex pairs lo < hi, one per edge, in lexicographic order."""
+        e = self.directed_edges()
+        n = self.n_v
+        key = np.unique(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
+        return np.column_stack([key // n, key % n])
 
     def mean_edge_length(self):
         e = self.unique_edges()
@@ -149,11 +135,8 @@ class TriangleMesh:
         return float(FaceGeometry(self.vertices, self.faces).areas.sum())
 
     def with_vertices(self, vertices):
-        """Same connectivity, new vertex positions; structural caches carry over."""
-        m = TriangleMesh(vertices, self.faces, validate=False)
-        m._boundary_loop = self._boundary_loop
-        m._unique_edges = self.unique_edges()
-        return m
+        """Same connectivity, new vertex positions."""
+        return TriangleMesh(vertices, self.faces)
 
 
 def _single_boundary_loop(edges, n_v):
@@ -170,7 +153,12 @@ def _single_boundary_loop(edges, n_v):
 
 
 def _chain_loops(boundary_edges):
-    """Chain directed boundary edges into ordered loops."""
+    """Chain directed boundary edges into ordered loops.
+
+    The edges come from a mesh that uses no directed edge twice, so every
+    vertex starts as many boundary edges as it ends; with at most one
+    outgoing edge per vertex, each chain returns to its start.
+    """
     succ = {}
     for a, b in boundary_edges:
         a = int(a)
@@ -185,8 +173,6 @@ def _chain_loops(boundary_edges):
         cur = remaining.pop(start)
         while cur != start:
             loop.append(cur)
-            if cur not in remaining:
-                raise TopologyError("open boundary chain (non-manifold boundary)")
             cur = remaining.pop(cur)
         loops.append(np.asarray(loop, dtype=np.int64))
     return loops

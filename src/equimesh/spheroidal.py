@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FoldError, GuardError, SingularityError, TopologyError
-from .mesh import MAX_ICOSPHERE_REFINEMENTS, TriangleMesh, _check_refinements, icosphere
+from .mesh import MAX_ICOSPHERE_REFINEMENTS, _check_refinements, icosphere
 
 __all__ = [
     "OBLATE",
@@ -247,15 +247,6 @@ def surface_normals(domain, points):
 # ---------------------------------------------------------------------------
 # fitting
 
-def _as_points(mesh_or_points):
-    if isinstance(mesh_or_points, TriangleMesh):
-        return mesh_or_points.vertices, mesh_or_points
-    pts = np.asarray(mesh_or_points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("expected a TriangleMesh or an (n, 3) point array")
-    return pts, None
-
-
 def align_to_principal_axes(mesh):
     """Center a mesh on its vertex centroid and rotate principal axes onto x/y/z.
 
@@ -278,37 +269,26 @@ def align_to_principal_axes(mesh):
     return mesh.with_vertices(v @ R)
 
 
-def fit_domain(mesh_or_points, kind_hint=None):
-    """Fit a spheroidal domain to a centered, axis-aligned surface.
+def fit_domain(mesh, kind_hint=None):
+    """Fit a spheroidal domain to a centered, axis-aligned TriangleMesh.
 
-    Semi-axes come from coordinate extents: a = max cylindrical radius,
+    Semi-axes come from vertex extents: a = max cylindrical radius,
     c = half the z extent (full extent for hemispheroids, whose rim is
     expected near the z = 0 plane). Near-spheres get the focal floor of
     `focal_chart`. `kind_hint` may force one of
     the four kinds or the value "hemispheroid" (family chosen from extents);
     open meshes require a hemispheroidal hint.
     """
-    pts, mesh = _as_points(mesh_or_points)
+    pts = mesh.vertices
     if pts.shape[0] < 4:
         raise ValueError("need at least 4 points to fit a spheroid")
-    hemis = None
-    if kind_hint is not None:
-        if kind_hint in ("hemispheroid", OBLATE_HEMISPHEROID, PROLATE_HEMISPHEROID):
-            hemis = True
-        elif kind_hint in (OBLATE, PROLATE):
-            hemis = False
-        else:
-            raise ValueError(f"unknown kind hint {kind_hint!r}")
-    if mesh is not None:
-        is_open = not mesh.is_closed
-        if is_open and not hemis:
-            raise TopologyError(
-                "open surface: fitting requires a hemispheroidal kind hint"
-            )
-        if hemis is None:
-            hemis = is_open
-    elif hemis is None:
-        hemis = False
+    hemis = kind_hint in ("hemispheroid", OBLATE_HEMISPHEROID, PROLATE_HEMISPHEROID)
+    if not hemis and kind_hint not in (None, OBLATE, PROLATE):
+        raise ValueError(f"unknown kind hint {kind_hint!r}")
+    if not hemis and not mesh.is_closed:
+        raise TopologyError(
+            "open surface: fitting requires a hemispheroidal kind hint"
+        )
 
     a = float(np.hypot(pts[:, 0], pts[:, 1]).max())
     if hemis:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from equimesh.benchmarks import blob_contour, cap_domain, cap_weights, ellipse_contour
-from equimesh.cli import main
+from equimesh.cli import _parse_stages, main
 from equimesh.harmonics import load_weights, save_weights
 from equimesh.mesh import icosphere, load_mesh
 from equimesh.contour2d import read_contours, write_contour_csv, write_contours
@@ -386,6 +386,19 @@ def test_config_switch_rejects_non_bool(tilted_obj, tmp_path, capsys, value):
     assert "no_align" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [3, ["4:3"]])
+@pytest.mark.parametrize("key", ["stages", "out", "trace"])
+def test_config_text_flag_takes_only_a_string(weights_file, tmp_path, capsys,
+                                               key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "m.obj"), key: value}))
+    rc = main(["remesh", "--weights", str(weights_file), "--refine", "1",
+               "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config value for {key!r} must be a string\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -601,6 +614,17 @@ def test_bad_stage_syntax_exits_2(weights_file, tmp_path, capsys):
                "--out", str(tmp_path / "m.obj"), "--stages", "5-10"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_empty_stage_schedule_exits_2(weights_file, tmp_path, capsys):
+    rc = main(["remesh", "--weights", str(weights_file),
+               "--out", str(tmp_path / "m.obj"), "--stages", ","])
+    assert rc == 2
+    assert "empty stage schedule" in capsys.readouterr().err
+
+
+def test_stage_schedule_skips_empty_parts():
+    assert _parse_stages("30:5,") == [(30, 5)]
 
 
 def test_unknown_subcommand_is_argparse_error():

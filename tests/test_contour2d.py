@@ -88,6 +88,13 @@ def test_inverse_elliptic_focal_segment():
         inverse_elliptic(dom, np.array([[0.5, 0.0]]))
 
 
+def test_inverse_elliptic_takes_one_point():
+    dom = EllipticDomain(e=1.3, zeta0=0.8, center=(2.0, -1.0), rotation=0.6)
+    zeta, eta = inverse_elliptic(dom, elliptic_coords(dom, np.array([0.7]))[0])
+    assert zeta == pytest.approx([0.8], abs=1e-10)
+    assert eta == pytest.approx([0.7], abs=1e-10)
+
+
 def test_fit_ellipse_recovers_axis_aligned():
     c = ellipse_contour(a=2.0, b=0.5, n_points=64)
     dom = fit_ellipse(c)
@@ -128,14 +135,25 @@ def test_fit_ellipse_circle_floor():
 def test_ellipse_and_spheroid_fits_share_the_chart(big, small):
     # four points on the axes: second-moment semi-axes (big, small)
     rim = Contour2D(np.array([[big, 0.0], [0.0, small], [-big, 0.0], [0.0, -small]]))
+    # the octahedron on the six axis tips
     tips = np.array([[big, 0.0, 0.0], [-big, 0.0, 0.0], [0.0, big, 0.0],
                      [0.0, -big, 0.0], [0.0, 0.0, small], [0.0, 0.0, -small]])
-    plane, solid = fit_ellipse(rim), fit_domain(tips)
+    faces = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+             [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
+    plane, solid = fit_ellipse(rim), fit_domain(TriangleMesh(tips, faces))
     assert solid.kind == "oblate"
     assert plane.e == pytest.approx(solid.e, rel=1e-12)
     assert plane.zeta0 == pytest.approx(solid.zeta0, rel=1e-12)
     floored = (big - small) / big < SPHERE_GAP
     assert (plane.e == pytest.approx(0.05 * big, rel=1e-12)) == floored
+
+
+def test_fit_ellipse_rejects_zero_extent():
+    # distinct points whose second moments underflow to 0
+    s = 1.6e-162
+    tiny = Contour2D(np.array([[0.0, 0.0], [s, 0.0], [0.0, s]]))
+    with pytest.raises(ValueError, match=r"degenerate \(zero extent\)"):
+        fit_ellipse(tiny)
 
 
 def test_fit_ellipse_rejects_open_contour():

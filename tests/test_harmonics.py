@@ -26,6 +26,7 @@ from equimesh.harmonics import (
     FourierWeights,
     _angle_rows,
     _fit_tables,
+    _least_squares,
     _legendre_blocks,
     _moment_gram,
     _multiple_angles,
@@ -111,7 +112,6 @@ def _random_consistent_weights(n_max, domain, rng, scale=1.0):
 def test_expansion_config_counts():
     cfg = ExpansionConfig(4)
     assert cfg.beta == 25
-    assert cfg.beta_hat == 15
 
 
 @pytest.mark.parametrize("bad", [-1, 81, 2.5])
@@ -341,11 +341,11 @@ def test_psd_descriptors_hand_value():
     q[FourierWeights.row_index(2, 1), 0] = 3.0 + 4.0j  # degree 2, x column
     q[FourierWeights.row_index(2, -1), 0] = -(3.0 - 4.0j)
     w = FourierWeights(q, 2, domain)
-    psd = psd_descriptors(w)
-    assert psd.n_max == 2
-    assert psd.power[1, 2] == pytest.approx(4.0)
-    assert psd.power[2, 0] == pytest.approx(50.0)  # both signed orders
-    assert psd.total() == pytest.approx([0.0, 4.0, 50.0])
+    power = psd_descriptors(w)
+    assert power.shape == (3, 3)
+    assert power[1, 2] == pytest.approx(4.0)
+    assert power[2, 0] == pytest.approx(50.0)  # both signed orders
+    assert power.sum(axis=1) == pytest.approx([0.0, 4.0, 50.0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +402,30 @@ def test_reconstruct_rejects_domain_mismatch(oblate_dom, prolate_dom, rng):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_decompose_rejects_non_finite_vertices(bad):
-    """with_vertices skips TriangleMesh validation, so decompose checks."""
-    weights, coords, faces = _bumpy_fixture(benchmarks.oblate_domain(), 3, 12)
-    mesh = TriangleMesh(reconstruct_fast(weights, coords), faces)
-    points = mesh.vertices.copy()
-    points[0, 0] = bad
+    """A TriangleMesh holds finite vertices only; the fit policy checks its
+    samples itself, for the contour fit too."""
+    samples = np.ones((4, 3))
+    samples[0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        decompose(mesh.with_vertices(points), coords, ExpansionConfig(12))
+        _least_squares(np.eye(2), None, None, samples, None)
+
+
+def test_decompose_rejects_vertex_count_mismatch(oblate_dom):
+    coords, _ = sample_icosphere(oblate_dom, 1)
+    mesh = TriangleMesh(np.zeros((coords.n - 1, 3)), np.zeros((0, 3), dtype=int))
+    with pytest.raises(ValueError, match="disagree on vertex count"):
+        decompose(mesh, coords, ExpansionConfig(2))
+
+
+def test_benchmark_surfaces_refuse_other_domains():
+    with pytest.raises(ValueError, match="closed kinds only"):
+        benchmarks.shell_weights(benchmarks.cap_domain())
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        benchmarks.shell_weights(benchmarks.oblate_domain(), n_max=0)
+    with pytest.raises(ValueError, match="band must not exceed n_max"):
+        benchmarks.bumpy_weights(benchmarks.oblate_domain(), n_max=4, band=5)
+    with pytest.raises(ValueError, match="hemispheroidal domain"):
+        benchmarks.cap_weights(benchmarks.oblate_domain())
 
 
 def test_decompose_underdetermined_raises(oblate_dom):
@@ -455,7 +472,7 @@ def test_kernel_edge_cases(kind, n_max):
     fast = reconstruct_fast(w, coords)
     assert np.abs(fast - full).max() <= 1e-12 * np.abs(full).max()
 
-    mesh = TriangleMesh(full, np.zeros((0, 3), dtype=int), validate=False)
+    mesh = TriangleMesh(full, np.zeros((0, 3), dtype=int))
     config = ExpansionConfig(n_max)
     if kind == PROLATE_HEMISPHEROID and n_max >= 12:
         # xi = 1 - cos(eta) spans only [0, 1] on this chart, so the basis
@@ -557,8 +574,7 @@ def _ill_conditioned_fixture():
     domain = SpheroidDomain(PROLATE_HEMISPHEROID, e=0.8, zeta0=1.1)
     coords = _edge_case_coords(domain, 12, np.random.default_rng(12))
     w = _random_consistent_weights(12, domain, np.random.default_rng(12))
-    mesh = TriangleMesh(reconstruct_full(w, coords), np.zeros((0, 3), dtype=int),
-                        validate=False)
+    mesh = TriangleMesh(reconstruct_full(w, coords), np.zeros((0, 3), dtype=int))
     return mesh, coords
 
 
@@ -675,7 +691,7 @@ def test_decompose_error_messages(oblate_dom):
         np.full_like(coords.eta, 0.3), np.full_like(coords.phi, 1.0), oblate_dom
     )
     mesh = TriangleMesh(forward_coords(oblate_dom, coords.eta, coords.phi),
-                        np.zeros((0, 3), dtype=int), validate=False)
+                        np.zeros((0, 3), dtype=int))
     with pytest.raises(EngineError, match=r"^rank-deficient basis \(rank 1 < 9\); "
                        "sampling does not resolve the requested degree$"):
         decompose(mesh, squashed, ExpansionConfig(2))
@@ -686,7 +702,7 @@ def test_decompose_error_messages(oblate_dom):
     lo, hi = domain.eta_range
     eta, phi = rng.uniform(lo, hi, 648), rng.uniform(0.0, 2.0 * np.pi, 648)
     mesh = TriangleMesh(forward_coords(domain, eta, phi),
-                        np.zeros((0, 3), dtype=int), validate=False)
+                        np.zeros((0, 3), dtype=int))
     with pytest.raises(EngineError,
                        match=r"^basis condition estimate \d\.\d{3}e\+12 too large$"):
         decompose(mesh, CurvilinearCoords(eta, phi, domain), ExpansionConfig(17))
@@ -731,6 +747,20 @@ def test_load_weights_messages_give_file_lines(tmp_path, oblate_dom, rng):
     lines[2] = "eccentricity 0.5"
     p.write_text("\n\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=r"w\.txt:5: expected 'e'"):
+        load_weights(p)
+
+
+def test_load_weights_rejects_row_count_and_order(tmp_path, oblate_dom, rng):
+    p = tmp_path / "w.txt"
+    save_weights(_random_consistent_weights(2, oblate_dom, rng), p)
+    lines = p.read_text().splitlines()
+    p.write_text("\n".join(lines[:5] + ["rows 8"] + lines[6:]) + "\n")
+    with pytest.raises(FormatError, match=r"w\.txt:6: weights row count 8 != beta 9"):
+        load_weights(p)
+    lines[7], lines[8] = lines[8], lines[7]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError,
+                       match=r"w\.txt:8: orders \(1, 0\); expected \(1, -1\)"):
         load_weights(p)
 
 

@@ -50,17 +50,15 @@ def test_single_triangle_boundary_loop():
     assert not m.is_closed
     loop = m.boundary_loop()
     assert sorted(loop) == [0, 1, 2]
-    # an unvalidated mesh finds its loop lazily, the same one validation finds
-    domain = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
-    coords, faces = sample_cap_grid(domain, rings=6, sectors=12)
-    cap = TriangleMesh(forward_coords(domain, coords.eta, coords.phi), faces)
-    assert len(cap.boundary_loop()) == 12
-    for mesh in (m, cap, icosphere(2)):
-        lazy = TriangleMesh(mesh.vertices, mesh.faces, validate=False)
-        if mesh.is_closed:
-            assert lazy.boundary_loop() is None
-        else:
-            assert np.array_equal(lazy.boundary_loop(), mesh.boundary_loop())
+
+
+@pytest.mark.parametrize("vertices, faces", [
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 2, 3]]),
+])
+def test_rejects_malformed_arrays(vertices, faces):
+    with pytest.raises(ValueError, match=r"must be an \(n_[vf], 3\) array"):
+        TriangleMesh(vertices, faces)
 
 
 def test_rejects_out_of_range_face_index():
@@ -120,11 +118,13 @@ def test_with_vertices_keeps_connectivity():
     assert m2.total_area() == pytest.approx(4.0 * m.total_area())
 
 
-def test_with_vertices_shares_one_edge_list():
-    m = icosphere(1)  # nothing has asked for its edges yet
-    a = m.with_vertices(m.vertices * 2.0)
-    b = a.with_vertices(m.vertices * 3.0)
-    assert a.unique_edges() is b.unique_edges() is m.unique_edges()
+def test_unique_edges_match_sorted_unique():
+    domain = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
+    coords, faces = sample_cap_grid(domain, rings=40, sectors=64)
+    cap = TriangleMesh(forward_coords(domain, coords.eta, coords.phi), faces)
+    for mesh in (icosphere(2), cap):
+        expected = np.unique(np.sort(mesh.directed_edges(), axis=1), axis=0)
+        assert np.array_equal(mesh.unique_edges(), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +236,11 @@ def test_detect_normal_flips():
     flipped = normals.copy()
     flipped[2] *= -1.0
     assert detect_normal_flips(m, flipped).tolist() == [2]
+
+
+def test_detect_normal_flips_rejects_wrong_shape():
+    with pytest.raises(ValueError, match=r"\(3, 3\) does not match 4 faces"):
+        detect_normal_flips(tetrahedron(), np.zeros((3, 3)))
 
 
 def test_compare_surfaces_identity(unit_sphere_2):
@@ -421,6 +426,10 @@ _REJECTED = {
     # the face rows still name vertex 4 after its v line is gone
     "index_past_vertices.obj": "".join(f"v {row}\n" for row in _TET_V.splitlines()[:3])
     + "f 1 2 3\nf 1 4 2\nf 1 3 4\nf 2 4 3\n",
+    "unknown_extension.stl": _OFF_TET,
+    "two_index_face.obj": "v 1 1 1\nv 1 -1 -1\nv -1 1 -1\nf 1 2\n",
+    # a binary format line over a text body
+    "binary_header.ply": _PLY_TET.replace("format ascii", "format binary_little_endian"),
     "face_without_list.ply": _PLY_TET.replace("property list uchar int vertex_indices",
                                               "property int vertex_index"),
     # scanners write binary PLY; its float bytes are not UTF-8
@@ -468,6 +477,22 @@ def test_contour_rejects_non_finite_point():
         Contour2D(np.array([[0, 0], [1, 0], [np.inf, 1]], dtype=float))
     with pytest.raises(ValueError, match="finite"):
         Contour2D(np.array([[0, 0], [1, 0], [1, np.nan]], dtype=float))
+
+
+def test_open_contour_segment_lengths():
+    c = Contour2D(np.array([[0, 0], [3, 0], [3, 4]], dtype=float), closed=False)
+    np.testing.assert_allclose(c.segment_lengths(), [3.0, 4.0])
+    assert c.length() == pytest.approx(7.0)
+
+
+def test_contour_rejects_bad_shape():
+    with pytest.raises(ValueError, match=r"\(n, 2\) array"):
+        Contour2D(np.zeros((4, 3)))
+
+
+def test_closed_contour_rejects_repeated_first_point():
+    with pytest.raises(ValueError, match="must not repeat its first point"):
+        Contour2D(np.array([[0, 0], [1, 0], [1, 1], [0, 0]], dtype=float))
 
 
 def test_contour_rejects_too_few_points():

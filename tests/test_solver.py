@@ -150,6 +150,16 @@ def test_backward_euler_two_vertex_equilibrium():
     assert out == pytest.approx([0.5, 0.5], abs=1e-5)
 
 
+def test_residual_past_ten_times_the_tolerance_raises():
+    # the same step at the default tolerance: CG stops, but round-off at
+    # cond(M - dt L) = 2e6 leaves the true residual far above 1e-11
+    M = sp.eye(2).tocsr()
+    L = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(SolverError, match=r"exceeds tolerance 1\.000e-12$") as exc:
+        backward_euler_step(M, L, np.array([1.0, 0.0]), dt=1e6)
+    assert exc.value.residual > 10.0 * solver.DEFAULT_TOLERANCE
+
+
 def test_backward_euler_conserves_mass():
     mesh = icosphere(2)
     M = vertex_mass_matrix(mesh)

@@ -8,6 +8,7 @@ from equimesh import (
     GuardError,
     SingularityError,
     SpheroidDomain,
+    TopologyError,
     TriangleMesh,
     align_to_principal_axes,
     fit_domain,
@@ -84,6 +85,14 @@ def test_coords_validation_eta_range():
         CurvilinearCoords(eta=np.array([2.0]), phi=np.array([0.0]), domain=d)
 
 
+def test_coords_validation_shapes_and_phi_range():
+    d = SpheroidDomain(kind="oblate", e=1.0, zeta0=1.0)
+    with pytest.raises(ValueError, match="matching 1-D arrays"):
+        CurvilinearCoords(eta=np.zeros(2), phi=np.zeros(3), domain=d)
+    with pytest.raises(ValueError, match=r"phi must lie in \[0, 2\*pi\)"):
+        CurvilinearCoords(eta=np.array([0.0]), phi=np.array([7.0]), domain=d)
+
+
 # ---------------------------------------------------------------------------
 # forward / inverse transforms
 
@@ -120,6 +129,13 @@ def test_forward_prolate_hand_values():
     np.testing.assert_allclose(
         pts[0], [2.0 * np.sinh(1.0), 0.0, 0.0], atol=1e-12
     )
+
+
+def test_inverse_coords_takes_one_point():
+    d = SpheroidDomain(kind="oblate", e=0.8, zeta0=1.1)
+    point = forward_coords(d, np.array([0.3]), np.array([1.2]))[0]
+    zeta, eta, phi = inverse_coords(d, point)
+    np.testing.assert_allclose([zeta, eta, phi], [[1.1], [0.3], [1.2]], atol=1e-12)
 
 
 def test_inverse_rejects_singular_axis_points():
@@ -227,7 +243,7 @@ def test_fit_domain_recovers_oblate():
     d = SpheroidDomain(kind="oblate", e=0.8, zeta0=1.1)
     coords, faces = sample_icosphere(d, 3)
     pts = forward_coords(d, coords.eta, coords.phi)
-    fitted = fit_domain(pts)
+    fitted = fit_domain(TriangleMesh(pts, faces))
     assert fitted.kind == "oblate"
     a_true, c_true = d.semi_axes()
     a_fit, c_fit = fitted.semi_axes()
@@ -239,7 +255,7 @@ def test_fit_domain_recovers_prolate():
     d = SpheroidDomain(kind="prolate", e=0.9, zeta0=0.9)
     coords, faces = sample_icosphere(d, 3)
     pts = forward_coords(d, coords.eta, coords.phi)
-    fitted = fit_domain(pts)
+    fitted = fit_domain(TriangleMesh(pts, faces))
     assert fitted.kind == "prolate"
 
 
@@ -255,12 +271,13 @@ def test_fit_domain_rejects_contradicting_kind_hint():
     d = SpheroidDomain(kind="prolate", e=float(np.sqrt(1.4**2 - 0.7**2)),
                        zeta0=float(np.arctanh(0.7 / 1.4)))
     coords, faces = sample_icosphere(d, 3)
-    pts = forward_coords(d, coords.eta, coords.phi)
-    assert fit_domain(pts, kind_hint="prolate").kind == "prolate"
+    mesh = TriangleMesh(forward_coords(d, coords.eta, coords.phi), faces)
+    assert fit_domain(mesh, kind_hint="prolate").kind == "prolate"
     with pytest.raises(ValueError, match="inconsistent"):
-        fit_domain(pts, kind_hint="oblate")
+        fit_domain(mesh, kind_hint="oblate")
     # a near-sphere within SPHERE_GAP still fits whichever family is hinted
-    sphere = icosphere(3).vertices * np.array([1.0, 1.0, 1.0005])
+    base = icosphere(3)
+    sphere = base.with_vertices(base.vertices * np.array([1.0, 1.0, 1.0005]))
     for hint in ("oblate", "prolate"):
         assert fit_domain(sphere, kind_hint=hint).kind == hint
 
@@ -269,8 +286,25 @@ def test_fit_domain_kind_hint_hemispheroid():
     d = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
     coords, faces = sample_cap_grid(d, rings=12, sectors=24)
     pts = forward_coords(d, coords.eta, coords.phi)
-    fitted = fit_domain(pts, kind_hint="hemispheroid")
+    fitted = fit_domain(TriangleMesh(pts, faces), kind_hint="hemispheroid")
     assert fitted.kind == "oblate-hemispheroid"
+
+
+def test_fit_domain_rejections():
+    triangle = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    with pytest.raises(ValueError, match="at least 4 points"):
+        fit_domain(triangle)
+    with pytest.raises(ValueError, match="unknown kind hint 'sphere'"):
+        fit_domain(icosphere(1), kind_hint="sphere")
+    d = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
+    coords, faces = sample_cap_grid(d, rings=4, sectors=8)
+    cap = TriangleMesh(forward_coords(d, coords.eta, coords.phi), faces)
+    with pytest.raises(TopologyError, match="hemispheroidal kind hint"):
+        fit_domain(cap)
+    flat = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+                        [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    with pytest.raises(ValueError, match="degenerate extents"):
+        fit_domain(flat)
 
 
 def test_map_to_domain_roundtrip():
@@ -290,7 +324,7 @@ def test_map_to_domain_detects_fold():
     # collapse a vertex onto its neighbor: the chart image folds
     pts[5] = pts[6]
     with pytest.raises((FoldError, ValueError)):
-        map_to_domain(TriangleMesh(pts, faces, validate=False), d)
+        map_to_domain(TriangleMesh(pts, faces), d)
 
 
 def _bumpy_mesh(domain):
@@ -314,10 +348,14 @@ def test_map_to_domain_skips_faces_around_a_pole(make_domain):
 def test_map_to_domain_detects_fold_next_to_pole_faces():
     mesh = _bumpy_mesh(oblate_domain())
     domain = fit_domain(mesh)
-    faces = mesh.faces.copy()
-    faces[100] = faces[100, ::-1]
-    with pytest.raises(FoldError, match="1 parameter triangles"):
-        map_to_domain(TriangleMesh(mesh.vertices, faces, validate=False), domain)
+    # reflect corner 1 of face 100 through the line of its opposite edge,
+    # which folds two of the faces around that corner
+    a, b, c = mesh.vertices[mesh.faces[100]]
+    t = np.dot(b - c, a - c) / np.dot(a - c, a - c)
+    points = mesh.vertices.copy()
+    points[mesh.faces[100, 1]] = 2.0 * (c + t * (a - c)) - b
+    with pytest.raises(FoldError, match="2 parameter triangles"):
+        map_to_domain(mesh.with_vertices(points), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +367,12 @@ def test_sample_icosphere_counts():
     coords, faces = sample_icosphere(d, 2)
     assert coords.n == 10 * 4**2 + 2
     assert faces.shape[0] == 20 * 4**2
+
+
+def test_sample_icosphere_requires_closed_domain():
+    d = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
+    with pytest.raises(ValueError, match="requires a closed domain"):
+        sample_icosphere(d, 1)
 
 
 def test_sample_icosphere_guard():
@@ -473,3 +517,10 @@ def test_sample_cap_grid_requires_hemispheroid():
     d = SpheroidDomain(kind="oblate", e=0.8, zeta0=1.1)
     with pytest.raises(ValueError):
         sample_cap_grid(d, rings=4, sectors=8)
+
+
+@pytest.mark.parametrize("rings, sectors", [(0, 8), (4, 2)])
+def test_sample_cap_grid_rejects_too_few_rings_or_sectors(rings, sectors):
+    d = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
+    with pytest.raises(ValueError, match="rings >= 1 and sectors >= 3"):
+        sample_cap_grid(d, rings=rings, sectors=sectors)
