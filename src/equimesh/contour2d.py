@@ -1,9 +1,10 @@
 """Planar counterpart of the surface pipeline.
 
 Closed contours are parameterized by the elliptic angle eta of a fitted
-confocal ellipse, expanded in a periodic Fourier basis, and re-sampled by
-1D diffusion of the eta samples until segment lengths equalize. A batch
-driver applies this per particle for 2D microstructures.
+confocal ellipse, expanded in cos(m eta), sin(m eta) with the fit's real
+coefficients as weights, and re-sampled by 1D diffusion of the eta samples
+until segment lengths equalize. A batch driver applies this per particle
+for 2D microstructures.
 
 The decisions the plane shares with the surface are made once, in the
 surface modules: the ellipse chart takes its focal distance and its
@@ -149,26 +150,30 @@ def fit_ellipse(contour):
 
 @dataclass
 class ContourWeights:
-    """Fourier weights of x(eta), y(eta): complex (n_max + 1, 2), m >= 0.
+    """Fourier weights of x(eta), y(eta): the fit's real (2 n_max + 1, 2)
+    coefficients, rows cos(m eta) for m = 0..n_max, then sin(m eta) for
+    m = 1..n_max (the rows of `_fourier_rows`)."""
 
-    Negative orders are implied by conjugate symmetry, so row 0 is real.
-    """
-
-    q: np.ndarray
+    coef: np.ndarray
     n_max: int
     domain: EllipticDomain
     residual_rms: float | None = None
 
     def __post_init__(self):
         _check_degree(self.n_max)
-        q = np.ascontiguousarray(self.q, dtype=np.complex128)
-        if q.shape != (self.n_max + 1, 2):
+        coef = np.asarray(self.coef)
+        if coef.shape != (2 * self.n_max + 1, 2):
             raise ValueError(
-                f"weights must have shape ({self.n_max + 1}, 2)"
+                f"weights must have shape ({2 * self.n_max + 1}, 2)"
             )
-        if q.shape[0] and np.abs(q[0].imag).max(initial=0.0) > 1e-12:
-            raise ValueError("degree-0 weights must be real")
-        self.q = q
+        self.coef = np.ascontiguousarray(coef, dtype=float)
+
+
+def _fourier_rows(eta, n_max):
+    """(2 n_max + 1, n) rows cos(m eta), m = 0..n_max, then sin(m eta),
+    m = 1..n_max, at the n angles eta: the fit's rows and the evaluation's."""
+    cos_m, sin_m = _multiple_angles(np.cos(eta), np.sin(eta), n_max + 1)
+    return np.vstack([cos_m, sin_m[1:]])
 
 
 def decompose_contour(contour, n_max):
@@ -176,26 +181,21 @@ def decompose_contour(contour, n_max):
 
     Each vertex is assigned the elliptic angle of the fitted ellipse chart
     (the planar analogue of the surface projection); the fit then solves
-    for x(eta), y(eta) over the real rows cos(m eta), m = 0..n_max, and
-    sin(m eta), m = 1..n_max, which it passes as dense rows to the surface
-    fit's least-squares policy (`harmonics._least_squares`), so it needs at
-    least 2*n_max + 1 points.
-    Coefficients a, b map to q_0 = a_0, q_m = (a_m - i b_m) / 2.
+    for x(eta), y(eta) over the real rows of `_fourier_rows`, which it
+    passes as dense rows to the surface fit's least-squares policy
+    (`harmonics._least_squares`), so it needs at least 2*n_max + 1 points.
     """
     if not contour.closed:
         raise ValueError("decomposition expects a closed contour")
     _check_degree(n_max)
     domain = fit_ellipse(contour)
     _, eta = inverse_elliptic(domain, contour.points)
-    cos_m, sin_m = _multiple_angles(np.cos(eta), np.sin(eta), n_max + 1)
-    Bt = np.vstack([cos_m, sin_m[1:]])
+    Bt = _fourier_rows(eta, n_max)
     coef, residual_rms = _least_squares(
         Bt @ Bt.T, lambda R: Bt @ R, lambda c: Bt.T @ c, contour.points, lambda: Bt
     )
-    q = coef[: n_max + 1].astype(np.complex128)
-    q[1:] = 0.5 * (coef[1 : n_max + 1] - 1j * coef[n_max + 1 :])
     return ContourWeights(
-        q=q, n_max=n_max, domain=domain, residual_rms=residual_rms
+        coef=coef, n_max=n_max, domain=domain, residual_rms=residual_rms
     )
 
 
@@ -211,14 +211,13 @@ def contour_tangents(weights, eta):
 
 def _evaluate(weights, eta):
     """Points and their d/d(eta) at angles eta, each (n, 2), from one build
-    of the cos(m eta), sin(m eta) rows: with a_m = (2 - delta_m0) Re q_m
-    and b_m = -2 Im q_m, x(eta) = sum_m a_m cos(m eta) + b_m sin(m eta)."""
-    eta = np.asarray(eta, dtype=float)
-    m = np.arange(weights.n_max + 1)[:, None]
-    a = np.where(m == 0, 1.0, 2.0) * weights.q.real
-    b = -2.0 * weights.q.imag
-    rows = np.vstack(_multiple_angles(np.cos(eta), np.sin(eta), m.shape[0]))
-    vals = rows.T @ np.block([[a, m * b], [b, -m * a]])
+    of the Fourier rows: x(eta) = sum_m a_m cos(m eta) + b_m sin(m eta), so
+    d/d(eta) takes a_m, b_m to m b_m, -m a_m."""
+    n = weights.n_max
+    m = np.arange(1, n + 1)[:, None]
+    a, b = weights.coef[1 : n + 1], weights.coef[n + 1 :]
+    slope = np.vstack([np.zeros((1, 2)), m * b, -m * a])
+    vals = _fourier_rows(eta, n).T @ np.hstack([weights.coef, slope])
     return vals[:, :2], vals[:, 2:]
 
 

@@ -166,15 +166,15 @@ class DiffusionTrace(TraceTable):
         super().append(**row)
 
 
-def _rim_source(n_v, loop, u, u_bar_prev, edge_masses, dt):
+def _rim_source(loop, u, edge_masses, dt):
     """Averaged-flux source of an open rim for the implicit-step RHS.
 
-    Each boundary vertex receives dt * (u_bar_prev - u) weighted by its
-    share of boundary edge length, steering the rim density toward the
-    previous step's mean; a uniform field gets no source.
+    Each boundary vertex receives dt * (mean(u) - u) weighted by its share
+    of boundary edge length, steering the rim density toward the mean of
+    u; a uniform field gets no source.
     """
-    source = np.zeros(n_v)
-    source[loop] = dt * (u_bar_prev - u[loop]) * edge_masses
+    source = np.zeros(u.shape[0])
+    source[loop] = dt * (u.mean() - u[loop]) * edge_masses
     return source
 
 
@@ -232,7 +232,6 @@ def _run_stage(
         trace.initial_boundary_length = float(rim_lengths.sum()) / scale
 
     dt = dt_first = None
-    u_bar_prev = float(u.mean())
     window = deque(maxlen=_EARLY_STOP_WINDOW)
     stop_reason = "i_max"
 
@@ -254,7 +253,7 @@ def _run_stage(
         flips_seen = halvings = 0
         candidate = None
         for _ in range(MAX_DT_HALVINGS + 1):
-            rhs_extra = _rim_source(n_v, rim, u, u_bar_prev, edge_masses, dt)
+            rhs_extra = _rim_source(rim, u, edge_masses, dt)
             u_diffused = backward_euler_step(geometry.masses, L, u, dt, rhs_extra)
             velocity = (
                 geometry.vertex_gradients(u_diffused)
@@ -286,7 +285,6 @@ def _run_stage(
             stop_reason = "stalled"
             break
 
-        u_bar_prev = float(u.mean())
         coords, geometry, u = candidate
 
         std_now = float(u.std())

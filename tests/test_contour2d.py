@@ -167,24 +167,27 @@ def test_fit_ellipse_rejects_open_contour():
 
 def test_contour_weights_validation():
     dom = EllipticDomain(e=1.0, zeta0=0.5)
-    ContourWeights(np.zeros((4, 2), dtype=complex), 3, dom)
+    ContourWeights(np.zeros((7, 2)), 3, dom)
     with pytest.raises(ValueError):
-        ContourWeights(np.zeros((4, 2), dtype=complex), 5, dom)
-    bad = np.zeros((3, 2), dtype=complex)
-    bad[0, 0] = 1.0j
-    with pytest.raises(ValueError):
-        ContourWeights(bad, 2, dom)
+        ContourWeights(np.zeros((7, 2)), 5, dom)
     with pytest.raises(GuardError):
-        ContourWeights(np.zeros((99, 2), dtype=complex), 98, dom)
+        ContourWeights(np.zeros((197, 2)), 98, dom)
+
+
+def _half_spectrum(weights):
+    """Complex weights q_m of e^{i m eta}, m = 0..n_max, of the real
+    coefficients: q_0 = a_0, q_m = (a_m - i b_m) / 2."""
+    n = weights.n_max
+    a, b = weights.coef[: n + 1], weights.coef[n + 1 :]
+    q = a.astype(complex)
+    q[1:] = 0.5 * (a[1:] - 1j * b)
+    return q
 
 
 def test_reconstruct_circle_hand_weights():
     dom = EllipticDomain(e=0.05, zeta0=3.0)
     r, cx, cy = 2.0, 1.0, -0.5
-    q = np.zeros((2, 2), dtype=complex)
-    q[0] = (cx, cy)
-    q[1] = (r / 2.0, -1j * r / 2.0)
-    w = ContourWeights(q, 1, dom)
+    w = ContourWeights([[cx, cy], [r, 0.0], [0.0, r]], 1, dom)
     eta = np.linspace(0.0, 2.0 * np.pi, 17, endpoint=False)
     pts = reconstruct_contour(w, eta)
     assert pts.shape == (17, 2)
@@ -200,7 +203,7 @@ def test_decompose_exact_ellipse_is_degree_one():
     c = ellipse_contour(a=2.0, b=0.5, n_points=64)
     w = decompose_contour(c, 12)
     assert w.residual_rms < 1e-10
-    assert np.abs(w.q[2:]).max() < 1e-10
+    assert np.abs(_half_spectrum(w)[2:]).max() < 1e-10
     _, eta = inverse_elliptic(w.domain, c.points)
     back = reconstruct_contour(w, eta)
     assert back == pytest.approx(c.points, abs=1e-9)
@@ -237,6 +240,11 @@ def test_decompose_rank_deficient():
         decompose_contour(_clustered_contour(), 5)
 
 
+_REFERENCE_CASES = [
+    (ellipse_contour(), 12), (blob_contour(), 12), (blob_contour(128), 40)
+]
+
+
 def _complex_lstsq_weights(contour, n_max):
     """Reference fit: complex least squares over e^{i m eta}, m = -n_max ..
     n_max, folded onto the conjugate-consistent half spectrum."""
@@ -246,13 +254,30 @@ def _complex_lstsq_weights(contour, n_max):
     return 0.5 * (q_full[n_max:] + np.conj(q_full[n_max::-1]))
 
 
-@pytest.mark.parametrize(
-    "contour, n_max",
-    [(ellipse_contour(), 12), (blob_contour(), 12), (blob_contour(128), 40)],
-)
+@pytest.mark.parametrize("contour, n_max", _REFERENCE_CASES)
 def test_decompose_matches_complex_reference(contour, n_max):
-    q = decompose_contour(contour, n_max).q
+    q = _half_spectrum(decompose_contour(contour, n_max))
     assert np.abs(q - _complex_lstsq_weights(contour, n_max)).max() < 1e-12
+
+
+def _complex_evaluate(q, eta):
+    """Reference evaluation of the half spectrum q: the points
+    sum_m q_m e^{i m eta} plus conjugates, and their d/d(eta)."""
+    m = np.arange(q.shape[0])
+    e = np.exp(1j * np.outer(eta, m)) * np.where(m == 0, 1.0, 2.0)
+    return (e @ q).real, ((1j * m * e) @ q).real
+
+
+@pytest.mark.parametrize("contour, n_max", _REFERENCE_CASES)
+def test_real_evaluation_matches_complex_reference(contour, n_max):
+    weights = decompose_contour(contour, n_max)
+    eta = np.linspace(0.0, 2.0 * np.pi, 97)
+    points, tangents = _complex_evaluate(_half_spectrum(weights), eta)
+    for got, want in [
+        (reconstruct_contour(weights, eta), points),
+        (contour_tangents(weights, eta), tangents),
+    ]:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_surface_and_contour_fits_share_error_wording(oblate_dom):
@@ -320,6 +345,27 @@ def test_remesh_is_deterministic():
     a = remesh_contour(w, 50, i_max=300, std_target=0.18)
     b = remesh_contour(w, 50, i_max=300, std_target=0.18)
     assert np.array_equal(a.points, b.points)
+
+
+@pytest.mark.parametrize("shape", [ellipse_contour, blob_contour])
+def test_remesh_does_not_depend_on_scale(shape):
+    # a similar contour runs the same iterations to the same STD ratio, and
+    # its length scales with it
+    runs = []
+    for lam in (1e-3, 1.0, 1e3):
+        points = lam * (shape().points + np.array([3.0, -2.0]))
+        trace = ContourTrace()
+        weights = decompose_contour(Contour2D(points=points, closed=True), 12)
+        remesh_contour(weights, 40, trace=trace)
+        runs.append((
+            trace.n_rows,
+            trace.std_length[-1] / trace.initial_std_length,
+            trace.total_length[-1] / lam,
+        ))
+    (rows, *values), *others = runs
+    for other_rows, *other_values in others:
+        assert other_rows == rows
+        assert other_values == pytest.approx(values, rel=1e-12)
 
 
 def test_remesh_validation():
@@ -422,7 +468,10 @@ def test_iterations_scale_with_budget(shape):
 
 
 def _next_at_chord(weights, eta, chord):
-    """First angle after eta whose point lies chord away from eta's point."""
+    """First angle after eta whose point lies chord away from eta's point;
+    inf when there is none, and after a walk that already found none."""
+    if eta == np.inf:
+        return np.inf
     x0 = reconstruct_contour(weights, [eta])[0]
     grid = eta + np.linspace(0.0, 2.0 * np.pi, 257)[1:]
     dist = np.linalg.norm(reconstruct_contour(weights, grid) - x0, axis=1)
@@ -442,7 +491,7 @@ def _next_at_chord(weights, eta, chord):
 def _equal_chord_polygon(weights, eta0, n):
     """The n-gon with equal chords from the vertex at eta0, by bisection on
     the chord until the n-th chord lands back on the first vertex."""
-    lo, hi = 0.0, 2.0 * np.abs(weights.q).sum()
+    lo, hi = 0.0, 2.0 * np.abs(weights.coef).sum()
     for _ in range(60):
         chord = 0.5 * (lo + hi)
         eta = [eta0]

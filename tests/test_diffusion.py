@@ -117,9 +117,9 @@ def test_trace_append_needs_exactly_its_columns(trace_cls):
 # open-rim source
 
 @pytest.mark.parametrize(
-    "loop, u_bar_prev, edge_masses, u, dt, expected",
+    "loop, u_mean, edge_masses, u, dt, expected",
     [
-        # boundary already at the running mean: a uniform field gets no source
+        # boundary already at the mean: a uniform field gets no source
         ([0, 3], 2.0, [0.4, 0.6], np.full(6, 2.0), 0.5, np.zeros(6)),
         # below the mean is pushed up, above pushed down, times edge mass
         (
@@ -129,10 +129,9 @@ def test_trace_append_needs_exactly_its_columns(trace_cls):
     ],
     ids=["uniform", "steer"],
 )
-def test_rim_source(loop, u_bar_prev, edge_masses, u, dt, expected):
-    source = diffusion._rim_source(
-        u.size, np.array(loop), u, u_bar_prev, np.array(edge_masses), dt
-    )
+def test_rim_source(loop, u_mean, edge_masses, u, dt, expected):
+    assert u.mean() == u_mean  # the rim is steered toward the mean of u
+    source = diffusion._rim_source(np.array(loop), u, np.array(edge_masses), dt)
     assert source == pytest.approx(expected, abs=1e-15)
     assert np.all(np.delete(source, loop) == 0.0)
 
