@@ -18,7 +18,10 @@ The 1D step is staggered: the density lives on segments and each sample
 moves by the jump of the diffused density across it, so alternating
 segment lengths are seen and corrected. The time step is the largest at
 which no explicit sample move passes 0.3 of its smaller eta gap, so the
-iteration count grows about linearly with the segment budget.
+iteration count grows about linearly with the segment budget. Per
+particle the step builds its [coef | slope] table and the ring's
+neighbour index once; per iteration it builds the Fourier rows once,
+and the gaps of the accepted angles serve the next step's bound.
 """
 from __future__ import annotations
 
@@ -201,23 +204,29 @@ def decompose_contour(contour, n_max):
 
 def reconstruct_contour(weights, eta):
     """Evaluate the contour at angles eta; returns (n, 2) points."""
-    return _evaluate(weights, eta)[0]
+    return _evaluate(_evaluation_table(weights), eta)[0]
 
 
 def contour_tangents(weights, eta):
     """d(point)/d(eta) of the reconstruction — the local chart speed."""
-    return _evaluate(weights, eta)[1]
+    return _evaluate(_evaluation_table(weights), eta)[1]
 
 
-def _evaluate(weights, eta):
-    """Points and their d/d(eta) at angles eta, each (n, 2), from one build
-    of the Fourier rows: x(eta) = sum_m a_m cos(m eta) + b_m sin(m eta), so
-    d/d(eta) takes a_m, b_m to m b_m, -m a_m."""
+def _evaluation_table(weights):
+    """(2 n_max + 1, 4) table [coef | slope] in `_fourier_rows` order:
+    x(eta) = sum_m a_m cos(m eta) + b_m sin(m eta), so d/d(eta) takes
+    a_m, b_m to m b_m, -m a_m."""
     n = weights.n_max
     m = np.arange(1, n + 1)[:, None]
     a, b = weights.coef[1 : n + 1], weights.coef[n + 1 :]
     slope = np.vstack([np.zeros((1, 2)), m * b, -m * a])
-    vals = _fourier_rows(eta, n).T @ np.hstack([weights.coef, slope])
+    return np.hstack([weights.coef, slope])
+
+
+def _evaluate(table, eta):
+    """Points and their d/d(eta) at angles eta, each (n, 2), from one build
+    of the Fourier rows and one product with `_evaluation_table`."""
+    vals = _fourier_rows(eta, table.shape[0] // 2).T @ table
     return vals[:, :2], vals[:, 2:]
 
 
@@ -235,10 +244,15 @@ class ContourTrace(TraceTable):
     stop_reason: str = ""
 
 
-def _cyclic_increasing(eta):
-    """True when the angles wind once around the circle without crossing."""
-    d = np.mod(np.diff(eta, append=eta[:1] + 2.0 * np.pi), 2.0 * np.pi)
-    return bool(np.all(d > 0.0) and abs(d.sum() - 2.0 * np.pi) < 1e-9)
+def _gaps(eta):
+    """Angle from each sample to the next, each in [0, 2 pi)."""
+    return np.mod(np.diff(eta, append=eta[:1] + 2.0 * np.pi), 2.0 * np.pi)
+
+
+def _cyclic_increasing(gap):
+    """True when angles whose `_gaps` are gap wind once around the circle
+    without crossing."""
+    return bool(np.all(gap > 0.0) and abs(gap.sum() - 2.0 * np.pi) < 1e-9)
 
 
 def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
@@ -252,44 +266,53 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
     breaks. Succeeds when the segment-length STD falls to std_target times
     the initial STD (or is negligible against the mean); raises EngineError
     with the trace attached otherwise. trace.stop_reason records why the
-    run ended: "converged", "i_max" or "ordering".
+    run ended: "converged", "i_max" or "ordering". n_points and i_max must
+    be integers.
     """
+    for name, count in (("n_points", n_points), ("i_max", i_max)):
+        if not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {count!r}")
     if n_points < MIN_SEGMENTS:
         raise ValueError(f"need at least {MIN_SEGMENTS} points")
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
     if trace is None:
         trace = ContourTrace()
+    table = _evaluation_table(weights)
+    prev = np.arange(-1, n_points - 1)  # i - 1, cyclically
     eta = 2.0 * np.pi * np.arange(n_points) / n_points
-    points, tangents = _evaluate(weights, eta)
+    gap = _gaps(eta)
+    points, tangents = _evaluate(table, eta)
     seg = ring_lengths(points)
-    std_initial = float(seg.std())
-    trace.initial_std_length = std_initial
+    std = float(seg.std())
+    trace.initial_std_length = std
     trace.initial_mean_length = float(seg.mean())
     # a uniform start (circle-like weights) is already converged
-    goal = max(std_target * std_initial, 1e-3 * float(seg.mean()))
+    goal = max(std_target * std, 1e-3 * float(seg.mean()))
 
     for t in range(1, i_max + 1):
-        if float(seg.std()) <= goal:
+        if std <= goal:
             break
         # staggered density: one value per segment; sample i sits between
         # segments i - 1 and i, a spacing h_i apart
         u = seg / seg.sum()
-        h = 0.5 * (seg + np.roll(seg, 1))
+        h = 0.5 * (seg + seg[prev])
+        conductance = 1.0 / h
         speed = np.maximum(np.linalg.norm(tangents, axis=1), 1e-15)
         # the largest step whose explicit move keeps every sample within
         # _ETA_MOVE_FRACTION of its nearer neighbour in eta
-        gap = np.mod(np.diff(eta, append=eta[:1] + 2.0 * np.pi), 2.0 * np.pi)
-        reach = np.abs(_eta_velocity(u, h, speed)) / np.minimum(
-            gap, np.roll(gap, 1)
+        reach = np.abs(_eta_velocity(u, u[prev], h, speed)) / np.minimum(
+            gap, gap[prev]
         )
         dt = _ETA_MOVE_FRACTION / float(reach.max())
         accepted = False
         for _ in range(MAX_DT_HALVINGS + 1):
             # implicit ring-diffusion step: (M - dt L) u' = M u
-            u_new = _ring_implicit_step(seg, 1.0 / h, u, dt)
-            cand = np.mod(eta + dt * _eta_velocity(u_new, h, speed), 2.0 * np.pi)
-            if _cyclic_increasing(cand):
+            u_new = _ring_implicit_step(seg, conductance, u, dt)
+            velocity = _eta_velocity(u_new, u_new[prev], h, speed)
+            cand = np.mod(eta + dt * velocity, 2.0 * np.pi)
+            cand_gap = _gaps(cand)
+            if _cyclic_increasing(cand_gap):
                 accepted = True
                 break
             dt *= 0.5
@@ -299,18 +322,19 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
                 f"sample ordering could not be preserved at iteration {t}",
                 trace=trace,
             )
-        eta = cand
-        points, tangents = _evaluate(weights, eta)
+        eta, gap = cand, cand_gap
+        points, tangents = _evaluate(table, eta)
         seg = ring_lengths(points)
+        std = float(seg.std())
         trace.append(
-            t=t, dt=dt, std_length=seg.std(), mean_length=seg.mean(),
+            t=t, dt=dt, std_length=std, mean_length=seg.mean(),
             total_length=seg.sum(),
         )
 
-    if float(seg.std()) > goal:
+    if std > goal:
         trace.stop_reason = "i_max"
         raise EngineError(
-            f"segment spread {seg.std():.3e} still above target {goal:.3e} "
+            f"segment spread {std:.3e} still above target {goal:.3e} "
             f"after {i_max} iterations",
             trace=trace,
         )
@@ -318,11 +342,10 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
     return Contour2D(points=points, closed=True)
 
 
-def _eta_velocity(u, h, speed):
+def _eta_velocity(u, u_prev, h, speed):
     """d(eta)/dt of each sample: the jump of the segment density across it
-    over the spacing h, relative to the mean adjacent density, per unit of
-    chart speed."""
-    u_prev = np.roll(u, 1)
+    (u_prev is the density of the segment before) over the spacing h,
+    relative to the mean adjacent density, per unit of chart speed."""
     return 2.0 * (u - u_prev) / (h * np.maximum(u + u_prev, 1e-15) * speed)
 
 
@@ -335,7 +358,10 @@ def _ring_implicit_step(masses, conductance, u, dt):
     two banded Cholesky solves give u' in O(n).
     """
     off = -dt * conductance
-    diag = masses - off - np.roll(off, -1)
+    # node j couples to j - 1 through off[j] and to j + 1 through off[j + 1]
+    diag = masses - off
+    diag[:-1] -= off[1:]
+    diag[-1] -= off[0]
     corner = off[0]
     gamma = -diag[0]
     band = np.empty((2, diag.shape[0]))
@@ -371,25 +397,21 @@ def segment_budgets(lengths, max_segments_largest):
 
 
 def self_intersects(contour):
-    """True when any two non-adjacent segments of the closed contour cross."""
+    """True when any two non-adjacent segments of the closed contour cross:
+    each has the other's ends strictly on opposite sides. side(r)[i, j] is
+    the orientation of r_j against segment i, from a_i to b_i."""
     a = contour.points
     b = np.roll(a, -1, axis=0)
-    n = a.shape[0]
+    d = b - a
+
+    def side(r):
+        return d[:, :1] * (r[:, 1] - a[:, 1:]) - d[:, 1:] * (r[:, 0] - a[:, :1])
+
+    apart = side(a) * side(b) < 0.0
     # pairs i < j - 1; segments 0 and n - 1 share the closing vertex
-    i, j = np.triu_indices(n, 2)
-    keep = j - i < n - 1
-    i, j = i[keep], j[keep]
-
-    def orient(p, q, r):
-        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
-            q[..., 1] - p[..., 1]
-        ) * (r[..., 0] - p[..., 0])
-
-    o1 = orient(a[i], b[i], a[j])
-    o2 = orient(a[i], b[i], b[j])
-    o3 = orient(a[j], b[j], a[i])
-    o4 = orient(a[j], b[j], b[i])
-    return bool(np.any((o1 * o2 < 0.0) & (o3 * o4 < 0.0)))
+    cross = np.triu(apart & apart.T, 2)
+    cross[0, -1] = False
+    return bool(cross.any())
 
 
 def remesh_microstructure_2d(contours, max_segments_largest, n_max, i_max=200):

@@ -206,15 +206,18 @@ def _read_only(array):
 
 def _multiple_angles(cos_1, sin_1, count):
     """(2, count, k) rows cos(j a) and sin(j a), j = 0..count-1, from cos a
-    and sin a by angle addition, row by row in place."""
+    and sin a by angle addition: e^{i j a} is one complex product of
+    e^{i (j - 1) a} with e^{i a}, in place, and row j takes its real and
+    imaginary parts, so only two complex rows are ever held. Rows 0 and 1
+    are exactly (1, 0) and (cos a, sin a)."""
     rows = np.empty((2, count, cos_1.shape[0]))
-    cos_j, sin_j = rows
-    cos_j[0], sin_j[0] = 1.0, 0.0
+    rows[0, 0], rows[1, 0] = 1.0, 0.0
+    turn = np.empty(cos_1.shape[0], dtype=complex)
+    turn.real, turn.imag = cos_1, sin_1
+    z = np.ones_like(turn)
     for j in range(1, count):
-        np.multiply(cos_j[j - 1], cos_1, out=cos_j[j])
-        cos_j[j] -= sin_j[j - 1] * sin_1
-        np.multiply(sin_j[j - 1], cos_1, out=sin_j[j])
-        sin_j[j] += cos_j[j - 1] * sin_1
+        z *= turn
+        rows[0, j], rows[1, j] = z.real, z.imag
     return rows
 
 

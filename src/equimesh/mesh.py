@@ -437,7 +437,7 @@ def icosphere(refinements):
 def ring_lengths(points):
     """Segment lengths of the closed polyline through `points`, from each
     point to the next; empty for no points."""
-    return np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
+    return np.linalg.norm(np.diff(points, axis=0, append=points[:1]), axis=1)
 
 
 class FaceGeometry:

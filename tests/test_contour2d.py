@@ -374,6 +374,41 @@ def test_remesh_validation():
         remesh_contour(w, MIN_SEGMENTS - 1)
     with pytest.raises(ValueError):
         remesh_contour(w, 20, i_max=0)
+    # a budget of 5.5 would place 6 samples 2 pi / 5.5 apart, the last gap a
+    # tenth of the others; numpy integers are counts too
+    for budget in (5.5, 6.0):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            remesh_contour(w, budget)
+    with pytest.raises(ValueError, match="i_max must be an integer"):
+        remesh_contour(w, 20, i_max=2.5)
+    tr = ContourTrace()
+    out = remesh_contour(w, np.int64(20), i_max=np.int32(300), trace=tr)
+    assert out.points.shape == (20, 2)
+    assert tr.stop_reason == "converged"
+
+
+def test_ring_step_builds_the_rows_once_per_iteration(monkeypatch):
+    # one row build for the start and one per accepted iteration; a run
+    # with no halvings solves the ring once per row
+    calls = {"rows": 0, "solves": 0}
+    rows, solve = contour2d._fourier_rows, contour2d._ring_implicit_step
+
+    def rows_spy(*args):
+        calls["rows"] += 1
+        return rows(*args)
+
+    def solve_spy(*args):
+        calls["solves"] += 1
+        return solve(*args)
+
+    w = decompose_contour(blob_contour(n_points=64), 10)
+    monkeypatch.setattr(contour2d, "_fourier_rows", rows_spy)
+    monkeypatch.setattr(contour2d, "_ring_implicit_step", solve_spy)
+    tr = ContourTrace()
+    remesh_contour(w, 40, trace=tr)
+    assert tr.n_rows >= 3
+    assert calls["solves"] == tr.n_rows
+    assert calls["rows"] == tr.n_rows + 1
 
 
 def test_remesh_budget_failure_carries_trace():
@@ -604,7 +639,8 @@ def test_self_intersects_matches_loop():
     rng = np.random.default_rng(11)
     verdicts = []
     for k in range(300):
-        n = int(rng.integers(3, 40))
+        # up to the benchmark's largest segment budget
+        n = int(rng.integers(3, 97))
         if k % 2:
             pts = rng.normal(size=(n, 2))
         else:  # star-shaped, mostly simple
@@ -616,6 +652,32 @@ def test_self_intersects_matches_loop():
             assert self_intersects(Contour2D(points=p, closed=True)) == expected
             verdicts.append(expected)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("points", [
+    # a vertex, (2, 0), on the non-adjacent first segment
+    [[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [2.0, 0.0], [0.0, 4.0]],
+    # segment 3 runs back over segment 0 on [1, 3]
+    [[0.0, 0.0], [3.0, 0.0], [3.0, 1.0], [4.0, 0.0], [1.0, 0.0], [1.0, -1.0]],
+    # a figure eight whose two loops meet in the vertex (1, 1)
+    [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 2.0], [1.0, 1.0]],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+    [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+    # n = 4 with a vertex on the opposite segment
+    [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 0.0]],
+])
+def test_self_intersects_touching_matches_loop(points):
+    # exact touches give a zero orientation, which is not a crossing; every
+    # start vertex and both orders put the touch on the closing pair too
+    points = np.array(points)
+    for shift in range(points.shape[0]):
+        for p in (np.roll(points, shift, axis=0), np.roll(points, shift, axis=0)[::-1]):
+            p = p.copy()
+            assert self_intersects(Contour2D(points=p, closed=True)) == (
+                _self_intersects_loop(p)
+            )
 
 
 def test_microstructure_batch_scales_budgets():

@@ -269,6 +269,18 @@ def test_multiple_angles_match_cos_sin():
     assert np.abs(sin_j - np.sin(j * a)).max() <= 1e-12
 
 
+def test_multiple_angles_first_rows_are_exact():
+    a = np.random.default_rng(5).uniform(-np.pi, np.pi, 97)
+    cos_j, sin_j = _multiple_angles(np.cos(a), np.sin(a), 13)
+    assert np.array_equal(cos_j[0], np.ones(97))
+    assert np.array_equal(sin_j[0], np.zeros(97))
+    assert np.array_equal(cos_j[1], np.cos(a))
+    assert np.array_equal(sin_j[1], np.sin(a))
+    # count 1 gives row 0 alone
+    assert np.array_equal(_multiple_angles(np.cos(a), np.sin(a), 1),
+                          [[np.ones(97)], [np.zeros(97)]])
+
+
 # ---------------------------------------------------------------------------
 # basis matrix
 
