@@ -408,10 +408,9 @@ def self_intersects(contour):
         return d[:, :1] * (r[:, 1] - a[:, 1:]) - d[:, 1:] * (r[:, 0] - a[:, :1])
 
     apart = side(a) * side(b) < 0.0
-    # pairs i < j - 1; segments 0 and n - 1 share the closing vertex
-    cross = np.triu(apart & apart.T, 2)
-    cross[0, -1] = False
-    return bool(cross.any())
+    # no mask needed: a segment's own end, or a neighbour's, lies on it at
+    # orientation exactly 0.0, so no segment is apart from itself or a neighbour
+    return bool(np.any(apart & apart.T))
 
 
 def remesh_microstructure_2d(contours, max_segments_largest, n_max, i_max=200):

@@ -26,14 +26,19 @@ def cg(A, b, x0, tolerance, max_iterations, callback=None):
     """Jacobi-preconditioned conjugate gradient on the CSR matrix `A`,
     started from `x0`, until ||b - A x|| <= tolerance * ||b||.
 
-    Returns (x, info): info is 0 on convergence, the iteration count when
-    the budget runs out and -1 on breakdown (p^T A p <= 0: A is not
-    positive definite). `callback(x)` runs once per iteration. The vector
-    updates are level-1 BLAS calls, in place: per call they cost about
-    half of the numpy operators they replace, which is most of an
-    iteration besides the mat-vec at a few thousand unknowns.
+    Returns (x, iterations). Raises SolverError on a zero diagonal entry
+    (no Jacobi preconditioner), on breakdown (p^T A p <= 0: A is not
+    positive definite) and when `max_iterations` are spent, the last two
+    with the iterations run and the relative residual of the last x.
+    `callback(x)` runs once per iteration. The vector updates are level-1
+    BLAS calls, in place: per call they cost about half of the numpy
+    operators they replace, which is most of an iteration besides the
+    mat-vec at a few thousand unknowns.
     """
-    inv_diag = 1.0 / A.diagonal()
+    diagonal = A.diagonal()
+    if np.any(diagonal == 0.0):
+        raise SolverError("zero diagonal entry; Jacobi preconditioner undefined")
+    inv_diag = 1.0 / diagonal
     x = np.array(x0, dtype=float)
     r = b - A @ x
     z = inv_diag * r
@@ -42,13 +47,15 @@ def cg(A, b, x0, tolerance, max_iterations, callback=None):
     threshold = (tolerance * np.linalg.norm(b)) ** 2
     for k in range(max_iterations + 1):
         if ddot(r, r) <= threshold:
-            return x, 0
-        if k == max_iterations:
             return x, k
+        if k == max_iterations:
+            reason = "iteration budget spent"
+            break
         q = A @ p
         pq = ddot(p, q)
         if not pq > 0.0:
-            return x, -1
+            reason = "breakdown: matrix not positive definite"
+            break
         alpha = rz / pq
         x = daxpy(p, x, a=alpha)
         r = daxpy(q, r, a=-alpha)
@@ -57,62 +64,49 @@ def cg(A, b, x0, tolerance, max_iterations, callback=None):
         p = daxpy(z, dscal(rz / rz_old, p))
         if callback is not None:
             callback(x)
+    residual = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+    raise SolverError(
+        f"{reason} after {k} iterations; relative residual {residual:.3e}",
+        iterations=k,
+        residual=residual,
+    )
 
 
-def solve_sparse(
-    matrix,
-    rhs,
-    tolerance=DEFAULT_TOLERANCE,
-    max_iterations=DEFAULT_MAX_ITERATIONS,
-    x0=None,
-):
+def _finite(name, values):
+    """`values` as a float array; a NaN or infinite entry raises ValueError."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
+def solve_sparse(matrix, rhs, tolerance=DEFAULT_TOLERANCE, x0=None):
     """Solve a symmetric positive definite system by `cg` to relative
     residual <= tolerance, started from `x0` (zero when None).
 
-    Raises SolverError on breakdown or when the iteration budget runs out,
-    reporting the iteration count reached and the residual.
+    Refuses a non-square matrix, a right-hand side that does not match it,
+    a NaN or infinite right-hand side or start, and a tolerance that is not
+    positive and finite (ValueError).
+    Raises SolverError when `cg` does, or when the true relative residual
+    of its answer passes 10 * tolerance.
     """
     A = sp.csr_matrix(matrix)
-    b = np.asarray(rhs, dtype=float)
+    b = _finite("rhs", rhs)
     n, m = A.shape
     if n != m:
         raise ValueError(f"matrix must be square, got {n}x{m}")
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix size {n}")
-    if not tolerance > 0.0 or max_iterations < 1:
-        raise ValueError("bad solver parameters")
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b)
-    if np.any(A.getnnz(axis=1) == 0):
-        raise SolverError("singular system: empty matrix row")
-    if np.any(A.diagonal() == 0.0):
-        raise SolverError("zero diagonal entry; Jacobi preconditioner undefined")
-
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    x, info = cg(
-        A,
-        b,
-        np.zeros(n) if x0 is None else x0,
-        tolerance,
-        max_iterations,
-        callback=count,
-    )
+    x0 = np.zeros(n) if x0 is None else _finite("x0", x0)
+    x, iterations = cg(A, b, x0, tolerance, DEFAULT_MAX_ITERATIONS)
     residual = float(np.linalg.norm(A @ x - b) / b_norm)
-    if info != 0 or not np.isfinite(residual):
-        raise SolverError(
-            f"solver failed (info={info}) after {iterations} iterations; "
-            f"relative residual {residual:.3e}",
-            iterations=iterations,
-            residual=residual,
-        )
-    if residual > 10.0 * tolerance:
-        # converged flag with a residual that violates the contract
+    # written so that a NaN residual fails it too
+    if not residual <= 10.0 * tolerance:
         raise SolverError(
             f"residual {residual:.3e} exceeds tolerance {tolerance:.3e}",
             iterations=iterations,
@@ -131,21 +125,22 @@ def backward_euler_step(
     keeps L's CSR pattern, the masses added in its diagonal slots. For
     symmetric row-sum-zero L on closed surfaces the total mass 1^T M u is
     conserved to solver tolerance. S is symmetric positive definite, so
-    conjugate gradient applies.
+    conjugate gradient applies. A dt that is not positive and finite, or a
+    NaN or infinite u_i, mass or rhs_extra, raises ValueError.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    u_i = np.asarray(u_i, dtype=float)
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    u_i = _finite("u_i", u_i)
     if sp.issparse(vertex_mass):
         vertex_mass = vertex_mass.diagonal()
-    masses = np.asarray(vertex_mass, dtype=float)
+    masses = _finite("vertex masses", vertex_mass)
     if np.any(masses <= 0.0):
         raise ValueError("vertex masses must be positive")
     S = sp.csr_matrix(laplacian) * -dt
     S.setdiag(S.diagonal() + masses)
     b = masses * u_i
     if rhs_extra is not None:
-        b = b + rhs_extra
+        b = b + _finite("rhs_extra", rhs_extra)
     return solve_sparse(S, b, tolerance=tolerance, x0=u_i)
 
 

@@ -27,10 +27,20 @@ def test_system_validation():
         solve_sparse(sp.eye(3).tocsr(), np.ones(4))
     with pytest.raises(ValueError):
         solve_sparse(sp.random(3, 4, density=1.0).tocsr(), np.ones(3))
-    with pytest.raises(ValueError):
-        solve_sparse(sp.eye(3).tocsr(), np.ones(3), tolerance=0.0)
-    with pytest.raises(ValueError):
-        solve_sparse(sp.eye(3).tocsr(), np.ones(3), max_iterations=0)
+    # an infinite tolerance once returned the zero start as the answer
+    for tolerance in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            solve_sparse(sp.eye(3).tocsr(), np.ones(3), tolerance=tolerance)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_or_start_is_bad_input(bad):
+    # an infinite rhs used to set the stop threshold to inf and "converge"
+    A = sp.eye(3).tocsr()
+    with pytest.raises(ValueError, match="rhs must be finite"):
+        solve_sparse(A, np.array([1.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        solve_sparse(A, np.ones(3), x0=np.array([1.0, bad, 1.0]))
 
 
 def test_matches_dense_solve_on_spd(rng):
@@ -75,11 +85,10 @@ def test_zero_diagonal_raises():
 
 def test_budget_exhaustion_reports_iterations(rng):
     A, b, _ = spd_system(60, rng)
-    x, info = cg(A, b, np.zeros(60), 1e-15, 3)
-    assert info == 3
-    residual = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
-    with pytest.raises(SolverError) as exc:
-        solve_sparse(A, b, tolerance=1e-15, max_iterations=3)
+    seen = []
+    with pytest.raises(SolverError, match="iteration budget spent after 3 ") as exc:
+        cg(A, b, np.zeros(60), 1e-15, 3, callback=seen.append)
+    residual = np.linalg.norm(A @ seen[-1] - b) / np.linalg.norm(b)
     assert exc.value.iterations == 3
     assert exc.value.residual == pytest.approx(residual, rel=1e-12)
     assert exc.value.residual > 1e-15
@@ -90,8 +99,8 @@ def test_budget_exhaustion_reports_iterations(rng):
 
 def test_cg_matches_dense_solve(rng):
     A, b, _ = spd_system(50, rng)
-    x, info = cg(A, b, np.zeros(50), 1e-13, 500)
-    assert info == 0
+    x, iterations = cg(A, b, np.zeros(50), 1e-13, 500)
+    assert 0 < iterations <= 50
     assert x == pytest.approx(np.linalg.solve(A.toarray(), b), rel=1e-9, abs=1e-11)
 
 
@@ -108,21 +117,23 @@ def test_cg_warm_start_at_the_solution_takes_no_iterations(rng):
 def test_cg_calls_back_once_per_iteration(rng, monkeypatch):
     A, b, _ = spd_system(50, rng)
     seen = []
-    x, info = cg(A, b, np.zeros(50), 1e-12, 500,
-                 callback=lambda xk: seen.append(xk.copy()))
-    assert info == 0
+    x, iterations = cg(A, b, np.zeros(50), 1e-12, 500,
+                       callback=lambda xk: seen.append(xk.copy()))
     assert 0 < len(seen) <= 50
     assert np.array_equal(seen[-1], x)
     budget = []
-    _, info = cg(A, b, np.zeros(50), 1e-15, 7, callback=budget.append)
-    assert (info, len(budget)) == (7, 7)
-    # solve_sparse reaches the loop through the module attribute
+    with pytest.raises(SolverError) as exc:
+        cg(A, b, np.zeros(50), 1e-15, 7, callback=budget.append)
+    assert (exc.value.iterations, len(budget)) == (7, 7)
+    # solve_sparse reaches the loop through the module attribute, with no
+    # callback of its own, as the benchmark's counting wrapper expects
     counted = []
 
     def counting_cg(*args, callback=None, **kwargs):
         def chained(xk):
             counted.append(1)
-            callback(xk)
+            if callback is not None:
+                callback(xk)
         return cg(*args, callback=chained, **kwargs)
 
     monkeypatch.setattr(solver, "cg", counting_cg)
@@ -130,13 +141,30 @@ def test_cg_calls_back_once_per_iteration(rng, monkeypatch):
     assert len(counted) == len(seen)
 
 
+def test_cg_returns_its_callback_count(rng):
+    A, b, _ = spd_system(50, rng)
+    for x0 in (np.zeros(50), b / A.diagonal()):
+        calls = []
+        _, iterations = cg(A, b, x0, 1e-12, 500, callback=calls.append)
+        assert iterations == len(calls) > 0
+
+
 def test_cg_breakdown_on_an_indefinite_matrix():
     A = sp.csr_matrix(np.diag([1.0, -1.0]))
-    _, info = cg(A, np.array([1.0, 1.0]), np.zeros(2), 1e-12, 10)
-    assert info == -1
+    b = np.array([1.0, 1.0])
+    with pytest.raises(SolverError, match="not positive definite") as exc:
+        cg(A, b, np.zeros(2), 1e-12, 10)
+    # the first search direction already has p^T A p = 0: nothing moved
+    assert (exc.value.iterations, exc.value.residual) == (0, 1.0)
     with pytest.raises(SolverError) as exc:
-        solve_sparse(A, np.array([1.0, 1.0]))
+        solve_sparse(A, b)
     assert exc.value.iterations is not None
+
+
+def test_cg_refuses_a_zero_diagonal_before_dividing():
+    A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(SolverError, match="zero diagonal"):
+        cg(A, np.ones(2), np.zeros(2), 1e-12, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +260,29 @@ def test_backward_euler_validation():
     bad_mass = sp.diags([1.0, 0.0]).tocsr()
     with pytest.raises(ValueError):
         backward_euler_step(bad_mass, L, np.ones(2), dt=0.1)
+
+
+def _two_vertex_step(**changes):
+    args = dict(vertex_mass=np.ones(2), laplacian=sp.csr_matrix(
+        np.array([[-1.0, 1.0], [1.0, -1.0]])), u_i=np.array([1.0, 0.0]), dt=0.1)
+    args.update(changes)
+    return backward_euler_step(**args)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_backward_euler_refuses_a_non_finite_dt(dt):
+    # NaN <= 0 is false, so NaN once reached the solver and broke it down
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        _two_vertex_step(dt=dt)
+
+
+@pytest.mark.parametrize("argument, name", [
+    ("u_i", "u_i"), ("vertex_mass", "vertex masses"), ("rhs_extra", "rhs_extra"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_backward_euler_refuses_non_finite_values(argument, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        _two_vertex_step(**{argument: np.array([1.0, bad])})
 
 
 # ---------------------------------------------------------------------------
