@@ -25,8 +25,13 @@ basis when the Cholesky factorization fails or the condition estimate of
 the normal matrix exceeds 1e8. One memory limit bounds both the rows with
 the Gram matrix and the dense basis. The planar pipeline passes its dense
 cos/sin rows in one angle through the same least-squares policy.
-basis_matrix and reconstruct_full, which evaluate the Legendre recurrence
-directly, stay the independent complex-basis reference.
+reconstruct_fast builds the rows and runs the kernel one block of vertices
+at a time, so its memory does not grow with the sampling.
+
+reconstruct_full, which evaluates the Legendre recurrence directly and
+sums the complex series one order at a time, stays the independent
+reference; basis_matrix builds the dense (n_v, beta) complex basis, the
+oracle that the tests hold both evaluators to.
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import EngineError, FormatError, GuardError, read_lines, row_values
-from .spheroidal import SpheroidDomain, xi_of_eta
+from .spheroidal import CurvilinearCoords, SpheroidDomain, xi_of_eta
 
 __all__ = [
     "MAX_DEGREE",
@@ -59,6 +64,9 @@ MAX_DEGREE = 80
 # rows and Gram matrix, or the dense basis of the SVD fallback. Refinement 8
 # at MAX_DEGREE would take 3.4 GB of rows, refinement 6 2.1 GB of basis
 _MAX_FIT_BYTES = 2**30
+
+# working set, in bytes, of one vertex block of reconstruct_fast
+_BLOCK_BYTES = 2**20
 
 # largest 1-norm condition estimate of B^T B fitted through the normal
 # equations (cond(B) up to about 1e4); worse bases go to the SVD solver
@@ -299,7 +307,7 @@ def decompose(mesh, coords, config):
     fit, residual_rms = _least_squares(
         _moment_gram(n_max, *rows),
         lambda R: _project(n_max, *rows, R),
-        lambda c: _synthesize(n_max, *rows, c),
+        lambda c: _synthesize(_fold(n_max, c), *rows),
         mesh.vertices,
         lambda: _real_basis(n_max, *rows),
     )
@@ -494,25 +502,32 @@ def _project(n_max, t_rows, phi_rows, R):
     return out.reshape(-1, c)[tables.present.ravel()]
 
 
-def _synthesize(n_max, t_rows, phi_rows, coef):
-    """B coef, (n, c), for real coefficients coef (beta, c) in the column
-    order of _FitTables.
-
-    With t = arccos xi, the expansion is sum_m a_m(t) cos(m phi) +
-    b_m(t) sin(m phi). Each order's rows are folded into the Fourier
-    coefficients of a_m and b_m in t through the cached table F_m
-    (_fit_tables); per order parity one GEMM of those coefficients with
-    the cos(k t) or sin((k + 1) t) rows evaluates every a_m and b_m, which
-    are then contracted with the cos(m phi) and sin(m phi) rows.
-    """
+def _fold(n_max, coef):
+    """(n_max + 1, 2 c, n_max + 1) Fourier coefficients in t of every a_m
+    and b_m, [m, (class, column), k], for real coefficients coef (beta, c)
+    in the column order of _FitTables: each order's rows folded through the
+    cached table F_m (_fit_tables)."""
     size = n_max + 1
     tables = _fit_tables(n_max)
-    tau = (t_rows[0, :size], t_rows[1, 1 : size + 1])
-    cos_m, sin_m = phi_rows[:, :size]
     c = coef.shape[1]
     ab = np.zeros((size, 2, c, size))  # [m, class, column, j]
     ab.transpose(0, 1, 3, 2)[tables.present] = coef
-    fold = np.matmul(ab.reshape(size, 2 * c, size), tables.table)
+    return np.matmul(ab.reshape(size, 2 * c, size), tables.table)
+
+
+def _synthesize(fold, t_rows, phi_rows):
+    """B coef, (n, c), from the fold of coef (_fold).
+
+    With t = arccos xi, the expansion is sum_m a_m(t) cos(m phi) +
+    b_m(t) sin(m phi). Per order parity one GEMM of the Fourier
+    coefficients of a_m and b_m with the cos(k t) or sin((k + 1) t) rows
+    evaluates every a_m and b_m, which are then contracted with the
+    cos(m phi) and sin(m phi) rows.
+    """
+    size = fold.shape[0]
+    tau = (t_rows[0, :size], t_rows[1, 1 : size + 1])
+    cos_m, sin_m = phi_rows[:, :size]
+    c = fold.shape[1] // 2
     out = np.zeros((c, t_rows.shape[2]))
     buffer = np.empty(((size + 1) // 2 * 2 * c, t_rows.shape[2]))
     for parity in (0, 1):
@@ -606,16 +621,33 @@ def _check_domains_match(weights, coords):
 
 
 def reconstruct_full(weights, coords):
-    """Evaluate the expansion with the complete (positive and negative m) basis.
+    """Evaluate the expansion with the complete (positive and negative m)
+    complex basis, one order at a time.
 
-    Returns real (n, 3) positions; the imaginary residual must stay below
-    1e-9 for conjugate-consistent weights.
+    Per order m, the block of P_nm (_legendre_blocks) takes the weights
+    q(n, m) and q(n, -m) in one GEMM; they multiply e^{i m phi} and, by the
+    conjugate relation of basis_matrix, (-1)^m e^{-i m phi}. So no more
+    than one order's block is held. Returns real (n, 3) positions; the
+    imaginary residual must stay below 1e-9 of the largest position value,
+    which holds for conjugate-consistent weights.
     """
     _check_domains_match(weights, coords)
-    B = basis_matrix(coords, ExpansionConfig(weights.n_max))
-    vals = B @ weights.q
+    n_max = weights.n_max
+    xi = xi_of_eta(coords.domain, coords.eta)
+    vals = np.zeros((coords.n, 3), dtype=np.complex128)
+    for m, block in _legendre_blocks(n_max, xi):
+        n = np.arange(m, n_max + 1)
+        q = np.concatenate([weights.q[FourierWeights.row_index(n, m)],
+                            (-1.0) ** m * weights.q[FourierWeights.row_index(n, -m)]],
+                           axis=1)
+        # real GEMM on the interleaved (re, im) parts of q
+        terms = (block.T @ q.view(np.float64)).view(np.complex128)
+        turn = np.exp(1j * m * coords.phi)[:, None]
+        vals += terms[:, :3] * turn
+        if m:
+            vals += terms[:, 3:] * np.conj(turn)
     imag_max = float(np.abs(vals.imag).max(initial=0.0))
-    if imag_max > 1e-9:
+    if imag_max > 1e-9 * np.abs(vals.real).max(initial=0.0):
         raise EngineError(
             f"imaginary reconstruction residual {imag_max:.3e}; weights are "
             "not conjugate-consistent"
@@ -623,13 +655,21 @@ def reconstruct_full(weights, coords):
     return np.ascontiguousarray(vals.real)
 
 
+def _block_size(n_max):
+    """Vertices per block of reconstruct_fast: about 7 (n_max + 2) float64
+    values per vertex, the angle rows and the kernel's GEMM output, within
+    _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (56 * (n_max + 2)))
+
+
 def reconstruct_fast(weights, coords):
     """Evaluate the expansion as a double Fourier series in real arithmetic.
 
     The weights become real coefficients a_nm = (2 - delta_m0) Re q_nm and
     b_nm = -2 Im q_nm, and the fit's reconstruction kernel (_synthesize)
-    evaluates them. For conjugate-consistent weights this equals
-    reconstruct_full.
+    evaluates them in blocks of vertices (_block_size), building the angle
+    rows of one block at a time. For conjugate-consistent weights this
+    equals reconstruct_full.
     """
     _check_domains_match(weights, coords)
     n_max = weights.n_max
@@ -639,7 +679,15 @@ def reconstruct_fast(weights, coords):
     q = weights.q[FourierWeights.row_index(n, np.abs(m))]
     coef = np.where(m[:, None] > 0, 2.0 * q.real, q.real)
     coef[m < 0] = -2.0 * q[m < 0].imag
-    return _synthesize(n_max, *_angle_rows(coords, n_max), coef)
+    fold = _fold(n_max, coef)
+    out = np.empty((coords.n, 3))
+    step = _block_size(n_max)
+    for first in range(0, coords.n, step):
+        part = slice(first, first + step)
+        rows = _angle_rows(
+            CurvilinearCoords(coords.eta[part], coords.phi[part], coords.domain), n_max)
+        out[part] = _synthesize(fold, *rows)
+    return out
 
 
 def psd_descriptors(weights):

@@ -82,6 +82,13 @@ def bumpy_mesh():
     return base.with_vertices(scaled)
 
 
+def signed_volume(mesh):
+    """Volume enclosed by a closed, outward-oriented triangle mesh: the sum
+    of the signed tetrahedra spanned by the origin and each face."""
+    a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    return float(np.einsum("ij,ij->", a, np.cross(b, c))) / 6.0
+
+
 def cotangent_oracle(mesh):
     n_v = mesh.n_v
     L = np.zeros((n_v, n_v))
@@ -203,15 +210,19 @@ def test_criterion_5_closed_surface_remeshing(closed_benchmark):
     tr = closed_benchmark["trace"]
     ratio = tr.std_u[-1] / tr.initial_std_u
     area_drift = abs(tr.area[-1] - tr.initial_area) / tr.initial_area
+    volume_before = signed_volume(closed_benchmark["initial_mesh"])
+    volume_drift = abs(signed_volume(closed_benchmark["out_mesh"])
+                       - volume_before) / abs(volume_before)
     flips = int(np.sum(tr.flip_count))
     stds = [tr.initial_std_u] + tr.std_u
     monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(stds, stds[1:]))
     elapsed = closed_benchmark["elapsed"]
-    ok = (ratio <= 1.0 / 3.0 and area_drift <= 0.01 and flips == 0
-          and monotone and elapsed < 120.0)
+    ok = (ratio <= 1.0 / 3.0 and area_drift <= 0.01 and volume_drift <= 0.01
+          and flips == 0 and monotone and elapsed < 120.0)
     record(5, ok,
            f"STD ratio {ratio:.4f} <= 1/3; area drift {area_drift:.2e} <= 1%; "
-           f"flipped faces {flips}; monotone={monotone}; {elapsed:.1f}s")
+           f"volume drift {volume_drift:.2e} <= 1%; flipped faces {flips}; "
+           f"monotone={monotone}; {elapsed:.1f}s")
 
 
 def test_criterion_6_open_surface_fidelity():

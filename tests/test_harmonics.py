@@ -26,6 +26,7 @@ from equimesh.harmonics import (
     FourierWeights,
     _angle_rows,
     _fit_tables,
+    _fold,
     _least_squares,
     _legendre_blocks,
     _moment_gram,
@@ -404,6 +405,36 @@ def test_reconstruct_full_rejects_inconsistent_weights(oblate_dom, rng):
         reconstruct_full(w, CurvilinearCoords(eta, phi, oblate_dom))
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+def test_reconstruct_full_bounds_imaginary_part_relative_to_size(scale):
+    # at scale 1e8 the imaginary round-off reads about 4e-9, past an
+    # absolute 1e-9 bound
+    weights, coords, _ = _bumpy_fixture(benchmarks.oblate_domain(), 4, 30)
+    scaled = FourierWeights(scale * weights.q, 30, weights.domain)
+    full = reconstruct_full(scaled, coords)
+    fast = reconstruct_fast(scaled, coords)
+    assert np.abs(full - fast).max() <= 1e-13 * np.abs(fast).max()
+
+
+_REFERENCE_DOMAINS = {
+    "oblate": benchmarks.oblate_domain,
+    "prolate": benchmarks.prolate_domain,
+    "cap": benchmarks.cap_domain,
+}
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 12, 30])
+@pytest.mark.parametrize("domain", sorted(_REFERENCE_DOMAINS))
+def test_reconstruct_full_equals_dense_basis_product(domain, n_max):
+    domain = _REFERENCE_DOMAINS[domain]()
+    rng = np.random.default_rng(n_max)
+    coords = _edge_case_coords(domain, n_max, rng)
+    w = _random_consistent_weights(n_max, domain, rng)
+    dense = (basis_matrix(coords, ExpansionConfig(n_max)) @ w.q).real
+    full = reconstruct_full(w, coords)
+    assert np.abs(full - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
 def test_reconstruct_rejects_domain_mismatch(oblate_dom, prolate_dom, rng):
     w = _random_consistent_weights(2, oblate_dom, rng)
     eta = rng.uniform(0.1, np.pi - 0.1, 10)
@@ -651,7 +682,7 @@ def _check_moment_products(coords, n_max, rng):
     for got, want in (
         (_moment_gram(n_max, *rows), Bt @ Bt.T),
         (_project(n_max, *rows, R), Bt @ R),
-        (_synthesize(n_max, *rows, coef), Bt.T @ coef),
+        (_synthesize(_fold(n_max, coef), *rows), Bt.T @ coef),
     ):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -695,6 +726,47 @@ def test_decompose_memory_stays_below_dense_basis():
         tracemalloc.stop()
     assert peak < 40 * 2**20
     assert np.abs(got.q - weights.q).max() < 1e-12
+
+
+def test_reconstruct_fast_vertex_blocks_match_one_block(oblate_dom, rng):
+    n_max = 12
+    w = _random_consistent_weights(n_max, oblate_dom, rng)
+    block = harmonics._block_size(n_max)
+    column = _fit_tables(n_max).column
+    n, m = full_orders(n_max)
+    n, m = n[column], m[column]
+    q = w.q[FourierWeights.row_index(n, np.abs(m))]
+    coef = np.where(m[:, None] > 0, 2.0 * q.real, q.real)
+    coef[m < 0] = -2.0 * q[m < 0].imag
+    for count in (0, 1, block - 1, block, block + 1):
+        eta = rng.uniform(-1.4, 1.4, count)
+        phi = rng.uniform(0.0, 2.0 * np.pi, count)
+        coords = CurvilinearCoords(eta, phi, oblate_dom)
+        one_block = _synthesize(_fold(n_max, coef), *_angle_rows(coords, n_max))
+        blocked = reconstruct_fast(w, coords)
+        assert blocked.shape == (count, 3)
+        assert np.abs(blocked - one_block).max(initial=0.0) <= (
+            1e-14 * np.abs(one_block).max(initial=0.0))
+
+
+@pytest.mark.parametrize("refinement", [4, 5])
+def test_reconstruct_memory_is_bounded(refinement):
+    # at n_max 30 the dense complex basis alone takes 373 MiB at
+    # refinement 5, and the fast kernel on the whole sampling 4.6 and
+    # 18 MiB at refinements 4 and 5
+    weights, coords, _ = _bumpy_fixture(benchmarks.oblate_domain(), refinement, 30)
+    bounds = [(reconstruct_fast, 3 * 2**20)]
+    if refinement == 5:
+        bounds.append((reconstruct_full, 12 * 2**20))
+    for reconstruct, bound in bounds:
+        reconstruct(weights, coords)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            reconstruct(weights, coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, reconstruct.__name__
 
 
 def test_decompose_error_messages(oblate_dom):
