@@ -17,7 +17,7 @@ __all__ = [
     "estimate_dt",
 ]
 
-DEFAULT_TOLERANCE = 1e-12
+DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERATIONS = 2000
 DT_SCALE = 0.5
 
@@ -122,11 +122,13 @@ def backward_euler_step(
     starting the solve from u_i.
 
     vertex_mass is the lumped mass matrix or its diagonal. S = M - dt L
-    keeps L's CSR pattern, the masses added in its diagonal slots. For
-    symmetric row-sum-zero L on closed surfaces the total mass 1^T M u is
-    conserved to solver tolerance. S is symmetric positive definite, so
-    conjugate gradient applies. A dt that is not positive and finite, or a
-    NaN or infinite u_i, mass or rhs_extra, raises ValueError.
+    keeps L's CSR pattern, the masses added in its diagonal slots. S is
+    symmetric positive definite, so conjugate gradient applies. L is
+    symmetric with zero row sums, so S 1 = m: adding (sum(b) - m^T x) /
+    sum(m) to the solve's x conserves the total mass exactly, m^T u' =
+    m^T u + sum(rhs_extra) to round-off at any tolerance. A dt that is not
+    positive and finite, or a NaN or infinite u_i, mass or rhs_extra,
+    raises ValueError.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -141,7 +143,8 @@ def backward_euler_step(
     b = masses * u_i
     if rhs_extra is not None:
         b = b + _finite("rhs_extra", rhs_extra)
-    return solve_sparse(S, b, tolerance=tolerance, x0=u_i)
+    x = solve_sparse(S, b, tolerance=tolerance, x0=u_i)
+    return x + (b.sum() - masses @ x) / masses.sum()
 
 
 def estimate_dt(mesh, alpha_max=1.0, c=DT_SCALE):

@@ -219,6 +219,27 @@ def test_every_engine_solve_uses_the_solver_tolerance(setup, request, monkeypatc
     assert set(tolerances) == {solver.DEFAULT_TOLERANCE}
 
 
+@pytest.mark.parametrize("setup", ["bumpy_setup", "cap_setup"])
+def test_every_engine_step_conserves_mass_exactly(setup, request, monkeypatch):
+    # the cap's rim source adds sum(rhs_extra) to the mass of each step
+    _, w, coords, faces = request.getfixturevalue(setup)
+    drifts, sources = [], []
+
+    def recording(masses, laplacian, u, dt, rhs_extra):
+        out = solver.backward_euler_step(masses, laplacian, u, dt, rhs_extra)
+        expected = masses @ u + rhs_extra.sum()
+        drifts.append(abs(masses @ out - expected) / expected)
+        sources.append(abs(rhs_extra).max())
+        return out
+
+    monkeypatch.setattr(diffusion, "backward_euler_step", recording)
+    cfg = DiffusionConfig(stages=((6, 3), (10, 3)), dt_scale=4.0, std_tolerance=0.0)
+    diffuse_remesh(w, coords, faces, cfg)
+    assert len(drifts) >= 6
+    assert max(drifts) <= 1e-13
+    assert (max(sources) > 0.0) == (setup == "cap_setup")
+
+
 def test_diffuse_remesh_continuation_hands_off_exactly(bumpy_setup):
     _, w, coords, faces = bumpy_setup
     cfg = DiffusionConfig(stages=((10, 6),), dt_scale=4.0, std_tolerance=0.0)

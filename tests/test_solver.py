@@ -13,6 +13,7 @@ from equimesh.errors import SolverError
 from equimesh.mesh import TriangleMesh, icosphere
 from equimesh.operators import laplacian_iso, vertex_mass_matrix
 from equimesh.solver import DT_SCALE, backward_euler_step, cg, estimate_dt, solve_sparse
+from test_acceptance import bumpy_mesh
 
 
 def spd_system(n, rng):
@@ -179,13 +180,13 @@ def test_backward_euler_two_vertex_equilibrium():
 
 
 def test_residual_past_ten_times_the_tolerance_raises():
-    # the same step at the default tolerance: CG stops, but round-off at
+    # the same step at tolerance 1e-12: CG stops, but round-off at
     # cond(M - dt L) = 2e6 leaves the true residual far above 1e-11
     M = sp.eye(2).tocsr()
     L = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
     with pytest.raises(SolverError, match=r"exceeds tolerance 1\.000e-12$") as exc:
-        backward_euler_step(M, L, np.array([1.0, 0.0]), dt=1e6)
-    assert exc.value.residual > 10.0 * solver.DEFAULT_TOLERANCE
+        backward_euler_step(M, L, np.array([1.0, 0.0]), dt=1e6, tolerance=1e-12)
+    assert exc.value.residual > 10.0 * 1e-12
 
 
 def test_backward_euler_conserves_mass():
@@ -200,6 +201,22 @@ def test_backward_euler_conserves_mass():
         u = backward_euler_step(M, L, u, dt)
     total = float(np.ones(mesh.n_v) @ (M @ u))
     assert abs(total - total0) / abs(total0) < 1e-9
+
+
+def test_backward_euler_conserves_mass_exactly_at_a_loose_tolerance():
+    # criterion 4's fixture at tolerance 1e-3: the solve alone drifts far
+    # past 1e-12, and the projection onto sum(b) takes the drift out
+    mesh = bumpy_mesh()
+    M = vertex_mass_matrix(mesh)
+    L = laplacian_iso(mesh)
+    rng = np.random.default_rng(77)
+    u = rng.uniform(0.5, 2.0, mesh.n_v)
+    masses = M.diagonal()
+    total0 = float(masses @ u)
+    dt = estimate_dt(mesh)
+    for _ in range(30):
+        u = backward_euler_step(M, L, u, dt, tolerance=1e-3)
+    assert abs(float(masses @ u) - total0) / total0 <= 1e-12
 
 
 def test_backward_euler_smooths_monotonically():
