@@ -237,10 +237,8 @@ class ContourTrace(TraceTable):
     t: list = column(int)
     dt: list = column(float)
     std_length: list = column(float)
-    mean_length: list = column(float)
     total_length: list = column(float)
     initial_std_length: float = float("nan")
-    initial_mean_length: float = float("nan")
     stop_reason: str = ""
 
 
@@ -267,7 +265,7 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
     the initial STD (or is negligible against the mean); raises EngineError
     with the trace attached otherwise. trace.stop_reason records why the
     run ended: "converged", "i_max" or "ordering". n_points and i_max must
-    be integers.
+    be integers, std_target a nonnegative number.
     """
     for name, count in (("n_points", n_points), ("i_max", i_max)):
         if not isinstance(count, (int, np.integer)):
@@ -276,6 +274,9 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
         raise ValueError(f"need at least {MIN_SEGMENTS} points")
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
+    # a NaN target would make both `std <= goal` and `std > goal` false
+    if not std_target >= 0.0:
+        raise ValueError(f"std_target must be nonnegative, not {std_target!r}")
     if trace is None:
         trace = ContourTrace()
     table = _evaluation_table(weights)
@@ -286,7 +287,6 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
     seg = ring_lengths(points)
     std = float(seg.std())
     trace.initial_std_length = std
-    trace.initial_mean_length = float(seg.mean())
     # a uniform start (circle-like weights) is already converged
     goal = max(std_target * std, 1e-3 * float(seg.mean()))
 
@@ -327,8 +327,7 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
         seg = ring_lengths(points)
         std = float(seg.std())
         trace.append(
-            t=t, dt=dt, std_length=std, mean_length=seg.mean(),
-            total_length=seg.sum(),
+            t=t, dt=dt, std_length=std, total_length=seg.sum(),
         )
 
     if std > goal:

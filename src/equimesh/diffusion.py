@@ -147,14 +147,12 @@ class DiffusionTrace(TraceTable):
     t: list = column(int)
     dt: list = column(float)
     std_u: list = column(float)
-    mean_u: list = column(float)
     flip_count: list = column(int)
     boundary_length: list = column(float)
     area: list = column(float)
     basis_evaluation_count: list = column(int)
     halvings: list = column(int)
     initial_std_u: float = float("nan")
-    initial_mean_u: float = float("nan")
     initial_area: float = float("nan")
     initial_boundary_length: float = 0.0
     stop_reason: str = ""
@@ -227,7 +225,6 @@ def _run_stage(
 
     if stage_index == 0:
         trace.initial_std_u = float(u.std())
-        trace.initial_mean_u = float(u.mean())
         trace.initial_area = float(area0)
         trace.initial_boundary_length = float(rim_lengths.sum()) / scale
 
@@ -239,7 +236,7 @@ def _run_stage(
         directors, alpha = None, 1.0
         if config.gamma > 0.0:
             directors = stretch_directors(geometry, config.gamma)
-            alpha = directors[2]
+            alpha = directors[3]
         if dt is None:
             mesh = template.with_vertices(geometry.points)
             dt = dt_first = estimate_dt(mesh, alpha, c=config.dt_scale)
@@ -294,7 +291,6 @@ def _run_stage(
             t=t,
             dt=dt,
             std_u=std_now,
-            mean_u=float(u.mean()),
             flip_count=flips_seen,
             boundary_length=float(rim_lengths.sum()) / scale,
             area=float(geometry.areas.sum()) / (scale * scale),

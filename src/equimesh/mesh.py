@@ -444,8 +444,8 @@ class FaceGeometry:
     """One geometry pass over a vertex array with fixed faces.
 
     edges[f, k] is the edge opposite corner k, areas and unit normals
-    (zero on zero-area faces) are per face, masses per vertex, and
-    grads[f, k] is the gradient of corner k's hat function on face f.
+    (zero on zero-area faces) are per face and masses per vertex; the hat
+    gradients n x e_k / 2A are built only on request.
     """
 
     def __init__(self, points, faces):
@@ -461,15 +461,14 @@ class FaceGeometry:
         self.normals = np.divide(cross, self.double_area[:, None], where=ok,
                                  out=np.zeros_like(cross))
         self.masses = _voronoi_masses(faces, len(points), self.edges, self.double_area)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.grads = np.cross(self.normals[:, None, :], self.edges)
-            self.grads /= self.double_area[:, None, None]
 
     def hat_gradients(self):
-        """grads, after checking that every face still has area."""
+        """(n_f, 3, 3): [f, k] is the gradient of corner k's hat function
+        on face f, after checking that every face still has area."""
         if np.any(self.areas <= 0.0):
             raise DegenerateMeshError("degenerate face in gradient operator")
-        return self.grads
+        turned = np.cross(self.normals[:, None, :], self.edges)
+        return turned / self.double_area[:, None, None]
 
     def density(self):
         """Normalized vertex area density u = A_i / sum(A)."""
@@ -482,13 +481,15 @@ class FaceGeometry:
 
     def face_gradients(self, u):
         """(n_f, 3) gradient of the piecewise-linear interpolant of u."""
-        return np.einsum("fkc,fk->fc", self.grads, u[self.faces])
+        return np.einsum("fkc,fk->fc", self.hat_gradients(), u[self.faces])
 
     def vertex_gradients(self, u):
         """(n_v, 3) area-weighted average of the face gradients around each vertex."""
         index, n_v = self.faces.ravel(), self.points.shape[0]
-        weighted = np.repeat(self.face_gradients(u) * self.areas[:, None], 3, axis=0)
-        total = np.bincount(index, weights=np.repeat(self.areas, 3), minlength=n_v)
+        # 2A times the face gradient is n x sum_k u_k e_k
+        edge_sum = np.einsum("fkc,fk->fc", self.edges, u[self.faces])
+        weighted = np.repeat(np.cross(self.normals, edge_sum), 3, axis=0)
+        total = np.bincount(index, weights=np.repeat(self.double_area, 3), minlength=n_v)
         return np.column_stack([
             np.bincount(index, weights=weighted[:, c], minlength=n_v) / total
             for c in range(3)
@@ -662,7 +663,6 @@ class QualityReport:
     face_areas: np.ndarray
     rho_hat: np.ndarray
     area_density: np.ndarray
-    mean_u: float
     std_u: float
     mean_rho_hat: float
     hist_rho_hat: tuple
@@ -680,7 +680,6 @@ class QualityReport:
     def summary_lines(self):
         lines = [
             f"vertices {self.area_density.shape[0]} faces {self.face_areas.shape[0]}",
-            f"mean area density {self.mean_u:.6e}",
             f"std area density  {self.std_u:.6e}",
             f"mean rho_hat      {self.mean_rho_hat:.6f}",
             "rho_hat histogram:",
@@ -699,7 +698,6 @@ def quality_report(mesh, bins=16):
         face_areas=areas,
         rho_hat=rho_hat,
         area_density=u,
-        mean_u=float(u.mean()),
         std_u=float(u.std()),
         mean_rho_hat=float(rho_hat.mean()),
         hist_rho_hat=(hist_rho[1], hist_rho[0]),

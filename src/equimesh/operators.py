@@ -1,12 +1,12 @@
 """Discrete differential operators on the evolving manifold mesh.
 
-One kernel serves every operator. It reads `mesh.FaceGeometry` (areas,
-normals, masses, hat-function gradients g_k = n x e_k / 2A), and
-`stretch_directors` adds closed-form stretch axes and rates. `MeshTopology`
-fixes the CSR pattern of the weak-form operator L = -sum_f A_f g_k^T D_f g_l
-once per connectivity and fills it face by face (D = I when isotropic). The
-public operators wrap this kernel. Rates are capped at ALPHA_CAP; the
-SVD-based per-face reference they are checked against lives in the tests.
+One kernel serves every operator. It reads `mesh.FaceGeometry` (edges,
+areas, normals, masses), and `stretch_directors` adds each face's stretch.
+`MeshTopology` fixes the CSR pattern of the weak-form operator
+L = -sum_f A_f g_k^T D_f g_l (g_k = n x e_k / 2A) once per connectivity and
+fills it face by face from the edges (D = I when isotropic). The public
+operators wrap this kernel. Rates are capped at ALPHA_CAP; the SVD-based
+per-face reference they are checked against lives in the tests.
 """
 from __future__ import annotations
 
@@ -42,21 +42,21 @@ def _rates(ratio, gamma):
 
 
 def stretch_directors(geometry, gamma):
-    """Per-face stretch axes (v1, v2, n), rates (alpha2, alpha1, 1) and the
-    largest rate of a `FaceGeometry`.
+    """Per-face stretch of a `FaceGeometry`: (w, alpha1, alpha2, alpha_max).
 
-    The quarter turn about n maps v1 to v2 and v2 to -v1, so the tensor
-    is D = sum_j rates_j axes_j axes_j^T. sigma1 and v1 come from the
-    in-plane Gram matrix of the centred corners, a third of
-    sum_k e_k e_k^T; sigma2 = 2A / (sqrt(3) sigma1) has no cancellation.
+    On in-plane gradients D = alpha2 v1 v1^T + alpha1 v2 v2^T + n n^T is
+    alpha1 I plus a rank-one term along v2 = n x v1, so w[k, f] = e_k . v2
+    and the rates define it. sigma1 and v1 come from the in-plane Gram
+    matrix of the centred corners, a third of sum_k e_k e_k^T;
+    sigma2 = 2A / (sqrt(3) sigma1) has no cancellation.
     """
     edge = geometry.edges[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = edge / np.linalg.norm(edge, axis=1, keepdims=True)
         t2 = np.cross(geometry.normals, t1)
-        x = np.einsum("fkc,fc->fk", geometry.edges, t1)
-        y = np.einsum("fkc,fc->fk", geometry.edges, t2)
-        sxx, syy, sxy = ((a * b).sum(1) / 3 for a, b in ((x, x), (y, y), (x, y)))
+        x = np.einsum("fkc,fc->kf", geometry.edges, t1)
+        y = np.einsum("fkc,fc->kf", geometry.edges, t2)
+        sxx, syy, sxy = ((a * b).sum(0) / 3 for a, b in ((x, x), (y, y), (x, y)))
         half_gap = 0.5 * (sxx - syy)
         sigma1 = np.sqrt(0.5 * (sxx + syy) + np.hypot(half_gap, sxy))
         sigma2 = geometry.double_area / (np.sqrt(3.0) * sigma1)
@@ -64,11 +64,10 @@ def stretch_directors(geometry, gamma):
     if not np.all(sigma2 >= COLLAPSE_RATIO * sigma1):
         raise DegenerateMeshError("collapsed face in director computation")
     theta = 0.5 * np.arctan2(sxy, half_gap)
-    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    axes = np.stack([cos * t1 + sin * t2, cos * t2 - sin * t1, geometry.normals], 1)
+    # v1 = cos t1 + sin t2, so v2 = cos t2 - sin t1
+    w = np.cos(theta) * y - np.sin(theta) * x
     alpha1, alpha2 = _rates(sigma1 / sigma2, gamma)
-    rates = np.column_stack([alpha2, alpha1, np.ones_like(alpha1)])
-    return axes, rates, float(np.maximum(alpha1, alpha2).max())
+    return w, alpha1, alpha2, float(np.maximum(alpha1, alpha2).max())
 
 
 class MeshTopology:
@@ -87,18 +86,19 @@ class MeshTopology:
         self.indptr = np.searchsorted(keys, np.arange(n_v + 1) * n_v)
 
     def laplacian(self, geometry, directors=None):
-        """L = -sum_f A_f g_k^T D_f g_l, D = I without directors; -L is PSD."""
+        """L = -sum_f A_f g_k^T D_f g_l, D = I without directors; -L is PSD.
+        Blocks -(alpha1 e_k.e_l + (alpha2 - alpha1) w_k w_l) / 4A are exactly
+        symmetric; alpha1 = 1, w = 0 give the cotangent weights."""
+        if np.any(geometry.areas <= 0.0):
+            raise DegenerateMeshError("degenerate face in weak-form operator")
         # faces last: einsum vectorizes over the long axis
-        g = np.ascontiguousarray(geometry.hat_gradients().transpose(1, 2, 0))
-        if directors is None:
-            blocks = np.einsum("kcf,lcf->klf", g, g)
-        else:
-            axes, rates, _ = directors
-            axes = np.ascontiguousarray(axes.transpose(1, 2, 0))
-            proj = np.einsum("kcf,jcf->kjf", g, axes)
-            blocks = np.einsum("kjf,ljf->klf", proj * rates.T[None], proj)
-            blocks = 0.5 * (blocks + blocks.transpose(1, 0, 2))
-        blocks *= -geometry.areas
+        e = np.ascontiguousarray(geometry.edges.transpose(1, 2, 0))
+        blocks = np.einsum("kcf,lcf->klf", e, e)
+        if directors is not None:
+            w, alpha1, alpha2, _ = directors
+            blocks *= alpha1
+            blocks += (w[:, None] * w[None, :]) * (alpha2 - alpha1)
+        blocks *= -0.25 / geometry.areas
         # an edge's two faces add up the same in L[i, j] and L[j, i]
         data = np.bincount(self.scatter, weights=blocks.ravel(),
                            minlength=self.indices.size)
@@ -152,4 +152,4 @@ def max_diffusion_rate(mesh, gamma):
     """Largest per-face diffusion rate max(alpha1, alpha2); 1 when gamma=0."""
     if gamma == 0.0:
         return 1.0
-    return stretch_directors(FaceGeometry(mesh.vertices, mesh.faces), gamma)[2]
+    return stretch_directors(FaceGeometry(mesh.vertices, mesh.faces), gamma)[3]

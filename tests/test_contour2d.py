@@ -381,6 +381,10 @@ def test_remesh_validation():
             remesh_contour(w, budget)
     with pytest.raises(ValueError, match="i_max must be an integer"):
         remesh_contour(w, 20, i_max=2.5)
+    # a NaN goal fails both `std <= goal` and `std > goal`
+    for target in (np.nan, -0.1):
+        with pytest.raises(ValueError, match="std_target must be nonnegative"):
+            remesh_contour(w, 20, std_target=target)
     tr = ContourTrace()
     out = remesh_contour(w, np.int64(20), i_max=np.int32(300), trace=tr)
     assert out.points.shape == (20, 2)
@@ -426,7 +430,7 @@ def test_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "t,dt,std_length,mean_length,total_length"
+    assert lines[0] == "t,dt,std_length,total_length"
     assert len(lines) == tr.n_rows + 1
 
 

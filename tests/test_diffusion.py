@@ -66,7 +66,7 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def _trace_row(t, std_u, flip_count, basis_evaluation_count):
-    return dict(stage=0, t=t, dt=0.1, std_u=std_u, mean_u=1.0,
+    return dict(stage=0, t=t, dt=0.1, std_u=std_u,
                 flip_count=flip_count, boundary_length=0.0, area=12.5,
                 basis_evaluation_count=basis_evaluation_count, halvings=0)
 
@@ -82,7 +82,7 @@ def test_trace_append_and_csv(tmp_path):
     tr.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == (
-        "stage,t,dt,std_u,mean_u,flip_count,boundary_length,area,"
+        "stage,t,dt,std_u,flip_count,boundary_length,area,"
         "basis_evaluation_count,halvings"
     )
     assert len(lines) == 3

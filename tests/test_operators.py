@@ -343,8 +343,8 @@ def test_kernel_matches_oracles(builder, gamma):
         directors = stretch_directors(geometry, gamma)
         L = topology.laplacian(geometry, directors).toarray()
         oracle, largest = anisotropic_oracle(mesh, gamma)
-        assert directors[2] == pytest.approx(largest, rel=1e-12)
-        assert max_diffusion_rate(mesh, gamma) == directors[2]
+        assert directors[3] == pytest.approx(largest, rel=1e-12)
+        assert max_diffusion_rate(mesh, gamma) == directors[3]
     assert np.abs(L - oracle).max() <= 1e-12 * np.abs(oracle).max()
     assert np.array_equal(L, L.T)
 
@@ -356,6 +356,17 @@ def test_kernel_matches_oracles(builder, gamma):
         for face in mesh.faces
     ])
     got = geometry.face_gradients(u)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    # the engine's velocity: area-weighted mean of the face gradients
+    weighted, total = np.zeros((mesh.n_v, 3)), np.zeros(mesh.n_v)
+    for face, grad in zip(mesh.faces, expect):
+        a, b, c = mesh.vertices[face]
+        area = 0.5 * np.linalg.norm(np.cross(b - a, c - a))
+        weighted[face] += area * grad
+        total[face] += area
+    expect = weighted / total[:, None]
+    got = geometry.vertex_gradients(u)
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -374,14 +385,22 @@ def test_collapse_check_agrees_with_svd(ratio, collapsed):
             stretch_directors(geometry, 1.0)
         return
     *_, a1, a2 = face_directors(tri, 1.0)
-    _, rates, _ = stretch_directors(geometry, 1.0)
-    assert rates[0, :2] == pytest.approx([a2, a1], rel=1e-9)
+    _, alpha1, alpha2, _ = stretch_directors(geometry, 1.0)
+    assert [alpha2[0], alpha1[0]] == pytest.approx([a2, a1], rel=1e-9)
 
 
 def test_degenerate_geometry_is_an_engine_error():
     v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     geometry = FaceGeometry(v, np.array([[0, 1, 2]]))
-    for call in (geometry.hat_gradients, lambda: stretch_directors(geometry, 1.0)):
+    topology = MeshTopology(geometry.faces, 3)
+    # directors of a sound triangle: laplacian checks the areas itself
+    sound = stretch_directors(FaceGeometry(np.eye(3), geometry.faces), 1.0)
+    for call in (
+        geometry.hat_gradients,
+        lambda: stretch_directors(geometry, 1.0),
+        lambda: topology.laplacian(geometry),
+        lambda: topology.laplacian(geometry, sound),
+    ):
         with pytest.raises(EngineError):
             call()
     flat = FaceGeometry(np.zeros((3, 3)), np.array([[0, 1, 2]]))
