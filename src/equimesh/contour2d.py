@@ -193,9 +193,10 @@ def decompose_contour(contour, n_max):
     _check_degree(n_max)
     domain = fit_ellipse(contour)
     _, eta = inverse_elliptic(domain, contour.points)
-    Bt = _fourier_rows(eta, n_max)
+    Bt, V = _fourier_rows(eta, n_max), contour.points
     coef, residual_rms = _least_squares(
-        Bt @ Bt.T, lambda R: Bt @ R, lambda c: Bt.T @ c, contour.points, lambda: Bt
+        Bt @ Bt.T, Bt @ V, V, lambda c: Bt @ (V - Bt.T @ c),
+        lambda c: ((V - Bt.T @ c) ** 2).sum(axis=1).sum(), lambda: Bt
     )
     return ContourWeights(
         coef=coef, n_max=n_max, domain=domain, residual_rms=residual_rms

@@ -22,11 +22,11 @@ taken through the cached series on both sides; B^T R and B c come from the
 same cos/sin rows. It solves by Cholesky with one step of iterative
 refinement, and falls back to the SVD least-squares solver on the dense
 basis when the Cholesky factorization fails or the condition estimate of
-the normal matrix exceeds 1e8. One memory limit bounds both the rows with
-the Gram matrix and the dense basis. The planar pipeline passes its dense
-cos/sin rows in one angle through the same least-squares policy.
-reconstruct_fast builds the rows and runs the kernel one block of vertices
-at a time, so its memory does not grow with the sampling.
+the normal matrix exceeds 1e8; a memory limit bounds that dense basis. The
+planar pipeline passes its dense cos/sin rows in one angle through the
+same least-squares policy. The fit and reconstruct_fast build the rows one
+block of vertices at a time, and the moments and B^T R are sums over the
+blocks, so their memory does not grow with the sampling.
 
 reconstruct_full, which evaluates the Legendre recurrence directly and
 sums the complex series one order at a time, stays the independent
@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import EngineError, FormatError, GuardError, read_lines, row_values
-from .spheroidal import CurvilinearCoords, SpheroidDomain, xi_of_eta
+from .spheroidal import SpheroidDomain, xi_of_eta
 
 __all__ = [
     "MAX_DEGREE",
@@ -60,12 +60,11 @@ __all__ = [
 
 MAX_DEGREE = 80
 
-# largest array set, in bytes, that one surface fit allocates: the moment
-# rows and Gram matrix, or the dense basis of the SVD fallback. Refinement 8
-# at MAX_DEGREE would take 3.4 GB of rows, refinement 6 2.1 GB of basis
+# largest dense basis, in bytes, that the SVD fallback of a surface fit
+# allocates: refinement 6 at MAX_DEGREE would take 2.1 GB
 _MAX_FIT_BYTES = 2**30
 
-# working set, in bytes, of one vertex block of reconstruct_fast
+# working set, in bytes, of one vertex block of the fit and reconstruct_fast
 _BLOCK_BYTES = 2**20
 
 # largest 1-norm condition estimate of B^T B fitted through the normal
@@ -77,16 +76,6 @@ def _check_degree(n_max):
     """The one degree cap of every expansion, surface or contour."""
     if not (isinstance(n_max, (int, np.integer)) and 0 <= n_max <= MAX_DEGREE):
         raise GuardError(f"n_max must be an integer in [0, {MAX_DEGREE}]")
-
-
-def _check_fit_bytes(what, nbytes):
-    """The one memory cap of the surface fit: GuardError when `what` needs
-    more than _MAX_FIT_BYTES."""
-    if nbytes > _MAX_FIT_BYTES:
-        raise GuardError(
-            f"{what} needs {nbytes / 2**20:.1f} MiB, more than "
-            f"{_MAX_FIT_BYTES / 2**20:.1f} MiB"
-        )
 
 
 @dataclass(frozen=True)
@@ -229,22 +218,40 @@ def _multiple_angles(cos_1, sin_1, count):
     return rows
 
 
-def _angle_rows(coords, n_max, moments=False):
-    """Trigonometric rows of the double Fourier kernel at coords, each
-    (2, count, n): cos and sin of a t, at t = arccos xi, and of b phi.
+def _angle_rows(coords, n_max, moments=False, part=slice(None)):
+    """Trigonometric rows of the double Fourier kernel at the vertices part
+    of coords, each (2, count, n): cos and sin of a t, at t = arccos xi,
+    and of b phi.
 
     The kernel takes the tau rows cos(k t) and sin((k + 1) t) and the rows
     cos(m phi), sin(m phi), k, m = 0..n_max. With moments, the rows go on
     to a = 2 n_max + 2 and b = 2 n_max for the fit's moments.
     """
-    xi = _checked_xi(xi_of_eta(coords.domain, coords.eta))
+    xi = _checked_xi(xi_of_eta(coords.domain, coords.eta[part]))
+    phi = coords.phi[part]
     t_count, phi_count = n_max + 2, n_max + 1
     if moments:
         t_count, phi_count = 2 * n_max + 3, 2 * n_max + 1
     return (
         _multiple_angles(xi, np.sqrt(1.0 - xi * xi), t_count),
-        _multiple_angles(np.cos(coords.phi), np.sin(coords.phi), phi_count),
+        _multiple_angles(np.cos(phi), np.sin(phi), phi_count),
     )
+
+
+def _block_size(n_max, moments=False):
+    """Vertices per block within _BLOCK_BYTES: about 7 (n_max + 2) float64
+    values per vertex, the angle rows and the kernel's GEMM output, and
+    11 (n_max + 2) in the fit, the moment rows and the projection's
+    weighted rows."""
+    return max(1, _BLOCK_BYTES // ((88 if moments else 56) * (n_max + 2)))
+
+
+def _row_blocks(coords, n_max, step, moments=False):
+    """Yield (part, rows) per block of at most step vertices: the slice of
+    the block and its _angle_rows."""
+    for first in range(0, coords.n, step):
+        part = slice(first, first + step)
+        yield part, _angle_rows(coords, n_max, moments, part)
 
 
 def alp_table(n_max, xi):
@@ -292,24 +299,40 @@ def decompose(mesh, coords, config):
     F_m tau(t) {cos, sin}(m phi) (_fit_tables), so the Gram matrix
     B^T B follows from trigonometric moments of the samples
     (_moment_gram), B^T R from the tau rows weighted by R against the
-    m phi rows (_project), and B c is the reconstruction kernel
-    (_synthesize); one build of the cos/sin rows serves all three. The fit
-    policy is _least_squares, shared with the contour fit; only its SVD
-    fallback builds the dense basis (_real_basis).
+    m phi rows (_project, then _apply_table), and B c is the
+    reconstruction kernel (_synthesize). The moments and B^T R are sums
+    over samples, so the fit walks the sampling in vertex blocks
+    (_block_size) and holds one block's cos/sin rows at a time, in three
+    passes: the moment rows give the moments and B^T V, whose short rows
+    are a prefix of them; the short rows give B c and B^T R for the
+    refinement step, then the final residual. The fit policy is
+    _least_squares, shared with the contour fit; only its SVD fallback
+    builds the dense basis (_real_basis).
     """
     if mesh.n_v != coords.n:
         raise ValueError("mesh and coords disagree on vertex count")
-    n_max = config.n_max
-    # 8 (n_max + 1) cos/sin values per sample, and G
-    _check_fit_bytes(f"fit of {coords.n} samples at degree {n_max}",
-                     64 * (n_max + 1) * coords.n + 8 * (n_max + 1) ** 4)
-    rows = _angle_rows(coords, n_max, moments=True)
+    n_max, V = config.n_max, mesh.vertices
+    step = _block_size(n_max, moments=True)
+    moments = np.zeros((2 * (2 * n_max + 1), 2 * (2 * n_max + 3)))
+    BtV = np.zeros((n_max + 1, 2, n_max + 1, V.shape[1]))
+    for part, rows in _row_blocks(coords, n_max, step, moments=True):
+        moments += _moments(*rows)
+        BtV += _project(n_max, *rows, V[part])
+
+    def residuals(coef):
+        """(rows, V - B coef) per block."""
+        fold = _fold(n_max, coef)
+        for part, rows in _row_blocks(coords, n_max, step):
+            yield rows, V[part] - _synthesize(fold, *rows)
+
     fit, residual_rms = _least_squares(
-        _moment_gram(n_max, *rows),
-        lambda R: _project(n_max, *rows, R),
-        lambda c: _synthesize(_fold(n_max, c), *rows),
-        mesh.vertices,
-        lambda: _real_basis(n_max, *rows),
+        _moment_gram(n_max, moments),
+        _apply_table(n_max, BtV),
+        V,
+        lambda c: _apply_table(n_max, sum(_project(n_max, *rows, R)
+                                          for rows, R in residuals(c))),
+        lambda c: sum((R**2).sum(axis=1).sum() for _, R in residuals(c)),
+        lambda: _real_basis(n_max, coords),
     )
     coef = np.empty_like(fit)
     coef[_fit_tables(n_max).column] = fit
@@ -438,26 +461,31 @@ def _fit_tables(n_max):
     return _FitTables(n_max, *map(_read_only, (table, present, start, column)))
 
 
-def _moment_gram(n_max, t_rows, phi_rows):
-    """Gram matrix B^T B of the real basis, in the column order of
-    _FitTables, from trigonometric moments.
+def _moments(t_rows, phi_rows):
+    """Trigonometric moments [y, b, x, a] of a block of samples, from its
+    moment rows (_angle_rows): one GEMM gives S(a, b) = sum_v
+    {cos, sin}(a t_v) {cos, sin}(b phi_v), a <= 2 n_max + 2, b <= 2 n_max."""
+    n = t_rows.shape[2]
+    return phi_rows.reshape(-1, n) @ t_rows.reshape(-1, n).T
 
-    One GEMM gives the moments S(a, b) = sum_v {cos, sin}(a t_v)
-    {cos, sin}(b phi_v), a <= 2 n_max + 2, b <= 2 n_max. The product-to-sum
-    rules write the block of orders m <= m' and classes c, c' as
-    F_m T F_m'^T, where T[k, k'] is a Toeplitz plus a Hankel matrix of
-    moments at t-frequencies k - k' and k + k' (_TAU_PRODUCTS) and
-    phi-frequencies m' - m and m' + m. The moments are laid out once per
-    parity of m (_FitTables.moment_layout) so that, per order m, two
-    strided views give T for every m' >= m and class pair; two GEMMs then
-    apply F_m' and F_m, and the blocks fill G below the block diagonal
-    and, mirrored, above it.
+
+def _moment_gram(n_max, moments):
+    """Gram matrix B^T B of the real basis, in the column order of
+    _FitTables, from the trigonometric moments of the samples (_moments,
+    summed over blocks).
+
+    The product-to-sum rules write the block of orders m <= m' and
+    classes c, c' as F_m T F_m'^T, where T[k, k'] is a Toeplitz plus a
+    Hankel matrix of moments at t-frequencies k - k' and k + k'
+    (_TAU_PRODUCTS) and phi-frequencies m' - m and m' + m. The moments are
+    laid out once per parity of m (_FitTables.moment_layout) so that, per
+    order m, two strided views give T for every m' >= m and class pair;
+    two GEMMs then apply F_m' and F_m, and the blocks fill G below the
+    block diagonal and, mirrored, above it.
     """
     size = n_max + 1
     tables = _fit_tables(n_max)
     F, start = tables.table, tables.start.tolist()
-    n = t_rows.shape[2]
-    moments = (phi_rows.reshape(-1, n) @ t_rows.reshape(-1, n).T).ravel()
     index, sign = tables.moment_layout
     by_diff, by_sum = sign * np.take(moments, index)
     phi_terms = np.empty((size,) + by_diff.shape[2:])
@@ -485,11 +513,10 @@ def _moment_gram(n_max, t_rows, phi_rows):
 
 
 def _project(n_max, t_rows, phi_rows, R):
-    """B^T R for samples R (n, c): per order parity, one GEMM of the tau
-    rows weighted by each column of R with the m phi rows, then F_m per
-    order."""
+    """Moments [m, class, k, column] of the samples R (n, c), a sum over
+    samples that _apply_table takes to B^T R: per order parity, one GEMM of
+    the tau rows weighted by each column of R with the m phi rows."""
     size = n_max + 1
-    tables = _fit_tables(n_max)
     n, c = R.shape
     weighted = np.empty((size, c, n))
     moments = np.empty((size, 2, size, c))  # [m, class, k, column of R]
@@ -498,6 +525,14 @@ def _project(n_max, t_rows, phi_rows, R):
         z = np.matmul(weighted.reshape(size * c, -1),
                       phi_rows[:, p:size:2].transpose(0, 2, 1))
         moments[p::2] = z.reshape(2, size, c, -1).transpose(3, 0, 1, 2)
+    return moments
+
+
+def _apply_table(n_max, moments):
+    """B^T R, in the column order of _FitTables, from the moments of R
+    (_project): F_m per order."""
+    tables = _fit_tables(n_max)
+    c = moments.shape[-1]
     out = np.matmul(tables.table[:, None], moments)
     return out.reshape(-1, c)[tables.present.ravel()]
 
@@ -541,57 +576,63 @@ def _synthesize(fold, t_rows, phi_rows):
     return np.ascontiguousarray(out.T)
 
 
-def _real_basis(n_max, t_rows, phi_rows):
+def _real_basis(n_max, coords):
     """Transposed real basis Bt, (beta, n), in the column order of
-    _FitTables: P_nm cos(m phi) and P_nm sin(m phi). Raises GuardError
-    before allocating more than _MAX_FIT_BYTES."""
+    _FitTables: P_nm cos(m phi) and P_nm sin(m phi), from the angle rows of
+    one vertex block at a time. Raises GuardError before building any row
+    when Bt would take more than _MAX_FIT_BYTES."""
     size = n_max + 1
-    n = t_rows.shape[2]
-    _check_fit_bytes(f"dense fit basis of {n} samples x {size * size} columns",
-                     size * size * n * 8)
+    nbytes = size * size * coords.n * 8
+    if nbytes > _MAX_FIT_BYTES:
+        raise GuardError(
+            f"dense fit basis of {coords.n} samples x {size * size} columns needs "
+            f"{nbytes / 2**20:.1f} MiB, more than {_MAX_FIT_BYTES / 2**20:.1f} MiB"
+        )
     tables = _fit_tables(n_max)
     start = tables.start
-    tau = (t_rows[0, :size], t_rows[1, 1 : size + 1])
-    cos_m, sin_m = phi_rows[:, :size]
-    Bt = np.empty((size * size, n))
-    for m in range(size):
-        block = tables.table[m, : size - m] @ tau[m % 2]
-        Bt[start[m] : start[m] + size - m] = block * cos_m[m]
-        if m:
-            Bt[start[m] + size - m : start[m + 1]] = block * sin_m[m]
+    Bt = np.empty((size * size, coords.n))
+    for part, (t_rows, phi_rows) in _row_blocks(coords, n_max, _block_size(n_max)):
+        tau = (t_rows[0, :size], t_rows[1, 1 : size + 1])
+        cos_m, sin_m = phi_rows[:, :size]
+        for m in range(size):
+            block = tables.table[m, : size - m] @ tau[m % 2]
+            Bt[start[m] : start[m] + size - m, part] = block * cos_m[m]
+            if m:
+                Bt[start[m] + size - m : start[m + 1], part] = block * sin_m[m]
     return Bt
 
 
-def _least_squares(G, project, evaluate, V, basis):
+def _least_squares(G, BtV, V, refine, residual, basis):
     """Least-squares coefficients of the samples V (n, c) over a real basis
     B (n, k), and the rms over samples of the residual norm.
 
     The basis enters as its Gram matrix G = B^T B (k, k), which is factored
-    in place, and through project(R) = B^T R and evaluate(x) = B x; basis()
-    returns the transposed basis B^T (k, n) and is called only on the SVD
-    fallback. Requires n >= k; non-finite samples raise ValueError. The
-    normal equations are solved by Cholesky with one step of iterative
-    refinement on the residual, which gives the least-squares solution to
-    working accuracy for a well-conditioned basis. When the Cholesky
-    factorization fails or the estimate of cond_1(G) exceeds
-    _MAX_NORMAL_COND, the SVD least-squares solver runs instead. Raises
-    EngineError for underdetermined, rank-deficient or ill-conditioned
-    systems.
+    in place, B^T V (k, c), and two functions of coefficients x (k, c):
+    refine(x) = B^T (V - B x) and residual(x), the sum over samples of
+    |V - B x|^2. basis() returns the transposed basis B^T (k, n) and is
+    called only on the SVD fallback. Requires n >= k; non-finite samples
+    raise ValueError. The normal equations are solved by Cholesky with one
+    step of iterative refinement on the residual, which gives the
+    least-squares solution to working accuracy for a well-conditioned
+    basis. When the Cholesky factorization fails or the estimate of
+    cond_1(G) exceeds _MAX_NORMAL_COND, the SVD least-squares solver runs
+    instead. Raises EngineError for underdetermined, rank-deficient or
+    ill-conditioned systems.
     """
     k, n = G.shape[0], V.shape[0]
     if n < k:
         raise EngineError(f"underdetermined fit: {n} samples < {k} basis columns")
     if not np.isfinite(V).all():
         raise ValueError("samples must be finite")
-    norm_1 = np.abs(G).sum(axis=0).max()
-    # G is symmetric: its transpose is G in the Fortran order dpotrf
-    # overwrites
+    # G is symmetric: its transpose is G in the Fortran order that dlange
+    # reads and dpotrf overwrites
+    norm_1 = lapack.dlange("1", G.T)
     factor, info = lapack.dpotrf(G.T, overwrite_a=True)
     if info == 0:
         rcond, info = lapack.dpocon(factor, norm_1)
     if info == 0 and rcond * _MAX_NORMAL_COND >= 1.0:
-        coef, _ = lapack.dpotrs(factor, project(V))
-        correction, _ = lapack.dpotrs(factor, project(V - evaluate(coef)))
+        coef, _ = lapack.dpotrs(factor, BtV)
+        correction, _ = lapack.dpotrs(factor, refine(coef))
         coef = coef + correction
     else:
         coef, _, rank, sv = np.linalg.lstsq(basis().T, V, rcond=None)
@@ -603,8 +644,7 @@ def _least_squares(G, project, evaluate, V, basis):
         cond = sv[0] / sv[-1]
         if cond > 1e12:
             raise EngineError(f"basis condition estimate {cond:.3e} too large")
-    resid = ((V - evaluate(coef)) ** 2).sum(axis=1)
-    return coef, float(np.sqrt(resid.mean()))
+    return coef, float(np.sqrt(residual(coef) / n))
 
 
 def _check_domains_match(weights, coords):
@@ -655,13 +695,6 @@ def reconstruct_full(weights, coords):
     return np.ascontiguousarray(vals.real)
 
 
-def _block_size(n_max):
-    """Vertices per block of reconstruct_fast: about 7 (n_max + 2) float64
-    values per vertex, the angle rows and the kernel's GEMM output, within
-    _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (56 * (n_max + 2)))
-
-
 def reconstruct_fast(weights, coords):
     """Evaluate the expansion as a double Fourier series in real arithmetic.
 
@@ -681,11 +714,7 @@ def reconstruct_fast(weights, coords):
     coef[m < 0] = -2.0 * q[m < 0].imag
     fold = _fold(n_max, coef)
     out = np.empty((coords.n, 3))
-    step = _block_size(n_max)
-    for first in range(0, coords.n, step):
-        part = slice(first, first + step)
-        rows = _angle_rows(
-            CurvilinearCoords(coords.eta[part], coords.phi[part], coords.domain), n_max)
+    for part, rows in _row_blocks(coords, n_max, _block_size(n_max)):
         out[part] = _synthesize(fold, *rows)
     return out
 

@@ -479,10 +479,6 @@ class FaceGeometry:
             raise DegenerateMeshError("mesh has no area or a collapsed face")
         return self.masses / total
 
-    def face_gradients(self, u):
-        """(n_f, 3) gradient of the piecewise-linear interpolant of u."""
-        return np.einsum("fkc,fk->fc", self.hat_gradients(), u[self.faces])
-
     def vertex_gradients(self, u):
         """(n_v, 3) area-weighted average of the face gradients around each vertex."""
         index, n_v = self.faces.ravel(), self.points.shape[0]

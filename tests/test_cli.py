@@ -507,13 +507,16 @@ def test_guard_violation_exits_5(oblate_obj, tmp_path, capsys):
 def test_fit_memory_guard_exits_5(oblate_obj, tmp_path, monkeypatch, capsys):
     from equimesh import harmonics
 
-    # 162 samples at degree 6 take 91784 bytes of rows and Gram matrix
-    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", 2**16)
+    # every fit takes the SVD fallback, whose dense basis of 162 samples x
+    # 49 columns takes 63504 bytes
+    monkeypatch.setattr(harmonics, "_MAX_NORMAL_COND", 0.0)
+    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", 63504 - 1)
     out = tmp_path / "w.txt"
     rc = main(["decompose", "--in", str(oblate_obj), "--out", str(out),
                "--nmax", "6"])
     assert rc == 5
-    assert "fit of 162 samples at degree 6 needs 0.1 MiB" in capsys.readouterr().err
+    assert ("dense fit basis of 162 samples x 49 columns needs 0.1 MiB"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -27,9 +27,11 @@ from equimesh.harmonics import (
     _angle_rows,
     _fit_tables,
     _fold,
+    _apply_table,
     _least_squares,
     _legendre_blocks,
     _moment_gram,
+    _moments,
     _multiple_angles,
     _project,
     _real_basis,
@@ -450,7 +452,7 @@ def test_decompose_rejects_non_finite_vertices(bad):
     samples = np.ones((4, 3))
     samples[0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        _least_squares(np.eye(2), None, None, samples, None)
+        _least_squares(np.eye(2), None, samples, None, None, None)
 
 
 def test_decompose_rejects_vertex_count_mismatch(oblate_dom):
@@ -653,35 +655,116 @@ def test_svd_fallback_guards_dense_basis_memory(monkeypatch):
     decompose(mesh, coords, ExpansionConfig(12))
 
 
-def test_fit_guards_rows_and_gram_memory(monkeypatch):
-    # 8 (n_max + 1) cos/sin values per sample and the beta^2 Gram matrix,
-    # refused before any row is built
+def test_fit_guard_refuses_dense_basis_before_its_rows(monkeypatch):
+    # the moment pass builds the moment rows; the SVD fallback would build
+    # the short rows, and the guard refuses its basis before the first one
+    mesh, coords = _ill_conditioned_fixture()
+    built, angle_rows = [], harmonics._angle_rows
+
+    def spy(coords, n_max, moments=False, part=slice(None)):
+        built.append(moments)
+        return angle_rows(coords, n_max, moments, part)
+
+    monkeypatch.setattr(harmonics, "_angle_rows", spy)
+    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", coords.n * 169 * 8 - 1)
+    with pytest.raises(GuardError, match=rf"^dense fit basis of {coords.n} samples"):
+        decompose(mesh, coords, ExpansionConfig(12))
+    assert built and all(built)
+
+
+def test_fit_is_not_limited_by_its_rows_and_gram_matrix(monkeypatch):
+    # the fit used to refuse 64 (n_max + 1) bytes of cos/sin rows per sample
+    # plus the 8 (n_max + 1)^4 bytes of G; the limit now guards only the
+    # SVD fallback's dense basis, which this well-conditioned fit never builds
     weights, coords, faces = _cap_fixture()
     mesh = TriangleMesh(reconstruct_fast(weights, coords), faces)
-    nbytes = 64 * 13 * coords.n + 8 * 13**4
+    size = weights.n_max + 1
+    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES",
+                        64 * size * coords.n + 8 * size**4 - 1)
+    got = decompose(mesh, coords, ExpansionConfig(weights.n_max))
+    assert np.abs(got.q - weights.q).max() < 1e-12
 
-    def refused(*args, **kwargs):
-        raise AssertionError("the rows were built")
 
-    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", nbytes - 1)
-    monkeypatch.setattr(harmonics, "_angle_rows", refused)
-    with pytest.raises(GuardError, match=rf"^fit of {coords.n} samples at degree 12 "
-                       r"needs \d+\.\d MiB, more than \d+\.\d MiB$"):
-        decompose(mesh, coords, ExpansionConfig(12))
-    monkeypatch.undo()
-    monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", nbytes)
-    decompose(mesh, coords, ExpansionConfig(12))
+def _real_coef(weights):
+    """Real coefficients of the weights in the column order of _FitTables:
+    a_nm = (2 - delta_m0) Re q_nm and b_nm = -2 Im q_nm, exact for fitted
+    weights."""
+    n, m = full_orders(weights.n_max)
+    column = _fit_tables(weights.n_max).column
+    n, m = n[column], m[column]
+    q = weights.q[FourierWeights.row_index(n, np.abs(m))]
+    coef = np.where(m[:, None] > 0, 2.0 * q.real, q.real)
+    coef[m < 0] = -2.0 * q[m < 0].imag
+    return coef
+
+
+def test_fit_vertex_blocks_match_one_block(monkeypatch):
+    weights, coords, faces = _FIT_FIXTURES["prolate-r3-n12"]()
+    mesh = TriangleMesh(reconstruct_fast(weights, coords), faces)
+    config = ExpansionConfig(weights.n_max)
+    assert harmonics._block_size(weights.n_max, moments=True) > coords.n
+    # a copy of (G, B^T V) of every fit: G is factored in place
+    seen, least_squares = [], harmonics._least_squares
+
+    def spy(G, BtV, *args):
+        seen.append((G.copy(), BtV.copy()))
+        return least_squares(G, BtV, *args)
+
+    monkeypatch.setattr(harmonics, "_least_squares", spy)
+    one_block = decompose(mesh, coords, config)
+    (G_one, BtV_one), = seen
+    # the fit's working set per vertex, as _block_size counts it
+    per_vertex = 88 * (weights.n_max + 2)
+    for count in (1, coords.n - 1, coords.n, coords.n + 1):
+        monkeypatch.setattr(harmonics, "_BLOCK_BYTES", count * per_vertex)
+        assert harmonics._block_size(weights.n_max, moments=True) == count
+        got = decompose(mesh, coords, config)
+        G, BtV = seen[-1]
+        assert np.abs(G - G_one).max() <= 1e-13 * np.abs(G_one).max()
+        assert np.abs(BtV - BtV_one).max() <= 1e-13 * np.abs(BtV_one).max()
+        assert np.abs(got.q - one_block.q).max() <= 1e-12
+        assert got.conjugate_error() == 0.0
+
+
+def test_one_block_fit_equals_the_fit_on_whole_sampling_rows(monkeypatch):
+    # protrusion_weights fits 642 samples at degree 12, one block: bit for
+    # bit the normal equations on the moment rows of the whole sampling
+    calls = []
+
+    def spy(mesh, coords, config):
+        calls.append((mesh, coords, config.n_max))
+        return decompose(mesh, coords, config)
+
+    monkeypatch.setattr(benchmarks, "decompose", spy)
+    got = benchmarks.protrusion_weights()
+    (mesh, coords, n_max), = calls
+    assert coords.n <= harmonics._block_size(n_max, moments=True)
+    rows, V = _angle_rows(coords, n_max, moments=True), mesh.vertices
+
+    def residual(coef):
+        return V - _synthesize(_fold(n_max, coef), *rows)
+
+    coef, rms = _least_squares(
+        _moment_gram(n_max, _moments(*rows)),
+        _apply_table(n_max, _project(n_max, *rows, V)),
+        V,
+        lambda c: _apply_table(n_max, _project(n_max, *rows, residual(c))),
+        lambda c: (residual(c) ** 2).sum(axis=1).sum(),
+        None,
+    )
+    assert np.array_equal(_real_coef(got), coef)
+    assert got.residual_rms == rms
 
 
 def _check_moment_products(coords, n_max, rng):
     """The moment Gram, B^T R and B c against products with the dense basis."""
     rows = _angle_rows(coords, n_max, moments=True)
-    Bt = _real_basis(n_max, *rows)
+    Bt = _real_basis(n_max, coords)
     R = rng.normal(size=(coords.n, 3))
     coef = rng.normal(size=(Bt.shape[0], 3))
     for got, want in (
-        (_moment_gram(n_max, *rows), Bt @ Bt.T),
-        (_project(n_max, *rows, R), Bt @ R),
+        (_moment_gram(n_max, _moments(*rows)), Bt @ Bt.T),
+        (_apply_table(n_max, _project(n_max, *rows, R)), Bt @ R),
         (_synthesize(_fold(n_max, coef), *rows), Bt.T @ coef),
     ):
         assert got.shape == want.shape
@@ -724,20 +807,34 @@ def test_decompose_memory_stays_below_dense_basis():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < 20 * 2**20
     assert np.abs(got.q - weights.q).max() < 1e-12
+
+
+def test_fit_memory_does_not_grow_with_the_sampling():
+    # the Gram matrix and its factor set the peak; the rows of one vertex
+    # block add about 1 MiB (116 MiB at refinement 6 with the rows of
+    # every vertex)
+    config, peaks = ExpansionConfig(30), []
+    for refinement in (4, 6):
+        weights, coords, faces = _bumpy_fixture(benchmarks.oblate_domain(), refinement, 30)
+        mesh = TriangleMesh(reconstruct_fast(weights, coords), faces)
+        decompose(mesh, coords, config)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            got = decompose(mesh, coords, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.abs(got.q - weights.q).max() < 1e-12
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_reconstruct_fast_vertex_blocks_match_one_block(oblate_dom, rng):
     n_max = 12
     w = _random_consistent_weights(n_max, oblate_dom, rng)
     block = harmonics._block_size(n_max)
-    column = _fit_tables(n_max).column
-    n, m = full_orders(n_max)
-    n, m = n[column], m[column]
-    q = w.q[FourierWeights.row_index(n, np.abs(m))]
-    coef = np.where(m[:, None] > 0, 2.0 * q.real, q.real)
-    coef[m < 0] = -2.0 * q[m < 0].imag
+    coef = _real_coef(w)
     for count in (0, 1, block - 1, block, block + 1):
         eta = rng.uniform(-1.4, 1.4, count)
         phi = rng.uniform(0.0, 2.0 * np.pi, count)
