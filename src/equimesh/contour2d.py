@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dptsv
 
 from .diffusion import MAX_DT_HALVINGS, TraceTable, column
 from .errors import (
@@ -364,16 +365,19 @@ def _ring_implicit_step(masses, conductance, u, dt):
     diag[-1] -= off[0]
     corner = off[0]
     gamma = -diag[0]
-    band = np.empty((2, diag.shape[0]))
-    band[0] = off  # band[0, 0] is outside the matrix
-    band[1] = diag
-    band[1, 0] -= gamma
-    band[1, -1] -= corner * corner / gamma
-    rhs = np.zeros((diag.shape[0], 2))
+    diag[0] -= gamma
+    diag[-1] -= corner * corner / gamma
+    rhs = np.zeros((diag.shape[0], 2), order="F")
     rhs[:, 0] = masses * u
     rhs[0, 1] = gamma
     rhs[-1, 1] = corner
-    y, z = solveh_banded(band, rhs, check_finite=False).T
+    # solveh_banded runs this LAPACK solve on a band of two rows; calling
+    # it directly skips the band copy and the checks
+    _, _, solution, info = dptsv(diag, off[1:], rhs, overwrite_d=True,
+                                 overwrite_e=True, overwrite_b=True)
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
+    y, z = solution.T
     ratio = corner / gamma
     return y - z * (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])
 

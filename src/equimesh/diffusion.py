@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +105,12 @@ class TraceTable:
     """Per-iteration log whose dataclass fields made by `column` are its
     columns, in CSV order. Rows are appended by column name."""
 
-    def columns(self):
-        """(name, kind) of each column, in CSV order."""
-        return [(f.name, f.metadata["column"]) for f in fields(self)
-                if "column" in f.metadata]
+    @classmethod
+    @cache
+    def columns(cls):
+        """(name, kind) of each column, in CSV order; read once per class."""
+        return tuple((f.name, f.metadata["column"]) for f in fields(cls)
+                     if "column" in f.metadata)
 
     @property
     def n_rows(self):

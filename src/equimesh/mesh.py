@@ -101,15 +101,7 @@ class TriangleMesh:
             raise ValueError("face index out of range")
         if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])):
             raise ValueError("degenerate face (repeated vertex index)")
-        edges = self.directed_edges()
-        n = self.n_v
-        directed_key = edges[:, 0] * n + edges[:, 1]
-        if np.unique(directed_key).size != directed_key.size:
-            raise TopologyError(
-                "non-manifold or inconsistently oriented edge "
-                "(directed edge used twice)"
-            )
-        return _single_boundary_loop(edges, n)
+        return _single_boundary_loop(self.directed_edges(), self.n_v)
 
     def boundary_loop(self):
         """Ordered vertex indices of the boundary, or None when closed."""
@@ -123,7 +115,8 @@ class TriangleMesh:
         """(n_e, 2) vertex pairs lo < hi, one per edge, in lexicographic order."""
         e = self.directed_edges()
         n = self.n_v
-        key = np.unique(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
+        key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
+        key = key[_run_starts(key)]
         return np.column_stack([key // n, key % n])
 
     def mean_edge_length(self):
@@ -139,17 +132,46 @@ class TriangleMesh:
         return TriangleMesh(vertices, self.faces)
 
 
+def _run_starts(sorted_keys):
+    """Flags over sorted keys: True where a run of equal keys starts.
+
+    With a sort, this is np.unique without its hash path, which is many
+    times slower than np.sort on int64 keys: sorted_keys[flags] are the
+    unique keys, and cumsum(flags) - 1 numbers each key's run.
+    """
+    starts = np.ones(sorted_keys.shape, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
+
+
 def _single_boundary_loop(edges, n_v):
     """The one loop of directed edges whose undirected edge has a single
-    face, or None; TopologyError when there is more than one loop."""
+    face, or None.
+
+    TopologyError when a directed edge is used twice or when there is
+    more than one loop. One sort serves both checks: the key of each edge
+    is its undirected key with its direction in the lowest bit.
+    """
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    _, inverse, counts = np.unique(lo * n_v + hi, return_inverse=True,
-                                   return_counts=True)
-    loops = _chain_loops(edges[counts[inverse] == 1])
+    key = (lo * n_v + hi) * 2 + (edges[:, 0] > edges[:, 1])
+    ordered = np.sort(key)
+    if not _run_starts(ordered).all():
+        raise TopologyError(
+            "non-manifold or inconsistently oriented edge "
+            "(directed edge used twice)"
+        )
+    # an undirected edge of one face is a run of length one
+    starts = _run_starts(ordered >> 1)
+    single = ordered[starts & np.append(starts[1:], True)]
+    if single.size == 0:
+        return None
+    # look each edge's key up among the single ones, keeping edge order
+    at = np.minimum(np.searchsorted(single, key), single.size - 1)
+    loops = _chain_loops(edges[single[at] == key])
     if len(loops) > 1:
         raise TopologyError(f"{len(loops)} boundary loops (at most one supported)")
-    return loops[0] if loops else None
+    return loops[0]
 
 
 def _chain_loops(boundary_edges):
@@ -416,13 +438,21 @@ def icosphere(refinements):
         dtype=np.int64,
     )
     for _ in range(refinements):
-        # face edges ab, bc, ca; each midpoint is numbered by its first use
-        edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
-        keys = edges.min(axis=1) * len(verts) + edges.max(axis=1)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        ab, bc, ca = (len(verts) + np.argsort(order)[inverse]).reshape(-1, 3).T
-        m = verts[edges[first[order]]].sum(axis=1)
+        # face edges ab, bc, ca as (lo, hi) pairs; each midpoint is
+        # numbered by the first use of its edge
+        ends = faces, np.roll(faces, -1, axis=1)
+        lo, hi = np.minimum(*ends).ravel(), np.maximum(*ends).ravel()
+        keys = lo * len(verts) + hi
+        order = np.argsort(keys)
+        starts = _run_starts(keys[order])
+        first = np.minimum.reduceat(order, np.flatnonzero(starts))
+        used = np.zeros(lo.shape, dtype=bool)
+        used[first] = True
+        number = len(verts) + np.cumsum(used) - 1
+        mid = np.empty_like(lo)
+        mid[order] = number[first][np.cumsum(starts) - 1]
+        ab, bc, ca = mid.reshape(-1, 3).T
+        m = verts[lo[used]] + verts[hi[used]]
         # the batched row dot rounds as np.linalg.norm does on one row
         m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
         verts = np.concatenate([verts, m])
@@ -451,8 +481,12 @@ class FaceGeometry:
     def __init__(self, points, faces):
         self.points = points
         self.faces = faces
-        p = points[faces]
-        self.edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+        # two row gathers, faster than fancy indexing the middle axis of
+        # points[faces]; edges[:, k] stays one contiguous (n_f, 3) block,
+        # which the per-edge products below and the operators read
+        corners = faces.T
+        self.edges = (np.take(points, corners[[2, 0, 1]], axis=0)
+                      - np.take(points, corners[[1, 2, 0]], axis=0)).transpose(1, 0, 2)
         # cross(e2, -e1) is cross(p1 - p0, p2 - p0): negation is exact
         cross = np.cross(self.edges[:, 2], -self.edges[:, 1])
         self.double_area = np.linalg.norm(cross, axis=1)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from equimesh.benchmarks import blob_contour, ellipse_contour
 from equimesh import contour2d
@@ -590,6 +591,13 @@ def test_ring_implicit_step_matches_dense(n):
         expected = np.linalg.solve(system, masses * u)
         got = contour2d._ring_implicit_step(masses, conductance, u, dt)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_ring_implicit_step_refuses_a_band_that_is_not_positive_definite():
+    # negative masses: the first pivot of the band is already negative
+    n = 8
+    with pytest.raises(LinAlgError, match="leading minor not positive definite$"):
+        contour2d._ring_implicit_step(-np.ones(n), np.ones(n), np.ones(n), 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,19 @@ def test_multiple_angles_first_rows_are_exact():
                           [[np.ones(97)], [np.zeros(97)]])
 
 
+@pytest.mark.parametrize("n_max", [4, 12, 30])
+@pytest.mark.parametrize("moments", [False, True])
+def test_angle_rows_equal_one_recurrence_per_angle(n_max, moments):
+    coords, _ = sample_icosphere(benchmarks.oblate_domain(), 2)
+    part = slice(5, 150)
+    t_rows, phi_rows = _angle_rows(coords, n_max, moments, part)
+    xi = harmonics._checked_xi(harmonics.xi_of_eta(coords.domain, coords.eta[part]))
+    phi = coords.phi[part]
+    t_count, phi_count = (2 * n_max + 3, 2 * n_max + 1) if moments else (n_max + 2, n_max + 1)
+    assert np.array_equal(t_rows, _multiple_angles(xi, np.sqrt(1.0 - xi * xi), t_count))
+    assert np.array_equal(phi_rows, _multiple_angles(np.cos(phi), np.sin(phi), phi_count))
+
+
 # ---------------------------------------------------------------------------
 # basis matrix
 

@@ -1,8 +1,9 @@
-"""Every import in the sources, tests and demos is used.
+"""Source scans: every import in the sources, tests and demos is used,
+and the package never takes numpy's hashing unique.
 
 A name bound by an import must be read somewhere in its module. A
-package's `__init__.py` imports to re-export, so it is left out. The scan
-is plain `ast`, so it needs no linter.
+package's `__init__.py` imports to re-export, so it is left out. The
+scans are plain `ast`, so they need no linter.
 """
 
 import ast
@@ -44,3 +45,46 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text())
              for path in FILES}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def hashed_unique_calls(source):
+    """Lines where `source` reaches numpy's hashing unique: np.unique (or
+    numpy.unique) called for the values alone, np.unique_values, or
+    either imported by name from numpy. The forms that also return
+    indices, an inverse or counts sort, and are left alone."""
+    sorting = {"return_index", "return_inverse", "return_counts"}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            lines.extend(node.lineno for alias in node.names
+                         if alias.name in ("unique", "unique_values"))
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")):
+            continue
+        values_only = (node.func.attr == "unique" and len(node.args) < 2
+                       and not sorting & {kw.arg for kw in node.keywords})
+        if values_only or node.func.attr == "unique_values":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_flags_hashed_unique():
+    source = (
+        "import numpy as np\nfrom numpy import sort, unique_values\n"
+        "keys = np.sort(x)\nvalues = np.unique(keys)\n"
+        "keys, inverse = np.unique(keys, return_inverse=True)\n"
+        "mesh.unique_edges()\nnumpy.unique_values(keys)\n"
+    )
+    assert hashed_unique_calls(source) == [2, 4, 7]
+
+
+def test_package_does_not_hash_for_unique_values():
+    # numpy 2.x answers np.unique for the values alone by hashing, many
+    # times slower than np.sort on int64 keys
+    found = {str(path.relative_to(ROOT)): hashed_unique_calls(path.read_text())
+             for path in sorted((ROOT / "src" / "equimesh").rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}, (
+        "sort the keys and keep equimesh.mesh._run_starts of them "
+        "instead of np.unique"
+    )

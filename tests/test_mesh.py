@@ -18,7 +18,12 @@ from equimesh import (
     save_mesh,
     vertex_voronoi_areas,
 )
-from equimesh.mesh import _point_triangle_distance, ring_lengths
+from equimesh.mesh import (
+    _chain_loops,
+    _point_triangle_distance,
+    _run_starts,
+    ring_lengths,
+)
 
 
 def tetrahedron():
@@ -83,14 +88,14 @@ def test_rejects_inconsistent_orientation():
     # two triangles sharing edge (1,2) traversed the same way twice
     v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
     f = [[0, 1, 2], [3, 1, 2]]
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match=r"\(directed edge used twice\)$"):
         TriangleMesh(v, f)
 
 
 def test_rejects_nonmanifold_edge():
     v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]]
     f = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match="^non-manifold or inconsistently oriented edge"):
         TriangleMesh(v, f)
 
 
@@ -101,8 +106,23 @@ def test_rejects_two_boundary_loops():
         [10, 0, 0], [11, 0, 0], [10, 1, 0],
     ]
     f = [[0, 1, 2], [3, 4, 5]]
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match=r"^2 boundary loops \(at most one supported\)$"):
         TriangleMesh(v, f)
+
+
+def test_rejects_non_manifold_boundary_vertex():
+    # two triangles that share only vertex 0: two boundary edges leave it
+    v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+    f = [[0, 1, 2], [0, 3, 4]]
+    with pytest.raises(TopologyError, match="^non-manifold boundary vertex$"):
+        TriangleMesh(v, f)
+
+
+def test_directed_edge_check_runs_before_the_boundary_check():
+    # face 1 repeats the directed edge 0 -> 1 and leaves an open rim
+    v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0]]
+    with pytest.raises(TopologyError, match="directed edge used twice"):
+        TriangleMesh(v, [[0, 1, 2], [0, 1, 3]])
 
 
 def test_vertices_are_readonly():
@@ -118,11 +138,56 @@ def test_with_vertices_keeps_connectivity():
     assert m2.total_area() == pytest.approx(4.0 * m.total_area())
 
 
-def test_unique_edges_match_sorted_unique():
+def _boundary_loop_by_unique(mesh):
+    """The boundary loop as found with np.unique: the edges whose
+    undirected key is counted once, chained in directed-edge order."""
+    edges = mesh.directed_edges()
+    lo, hi = np.sort(edges, axis=1).T
+    _, inverse, counts = np.unique(lo * mesh.n_v + hi, return_inverse=True,
+                                   return_counts=True)
+    loops = _chain_loops(edges[counts[inverse] == 1])
+    return loops[0] if loops else None
+
+
+def _cap(rings, sectors):
     domain = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
-    coords, faces = sample_cap_grid(domain, rings=40, sectors=64)
-    cap = TriangleMesh(forward_coords(domain, coords.eta, coords.phi), faces)
-    for mesh in (icosphere(2), cap):
+    coords, faces = sample_cap_grid(domain, rings=rings, sectors=sectors)
+    return TriangleMesh(forward_coords(domain, coords.eta, coords.phi), faces)
+
+
+@pytest.mark.parametrize("rings, sectors", [(1, 3), (3, 8), (12, 40), (40, 64)])
+def test_cap_boundary_loop_order_matches_unique_reference(rings, sectors):
+    cap = _cap(rings, sectors)
+    loop = cap.boundary_loop()
+    assert np.array_equal(loop, _boundary_loop_by_unique(cap))
+    assert loop.size == sectors
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sort_helpers_match_np_unique(seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values, so most keys repeat; one key alone at the end
+    keys = np.append(rng.integers(-50, 50, 2000), 10**12)
+    values, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    ordered = np.sort(keys)
+    starts = _run_starts(ordered)
+    assert np.array_equal(ordered[starts], values)
+    order = np.argsort(keys)
+    starts = _run_starts(keys[order])
+    assert np.array_equal(keys[order[starts]], values)
+    assert np.array_equal(np.minimum.reduceat(order, np.flatnonzero(starts)), first)
+    run = np.empty_like(order)
+    run[order] = np.cumsum(starts) - 1
+    assert np.array_equal(run, inverse)
+    assert np.array_equal(np.diff(np.append(np.flatnonzero(starts), keys.size)), counts)
+    # a single key and no keys
+    assert np.array_equal(_run_starts(keys[:1]), [True])
+    assert _run_starts(keys[:0]).shape == (0,)
+
+
+def test_unique_edges_match_sorted_unique():
+    for mesh in (icosphere(2), _cap(40, 64)):
         expected = np.unique(np.sort(mesh.directed_edges(), axis=1), axis=0)
         assert np.array_equal(mesh.unique_edges(), expected)
 
@@ -150,6 +215,32 @@ def test_icosphere_faces_point_outward(r):
     p = m.vertices[m.faces]
     normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     assert np.all(np.einsum("ij,ij->i", normals, p.mean(axis=1)) > 0.0)
+
+
+def _icosphere_by_unique(refinements):
+    """Vertices and faces of icosphere(refinements) as numbered with
+    np.unique: each midpoint by the first use of its edge."""
+    verts, faces = icosphere(0).vertices, icosphere(0).faces
+    for _ in range(refinements):
+        edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+        keys = edges.min(axis=1) * len(verts) + edges.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ab, bc, ca = (len(verts) + np.argsort(order)[inverse]).reshape(-1, 3).T
+        m = verts[edges[first[order]]].sum(axis=1)
+        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+        verts = np.concatenate([verts, m])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1).reshape(-1, 3)
+    return verts, faces
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_icosphere_matches_unique_reference(r):
+    verts, faces = _icosphere_by_unique(r)
+    m = icosphere(r)
+    assert np.array_equal(m.vertices, verts)
+    assert np.array_equal(m.faces, faces)
 
 
 def test_icosphere_valid_closed_mesh():

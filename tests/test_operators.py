@@ -370,6 +370,16 @@ def test_kernel_matches_oracles(builder, gamma):
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
+@pytest.mark.parametrize("builder", [bumpy_sphere, open_cap])
+def test_face_edges_equal_fancy_indexed_edges(builder):
+    mesh = builder()
+    p = mesh.vertices[mesh.faces]
+    edges = FaceGeometry(mesh.vertices, mesh.faces).edges
+    assert np.array_equal(edges, p[:, [2, 0, 1]] - p[:, [1, 2, 0]])
+    # the layout the per-edge products are fast on, as fancy indexing gives it
+    assert all(edges[:, k].flags.c_contiguous for k in range(3))
+
+
 @pytest.mark.parametrize("ratio, collapsed", [(1e-6, False), (1e-10, True)])
 def test_collapse_check_agrees_with_svd(ratio, collapsed):
     # centred x spread sqrt(1/2), y spread sqrt(2/3) h: sigma2/sigma1 = 1.1547 h
