@@ -68,7 +68,7 @@ from .operators import (
     max_diffusion_rate,
     vertex_mass_matrix,
 )
-from .solver import backward_euler_step, estimate_dt, solve_sparse
+from .solver import StepMatrix, backward_euler_step, estimate_dt, solve_sparse
 from .diffusion import (
     DiffusionConfig,
     DiffusionTrace,

@@ -7,9 +7,12 @@ advects vertices up the diffused density gradient, and pulls them back to
 the shell. The weights object is never touched: remeshing only re-samples
 the same morphology.
 
-Connectivity is fixed, so a run builds its `MeshTopology` once and makes
-one `mesh.FaceGeometry` pass per reconstructed vertex array, the source of
-every area, normal, mass and gradient, reused after acceptance. Engine
+Connectivity is fixed, so a run checks its mesh, lists its edges and
+builds its `MeshTopology` (with the implicit step's matrix) once, and
+makes one `mesh.FaceGeometry` pass per reconstructed vertex array, the
+source of every area, normal, mass and gradient, reused after acceptance.
+From a stage's second row on, each solve starts from u plus the last
+accepted increment, rescaled to the candidate's time step. Engine
 failures, geometric ones included, raise `EngineError` subclasses carrying
 the partial trace. A trace is a `TraceTable`: its columns are declared once,
 as fields, and `contour2d.ContourTrace` is the planar one.
@@ -25,9 +28,9 @@ import numpy as np
 
 from .errors import EngineError, GuardError
 from .harmonics import reconstruct_fast
-from .mesh import FaceGeometry, TriangleMesh, ring_lengths
+from .mesh import FaceGeometry, TriangleMesh, mean_edge_length, ring_lengths
 from .operators import MeshTopology, stretch_directors
-from .solver import DT_SCALE, backward_euler_step, estimate_dt
+from .solver import DT_SCALE, backward_euler_step
 from .spheroidal import CurvilinearCoords, forward_coords, pullback, surface_normals
 
 __all__ = [
@@ -196,8 +199,8 @@ def update_coordinates(coords, vertex_gradient, dt, domain):
 
 
 def _run_stage(
-    weights, coords, template, topology, rim, config, stage_index, n_stage,
-    i_max, trace, evals,
+    weights, coords, faces, edges, topology, rim, config, stage_index,
+    n_stage, i_max, trace, evals,
 ):
     """One stage; returns (coords, geometry, scale, evals, stop_reason).
 
@@ -205,11 +208,11 @@ def _run_stage(
     one, where every rim term is a no-op or an exact 0.0. An accepted
     candidate's geometry serves the next iteration: normals as flip
     reference, masses for u and the implicit step, areas for averaging and
-    trace.
+    trace. Its rate (u' - u) / dt starts the next rows' solves at
+    u + rate * dt.
     """
     w = weights.truncated(n_stage)
     domain = weights.domain
-    faces = template.faces
     n_v = coords.n
     cost = (n_stage + 1) * (n_stage + 2) // 2 * n_v
 
@@ -231,7 +234,7 @@ def _run_stage(
         trace.initial_area = float(area0)
         trace.initial_boundary_length = float(rim_lengths.sum()) / scale
 
-    dt = dt_first = None
+    dt = dt_first = rate = None
     window = deque(maxlen=_EARLY_STOP_WINDOW)
     stop_reason = "i_max"
 
@@ -241,8 +244,9 @@ def _run_stage(
             directors = stretch_directors(geometry, config.gamma)
             alpha = directors[3]
         if dt is None:
-            mesh = template.with_vertices(geometry.points)
-            dt = dt_first = estimate_dt(mesh, alpha, c=config.dt_scale)
+            # solver.estimate_dt on the unit-area mesh
+            h = mean_edge_length(geometry.points, edges)
+            dt = dt_first = config.dt_scale * h * h / alpha
         else:
             # each accepted step doubles the next, up to the ceiling or
             # the first step if that is larger
@@ -254,7 +258,11 @@ def _run_stage(
         candidate = None
         for _ in range(MAX_DT_HALVINGS + 1):
             rhs_extra = _rim_source(rim, u, edge_masses, dt)
-            u_diffused = backward_euler_step(geometry.masses, L, u, dt, rhs_extra)
+            u_diffused = backward_euler_step(
+                geometry.masses, L, u, dt, rhs_extra,
+                step_matrix=topology.step_matrix,
+                x0=None if rate is None else u + rate * dt,
+            )
             velocity = (
                 geometry.vertex_gradients(u_diffused)
                 / np.maximum(u_diffused, 1e-15)[:, None]
@@ -285,6 +293,7 @@ def _run_stage(
             stop_reason = "stalled"
             break
 
+        rate = (u_diffused - u) / dt
         coords, geometry, u = candidate
 
         std_now = float(u.std())
@@ -327,6 +336,7 @@ def diffuse_remesh(weights, initial_coords, faces, config):
             )
     # the connectivity checks need the vertex count only
     template = TriangleMesh(np.zeros((initial_coords.n, 3)), faces)
+    edges = template.unique_edges()
     topology = MeshTopology(template.faces, template.n_v)
     loop = template.boundary_loop()
     # a closed surface is the open case with an empty rim
@@ -337,7 +347,7 @@ def diffuse_remesh(weights, initial_coords, faces, config):
     try:
         for k, (n_stage, i_max) in enumerate(config.stages):
             coords, geometry, scale, evals, stop_reason = _run_stage(
-                weights, coords, template, topology, rim, config,
+                weights, coords, template.faces, edges, topology, rim, config,
                 stage_index=k, n_stage=n_stage, i_max=i_max, trace=trace,
                 evals=evals,
             )

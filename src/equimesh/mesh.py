@@ -30,6 +30,7 @@ __all__ = [
     "load_mesh",
     "save_mesh",
     "icosphere",
+    "mean_edge_length",
     "ring_lengths",
     "face_metrics",
     "vertex_voronoi_areas",
@@ -120,9 +121,7 @@ class TriangleMesh:
         return np.column_stack([key // n, key % n])
 
     def mean_edge_length(self):
-        e = self.unique_edges()
-        d = self.vertices[e[:, 0]] - self.vertices[e[:, 1]]
-        return float(np.mean(np.linalg.norm(d, axis=1)))
+        return mean_edge_length(self.vertices, self.unique_edges())
 
     def total_area(self):
         return float(FaceGeometry(self.vertices, self.faces).areas.sum())
@@ -463,6 +462,12 @@ def icosphere(refinements):
 
 # ---------------------------------------------------------------------------
 # per-face and per-vertex measures
+
+def mean_edge_length(points, edges):
+    """Mean length of the (n_e, 2) vertex-pair `edges` over `points`."""
+    d = points[edges[:, 0]] - points[edges[:, 1]]
+    return float(np.mean(np.linalg.norm(d, axis=1)))
+
 
 def ring_lengths(points):
     """Segment lengths of the closed polyline through `points`, from each

@@ -4,9 +4,10 @@ One kernel serves every operator. It reads `mesh.FaceGeometry` (edges,
 areas, normals, masses), and `stretch_directors` adds each face's stretch.
 `MeshTopology` fixes the CSR pattern of the weak-form operator
 L = -sum_f A_f g_k^T D_f g_l (g_k = n x e_k / 2A) once per connectivity and
-fills it face by face from the edges (D = I when isotropic). The public
-operators wrap this kernel. Rates are capped at ALPHA_CAP; the SVD-based
-per-face reference they are checked against lives in the tests.
+fills it face by face from the edges (D = I when isotropic); it finds L's
+diagonal slots once too, for the implicit step's matrix in that pattern.
+The public operators wrap this kernel. Rates are capped at ALPHA_CAP; the
+SVD-based per-face reference they are checked against lives in the tests.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import scipy.sparse as sp
 
 from .errors import DegenerateMeshError
 from .mesh import FaceGeometry, vertex_voronoi_areas
+from .solver import StepMatrix
 
 __all__ = [
     "ALPHA_CAP",
@@ -71,7 +73,8 @@ def stretch_directors(geometry, gamma):
 
 
 class MeshTopology:
-    """CSR pattern of L for one connectivity.
+    """CSR pattern of L for one connectivity, and the implicit step's
+    S = M - dt L in it (`step_matrix`), both found once.
 
     scatter maps the corner pairs (k, l) of every face f, in (k, l, f)
     order, to their slots in L.data."""
@@ -82,8 +85,14 @@ class MeshTopology:
         cols = np.tile(faces.T, (3, 1))  # and column corner l
         keys, self.scatter = np.unique((rows * n_v + cols).ravel(),
                                        return_inverse=True)
-        self.indices = keys % n_v
-        self.indptr = np.searchsorted(keys, np.arange(n_v + 1) * n_v)
+        # L[i, i] is where the pairs (k, k) of vertex i's faces land
+        diagonal = np.zeros(n_v, dtype=np.intp)
+        diagonal[faces.T] = self.scatter.reshape(3, 3, -1)[[0, 1, 2], [0, 1, 2]]
+        self.step_matrix = StepMatrix(
+            keys % n_v, np.searchsorted(keys, np.arange(n_v + 1) * n_v), diagonal)
+        # S's pattern in scipy's own index dtype: each L shares it uncopied
+        S = self.step_matrix.matrix
+        self.indices, self.indptr = S.indices, S.indptr
 
     def laplacian(self, geometry, directors=None):
         """L = -sum_f A_f g_k^T D_f g_l, D = I without directors; -L is PSD.

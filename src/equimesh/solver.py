@@ -13,6 +13,7 @@ __all__ = [
     "DT_SCALE",
     "cg",
     "solve_sparse",
+    "StepMatrix",
     "backward_euler_step",
     "estimate_dt",
 ]
@@ -115,20 +116,44 @@ def solve_sparse(matrix, rhs, tolerance=DEFAULT_TOLERANCE, x0=None):
     return x
 
 
+class StepMatrix:
+    """S = M - dt L of the implicit step, kept in L's fixed CSR pattern:
+    `diagonal` holds the slot of each L[i, i] in L.data, found once per
+    pattern (`operators.MeshTopology` builds one per connectivity), and
+    each step rewrites the one data buffer in place."""
+
+    def __init__(self, indices, indptr, diagonal):
+        self.diagonal = np.asarray(diagonal)
+        n = self.diagonal.size
+        self.matrix = sp.csr_matrix((np.zeros(len(indices)), indices, indptr),
+                                    shape=(n, n))
+
+    def fill(self, laplacian, masses, dt):
+        """S for this step: -dt L.data, the masses added in the diagonal
+        slots. `laplacian` is a CSR matrix in this pattern."""
+        S = self.matrix
+        if laplacian.shape != S.shape or laplacian.nnz != S.nnz:
+            raise ValueError("laplacian is not in the step matrix's pattern")
+        np.multiply(laplacian.data, -dt, out=S.data)
+        S.data[self.diagonal] += masses
+        return S
+
+
 def backward_euler_step(
-    vertex_mass, laplacian, u_i, dt, rhs_extra=None, tolerance=DEFAULT_TOLERANCE
+    vertex_mass, laplacian, u_i, dt, rhs_extra=None, tolerance=DEFAULT_TOLERANCE,
+    *, step_matrix, x0=None,
 ):
     """One implicit step of du/dt = Lu: solve (M - dt L) u' = M u (+ extra),
-    starting the solve from u_i.
+    starting the solve from x0 (u_i when None).
 
-    vertex_mass is the lumped mass matrix or its diagonal. S = M - dt L
-    keeps L's CSR pattern, the masses added in its diagonal slots. S is
+    vertex_mass is the lumped mass matrix or its diagonal; S = M - dt L is
+    written into `step_matrix`, a `StepMatrix` in L's pattern. S is
     symmetric positive definite, so conjugate gradient applies. L is
     symmetric with zero row sums, so S 1 = m: adding (sum(b) - m^T x) /
     sum(m) to the solve's x conserves the total mass exactly, m^T u' =
-    m^T u + sum(rhs_extra) to round-off at any tolerance. A dt that is not
-    positive and finite, or a NaN or infinite u_i, mass or rhs_extra,
-    raises ValueError.
+    m^T u + sum(rhs_extra) to round-off at any tolerance and from any
+    start. A dt that is not positive and finite, or a NaN or infinite u_i,
+    mass, rhs_extra or x0, raises ValueError.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -138,12 +163,11 @@ def backward_euler_step(
     masses = _finite("vertex masses", vertex_mass)
     if np.any(masses <= 0.0):
         raise ValueError("vertex masses must be positive")
-    S = sp.csr_matrix(laplacian) * -dt
-    S.setdiag(S.diagonal() + masses)
+    S = step_matrix.fill(laplacian, masses, dt)
     b = masses * u_i
     if rhs_extra is not None:
         b = b + _finite("rhs_extra", rhs_extra)
-    x = solve_sparse(S, b, tolerance=tolerance, x0=u_i)
+    x = solve_sparse(S, b, tolerance=tolerance, x0=u_i if x0 is None else x0)
     return x + (b.sum() - masses @ x) / masses.sum()
 
 

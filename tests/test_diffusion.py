@@ -224,9 +224,12 @@ def test_every_engine_step_conserves_mass_exactly(setup, request, monkeypatch):
     # the cap's rim source adds sum(rhs_extra) to the mass of each step
     _, w, coords, faces = request.getfixturevalue(setup)
     drifts, sources = [], []
+    step = solver.backward_euler_step
 
-    def recording(masses, laplacian, u, dt, rhs_extra):
-        out = solver.backward_euler_step(masses, laplacian, u, dt, rhs_extra)
+    def recording(*args, **kwargs):
+        call = inspect.signature(step).bind(*args, **kwargs).arguments
+        masses, u, rhs_extra = call["vertex_mass"], call["u_i"], call["rhs_extra"]
+        out = step(*args, **kwargs)
         expected = masses @ u + rhs_extra.sum()
         drifts.append(abs(masses @ out - expected) / expected)
         sources.append(abs(rhs_extra).max())
@@ -238,6 +241,62 @@ def test_every_engine_step_conserves_mass_exactly(setup, request, monkeypatch):
     assert len(drifts) >= 6
     assert max(drifts) <= 1e-13
     assert (max(sources) > 0.0) == (setup == "cap_setup")
+
+
+def test_solves_start_from_the_rescaled_last_increment(aggressive_setup, monkeypatch):
+    w, coords, faces = aggressive_setup
+    steps, starts = [], []
+    step, cg = solver.backward_euler_step, solver.cg
+
+    def recording_step(*args, **kwargs):
+        call = inspect.signature(step).bind(*args, **kwargs).arguments
+        out = step(*args, **kwargs)
+        steps.append((call["u_i"], call["dt"], out))
+        return out
+
+    def recording_cg(A, b, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return cg(A, b, x0, *args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "backward_euler_step", recording_step)
+    monkeypatch.setattr(solver, "cg", recording_cg)
+    # steps this long flip faces, so some rows retry at half the step
+    cfg = DiffusionConfig(stages=((10, 3), (15, 5)), dt_scale=60.0, std_tolerance=0.0)
+    _, _, trace = diffuse_remesh(w, coords, faces, cfg)
+    assert trace.stop_reason == "i_max" and len(starts) == len(steps)
+    # a row's candidates, rejected ones first; the last is accepted
+    calls = iter(zip(steps, starts))
+    last = None
+    for row, (stage, halvings) in enumerate(zip(trace.stage, trace.halvings)):
+        if row == 0 or stage != trace.stage[row - 1]:
+            last = None
+        for _ in range(halvings + 1):
+            (u, dt, out), x0 = next(calls)
+            if last is None:
+                assert np.array_equal(x0, u)
+            else:
+                u_prev, dt_prev, out_prev = last
+                expected = u + (out_prev - u_prev) * (dt / dt_prev)
+                assert np.allclose(x0, expected, rtol=1e-12, atol=0.0)
+        last = u, dt, out
+    assert next(calls, None) is None
+    assert sum(trace.halvings) > 0
+
+
+def test_a_run_checks_its_mesh_once(bumpy_setup, monkeypatch):
+    _, w, coords, faces = bumpy_setup
+    built = []
+    init = TriangleMesh.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TriangleMesh, "__init__", counting)
+    cfg = DiffusionConfig(stages=((6, 3), (10, 3)), dt_scale=4.0, std_tolerance=0.0)
+    _, out_mesh, _ = diffuse_remesh(w, coords, faces, cfg)
+    # the template and the result
+    assert len(built) == 2 and built[-1] is out_mesh
 
 
 def test_diffuse_remesh_continuation_hands_off_exactly(bumpy_setup):

@@ -11,9 +11,17 @@ import scipy.sparse as sp
 from equimesh import solver
 from equimesh.errors import SolverError
 from equimesh.mesh import TriangleMesh, icosphere
-from equimesh.operators import laplacian_iso, vertex_mass_matrix
-from equimesh.solver import DT_SCALE, backward_euler_step, cg, estimate_dt, solve_sparse
+from equimesh.operators import MeshTopology, laplacian_iso, vertex_mass_matrix
+from equimesh.solver import (
+    DT_SCALE,
+    StepMatrix,
+    backward_euler_step,
+    cg,
+    estimate_dt,
+    solve_sparse,
+)
 from test_acceptance import bumpy_mesh
+from test_operators import open_cap
 
 
 def spd_system(n, rng):
@@ -171,11 +179,23 @@ def test_cg_refuses_a_zero_diagonal_before_dividing():
 # ---------------------------------------------------------------------------
 # backward Euler
 
+# the hand-built two-vertex L and the slots of its diagonal in L.data
+TWO_VERTEX_L = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+
+
+def two_vertex_step_matrix():
+    return StepMatrix(TWO_VERTEX_L.indices, TWO_VERTEX_L.indptr, [0, 3])
+
+
+def mesh_step_matrix(mesh):
+    return MeshTopology(mesh.faces, mesh.n_v).step_matrix
+
+
 def test_backward_euler_two_vertex_equilibrium():
     M = sp.eye(2).tocsr()
-    L = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
     u = np.array([1.0, 0.0])
-    out = backward_euler_step(M, L, u, dt=1e6, tolerance=1e-10)
+    out = backward_euler_step(M, TWO_VERTEX_L, u, dt=1e6, tolerance=1e-10,
+                              step_matrix=two_vertex_step_matrix())
     assert out == pytest.approx([0.5, 0.5], abs=1e-5)
 
 
@@ -183,9 +203,9 @@ def test_residual_past_ten_times_the_tolerance_raises():
     # the same step at tolerance 1e-12: CG stops, but round-off at
     # cond(M - dt L) = 2e6 leaves the true residual far above 1e-11
     M = sp.eye(2).tocsr()
-    L = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
     with pytest.raises(SolverError, match=r"exceeds tolerance 1\.000e-12$") as exc:
-        backward_euler_step(M, L, np.array([1.0, 0.0]), dt=1e6, tolerance=1e-12)
+        backward_euler_step(M, TWO_VERTEX_L, np.array([1.0, 0.0]), dt=1e6,
+                            tolerance=1e-12, step_matrix=two_vertex_step_matrix())
     assert exc.value.residual > 10.0 * 1e-12
 
 
@@ -197,8 +217,9 @@ def test_backward_euler_conserves_mass():
     u = rng.uniform(0.5, 2.0, mesh.n_v)
     total0 = float(np.ones(mesh.n_v) @ (M @ u))
     dt = estimate_dt(mesh)
+    step_matrix = mesh_step_matrix(mesh)
     for _ in range(10):
-        u = backward_euler_step(M, L, u, dt)
+        u = backward_euler_step(M, L, u, dt, step_matrix=step_matrix)
     total = float(np.ones(mesh.n_v) @ (M @ u))
     assert abs(total - total0) / abs(total0) < 1e-9
 
@@ -214,8 +235,9 @@ def test_backward_euler_conserves_mass_exactly_at_a_loose_tolerance():
     masses = M.diagonal()
     total0 = float(masses @ u)
     dt = estimate_dt(mesh)
+    step_matrix = mesh_step_matrix(mesh)
     for _ in range(30):
-        u = backward_euler_step(M, L, u, dt, tolerance=1e-3)
+        u = backward_euler_step(M, L, u, dt, tolerance=1e-3, step_matrix=step_matrix)
     assert abs(float(masses @ u) - total0) / total0 <= 1e-12
 
 
@@ -225,8 +247,9 @@ def test_backward_euler_smooths_monotonically():
     L = laplacian_iso(mesh)
     u = mesh.vertices[:, 2] ** 2
     prev_std = u.std()
+    step_matrix = mesh_step_matrix(mesh)
     for _ in range(5):
-        u = backward_euler_step(M, L, u, estimate_dt(mesh))
+        u = backward_euler_step(M, L, u, estimate_dt(mesh), step_matrix=step_matrix)
         assert u.std() < prev_std
         prev_std = u.std()
 
@@ -239,7 +262,8 @@ def test_backward_euler_rhs_extra_enters_equation():
     u = rng.uniform(0.5, 1.5, mesh.n_v)
     extra = rng.normal(scale=1e-3, size=mesh.n_v)
     dt = estimate_dt(mesh)
-    out = backward_euler_step(M, L, u, dt, rhs_extra=extra, tolerance=1e-13)
+    out = backward_euler_step(M, L, u, dt, rhs_extra=extra, tolerance=1e-13,
+                              step_matrix=mesh_step_matrix(mesh))
     S = (M - dt * L).tocsr()
     resid = S @ out - (M @ u + extra)
     assert np.abs(resid).max() < 1e-10
@@ -251,8 +275,10 @@ def test_backward_euler_takes_mass_diagonal_and_starts_from_u(monkeypatch):
     L = laplacian_iso(mesh)
     u = mesh.vertices[:, 2] ** 2
     dt = estimate_dt(mesh)
+    step_matrix = mesh_step_matrix(mesh)
     assert np.array_equal(
-        backward_euler_step(M, L, u, dt), backward_euler_step(M.diagonal(), L, u, dt)
+        backward_euler_step(M, L, u, dt, step_matrix=step_matrix),
+        backward_euler_step(M.diagonal(), L, u, dt, step_matrix=step_matrix),
     )
     # a uniform field is the solution, so the warm-started loop does not iterate
     starts, iterations = [], []
@@ -263,25 +289,65 @@ def test_backward_euler_takes_mass_diagonal_and_starts_from_u(monkeypatch):
 
     monkeypatch.setattr(solver, "cg", recording_cg)
     uniform = np.full(mesh.n_v, 0.25)
-    out = backward_euler_step(M, L, uniform, dt)
+    out = backward_euler_step(M, L, uniform, dt, step_matrix=step_matrix)
     assert np.array_equal(starts[0], uniform)
     assert iterations == []
     assert out == pytest.approx(uniform, rel=1e-12)
 
 
+@pytest.mark.parametrize("build", [lambda: icosphere(2), bumpy_mesh, open_cap])
+def test_step_matrix_equals_the_setdiag_build(build):
+    mesh = build()
+    L = laplacian_iso(mesh)
+    masses = vertex_mass_matrix(mesh).diagonal()
+    dt = estimate_dt(mesh)
+    # S as a CSR copy of L times -dt, its diagonal found by setdiag
+    expected = sp.csr_matrix(L) * -dt
+    expected.setdiag(expected.diagonal() + masses)
+    S = mesh_step_matrix(mesh).fill(L, masses, dt)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(S, name), getattr(expected, name))
+
+
+def test_step_matrix_refuses_a_laplacian_of_another_pattern():
+    mesh = icosphere(1)
+    with pytest.raises(ValueError, match="not in the step matrix's pattern"):
+        backward_euler_step(np.ones(mesh.n_v), laplacian_iso(mesh), np.ones(mesh.n_v),
+                            0.1, step_matrix=two_vertex_step_matrix())
+
+
+def test_step_started_from_an_increment_agrees_with_a_cold_start():
+    mesh = bumpy_mesh()
+    M = vertex_mass_matrix(mesh)
+    L = laplacian_iso(mesh)
+    masses = M.diagonal()
+    step_matrix = mesh_step_matrix(mesh)
+    dt = estimate_dt(mesh)
+    u_prev = np.random.default_rng(77).uniform(0.5, 2.0, mesh.n_v)
+    u = backward_euler_step(M, L, u_prev, 0.5 * dt, step_matrix=step_matrix)
+    cold = backward_euler_step(M, L, u, dt, step_matrix=step_matrix)
+    # the engine's start: the last increment, rescaled to this step
+    warm = backward_euler_step(M, L, u, dt, step_matrix=step_matrix,
+                               x0=u + (u - u_prev) * 2.0)
+    tolerance = solver.DEFAULT_TOLERANCE
+    assert np.linalg.norm(warm - cold) <= 10.0 * tolerance * np.linalg.norm(cold)
+    assert abs(masses @ warm - masses @ u) / (masses @ u) <= 1e-13
+
+
 def test_backward_euler_validation():
     M = sp.eye(2).tocsr()
-    L = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    L, step_matrix = TWO_VERTEX_L, two_vertex_step_matrix()
     with pytest.raises(ValueError):
-        backward_euler_step(M, L, np.ones(2), dt=0.0)
+        backward_euler_step(M, L, np.ones(2), dt=0.0, step_matrix=step_matrix)
     bad_mass = sp.diags([1.0, 0.0]).tocsr()
     with pytest.raises(ValueError):
-        backward_euler_step(bad_mass, L, np.ones(2), dt=0.1)
+        backward_euler_step(bad_mass, L, np.ones(2), dt=0.1, step_matrix=step_matrix)
 
 
 def _two_vertex_step(**changes):
-    args = dict(vertex_mass=np.ones(2), laplacian=sp.csr_matrix(
-        np.array([[-1.0, 1.0], [1.0, -1.0]])), u_i=np.array([1.0, 0.0]), dt=0.1)
+    args = dict(vertex_mass=np.ones(2), laplacian=TWO_VERTEX_L,
+                u_i=np.array([1.0, 0.0]), dt=0.1,
+                step_matrix=two_vertex_step_matrix())
     args.update(changes)
     return backward_euler_step(**args)
 
