@@ -8,9 +8,10 @@ the shell. The weights object is never touched: remeshing only re-samples
 the same morphology.
 
 Connectivity is fixed, so a run checks its mesh, lists its edges and
-builds its `MeshTopology` (with the implicit step's matrix) once, and
-makes one `mesh.FaceGeometry` pass per reconstructed vertex array, the
-source of every area, normal, mass and gradient, reused after acceptance.
+builds its `MeshTopology` (with the implicit step's matrix) once. A stage
+folds its weights once into a `harmonics.SurfaceKernel`, which evaluates
+its start and every candidate, each followed by one `mesh.FaceGeometry`
+pass, the source of every area, normal, mass and gradient.
 From a stage's second row on, each solve starts from u plus the last
 accepted increment, rescaled to the candidate's time step. Engine
 failures, geometric ones included, raise `EngineError` subclasses carrying
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EngineError, GuardError
-from .harmonics import reconstruct_fast
+from .harmonics import SurfaceKernel
 from .mesh import FaceGeometry, TriangleMesh, mean_edge_length, ring_lengths
 from .operators import MeshTopology, stretch_directors
 from .solver import DT_SCALE, backward_euler_step
@@ -211,12 +212,12 @@ def _run_stage(
     trace. Its rate (u' - u) / dt starts the next rows' solves at
     u + rate * dt.
     """
-    w = weights.truncated(n_stage)
+    surface = SurfaceKernel(weights.truncated(n_stage))
     domain = weights.domain
     n_v = coords.n
     cost = (n_stage + 1) * (n_stage + 2) // 2 * n_v
 
-    points = reconstruct_fast(w, coords)
+    points = surface(coords)
     evals += cost
     area0 = float(FaceGeometry(points, faces).areas.sum())
     if not area0 > 0.0:
@@ -271,11 +272,9 @@ def _run_stage(
             eta = moved.eta.copy()
             eta[rim] = rim_eta
             cand_coords = CurvilinearCoords(eta, moved.phi, domain)
-            cand = FaceGeometry(reconstruct_fast(w, cand_coords) * scale, faces)
+            cand = FaceGeometry(surface(cand_coords) * scale, faces)
             evals += cost
-            flips = int(np.count_nonzero(
-                np.einsum("ij,ij->i", cand.normals, geometry.normals) < 0.0
-            ))
+            flips = int(np.count_nonzero((cand.normals * geometry.normals).sum(0) < 0.0))
             cand_u = cand.density()
             if flips == 0 and cand_u.std() <= u.std() * (1.0 + _STD_SLACK):
                 candidate = cand_coords, cand, cand_u

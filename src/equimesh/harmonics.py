@@ -24,9 +24,9 @@ refinement, and falls back to the SVD least-squares solver on the dense
 basis when the Cholesky factorization fails or the condition estimate of
 the normal matrix exceeds 1e8; a memory limit bounds that dense basis. The
 planar pipeline passes its dense cos/sin rows in one angle through the
-same least-squares policy. The fit and reconstruct_fast build the rows one
-block of vertices at a time, and the moments and B^T R are sums over the
-blocks, so their memory does not grow with the sampling.
+same least-squares policy. The fit and SurfaceKernel (reconstruct_fast)
+build the rows one block of vertices at a time, and the moments and B^T R
+are sums over the blocks, so their memory does not grow with the sampling.
 
 reconstruct_full, which evaluates the Legendre recurrence directly and
 sums the complex series one order at a time, stays the independent
@@ -53,6 +53,7 @@ __all__ = [
     "decompose",
     "reconstruct_full",
     "reconstruct_fast",
+    "SurfaceKernel",
     "psd_descriptors",
     "save_weights",
     "load_weights",
@@ -698,28 +699,36 @@ def reconstruct_full(weights, coords):
     return np.ascontiguousarray(vals.real)
 
 
-def reconstruct_fast(weights, coords):
-    """Evaluate the expansion as a double Fourier series in real arithmetic.
-
-    The weights become real coefficients a_nm = (2 - delta_m0) Re q_nm and
-    b_nm = -2 Im q_nm, and the fit's reconstruction kernel (_synthesize)
-    evaluates them in blocks of vertices (_block_size), building the angle
-    rows of one block at a time. For conjugate-consistent weights this
+class SurfaceKernel:
+    """The fast reconstruction of one weights object: its real coefficients
+    a_nm = (2 - delta_m0) Re q_nm and b_nm = -2 Im q_nm are folded once
+    (_fold), and each call evaluates them at coordinates of its domain with
+    the fit's kernel (_synthesize), building the angle rows of one vertex
+    block (_block_size) at a time. For conjugate-consistent weights this
     equals reconstruct_full.
     """
-    _check_domains_match(weights, coords)
-    n_max = weights.n_max
-    column = _fit_tables(n_max).column
-    n, m = full_orders(n_max)
-    n, m = n[column], m[column]
-    q = weights.q[FourierWeights.row_index(n, np.abs(m))]
-    coef = np.where(m[:, None] > 0, 2.0 * q.real, q.real)
-    coef[m < 0] = -2.0 * q[m < 0].imag
-    fold = _fold(n_max, coef)
-    out = np.empty((coords.n, 3))
-    for part, rows in _row_blocks(coords, n_max, _block_size(n_max)):
-        out[part] = _synthesize(fold, *rows)
-    return out
+
+    def __init__(self, weights):
+        self.domain, self.n_max = weights.domain, weights.n_max
+        column = _fit_tables(self.n_max).column
+        n, m = full_orders(self.n_max)
+        n, m = n[column], m[column]
+        q = weights.q[FourierWeights.row_index(n, np.abs(m))]
+        coef = np.where(m[:, None] > 0, 2.0 * q.real, q.real)
+        coef[m < 0] = -2.0 * q[m < 0].imag
+        self.fold = _fold(self.n_max, coef)
+
+    def __call__(self, coords):
+        _check_domains_match(self, coords)
+        out = np.empty((coords.n, 3))
+        for part, rows in _row_blocks(coords, self.n_max, _block_size(self.n_max)):
+            out[part] = _synthesize(self.fold, *rows)
+        return out
+
+
+def reconstruct_fast(weights, coords):
+    """The expansion at coords, by the weights' SurfaceKernel called once."""
+    return SurfaceKernel(weights)(coords)
 
 
 def psd_descriptors(weights):

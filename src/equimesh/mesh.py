@@ -1,7 +1,7 @@
 """Triangle meshes and planar contours: containers, file IO, quality measures.
 
 `FaceGeometry` is the one pass from a vertex array to face edges, areas,
-normals, masses and gradients; every measure here and the engine read it.
+normals, masses and gradients, stored faces last; every measure reads it.
 """
 from __future__ import annotations
 
@@ -476,28 +476,30 @@ def ring_lengths(points):
 
 
 class FaceGeometry:
-    """One geometry pass over a vertex array with fixed faces.
+    """One geometry pass over a vertex array with fixed faces, faces last.
 
-    edges[f, k] is the edge opposite corner k, areas and unit normals
-    (zero on zero-area faces) are per face and masses per vertex; the hat
+    edges[k, c] is component c of the edge opposite corner k and normals[c]
+    that of the unit normals (zero on zero-area faces), each one contiguous
+    row over the faces, which every product here and in the operators
+    reads by component. Areas are per face and masses per vertex; the hat
     gradients n x e_k / 2A are built only on request.
     """
 
     def __init__(self, points, faces):
         self.points = points
         self.faces = faces
-        # two row gathers, faster than fancy indexing the middle axis of
-        # points[faces]; edges[:, k] stays one contiguous (n_f, 3) block,
-        # which the per-edge products below and the operators read
-        corners = faces.T
-        self.edges = (np.take(points, corners[[2, 0, 1]], axis=0)
-                      - np.take(points, corners[[1, 2, 0]], axis=0)).transpose(1, 0, 2)
-        # cross(e2, -e1) is cross(p1 - p0, p2 - p0): negation is exact
-        cross = np.cross(self.edges[:, 2], -self.edges[:, 1])
-        self.double_area = np.linalg.norm(cross, axis=1)
+        # one (3, n_f) gather per corner, every temporary a third of the
+        # block or less, freed before the products: e_k = p_{k-1} - p_{k+1}
+        turned = np.ascontiguousarray(points.T)
+        corners = [np.take(turned, corner, axis=1) for corner in faces.T]
+        self.edges = np.empty((3, 3, len(faces)))
+        for k in range(3):
+            np.subtract(corners[k - 1], corners[k - 2], out=self.edges[k])
+        del turned, corners
+        cross = _cross(self.edges[1], self.edges[2])
+        self.double_area = np.sqrt(_inner(cross, cross))
         self.areas = 0.5 * self.double_area
-        ok = self.double_area[:, None] > 0.0
-        self.normals = np.divide(cross, self.double_area[:, None], where=ok,
+        self.normals = np.divide(cross, self.double_area, where=self.double_area > 0.0,
                                  out=np.zeros_like(cross))
         self.masses = _voronoi_masses(faces, len(points), self.edges, self.double_area)
 
@@ -506,8 +508,7 @@ class FaceGeometry:
         on face f, after checking that every face still has area."""
         if np.any(self.areas <= 0.0):
             raise DegenerateMeshError("degenerate face in gradient operator")
-        turned = np.cross(self.normals[:, None, :], self.edges)
-        return turned / self.double_area[:, None, None]
+        return (_cross(self.normals, self.edges) / self.double_area).transpose(2, 0, 1)
 
     def density(self):
         """Normalized vertex area density u = A_i / sum(A)."""
@@ -522,44 +523,47 @@ class FaceGeometry:
         """(n_v, 3) area-weighted average of the face gradients around each vertex."""
         index, n_v = self.faces.ravel(), self.points.shape[0]
         # 2A times the face gradient is n x sum_k u_k e_k
-        edge_sum = np.einsum("fkc,fk->fc", self.edges, u[self.faces])
-        weighted = np.repeat(np.cross(self.normals, edge_sum), 3, axis=0)
+        edge_sum = sum(e_k * u_k for e_k, u_k in zip(self.edges, u[self.faces.T]))
         total = np.bincount(index, weights=np.repeat(self.double_area, 3), minlength=n_v)
         return np.column_stack([
-            np.bincount(index, weights=weighted[:, c], minlength=n_v) / total
-            for c in range(3)
-        ])
+            np.bincount(index, weights=np.repeat(row, 3), minlength=n_v)
+            for row in _cross(self.normals, edge_sum)
+        ]) / total[:, None]
 
 
-# zero-area faces give non-finite cotangents quietly; callers check the masses
+def _inner(a, b):
+    """Dot products of faces-last vectors, components on axis -2."""
+    return (a[..., 0, :] * b[..., 0, :] + a[..., 1, :] * b[..., 1, :]
+            + a[..., 2, :] * b[..., 2, :])
+
+
+def _cross(a, b):
+    """Cross products of faces-last vectors, components on axis -2."""
+    (ax, ay, az), (bx, by, bz) = np.moveaxis(a, -2, 0), np.moveaxis(b, -2, 0)
+    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-2)
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _voronoi_masses(f, n_v, edges, double_area):
-    """Mixed-Voronoi vertex masses from the edges e_k opposite each corner k."""
-    e0, e1, e2 = edges[:, 0], edges[:, 1], edges[:, 2]
-    l0 = np.einsum("ij,ij->i", e0, e0)
-    l1 = np.einsum("ij,ij->i", e1, e1)
-    l2 = np.einsum("ij,ij->i", e2, e2)
-    area = 0.5 * double_area
-    # cotangents at each corner via dot / |cross|
-    cot0 = np.einsum("ij,ij->i", e2, -e1) / double_area
-    cot1 = np.einsum("ij,ij->i", e0, -e2) / double_area
-    cot2 = np.einsum("ij,ij->i", e1, -e0) / double_area
-    cot = np.nan_to_num(np.column_stack([cot0, cot1, cot2]))
-    obtuse_corner = np.argmin(cot, axis=1)
-    is_obtuse = cot[np.arange(len(cot)), obtuse_corner] < 0.0
+    """Mixed-Voronoi vertex masses from the faces-last edges e_k opposite
+    each corner k.
 
-    contrib = np.empty((f.shape[0], 3))
-    # Voronoi split: corner i gets (|e_j|^2 cot_j + |e_k|^2 cot_k) / 8
-    contrib[:, 0] = (l1 * cot1 + l2 * cot2) / 8.0
-    contrib[:, 1] = (l2 * cot2 + l0 * cot0) / 8.0
-    contrib[:, 2] = (l0 * cot0 + l1 * cot1) / 8.0
-    if np.any(is_obtuse):
-        quarter = 0.25 * area[is_obtuse]
-        rows = np.repeat(quarter[:, None], 3, axis=1)
-        rows[np.arange(rows.shape[0]), obtuse_corner[is_obtuse]] = 2.0 * quarter
-        contrib[is_obtuse] = rows
+    The Voronoi split multiplies the raw cotangents, so the corners of a
+    zero-area face get non-finite masses, which callers check.
+    """
+    # the cotangent at corner k is e_{k+1} . -e_{k+2} / 2A
+    e0, e1, e2 = edges
+    cot = np.stack([_inner(e1, e2), _inner(e2, e0), _inner(e0, e1)]) / -double_area
+    # edge k gives |e_k|^2 cot_k / 8 to each of its two ends
+    half = _inner(edges, edges) * cot / 8.0
+    contrib = half[[1, 2, 0]] + half[[2, 0, 1]]
+    # an obtuse face gives half its area to the obtuse corner and a
+    # quarter to the others; NaN < 0 is false, so a face collapsed to a
+    # point keeps its NaN split
+    obtuse = cot < 0.0
+    contrib = np.where(obtuse.any(axis=0), 0.125 * double_area * (1.0 + obtuse), contrib)
     # bincount sums in index order, as np.add.at would, only faster
-    return np.bincount(f.ravel(), weights=contrib.ravel(), minlength=n_v)
+    return np.bincount(f.ravel(), weights=contrib.T.ravel(), minlength=n_v)
 
 
 def face_metrics(mesh):
@@ -576,14 +580,14 @@ def face_metrics(mesh):
     rho_hat : (n_f,) float
     """
     geometry = FaceGeometry(mesh.vertices, mesh.faces)
-    a, b, c = np.linalg.norm(geometry.edges, axis=2).T
+    a, b, c = np.sqrt(_inner(geometry.edges, geometry.edges))
     ok = geometry.double_area > 0.0
     rho_hat = np.full(mesh.n_f, DEGENERATE_RHO_HAT)
     a_avg = (a + b + c) / 3.0
     with np.errstate(divide="ignore", invalid="ignore"):
         circum = a * b * c / (4.0 * geometry.areas)
         rho_hat[ok] = circum[ok] * np.sqrt(3.0) / a_avg[ok]
-    return geometry.areas, geometry.normals, rho_hat
+    return geometry.areas, geometry.normals.T, rho_hat
 
 
 def vertex_voronoi_areas(mesh):
@@ -616,7 +620,7 @@ def detect_normal_flips(mesh, reference_normals):
             f"reference normals shape {ref.shape} does not match {mesh.n_f} faces"
         )
     normals = FaceGeometry(mesh.vertices, mesh.faces).normals
-    return np.nonzero(np.einsum("ij,ij->i", normals, ref) < 0.0)[0]
+    return np.nonzero(_inner(normals, ref.T) < 0.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Discrete differential operators on the evolving manifold mesh.
 
-One kernel serves every operator. It reads `mesh.FaceGeometry` (edges,
-areas, normals, masses), and `stretch_directors` adds each face's stretch.
+One kernel serves every operator. It reads the faces-last rows of
+`mesh.FaceGeometry` by component, and `stretch_directors` adds the stretch.
 `MeshTopology` fixes the CSR pattern of the weak-form operator
 L = -sum_f A_f g_k^T D_f g_l (g_k = n x e_k / 2A) once per connectivity and
 fills it face by face from the edges (D = I when isotropic); it finds L's
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateMeshError
-from .mesh import FaceGeometry, vertex_voronoi_areas
+from .mesh import FaceGeometry, _cross, _inner, vertex_voronoi_areas
 from .solver import StepMatrix
 
 __all__ = [
@@ -52,12 +52,11 @@ def stretch_directors(geometry, gamma):
     matrix of the centred corners, a third of sum_k e_k e_k^T;
     sigma2 = 2A / (sqrt(3) sigma1) has no cancellation.
     """
-    edge = geometry.edges[:, 2]
+    edges = geometry.edges
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = edge / np.linalg.norm(edge, axis=1, keepdims=True)
-        t2 = np.cross(geometry.normals, t1)
-        x = np.einsum("fkc,fc->kf", geometry.edges, t1)
-        y = np.einsum("fkc,fc->kf", geometry.edges, t2)
+        t1 = edges[2] / np.sqrt(_inner(edges[2], edges[2]))
+        x = _inner(edges, t1)
+        y = _inner(edges, _cross(geometry.normals, t1))
         sxx, syy, sxy = ((a * b).sum(0) / 3 for a, b in ((x, x), (y, y), (x, y)))
         half_gap = 0.5 * (sxx - syy)
         sigma1 = np.sqrt(0.5 * (sxx + syy) + np.hypot(half_gap, sxy))
@@ -100,9 +99,7 @@ class MeshTopology:
         symmetric; alpha1 = 1, w = 0 give the cotangent weights."""
         if np.any(geometry.areas <= 0.0):
             raise DegenerateMeshError("degenerate face in weak-form operator")
-        # faces last: einsum vectorizes over the long axis
-        e = np.ascontiguousarray(geometry.edges.transpose(1, 2, 0))
-        blocks = np.einsum("kcf,lcf->klf", e, e)
+        blocks = np.einsum("kcf,lcf->klf", geometry.edges, geometry.edges)
         if directors is not None:
             w, alpha1, alpha2, _ = directors
             blocks *= alpha1

@@ -18,7 +18,7 @@ from equimesh.diffusion import (
     diffuse_remesh,
     update_coordinates,
 )
-from equimesh import diffusion, solver
+from equimesh import diffusion, harmonics, solver
 from equimesh.contour2d import ContourTrace
 from equimesh.errors import DegenerateMeshError, EngineError, GuardError
 from equimesh.harmonics import FourierWeights, reconstruct_fast
@@ -283,6 +283,34 @@ def test_solves_start_from_the_rescaled_last_increment(aggressive_setup, monkeyp
     assert sum(trace.halvings) > 0
 
 
+def test_a_stage_folds_its_weights_once(aggressive_setup, monkeypatch):
+    w, coords, faces = aggressive_setup
+    folds, evaluations = [], []
+    fold, evaluate = harmonics._fold, harmonics.SurfaceKernel.__call__
+
+    def counting(*args):
+        folds.append(args)
+        return fold(*args)
+
+    def recording(self, c):
+        points = evaluate(self, c)
+        evaluations.append((c, points))
+        return points
+
+    monkeypatch.setattr(harmonics, "_fold", counting)
+    monkeypatch.setattr(harmonics.SurfaceKernel, "__call__", recording)
+    # steps this long flip faces, so some rows retry at half the step
+    cfg = DiffusionConfig(stages=((10, 3), (15, 5)), dt_scale=60.0, std_tolerance=0.0)
+    final, _, trace = diffuse_remesh(w, coords, faces, cfg)
+    assert trace.stop_reason == "i_max" and sum(trace.halvings) > 0
+    # each stage's start and every candidate, all from the stage's one fold
+    assert len(folds) == 2
+    assert len(evaluations) == 2 + trace.n_rows + sum(trace.halvings)
+    (points,) = [p for c, p in evaluations if c is final]
+    monkeypatch.undo()
+    assert np.array_equal(points, reconstruct_fast(w, final))
+
+
 def test_a_run_checks_its_mesh_once(bumpy_setup, monkeypatch):
     _, w, coords, faces = bumpy_setup
     built = []
@@ -376,16 +404,16 @@ def test_face_collapsing_mid_run_raises_engine_error_with_trace(
     _, w, coords, faces = bumpy_setup
     a, b = faces[0][:2]
     reconstructions = []
-    reconstruct = diffusion.reconstruct_fast
 
-    def collapsing(weights, c):
-        points = reconstruct(weights, c)
-        reconstructions.append(c)
-        if len(reconstructions) > 3:  # the stage start and two candidates
-            points[b] = points[a]
-        return points
+    class Collapsing(diffusion.SurfaceKernel):
+        def __call__(self, c):
+            points = super().__call__(c)
+            reconstructions.append(c)
+            if len(reconstructions) > 3:  # the stage start and two candidates
+                points[b] = points[a]
+            return points
 
-    monkeypatch.setattr(diffusion, "reconstruct_fast", collapsing)
+    monkeypatch.setattr(diffusion, "SurfaceKernel", Collapsing)
     cfg = DiffusionConfig(stages=((10, 5),), gamma=gamma, dt_scale=4.0)
     with pytest.raises(DegenerateMeshError) as exc:
         diffuse_remesh(w, coords, faces, cfg)

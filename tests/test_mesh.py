@@ -312,6 +312,18 @@ def collapsed_face_sphere():
     return mesh.with_vertices(v)
 
 
+def test_collapsed_face_masses_stay_non_finite():
+    # the Voronoi split of a zero-area face multiplies NaN cotangents; the
+    # obtuse test must not read them as obtuse and split the face by its
+    # zero area instead, which would make the masses finite
+    mesh = collapsed_face_sphere()
+    areas, _, _ = face_metrics(mesh)
+    masses = vertex_voronoi_areas(mesh)
+    flat = np.unique(mesh.faces[areas == 0.0])
+    assert flat.size > 3
+    assert np.array_equal(np.flatnonzero(~np.isfinite(masses)), flat)
+
+
 def test_collapsed_face_density_raises():
     mesh = collapsed_face_sphere()
     with pytest.raises(ValueError, match="collapsed face"):

@@ -375,9 +375,60 @@ def test_face_edges_equal_fancy_indexed_edges(builder):
     mesh = builder()
     p = mesh.vertices[mesh.faces]
     edges = FaceGeometry(mesh.vertices, mesh.faces).edges
-    assert np.array_equal(edges, p[:, [2, 0, 1]] - p[:, [1, 2, 0]])
-    # the layout the per-edge products are fast on, as fancy indexing gives it
-    assert all(edges[:, k].flags.c_contiguous for k in range(3))
+    assert np.array_equal(edges, (p[:, [2, 0, 1]] - p[:, [1, 2, 0]]).transpose(1, 2, 0))
+    # the layout the per-edge products are fast on: faces last, every
+    # (corner, component) row contiguous
+    assert edges.shape == (3, 3, mesh.n_f) and edges.flags.c_contiguous
+
+
+def obtuse_sphere():
+    """icosphere(2) squashed to a sixth of its height: many obtuse faces."""
+    mesh = icosphere(2)
+    return mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.0 / 6.0])
+
+
+def faces_first_oracle(mesh, u):
+    """Per-face fields in the (n_f, corner, component) layout: edges, 2A,
+    unit normals from np.cross on fancy-indexed corners, mixed-Voronoi
+    masses (the obtuse corner by argmin of the cotangents) and the
+    2A-weighted vertex means of the face gradients n x sum_k u_k e_k / 2A."""
+    p = mesh.vertices[mesh.faces]
+    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    double_area = np.linalg.norm(cross, axis=1)
+    normals = cross / double_area[:, None]
+    lengths = np.einsum("fkc,fkc->fk", edges, edges)
+    cot = np.einsum("fkc,fkc->fk", edges[:, [1, 2, 0]], -edges[:, [2, 0, 1]])
+    cot /= double_area[:, None]
+    share = lengths * cot / 8.0
+    contrib = share[:, [1, 2, 0]] + share[:, [2, 0, 1]]
+    corner = np.argmin(cot, axis=1)
+    obtuse = np.nonzero(cot[np.arange(mesh.n_f), corner] < 0.0)[0]
+    contrib[obtuse] = 0.125 * double_area[obtuse, None]
+    contrib[obtuse, corner[obtuse]] *= 2.0
+    masses = np.zeros(mesh.n_v)
+    np.add.at(masses, mesh.faces, contrib)
+    weighted = np.cross(normals, np.einsum("fkc,fk->fc", edges, u[mesh.faces]))
+    sums, total = np.zeros((mesh.n_v, 3)), np.zeros(mesh.n_v)
+    for k in range(3):
+        np.add.at(sums, mesh.faces[:, k], weighted)
+        np.add.at(total, mesh.faces[:, k], double_area)
+    return edges, double_area, normals, masses, sums / total[:, None], obtuse.size
+
+
+@pytest.mark.parametrize("builder", [bumpy_sphere, open_cap, obtuse_sphere])
+def test_faces_last_fields_match_faces_first_oracle(builder):
+    mesh = builder()
+    u = np.random.default_rng(7).uniform(0.5, 2.0, mesh.n_v)
+    geometry = FaceGeometry(mesh.vertices, mesh.faces)
+    *want, obtuse = faces_first_oracle(mesh, u)
+    got = (geometry.edges.transpose(2, 0, 1), geometry.double_area,
+           geometry.normals.T, geometry.masses, geometry.vertex_gradients(u))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+    if builder is obtuse_sphere:
+        assert obtuse > 100
 
 
 @pytest.mark.parametrize("ratio, collapsed", [(1e-6, False), (1e-10, True)])
