@@ -56,50 +56,42 @@ def cap_domain(a=1.0, c=0.55):
 def shell_weights(domain, n_max=1):
     """Exact expansion of the closed spheroid shell itself.
 
-    Both closed charts put the shell entirely in degree <= 1:
-    x and y live in the (1, +-1) rows and z in (1, 0).
+    Both closed charts put the shell entirely in degree <= 1: x is
+    a_11 P_11 cos(phi), y is b_11 P_11 sin(phi) and z is a_10 P_10.
     """
     if domain.is_hemispheroid:
         raise ValueError("analytic shell weights exist for closed kinds only")
     if n_max < 1:
         raise ValueError("shell weights need n_max >= 1")
     a, c = domain.semi_axes()
-    beta = (n_max + 1) ** 2
-    q = np.zeros((beta, 3), dtype=np.complex128)
-    i_neg = FourierWeights.row_index(1, -1)
-    i_zero = FourierWeights.row_index(1, 0)
-    i_pos = FourierWeights.row_index(1, 1)
-    q[i_pos, 0] = -a / (2.0 * _N11)
-    q[i_neg, 0] = a / (2.0 * _N11)
-    q[i_pos, 1] = 1j * a / (2.0 * _N11)
-    q[i_neg, 1] = 1j * a / (2.0 * _N11)
-    q[i_zero, 2] = c / _N10
-    return FourierWeights(q=q, n_max=n_max, domain=domain)
+    coef = np.zeros(((n_max + 1) ** 2, 3))
+    coef[FourierWeights.row_index(1, 1), 0] = -a / _N11
+    coef[FourierWeights.row_index(1, -1), 1] = -a / _N11
+    coef[FourierWeights.row_index(1, 0), 2] = c / _N10
+    return FourierWeights(coef, n_max, domain)
 
 
 def bumpy_weights(domain, n_max=30, band=10, amplitude=0.04, seed=7):
     """Shell plus seeded lumps decaying like 1/n^2, band-limited to `band`.
 
-    The perturbation is conjugate-consistent by construction, so the
-    surface is real; degrees above `band` stay exactly zero, which makes
-    reconstructions at any n_max >= band equivalent.
+    Order m of degree n draws normal rows g, h: a_nm = 2 s g and, m > 0,
+    b_nm = -2 s h, s = amplitude * a / n^2. Degrees above `band` stay
+    exactly zero, which makes reconstructions at any n_max >= band
+    equivalent.
     """
     if band > n_max:
         raise ValueError("band must not exceed n_max")
-    weights = shell_weights(domain, n_max=n_max)
-    q = weights.q.copy()
+    coef = shell_weights(domain, n_max=n_max).coef.copy()
     a, _ = domain.semi_axes()
     rng = np.random.default_rng(seed)
     for n in range(2, band + 1):
         scale = amplitude * a / (n * n)
         for m in range(0, n + 1):
-            g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            if m == 0:
-                g = g.real.astype(np.complex128)
-            row = scale * g
-            q[FourierWeights.row_index(n, m)] += row
-            q[FourierWeights.row_index(n, -m)] += (-1.0) ** m * np.conj(row)
-    return FourierWeights(q=q, n_max=n_max, domain=domain)
+            g, h = rng.standard_normal(3), rng.standard_normal(3)
+            coef[FourierWeights.row_index(n, m)] = 2.0 * scale * g
+            if m:
+                coef[FourierWeights.row_index(n, -m)] = -2.0 * scale * h
+    return FourierWeights(coef, n_max, domain)
 
 
 def protrusion_weights(amplitude=0.6):

@@ -146,8 +146,9 @@ class DiffusionTrace(TraceTable):
     reconstructions, so it is the honest cost meter. halvings counts the
     candidates a row rejected, each halving its time step; flip_count sums
     the flipped faces of those candidates. stop_reason is why the
-    last stage ended: "converged-early", "i_max" or "stalled" (no time step
-    could lower the STD); it stays empty when the run raises.
+    last stage ended: "converged-early", "i_max" or "stalled" (the smallest
+    step flips no face but raises the STD; if it flips one, the run
+    raises); it stays empty when the run raises.
     """
 
     stage: list = column(int)
@@ -284,7 +285,7 @@ def _run_stage(
             dt *= 0.5
 
         if candidate is None:
-            if flips_seen:
+            if flips:
                 raise EngineError(
                     f"flip recovery exhausted after {MAX_DT_HALVINGS} time-step "
                     f"halvings (stage {stage_index}, iteration {t})"

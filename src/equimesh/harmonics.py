@@ -1,9 +1,11 @@
 """Harmonic expansion of genus-0 surfaces over spheroidal charts.
 
-Surfaces are encoded as complex weights Q[(n, m), axis] of fully normalized
-associated Legendre functions times circular harmonics in phi. Rows are
-n-major with m ascending from -n, so truncating to a lower degree is a
-prefix slice. Real surfaces have conjugate-consistent weights.
+A surface is encoded as real weights per axis: with P_nm the fully
+normalized associated Legendre functions, row (n, m) of FourierWeights.coef
+holds a_nm, the weight of P_nm cos(m phi), and row (n, -m), m > 0, holds
+b_nm, that of P_nm sin(m phi). Rows are n-major with m ascending from -n,
+so truncating to a lower degree is a prefix slice. The complex weights q
+of P_nm e^{i m phi} are derived for the weights file and the reference.
 
 The fit and the fast reconstruction share one real-arithmetic kernel, a
 double Fourier series (Townsend, Wilber & Wright 2016): with t = arccos xi,
@@ -11,8 +13,8 @@ each P_nm(cos t) is a short trigonometric series in t, cos(k t) for even m
 and sin((k + 1) t) for odd m, whose coefficients are cached per degree in
 one table, with the zeros of the parity of P_nm exact. So the basis needs
 only cos/sin rows of k t and m phi, built row by row by angle addition,
-and one small GEMM per order parity; no complex basis is built and fitted
-weights are conjugate-consistent by construction.
+and one small GEMM per order parity; no complex basis is built, and the
+fit's coefficients are the weights.
 
 The fit solves the normal equations without forming the (n_v, beta) basis.
 By the product-to-sum rules its Gram matrix is a Toeplitz-plus-Hankel
@@ -109,30 +111,44 @@ def half_orders(n_max):
 
 @dataclass
 class FourierWeights:
-    """Expansion weights: complex (beta, 3) array plus its domain.
+    """Expansion weights: coef, a read-only copy of the fit's real
+    (beta, 3) coefficients a_nm in row (n, m) and b_nm in row (n, -m), in
+    the row order of full_orders, plus their domain."""
 
-    Conjugate consistency (row (n,-m) = (-1)^m * conj(row (n,m))) is what
-    makes the encoded surface real-valued.
-    """
-
-    q: np.ndarray
+    coef: np.ndarray
     n_max: int
     domain: SpheroidDomain
     residual_rms: float | None = None
 
     def __post_init__(self):
         _check_degree(self.n_max)
-        q = np.ascontiguousarray(self.q, dtype=np.complex128)
+        if np.iscomplexobj(self.coef):
+            raise ValueError("weights take real coefficients, not complex q")
+        coef = np.array(self.coef, dtype=np.float64, order="C")
         beta = (self.n_max + 1) ** 2
-        if q.shape != (beta, 3):
+        if coef.shape != (beta, 3):
             raise ValueError(
                 f"weights must have shape ({beta}, 3) for n_max={self.n_max}"
             )
-        self.q = q
+        self.coef = _read_only(coef)
 
     @staticmethod
     def row_index(n, m):
         return n * n + n + m
+
+    @property
+    def q(self):
+        """Read-only complex weights of the basis P_nm e^{i m phi} of
+        basis_matrix: q_n0 = a_n0, q_nm = (a_nm - i b_nm) / 2 and
+        q_n,-m = (-1)^m conj(q_nm), conjugate-consistent, so the surface
+        is real. Built on each access."""
+        n, m = full_orders(self.n_max)
+        pos = np.flatnonzero(m > 0)
+        neg = self.row_index(n[pos], -m[pos])
+        q = self.coef.astype(np.complex128)
+        q[pos] = 0.5 * (self.coef[pos] - 1j * self.coef[neg])
+        q[neg] = ((-1.0) ** m[pos])[:, None] * np.conj(q[pos])
+        return _read_only(q)
 
     def truncated(self, n_max):
         """Weights restricted to degrees <= n_max (a prefix of the rows)."""
@@ -141,14 +157,7 @@ class FourierWeights:
         if n_max == self.n_max:
             return self
         beta = (n_max + 1) ** 2
-        return FourierWeights(self.q[:beta].copy(), n_max, self.domain)
-
-    def conjugate_error(self):
-        """Max deviation from conjugate consistency (0 for real surfaces)."""
-        n, m = full_orders(self.n_max)
-        neg = self.row_index(n, -m)
-        expected = ((-1.0) ** m)[:, None] * np.conj(self.q[neg])
-        return float(np.abs(self.q - expected).max())
+        return FourierWeights(self.coef[:beta], n_max, self.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +304,8 @@ def decompose(mesh, coords, config):
     """Least-squares expansion weights of mesh vertices over the basis.
 
     The fit is real: basis column (n, m >= 0) holds P_nm cos(m phi) and
-    column (n, -m) holds P_nm sin(m phi). Coefficients a, b map to
-    q_n0 = a, q_nm = (a - i b) / 2, q_n,-m = (-1)^m conj(q_nm), so fitted
-    weights are conjugate-consistent by construction.
+    column (n, -m) holds P_nm sin(m phi), so its coefficients are the rows
+    of FourierWeights.coef.
 
     The normal equations never form the (n_v, beta) basis. Each column is
     F_m tau(t) {cos, sin}(m phi) (_fit_tables), so the Gram matrix
@@ -340,15 +348,7 @@ def decompose(mesh, coords, config):
     )
     coef = np.empty_like(fit)
     coef[_fit_tables(n_max).column] = fit
-    n, m = full_orders(n_max)
-    pos = np.flatnonzero(m > 0)
-    neg = FourierWeights.row_index(n[pos], -m[pos])
-    q = coef.astype(np.complex128)
-    q[pos] = 0.5 * (coef[pos] - 1j * coef[neg])
-    q[neg] = ((-1.0) ** m[pos])[:, None] * np.conj(q[pos])
-    return FourierWeights(
-        q=q, n_max=n_max, domain=coords.domain, residual_rms=residual_rms
-    )
+    return FourierWeights(coef, n_max, coords.domain, residual_rms)
 
 
 # the product-to-sum rules of the tau rows k and k' of two orders of
@@ -668,21 +668,22 @@ def reconstruct_full(weights, coords):
     """Evaluate the expansion with the complete (positive and negative m)
     complex basis, one order at a time.
 
-    Per order m, the block of P_nm (_legendre_blocks) takes the weights
-    q(n, m) and q(n, -m) in one GEMM; they multiply e^{i m phi} and, by the
-    conjugate relation of basis_matrix, (-1)^m e^{-i m phi}. So no more
-    than one order's block is held. Returns real (n, 3) positions; the
-    imaginary residual must stay below 1e-9 of the largest position value,
-    which holds for conjugate-consistent weights.
+    Per order m, the block of P_nm (_legendre_blocks) takes the complex
+    weights q(n, m) and q(n, -m) (weights.q) in one GEMM; they multiply
+    e^{i m phi} and, by the conjugate relation of basis_matrix,
+    (-1)^m e^{-i m phi}. So no more than one order's block is held.
+    Returns real (n, 3) positions; the imaginary residual must stay below
+    1e-9 of the largest position value, which holds for
+    conjugate-consistent q.
     """
     _check_domains_match(weights, coords)
-    n_max = weights.n_max
+    n_max, weights_q = weights.n_max, weights.q
     xi = xi_of_eta(coords.domain, coords.eta)
     vals = np.zeros((coords.n, 3), dtype=np.complex128)
     for m, block in _legendre_blocks(n_max, xi):
         n = np.arange(m, n_max + 1)
-        q = np.concatenate([weights.q[FourierWeights.row_index(n, m)],
-                            (-1.0) ** m * weights.q[FourierWeights.row_index(n, -m)]],
+        q = np.concatenate([weights_q[FourierWeights.row_index(n, m)],
+                            (-1.0) ** m * weights_q[FourierWeights.row_index(n, -m)]],
                            axis=1)
         # real GEMM on the interleaved (re, im) parts of q
         terms = (block.T @ q.view(np.float64)).view(np.complex128)
@@ -701,22 +702,15 @@ def reconstruct_full(weights, coords):
 
 class SurfaceKernel:
     """The fast reconstruction of one weights object: its real coefficients
-    a_nm = (2 - delta_m0) Re q_nm and b_nm = -2 Im q_nm are folded once
-    (_fold), and each call evaluates them at coordinates of its domain with
-    the fit's kernel (_synthesize), building the angle rows of one vertex
-    block (_block_size) at a time. For conjugate-consistent weights this
-    equals reconstruct_full.
+    (FourierWeights.coef) are folded once (_fold), and each call evaluates
+    them at coordinates of its domain with the fit's kernel (_synthesize),
+    building the angle rows of one vertex block (_block_size) at a time.
+    This equals reconstruct_full.
     """
 
     def __init__(self, weights):
         self.domain, self.n_max = weights.domain, weights.n_max
-        column = _fit_tables(self.n_max).column
-        n, m = full_orders(self.n_max)
-        n, m = n[column], m[column]
-        q = weights.q[FourierWeights.row_index(n, np.abs(m))]
-        coef = np.where(m[:, None] > 0, 2.0 * q.real, q.real)
-        coef[m < 0] = -2.0 * q[m < 0].imag
-        self.fold = _fold(self.n_max, coef)
+        self.fold = _fold(self.n_max, weights.coef[_fit_tables(self.n_max).column])
 
     def __call__(self, coords):
         _check_domains_match(self, coords)
@@ -750,28 +744,27 @@ _WEIGHTS_HEADER = (
 
 
 def save_weights(weights, path):
-    """Structured-text weights file; floats carry 17 significant digits."""
+    """Structured-text file of the weights' complex rows q: n, m, then re
+    and im per axis; floats carry 17 significant digits."""
     lines = [
         _WEIGHTS_MAGIC,
         f"kind {weights.domain.kind}",
         f"e {weights.domain.e:.17g}",
         f"zeta0 {weights.domain.zeta0:.17g}",
         f"n_max {weights.n_max}",
-        f"rows {weights.q.shape[0]}",
+        f"rows {weights.coef.shape[0]}",
     ]
     n, m = full_orders(weights.n_max)
-    for i in range(weights.q.shape[0]):
-        qx, qy, qz = weights.q[i]
-        lines.append(
-            f"{n[i]} {m[i]} "
-            f"{qx.real:.17g} {qx.imag:.17g} "
-            f"{qy.real:.17g} {qy.imag:.17g} "
-            f"{qz.real:.17g} {qz.imag:.17g}"
-        )
+    for n_i, m_i, row in zip(n, m, weights.q.view(np.float64)):
+        lines.append(f"{n_i} {m_i} " + " ".join(f"{v:.17g}" for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_weights(path):
+    """Weights from a file of save_weights: a_n0 = Re q_n0, a_nm = 2 Re q_nm
+    and b_nm = -2 Im q_nm. A file whose rows are not the q of those
+    coefficients bit for bit, as a row (n, -m) other than (-1)^m conj(q_nm)
+    or an m = 0 row with an imaginary part, raises FormatError at the row."""
     lines = read_lines(path)
     if next(lines, (None, None))[1] != _WEIGHTS_MAGIC:
         raise FormatError(f"{path}: not a spheroidal weights file")
@@ -797,20 +790,25 @@ def load_weights(path):
     body = list(lines)
     if len(body) != rows:
         raise FormatError(f"{path}: expected {rows} weight rows, found {len(body)}")
-    n_expected, m_expected = full_orders(n_max)
-    q = np.empty((beta, 3), dtype=np.complex128)
+    n, m = full_orders(n_max)
+    values = np.empty((beta, 6))
     for i, (number, line) in enumerate(body):
         parts = line.split()
         n_i, m_i = row_values(path, number, "orders", parts[:2], int, 2)
-        vals = row_values(path, number, "weights", parts[2:], float, 6)
-        if n_i != n_expected[i] or m_i != m_expected[i]:
+        values[i] = row_values(path, number, "weights", parts[2:], float, 6)
+        if (n_i, m_i) != (n[i], m[i]):
             raise FormatError(
-                f"{path}:{number}: orders ({n_i}, {m_i}); expected "
-                f"({n_expected[i]}, {m_expected[i]})"
+                f"{path}:{number}: orders ({n_i}, {m_i}); expected ({n[i]}, {m[i]})"
             )
-        q[i] = [
-            complex(vals[0], vals[1]),
-            complex(vals[2], vals[3]),
-            complex(vals[4], vals[5]),
-        ]
-    return FourierWeights(q=q, n_max=n_max, domain=domain)
+    q = values.view(np.complex128)
+    pos = m > 0
+    coef = q.real.copy()
+    coef[pos] *= 2.0
+    coef[FourierWeights.row_index(n[pos], -m[pos])] = -2.0 * q[pos].imag
+    weights = FourierWeights(coef, n_max, domain)
+    bad = np.flatnonzero((weights.q != q).any(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise FormatError(f"{path}:{body[i][0]}: weights row ({n[i]}, {m[i]}) is not "
+                          f"(-1)^m conj of row ({n[i]}, {-m[i]})")
+    return weights

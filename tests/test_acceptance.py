@@ -60,19 +60,18 @@ def record(criterion, ok, detail):
 
 
 def consistent_random_weights(n_max, domain, rng, scale=1.0):
-    beta = (n_max + 1) ** 2
-    q = np.zeros((beta, 3), dtype=np.complex128)
+    """Random weights whose complex rows are q_nm = scale (g + i h) for
+    normal rows g, h drawn per order m >= 0 (h unused at m = 0)."""
+    coef = np.zeros(((n_max + 1) ** 2, 3))
     for n in range(n_max + 1):
         for m in range(n + 1):
-            row = rng.normal(size=3) + 1j * rng.normal(size=3)
+            g, h = rng.normal(size=3), rng.normal(size=3)
             if m == 0:
-                row = row.real.astype(np.complex128)
-            q[FourierWeights.row_index(n, m)] = scale * row
-            if m > 0:
-                q[FourierWeights.row_index(n, -m)] = (
-                    (-1.0) ** m * np.conj(scale * row)
-                )
-    return FourierWeights(q, n_max, domain)
+                coef[FourierWeights.row_index(n, 0)] = scale * g
+            else:
+                coef[FourierWeights.row_index(n, m)] = 2.0 * scale * g
+                coef[FourierWeights.row_index(n, -m)] = -2.0 * scale * h
+    return FourierWeights(coef, n_max, domain)
 
 
 def bumpy_mesh():
@@ -114,7 +113,7 @@ def cotangent_oracle(mesh):
 def closed_benchmark():
     domain = oblate_domain()
     weights = bumpy_weights(domain, n_max=30, band=10, amplitude=0.04, seed=7)
-    q_before = weights.q.copy()
+    coef_before = weights.coef.copy()
     coords, faces = sample_icosphere(domain, 4)
     initial_mesh = TriangleMesh(reconstruct_fast(weights, coords), faces)
     config = DiffusionConfig(
@@ -125,7 +124,7 @@ def closed_benchmark():
     elapsed = time.perf_counter() - started
     return {
         "weights": weights,
-        "q_before": q_before,
+        "coef_before": coef_before,
         "initial_mesh": initial_mesh,
         "out_mesh": out_mesh,
         "trace": trace,
@@ -348,8 +347,8 @@ def test_criterion_10_morphology_preservation(closed_benchmark):
     d, _, _ = compare_surfaces(initial, final)
     h = initial.mean_edge_length()
     frac = d / h
-    unchanged = np.array_equal(closed_benchmark["weights"].q,
-                               closed_benchmark["q_before"])
+    unchanged = np.array_equal(closed_benchmark["weights"].coef,
+                               closed_benchmark["coef_before"])
     ok = frac <= 0.05 and unchanged
     record(10, ok,
            f"mean nearest distance {d:.3e} = {frac:.2%} of mean edge "

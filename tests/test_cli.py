@@ -423,6 +423,26 @@ def test_garbage_mesh_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_inconsistent_weights_file_exits_2(tmp_path, capsys):
+    # 0.05 added to row (3, -2), line 17, of a bumpy n_max-12 file: the row
+    # is no longer the conjugate of row (3, 2)
+    from equimesh.benchmarks import bumpy_weights, oblate_domain
+
+    path = tmp_path / "w.txt"
+    save_weights(bumpy_weights(oblate_domain(), n_max=12), path)
+    lines = path.read_text().splitlines()
+    tokens = lines[16].split()
+    assert tokens[:2] == ["3", "-2"]
+    tokens[2] = repr(float(tokens[2]) + 0.05)
+    lines[16] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["remesh", "--weights", str(path), "--out", str(tmp_path / "o.obj"),
+               "--imax", "1"])
+    assert rc == 2
+    assert f"{path}:17: weights row (3, -2)" in capsys.readouterr().err
+    assert not (tmp_path / "o.obj").exists()
+
+
 def test_malformed_ply_header_exits_2(tmp_path, capsys):
     bad = tmp_path / "no_count.ply"
     bad.write_text(

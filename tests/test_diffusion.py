@@ -397,6 +397,17 @@ def test_stop_reason_stalled(bumpy_setup, monkeypatch):
     assert (tr.n_rows, tr.stop_reason) == (0, "stalled")
 
 
+def test_stage_rejected_by_the_std_test_alone_stalls(cap_setup):
+    # stage 0's first row flips faces at its largest steps, but its last
+    # candidates flip none and only raise the STD: the stage stalls, which
+    # is no failed flip recovery, and stage 1 goes on
+    _, w, coords, faces = cap_setup
+    cfg = DiffusionConfig(stages=((6, 3), (10, 3)), dt_scale=20.0)
+    _, _, tr = diffuse_remesh(w, coords, faces, cfg)
+    assert tr.n_rows > 0 and set(tr.stage) == {1}
+    assert tr.stop_reason == "i_max"
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
 def test_face_collapsing_mid_run_raises_engine_error_with_trace(
     bumpy_setup, monkeypatch, gamma
@@ -501,7 +512,7 @@ def test_early_stop_is_relative_to_the_initial_std():
 def test_engine_error_carries_trace():
     dom = oblate_domain()
     beta = (3 + 1) ** 2
-    w = FourierWeights(np.zeros((beta, 3), dtype=complex), 3, dom)
+    w = FourierWeights(np.zeros((beta, 3)), 3, dom)
     coords, faces = sample_icosphere(dom, 1)
     cfg = DiffusionConfig(stages=((3, 5),))
     with pytest.raises(EngineError) as exc:

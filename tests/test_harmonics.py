@@ -6,8 +6,10 @@ the basis is checked for orthonormality under Gauss-Legendre quadrature.
 """
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,20 +95,19 @@ def oracle_alp(n, m, x):
 
 
 def _random_consistent_weights(n_max, domain, rng, scale=1.0):
-    """Random weights satisfying row(n,-m) = (-1)^m conj(row(n,m))."""
-    beta = (n_max + 1) ** 2
-    q = np.zeros((beta, 3), dtype=np.complex128)
+    """Random weights whose complex rows are q_nm = scale (g + i h) for
+    normal rows g, h drawn per order m >= 0 (h unused at m = 0):
+    a_n0 = scale g, a_nm = 2 scale g and b_nm = -2 scale h."""
+    coef = np.zeros(((n_max + 1) ** 2, 3))
     for n in range(n_max + 1):
         for m in range(n + 1):
-            row = rng.normal(size=3) + 1j * rng.normal(size=3)
+            g, h = rng.normal(size=3), rng.normal(size=3)
             if m == 0:
-                row = row.real.astype(np.complex128)
-            q[FourierWeights.row_index(n, m)] = scale * row
-            if m > 0:
-                q[FourierWeights.row_index(n, -m)] = (
-                    (-1.0) ** m * np.conj(scale * row)
-                )
-    return FourierWeights(q, n_max, domain)
+                coef[FourierWeights.row_index(n, 0)] = scale * g
+            else:
+                coef[FourierWeights.row_index(n, m)] = 2.0 * scale * g
+                coef[FourierWeights.row_index(n, -m)] = -2.0 * scale * h
+    return FourierWeights(coef, n_max, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,26 @@ def test_basis_negative_orders_are_conjugates():
 def test_weights_shape_validation():
     domain = SpheroidDomain("oblate", e=0.5, zeta0=1.0)
     with pytest.raises(ValueError):
-        FourierWeights(np.zeros((5, 3), dtype=complex), 2, domain)
+        FourierWeights(np.zeros((5, 3)), 2, domain)
+
+
+def test_weights_refuse_complex_input():
+    # a float copy of complex q would drop its imaginary part with only a
+    # warning, and so encode another surface
+    domain = SpheroidDomain("oblate", e=0.5, zeta0=1.0)
+    with pytest.raises(ValueError, match="real coefficients"):
+        FourierWeights(np.zeros((9, 3), dtype=complex), 2, domain)
+
+
+def test_weights_are_read_only_copies(oblate_dom, rng):
+    w = _random_consistent_weights(2, oblate_dom, rng)
+    for array in (w.coef, w.q):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    given = w.coef.copy()
+    copy = FourierWeights(given, 2, oblate_dom)
+    given[0, 0] += 1.0
+    assert np.array_equal(copy.coef, w.coef)
 
 
 def test_truncated_takes_row_prefix():
@@ -345,30 +365,20 @@ def test_truncated_takes_row_prefix():
     w = _random_consistent_weights(4, domain, rng)
     t = w.truncated(2)
     assert t.n_max == 2
-    assert np.array_equal(t.q, w.q[:9])
+    assert np.array_equal(t.coef, w.coef[:9])
     assert w.truncated(4) is w
     with pytest.raises(ValueError):
         w.truncated(5)
 
 
-def test_conjugate_error_detects_asymmetry():
-    domain = SpheroidDomain("oblate", e=0.5, zeta0=1.0)
-    rng = np.random.default_rng(5)
-    w = _random_consistent_weights(3, domain, rng)
-    assert w.conjugate_error() < 1e-15
-    broken = w.q.copy()
-    broken[FourierWeights.row_index(2, -1)] += 0.25
-    w2 = FourierWeights(broken, 3, domain)
-    assert w2.conjugate_error() == pytest.approx(0.25, rel=1e-12)
-
-
 def test_psd_descriptors_hand_value():
     domain = SpheroidDomain("oblate", e=0.5, zeta0=1.0)
-    q = np.zeros((9, 3), dtype=complex)
-    q[FourierWeights.row_index(1, 0), 2] = 2.0  # degree 1, z column
-    q[FourierWeights.row_index(2, 1), 0] = 3.0 + 4.0j  # degree 2, x column
-    q[FourierWeights.row_index(2, -1), 0] = -(3.0 - 4.0j)
-    w = FourierWeights(q, 2, domain)
+    coef = np.zeros((9, 3))
+    coef[FourierWeights.row_index(1, 0), 2] = 2.0  # degree 1, z column
+    # degree 2, x column: q_21 = (a - i b) / 2 = 3 + 4i, q_2,-1 = -(3 - 4i)
+    coef[FourierWeights.row_index(2, 1), 0] = 6.0
+    coef[FourierWeights.row_index(2, -1), 0] = -8.0
+    w = FourierWeights(coef, 2, domain)
     power = psd_descriptors(w)
     assert power.shape == (3, 3)
     assert power[1, 2] == pytest.approx(4.0)
@@ -380,16 +390,14 @@ def test_psd_descriptors_hand_value():
 # decompose / reconstruct
 
 def test_decompose_recovers_band_limited_weights(oblate_dom, rng):
-    w = _random_consistent_weights(3, oblate_dom, rng, scale=0.05)
+    coef = _random_consistent_weights(3, oblate_dom, rng, scale=0.05).coef.copy()
     # anchor on a sphere-ish degree-(0,1) part so the surface is sane
-    w.q[FourierWeights.row_index(0, 0)] = 0.0
+    coef[FourierWeights.row_index(0, 0)] = 0.0
     base = math.sqrt(4.0 * math.pi / 3.0)
-    w.q[FourierWeights.row_index(1, 0)] = [0.0, 0.0, base]
-    w.q[FourierWeights.row_index(1, 1)] = [-base / math.sqrt(2.0),
-                                           1j * base / math.sqrt(2.0), 0.0]
-    w.q[FourierWeights.row_index(1, -1)] = np.conj(
-        -w.q[FourierWeights.row_index(1, 1)]
-    )
+    coef[FourierWeights.row_index(1, 0)] = [0.0, 0.0, base]
+    coef[FourierWeights.row_index(1, 1)] = [-math.sqrt(2.0) * base, 0.0, 0.0]
+    coef[FourierWeights.row_index(1, -1)] = [0.0, -math.sqrt(2.0) * base, 0.0]
+    w = FourierWeights(coef, 3, oblate_dom)
 
     coords, faces = sample_icosphere(oblate_dom, 2)
     points = reconstruct_full(w, coords)
@@ -412,12 +420,14 @@ def test_reconstruct_fast_equals_full(oblate_dom, rng):
 
 
 def test_reconstruct_full_rejects_inconsistent_weights(oblate_dom, rng):
-    w = _random_consistent_weights(2, oblate_dom, rng)
-    w.q[FourierWeights.row_index(1, -1)] += 1.0  # break the symmetry
+    # FourierWeights derives a consistent q, so a stub carries the broken one
+    q = _random_consistent_weights(2, oblate_dom, rng).q.copy()
+    q[FourierWeights.row_index(1, -1)] += 1.0  # break the symmetry
+    stub = SimpleNamespace(q=q, n_max=2, domain=oblate_dom)
     eta = rng.uniform(-1.0, 1.0, 10)
     phi = rng.uniform(0.0, 2.0 * np.pi, 10)
     with pytest.raises(EngineError):
-        reconstruct_full(w, CurvilinearCoords(eta, phi, oblate_dom))
+        reconstruct_full(stub, CurvilinearCoords(eta, phi, oblate_dom))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
@@ -425,7 +435,7 @@ def test_reconstruct_full_bounds_imaginary_part_relative_to_size(scale):
     # at scale 1e8 the imaginary round-off reads about 4e-9, past an
     # absolute 1e-9 bound
     weights, coords, _ = _bumpy_fixture(benchmarks.oblate_domain(), 4, 30)
-    scaled = FourierWeights(scale * weights.q, 30, weights.domain)
+    scaled = FourierWeights(scale * weights.coef, 30, weights.domain)
     full = reconstruct_full(scaled, coords)
     fast = reconstruct_fast(scaled, coords)
     assert np.abs(full - fast).max() <= 1e-13 * np.abs(fast).max()
@@ -545,7 +555,6 @@ def test_kernel_edge_cases(kind, n_max):
         got = decompose(mesh, coords, config)
         assert np.abs(got.q - w.q).max() < 1e-10
     assert got.residual_rms < 1e-12
-    assert got.conjugate_error() == 0.0
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -581,13 +590,8 @@ def _svd_reference(mesh, coords, n_max):
     B[:, pos] = complex_basis[:, pos].real
     B[:, ~pos] = complex_basis[:, FourierWeights.row_index(n[~pos], -m[~pos])].imag
     coef = np.linalg.lstsq(B, mesh.vertices, rcond=None)[0]
-    q = coef.astype(np.complex128)
-    for k in np.flatnonzero(m > 0):
-        neg = FourierWeights.row_index(n[k], -m[k])
-        q[k] = 0.5 * (coef[k] - 1j * coef[neg])
-        q[neg] = (-1.0) ** m[k] * np.conj(q[k])
     rms = np.sqrt(((B @ coef - mesh.vertices) ** 2).sum(axis=1).mean())
-    return q, rms
+    return FourierWeights(coef, n_max, coords.domain).q, rms
 
 
 def _bumpy_fixture(domain, refinement, n_max):
@@ -619,7 +623,6 @@ def test_decompose_matches_svd_reference(fixture, noise):
     got = decompose(mesh, coords, ExpansionConfig(weights.n_max))
     q_ref, rms_ref = _svd_reference(mesh, coords, weights.n_max)
     assert np.abs(got.q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
-    assert got.conjugate_error() == 0.0
     if noise:
         assert got.residual_rms == pytest.approx(rms_ref, rel=1e-12, abs=0.0)
     else:
@@ -699,16 +702,8 @@ def test_fit_is_not_limited_by_its_rows_and_gram_matrix(monkeypatch):
 
 
 def _real_coef(weights):
-    """Real coefficients of the weights in the column order of _FitTables:
-    a_nm = (2 - delta_m0) Re q_nm and b_nm = -2 Im q_nm, exact for fitted
-    weights."""
-    n, m = full_orders(weights.n_max)
-    column = _fit_tables(weights.n_max).column
-    n, m = n[column], m[column]
-    q = weights.q[FourierWeights.row_index(n, np.abs(m))]
-    coef = np.where(m[:, None] > 0, 2.0 * q.real, q.real)
-    coef[m < 0] = -2.0 * q[m < 0].imag
-    return coef
+    """The weights' coefficients in the column order of _FitTables."""
+    return weights.coef[_fit_tables(weights.n_max).column]
 
 
 def test_fit_vertex_blocks_match_one_block(monkeypatch):
@@ -736,7 +731,6 @@ def test_fit_vertex_blocks_match_one_block(monkeypatch):
         assert np.abs(G - G_one).max() <= 1e-13 * np.abs(G_one).max()
         assert np.abs(BtV - BtV_one).max() <= 1e-13 * np.abs(BtV_one).max()
         assert np.abs(got.q - one_block.q).max() <= 1e-12
-        assert got.conjugate_error() == 0.0
 
 
 def test_one_block_fit_equals_the_fit_on_whole_sampling_rows(monkeypatch):
@@ -912,9 +906,71 @@ def test_save_load_roundtrip(tmp_path, oblate_dom, rng):
     back = load_weights(path)
     assert back.n_max == 5
     assert np.array_equal(back.q, w.q)  # 17 digits round-trips doubles
+    assert np.array_equal(back.coef, w.coef)
     assert back.domain.kind == oblate_dom.kind
     assert back.domain.e == oblate_dom.e
     assert back.domain.zeta0 == oblate_dom.zeta0
+
+
+@pytest.mark.parametrize("source", ["decompose", "bumpy"])
+def test_save_load_gives_coef_bit_for_bit(tmp_path, source):
+    if source == "decompose":
+        weights = benchmarks.cap_weights()
+    else:
+        weights = benchmarks.bumpy_weights(benchmarks.oblate_domain(), n_max=30)
+    path = tmp_path / "weights.txt"
+    save_weights(weights, path)
+    assert np.array_equal(load_weights(path).coef, weights.coef)
+
+
+def _spoiled_weights_file(path, row, token, delta=0.05):
+    """A bumpy n_max-12 weights file with delta added to one token (2..7:
+    re and im of x, y, z) of the row (n, m); returns the row's line."""
+    save_weights(benchmarks.bumpy_weights(benchmarks.oblate_domain(), n_max=12), path)
+    lines = path.read_text().splitlines()
+    number = 7 + FourierWeights.row_index(*row)
+    tokens = lines[number - 1].split()
+    assert tokens[:2] == [str(row[0]), str(row[1])]
+    tokens[token] = repr(float(tokens[token]) + delta)
+    lines[number - 1] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    return number
+
+
+@pytest.mark.parametrize("row, token, named", [
+    pytest.param((3, -2), 2, (3, -2), id="mirror"),
+    pytest.param((3, 2), 3, (3, -2), id="pair"),  # its mirror no longer agrees
+    pytest.param((2, 0), 7, (2, 0), id="m0-imaginary"),
+])
+def test_load_weights_refuses_inconsistent_rows(tmp_path, row, token, named):
+    path = tmp_path / "w.txt"
+    _spoiled_weights_file(path, row, token)
+    line = 7 + FourierWeights.row_index(*named)
+    n, m = named
+    with pytest.raises(FormatError, match=(
+            rf"^{re.escape(str(path))}:{line}: weights row \({n}, {m}\) is not "
+            rf"\(-1\)\^m conj of row \({n}, {-m}\)$")):
+        load_weights(path)
+
+
+def test_load_weights_accepts_only_consistent_files(tmp_path):
+    # one value spoiled at a time: only the real part of an m = 0 row keeps
+    # the rows consistent, and what loads is one surface for both evaluators
+    path = tmp_path / "w.txt"
+    coords, _ = sample_icosphere(benchmarks.oblate_domain(), 2)
+    n, m = full_orders(12)
+    rows = [0, 6, *np.random.default_rng(10).choice(169, 10, replace=False)]
+    for i in rows:
+        for token in range(2, 8):
+            _spoiled_weights_file(path, (n[i], m[i]), token)
+            if m[i] == 0 and token % 2 == 0:
+                weights = load_weights(path)
+                full = reconstruct_full(weights, coords)
+                assert np.abs(reconstruct_fast(weights, coords) - full).max() <= (
+                    1e-12 * np.abs(full).max())
+            else:
+                with pytest.raises(FormatError, match="conj of row"):
+                    load_weights(path)
 
 
 def test_load_rejects_bad_magic(tmp_path):
