@@ -246,7 +246,7 @@ def cmd_remesh(args):
             weights, coords, faces, config
         )
     except EngineError as exc:
-        if exc.trace is not None and args.trace is not None:
+        if args.trace is not None:
             exc.trace.to_csv(args.trace)
             print(f"wrote partial trace {args.trace}", file=sys.stderr)
         raise

@@ -60,7 +60,6 @@ __all__ = [
     "segment_budgets",
     "remesh_microstructure_2d",
     "self_intersects",
-    "read_contour_csv",
     "write_contour_csv",
     "read_contours",
     "write_contours",
@@ -384,7 +383,10 @@ def _ring_implicit_step(masses, conductance, u, dt):
 
 def segment_budgets(lengths, max_segments_largest):
     """Per-particle segment counts: linear in contour length from
-    MIN_SEGMENTS (shortest) to max_segments_largest (longest)."""
+    MIN_SEGMENTS (shortest) to max_segments_largest (longest), an integer.
+    A NaN, infinite or negative length raises ValueError."""
+    if not isinstance(max_segments_largest, (int, np.integer)):
+        raise ValueError("largest budget must be an integer")
     if max_segments_largest < MIN_SEGMENTS:
         raise ValueError(
             f"largest budget must be at least {MIN_SEGMENTS}"
@@ -392,6 +394,9 @@ def segment_budgets(lengths, max_segments_largest):
     lengths = np.asarray(lengths, dtype=float)
     if lengths.size == 0:
         raise ValueError("need at least one contour")
+    # written so that a NaN length fails it too
+    if not np.all((lengths >= 0.0) & (lengths < np.inf)):
+        raise ValueError("contour lengths must be finite and nonnegative")
     lo, hi = float(lengths.min()), float(lengths.max())
     if hi == lo:
         return np.full(lengths.shape, int(max_segments_largest), dtype=int)
@@ -445,13 +450,9 @@ def remesh_microstructure_2d(contours, max_segments_largest, n_max, i_max=200):
 # ---------------------------------------------------------------------------
 # contour files
 
-def read_contour_csv(path):
-    """Single contour from a CSV of x,y rows; the first significant row may be
-    a header."""
-    return _csv_contour(path, read_lines(path))
-
-
 def _csv_contour(path, lines):
+    """Single contour from the significant lines of a CSV of x,y rows; the
+    first may be a header."""
     rows = []
     for k, (number, line) in enumerate(lines):
         parts = line.replace(",", " ").split()

@@ -31,7 +31,7 @@ from .errors import EngineError, GuardError
 from .harmonics import SurfaceKernel
 from .mesh import FaceGeometry, TriangleMesh, mean_edge_length, ring_lengths
 from .operators import MeshTopology, stretch_directors
-from .solver import DT_SCALE, backward_euler_step
+from .solver import backward_euler_step
 from .spheroidal import CurvilinearCoords, forward_coords, pullback, surface_normals
 
 __all__ = [
@@ -72,11 +72,15 @@ class DiffusionConfig:
 
     stages: tuple
     gamma: float = 0.0
-    dt_scale: float = DT_SCALE
+    dt_scale: float = 0.5
     std_tolerance: float = 1e-2
 
     def __post_init__(self):
-        stages = tuple((int(n), int(i)) for n, i in self.stages)
+        stages = tuple(self.stages)
+        # a float degree or budget is refused, not truncated
+        if not all(isinstance(v, (int, np.integer)) for stage in stages for v in stage):
+            raise ValueError("stage degrees and i_max must be integers")
+        stages = tuple((int(n), int(i)) for n, i in stages)
         object.__setattr__(self, "stages", stages)
         if not stages:
             raise ValueError("stages must be non-empty")
@@ -184,16 +188,17 @@ def _rim_source(loop, u, edge_masses, dt):
     return source
 
 
-def update_coordinates(coords, vertex_gradient, dt, domain):
+def update_coordinates(coords, vertex_gradient, dt):
     """Advect shell coordinates by the tangential gradient for one step.
 
     Each vertex is displaced in 3-space by dt times the tangential part of
-    its gradient vector, then pulled back to the shell (eta clamped to the
-    domain range, phi wrapped).
+    its gradient vector, then pulled back to the shell of `coords.domain`
+    (eta clamped to the domain range, phi wrapped).
     """
     g = np.asarray(vertex_gradient, dtype=float)
     if g.shape != (coords.n, 3):
         raise ValueError("vertex gradient must be (n, 3)")
+    domain = coords.domain
     points = forward_coords(domain, coords.eta, coords.phi)
     normals = surface_normals(domain, points)
     tangential = g - (g * normals).sum(axis=1, keepdims=True) * normals
@@ -214,7 +219,6 @@ def _run_stage(
     u + rate * dt.
     """
     surface = SurfaceKernel(weights.truncated(n_stage))
-    domain = weights.domain
     n_v = coords.n
     cost = (n_stage + 1) * (n_stage + 2) // 2 * n_v
 
@@ -246,7 +250,7 @@ def _run_stage(
             directors = stretch_directors(geometry, config.gamma)
             alpha = directors[3]
         if dt is None:
-            # solver.estimate_dt on the unit-area mesh
+            # the first step, dt_scale h^2 / alpha_max on the unit-area mesh
             h = mean_edge_length(geometry.points, edges)
             dt = dt_first = config.dt_scale * h * h / alpha
         else:
@@ -269,10 +273,10 @@ def _run_stage(
                 geometry.vertex_gradients(u_diffused)
                 / np.maximum(u_diffused, 1e-15)[:, None]
             )
-            moved = update_coordinates(coords, velocity, dt, domain)
+            moved = update_coordinates(coords, velocity, dt)
             eta = moved.eta.copy()
             eta[rim] = rim_eta
-            cand_coords = CurvilinearCoords(eta, moved.phi, domain)
+            cand_coords = CurvilinearCoords(eta, moved.phi, moved.domain)
             cand = FaceGeometry(surface(cand_coords) * scale, faces)
             evals += cost
             flips = int(np.count_nonzero((cand.normals * geometry.normals).sum(0) < 0.0))

@@ -205,7 +205,7 @@ class Contour2D:
 
     points : (n, 2) float array, consecutive points distinct (cyclically for
     closed contours); closed contours need at least 3 points and do not
-    repeat the first point at the end.
+    repeat the first point at the end, open ones at least 2.
     """
 
     points: np.ndarray
@@ -219,12 +219,13 @@ class Contour2D:
             raise ValueError("contour points must be finite")
         if self.closed and p.shape[0] < 3:
             raise ValueError("closed contour needs at least 3 points")
-        if p.shape[0] >= 2:
-            d = np.linalg.norm(np.diff(p, axis=0), axis=1)
-            if np.any(d == 0.0):
-                raise ValueError("repeated consecutive point")
-            if self.closed and np.linalg.norm(p[0] - p[-1]) == 0.0:
-                raise ValueError("closed contour must not repeat its first point")
+        if p.shape[0] < 2:
+            raise ValueError("open contour needs at least 2 points")
+        d = np.linalg.norm(np.diff(p, axis=0), axis=1)
+        if np.any(d == 0.0):
+            raise ValueError("repeated consecutive point")
+        if self.closed and np.linalg.norm(p[0] - p[-1]) == 0.0:
+            raise ValueError("closed contour must not repeat its first point")
         self.points = p
 
     def segment_lengths(self):

@@ -10,17 +10,14 @@ from .errors import SolverError
 __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_MAX_ITERATIONS",
-    "DT_SCALE",
     "cg",
     "solve_sparse",
     "StepMatrix",
     "backward_euler_step",
-    "estimate_dt",
 ]
 
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERATIONS = 2000
-DT_SCALE = 0.5
 
 
 def cg(A, b, x0, tolerance, max_iterations, callback=None):
@@ -130,9 +127,12 @@ class StepMatrix:
 
     def fill(self, laplacian, masses, dt):
         """S for this step: -dt L.data, the masses added in the diagonal
-        slots. `laplacian` is a CSR matrix in this pattern."""
+        slots. `laplacian` is a CSR matrix in this pattern: the same shape,
+        `indptr` and `indices`, else ValueError."""
         S = self.matrix
-        if laplacian.shape != S.shape or laplacian.nnz != S.nnz:
+        if not (laplacian.shape == S.shape
+                and np.array_equal(laplacian.indptr, S.indptr)
+                and np.array_equal(laplacian.indices, S.indices)):
             raise ValueError("laplacian is not in the step matrix's pattern")
         np.multiply(laplacian.data, -dt, out=S.data)
         S.data[self.diagonal] += masses
@@ -146,7 +146,7 @@ def backward_euler_step(
     """One implicit step of du/dt = Lu: solve (M - dt L) u' = M u (+ extra),
     starting the solve from x0 (u_i when None).
 
-    vertex_mass is the lumped mass matrix or its diagonal; S = M - dt L is
+    vertex_mass holds the lumped mass of each vertex; S = M - dt L is
     written into `step_matrix`, a `StepMatrix` in L's pattern. S is
     symmetric positive definite, so conjugate gradient applies. L is
     symmetric with zero row sums, so S 1 = m: adding (sum(b) - m^T x) /
@@ -158,8 +158,6 @@ def backward_euler_step(
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     u_i = _finite("u_i", u_i)
-    if sp.issparse(vertex_mass):
-        vertex_mass = vertex_mass.diagonal()
     masses = _finite("vertex masses", vertex_mass)
     if np.any(masses <= 0.0):
         raise ValueError("vertex masses must be positive")
@@ -170,9 +168,3 @@ def backward_euler_step(
     x = solve_sparse(S, b, tolerance=tolerance, x0=u_i if x0 is None else x0)
     return x + (b.sum() - masses @ x) / masses.sum()
 
-
-def estimate_dt(mesh, alpha_max=1.0, c=DT_SCALE):
-    """Diffusion time step c * (mean edge length)^2 / alpha_max, where
-    alpha_max is the largest diffusion rate (1 for isotropic flow)."""
-    h = mesh.mean_edge_length()
-    return c * h * h / alpha_max

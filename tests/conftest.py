@@ -15,6 +15,12 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def first_dt(mesh):
+    """The engine's first time step at the default dt_scale 0.5, alpha 1."""
+    h = mesh.mean_edge_length()
+    return 0.5 * h * h
+
+
 @pytest.fixture(scope="session")
 def unit_sphere_2():
     return icosphere(2)

@@ -593,9 +593,9 @@ def test_engine_failure_exits_4(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_collapsed_sampling_exits_4_with_partial_trace(
-    weights_file, tmp_path, monkeypatch, capsys
-):
+@pytest.fixture
+def collapsed_sampling(monkeypatch):
+    """`remesh` samples a mesh whose first face has collapsed to an edge."""
     import equimesh.cli as cli
     from equimesh.spheroidal import CurvilinearCoords
 
@@ -609,6 +609,11 @@ def test_collapsed_sampling_exits_4_with_partial_trace(
         return CurvilinearCoords(eta, phi, domain), faces
 
     monkeypatch.setattr(cli, "sample_icosphere", collapsed)
+
+
+def test_collapsed_sampling_exits_4_with_partial_trace(
+    weights_file, tmp_path, collapsed_sampling, capsys
+):
     trace = tmp_path / "partial.csv"
     rc = main(["remesh", "--weights", str(weights_file),
                "--out", str(tmp_path / "m.obj"), "--trace", str(trace),
@@ -616,6 +621,18 @@ def test_collapsed_sampling_exits_4_with_partial_trace(
     assert rc == 4
     assert "wrote partial trace" in capsys.readouterr().err
     assert trace.read_text().startswith("stage,t,dt,std_u")
+
+
+def test_collapsed_sampling_without_trace_exits_4_and_writes_no_file(
+    weights_file, tmp_path, collapsed_sampling, capsys
+):
+    out = tmp_path / "run"
+    out.mkdir()
+    rc = main(["remesh", "--weights", str(weights_file),
+               "--out", str(out / "m.obj"), "--refine", "2"])
+    assert rc == 4
+    assert "partial trace" not in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_bad_value_exits_2(weights_file, tmp_path, capsys):

@@ -16,7 +16,6 @@ from equimesh.contour2d import (
     elliptic_coords,
     fit_ellipse,
     inverse_elliptic,
-    read_contour_csv,
     read_contours,
     reconstruct_contour,
     remesh_contour,
@@ -613,6 +612,22 @@ def test_segment_budgets_hand_values():
         segment_budgets([], 20)
 
 
+@pytest.mark.parametrize("lengths", [
+    [1.0, np.nan, 3.0], [1.0, np.inf], [1.0, -2.0, 3.0], [-1.0, -1.0],
+])
+def test_segment_budgets_refuses_a_bad_length(lengths):
+    # a NaN or infinite length once warned and gave garbage budgets
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        segment_budgets(lengths, 20)
+
+
+@pytest.mark.parametrize("largest", [10.6, 20.0])
+def test_segment_budgets_refuses_a_non_integer_largest_budget(largest):
+    # 10.6 once gave the longest particle 11 segments
+    with pytest.raises(ValueError, match="must be an integer"):
+        segment_budgets([1.0, 2.0], largest)
+
+
 def test_self_intersects():
     square = Contour2D(
         points=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
@@ -724,7 +739,7 @@ def test_contour_csv_roundtrip(tmp_path):
     c = blob_contour(n_points=32)
     path = tmp_path / "c.csv"
     write_contour_csv(c, path)
-    back = read_contour_csv(path)
+    [(_, back)] = read_contours(path)
     assert np.array_equal(back.points, c.points)
     assert back.closed
 
@@ -732,7 +747,7 @@ def test_contour_csv_roundtrip(tmp_path):
 def test_contour_csv_headerless_and_comments(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("# a square\n0 0\n1,0\n\n1 1\n0 1\n")
-    c = read_contour_csv(path)
+    [(_, c)] = read_contours(path)
     assert c.points.shape == (4, 2)
     assert c.points[1] == pytest.approx([1.0, 0.0])
 
@@ -740,24 +755,24 @@ def test_contour_csv_headerless_and_comments(tmp_path):
 def test_contour_csv_header_after_comments(tmp_path):
     path = tmp_path / "grain.csv"
     path.write_text("# grain 7\n\nx,y\n0,0\n1,0\n1,1\n0,1\n")
-    c = read_contour_csv(path)
+    [(_, c)] = read_contours(path)
     assert c.points.shape == (4, 2)
     # only the first row may be a header
     path.write_text("# grain 7\nx,y\n0,0\nu,v\n1,1\n0,1\n")
     with pytest.raises(FormatError, match=":4:"):
-        read_contour_csv(path)
+        read_contours(path)
 
 
 def test_contour_csv_errors(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,y\n0,0\n1,oops\n2,2\n")
     with pytest.raises(FormatError):
-        read_contour_csv(p)
+        read_contours(p)
     p.write_text("x,y\n0,0\n1,1\n")
     with pytest.raises(FormatError):
-        read_contour_csv(p)  # fewer than 3 points
+        read_contours(p)  # fewer than 3 points
     with pytest.raises(FormatError):
-        read_contour_csv(tmp_path / "missing.csv")
+        read_contours(tmp_path / "missing.csv")
 
 
 def test_contours_document_roundtrip(tmp_path):
@@ -810,4 +825,4 @@ def test_read_contours_picks_the_format_by_its_first_line(tmp_path):
     write_contour_csv(blob_contour(12), csv)
     [(pid, contour)] = read_contours(csv)
     assert pid == "0"
-    assert np.array_equal(contour.points, read_contour_csv(csv).points)
+    assert np.array_equal(contour.points, blob_contour(12).points)

@@ -22,7 +22,8 @@ from equimesh import diffusion, harmonics, solver
 from equimesh.contour2d import ContourTrace
 from equimesh.errors import DegenerateMeshError, EngineError, GuardError
 from equimesh.harmonics import FourierWeights, reconstruct_fast
-from equimesh.mesh import TriangleMesh
+from equimesh.mesh import FaceGeometry, TriangleMesh, mean_edge_length
+from equimesh.operators import stretch_directors
 from equimesh.spheroidal import (
     CurvilinearCoords,
     forward_coords,
@@ -58,6 +59,8 @@ def test_config_accepts_flat_and_staged_schedules():
         dict(stages=((10, 30),), dt_scale=np.inf),
         dict(stages=((10, 30),), std_tolerance=np.nan),
         dict(stages=((10, 30),), std_tolerance=np.inf),
+        dict(stages=((12.9, 3.7),)),  # once truncated to ((12, 3),)
+        dict(stages=((12, 3.0),)),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -144,7 +147,7 @@ def test_update_coordinates_ignores_normal_motion(oblate_dom, rng):
     phi = rng.uniform(0.0, 2.0 * np.pi, 50)
     coords = CurvilinearCoords(eta, phi, oblate_dom)
     normals = surface_normals(oblate_dom, forward_coords(oblate_dom, eta, phi))
-    moved = update_coordinates(coords, 0.3 * normals, dt=0.7, domain=oblate_dom)
+    moved = update_coordinates(coords, 0.3 * normals, dt=0.7)
     assert moved.eta == pytest.approx(eta, abs=1e-9)
     # phi may wrap; compare on the circle
     dphi = np.angle(np.exp(1j * (moved.phi - phi)))
@@ -158,15 +161,14 @@ def test_update_coordinates_moves_tangentially(oblate_dom):
     n = surface_normals(oblate_dom, forward_coords(oblate_dom, eta, phi))
     g = np.cross(n[0], [0.0, 0.0, 1.0])
     g /= np.linalg.norm(g)
-    moved = update_coordinates(coords, g[None, :] * 0.05, dt=1.0,
-                               domain=oblate_dom)
+    moved = update_coordinates(coords, g[None, :] * 0.05, dt=1.0)
     assert abs(moved.phi[0] - phi[0]) > 1e-4
 
 
 def test_update_coordinates_shape_check(oblate_dom):
     coords = CurvilinearCoords(np.array([0.1]), np.array([0.2]), oblate_dom)
     with pytest.raises(ValueError):
-        update_coordinates(coords, np.zeros((2, 3)), 0.1, oblate_dom)
+        update_coordinates(coords, np.zeros((2, 3)), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +391,7 @@ def test_stop_reason_stalled(bumpy_setup, monkeypatch):
     monkeypatch.setattr(
         diffusion,
         "update_coordinates",
-        lambda coords, grad, dt, domain: forward(coords, -grad, dt, domain),
+        lambda coords, grad, dt: forward(coords, -grad, dt),
     )
     _, w, coords, faces = bumpy_setup
     cfg = DiffusionConfig(stages=((10, 5),), dt_scale=0.05, std_tolerance=0.0)
@@ -406,6 +408,21 @@ def test_stage_rejected_by_the_std_test_alone_stalls(cap_setup):
     _, _, tr = diffuse_remesh(w, coords, faces, cfg)
     assert tr.n_rows > 0 and set(tr.stage) == {1}
     assert tr.stop_reason == "i_max"
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_first_step_is_dt_scale_h2_over_alpha_on_the_unit_area_start(bumpy_setup, gamma):
+    _, w, coords, faces = bumpy_setup
+    cfg = DiffusionConfig(stages=((8, 1),), gamma=gamma, dt_scale=4.0)
+    _, _, tr = diffuse_remesh(w, coords, faces, cfg)
+    points = reconstruct_fast(w.truncated(8), coords)
+    points = points * (1.0 / np.sqrt(FaceGeometry(points, faces).areas.sum()))
+    geometry = FaceGeometry(points, faces)
+    alpha = stretch_directors(geometry, gamma)[3] if gamma > 0.0 else 1.0
+    h = mean_edge_length(geometry.points, TriangleMesh(points, faces).unique_edges())
+    # a rejected candidate halves the step, so the row's dt times
+    # 2**halvings is the step the row started from
+    assert tr.dt[0] * 2.0 ** tr.halvings[0] == cfg.dt_scale * h * h / alpha
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0])

@@ -601,3 +601,9 @@ def test_closed_contour_rejects_repeated_first_point():
 def test_contour_rejects_too_few_points():
     with pytest.raises(ValueError):
         Contour2D(np.array([[0, 0], [1, 0]], dtype=float))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_open_contour_rejects_fewer_than_two_points(n):
+    with pytest.raises(ValueError, match="open contour needs at least 2 points"):
+        Contour2D(np.zeros((n, 2)), closed=False)

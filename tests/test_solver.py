@@ -12,14 +12,8 @@ from equimesh import solver
 from equimesh.errors import SolverError
 from equimesh.mesh import TriangleMesh, icosphere
 from equimesh.operators import MeshTopology, laplacian_iso, vertex_mass_matrix
-from equimesh.solver import (
-    DT_SCALE,
-    StepMatrix,
-    backward_euler_step,
-    cg,
-    estimate_dt,
-    solve_sparse,
-)
+from equimesh.solver import StepMatrix, backward_euler_step, cg, solve_sparse
+from conftest import first_dt
 from test_acceptance import bumpy_mesh
 from test_operators import open_cap
 
@@ -192,9 +186,8 @@ def mesh_step_matrix(mesh):
 
 
 def test_backward_euler_two_vertex_equilibrium():
-    M = sp.eye(2).tocsr()
     u = np.array([1.0, 0.0])
-    out = backward_euler_step(M, TWO_VERTEX_L, u, dt=1e6, tolerance=1e-10,
+    out = backward_euler_step(np.ones(2), TWO_VERTEX_L, u, dt=1e6, tolerance=1e-10,
                               step_matrix=two_vertex_step_matrix())
     assert out == pytest.approx([0.5, 0.5], abs=1e-5)
 
@@ -202,9 +195,8 @@ def test_backward_euler_two_vertex_equilibrium():
 def test_residual_past_ten_times_the_tolerance_raises():
     # the same step at tolerance 1e-12: CG stops, but round-off at
     # cond(M - dt L) = 2e6 leaves the true residual far above 1e-11
-    M = sp.eye(2).tocsr()
     with pytest.raises(SolverError, match=r"exceeds tolerance 1\.000e-12$") as exc:
-        backward_euler_step(M, TWO_VERTEX_L, np.array([1.0, 0.0]), dt=1e6,
+        backward_euler_step(np.ones(2), TWO_VERTEX_L, np.array([1.0, 0.0]), dt=1e6,
                             tolerance=1e-12, step_matrix=two_vertex_step_matrix())
     assert exc.value.residual > 10.0 * 1e-12
 
@@ -216,10 +208,10 @@ def test_backward_euler_conserves_mass():
     rng = np.random.default_rng(42)
     u = rng.uniform(0.5, 2.0, mesh.n_v)
     total0 = float(np.ones(mesh.n_v) @ (M @ u))
-    dt = estimate_dt(mesh)
+    dt = first_dt(mesh)
     step_matrix = mesh_step_matrix(mesh)
     for _ in range(10):
-        u = backward_euler_step(M, L, u, dt, step_matrix=step_matrix)
+        u = backward_euler_step(M.diagonal(), L, u, dt, step_matrix=step_matrix)
     total = float(np.ones(mesh.n_v) @ (M @ u))
     assert abs(total - total0) / abs(total0) < 1e-9
 
@@ -234,10 +226,10 @@ def test_backward_euler_conserves_mass_exactly_at_a_loose_tolerance():
     u = rng.uniform(0.5, 2.0, mesh.n_v)
     masses = M.diagonal()
     total0 = float(masses @ u)
-    dt = estimate_dt(mesh)
+    dt = first_dt(mesh)
     step_matrix = mesh_step_matrix(mesh)
     for _ in range(30):
-        u = backward_euler_step(M, L, u, dt, tolerance=1e-3, step_matrix=step_matrix)
+        u = backward_euler_step(masses, L, u, dt, tolerance=1e-3, step_matrix=step_matrix)
     assert abs(float(masses @ u) - total0) / total0 <= 1e-12
 
 
@@ -249,7 +241,8 @@ def test_backward_euler_smooths_monotonically():
     prev_std = u.std()
     step_matrix = mesh_step_matrix(mesh)
     for _ in range(5):
-        u = backward_euler_step(M, L, u, estimate_dt(mesh), step_matrix=step_matrix)
+        u = backward_euler_step(M.diagonal(), L, u, first_dt(mesh),
+                                step_matrix=step_matrix)
         assert u.std() < prev_std
         prev_std = u.std()
 
@@ -261,8 +254,8 @@ def test_backward_euler_rhs_extra_enters_equation():
     rng = np.random.default_rng(9)
     u = rng.uniform(0.5, 1.5, mesh.n_v)
     extra = rng.normal(scale=1e-3, size=mesh.n_v)
-    dt = estimate_dt(mesh)
-    out = backward_euler_step(M, L, u, dt, rhs_extra=extra, tolerance=1e-13,
+    dt = first_dt(mesh)
+    out = backward_euler_step(M.diagonal(), L, u, dt, rhs_extra=extra, tolerance=1e-13,
                               step_matrix=mesh_step_matrix(mesh))
     S = (M - dt * L).tocsr()
     resid = S @ out - (M @ u + extra)
@@ -274,12 +267,8 @@ def test_backward_euler_takes_mass_diagonal_and_starts_from_u(monkeypatch):
     M = vertex_mass_matrix(mesh)
     L = laplacian_iso(mesh)
     u = mesh.vertices[:, 2] ** 2
-    dt = estimate_dt(mesh)
+    dt = first_dt(mesh)
     step_matrix = mesh_step_matrix(mesh)
-    assert np.array_equal(
-        backward_euler_step(M, L, u, dt, step_matrix=step_matrix),
-        backward_euler_step(M.diagonal(), L, u, dt, step_matrix=step_matrix),
-    )
     # a uniform field is the solution, so the warm-started loop does not iterate
     starts, iterations = [], []
 
@@ -289,7 +278,7 @@ def test_backward_euler_takes_mass_diagonal_and_starts_from_u(monkeypatch):
 
     monkeypatch.setattr(solver, "cg", recording_cg)
     uniform = np.full(mesh.n_v, 0.25)
-    out = backward_euler_step(M, L, uniform, dt, step_matrix=step_matrix)
+    out = backward_euler_step(M.diagonal(), L, uniform, dt, step_matrix=step_matrix)
     assert np.array_equal(starts[0], uniform)
     assert iterations == []
     assert out == pytest.approx(uniform, rel=1e-12)
@@ -300,7 +289,7 @@ def test_step_matrix_equals_the_setdiag_build(build):
     mesh = build()
     L = laplacian_iso(mesh)
     masses = vertex_mass_matrix(mesh).diagonal()
-    dt = estimate_dt(mesh)
+    dt = first_dt(mesh)
     # S as a CSR copy of L times -dt, its diagonal found by setdiag
     expected = sp.csr_matrix(L) * -dt
     expected.setdiag(expected.diagonal() + masses)
@@ -316,18 +305,39 @@ def test_step_matrix_refuses_a_laplacian_of_another_pattern():
                             0.1, step_matrix=two_vertex_step_matrix())
 
 
+def test_step_matrix_refuses_a_relabelled_mesh_of_the_same_size(monkeypatch):
+    # the same counts of vertices and entries, but not the same slots: the
+    # entry count alone once let L fill the wrong slots, and CG then spent
+    # its budget on the scrambled S
+    mesh = icosphere(2)
+    perm = np.random.default_rng(3).permutation(mesh.n_v)
+    relabel = np.empty_like(perm)
+    relabel[perm] = np.arange(mesh.n_v)
+    relabelled = TriangleMesh(mesh.vertices[perm], relabel[mesh.faces])
+    L = laplacian_iso(relabelled)
+    step_matrix = mesh_step_matrix(mesh)
+    assert L.nnz == step_matrix.matrix.nnz
+    assert not np.array_equal(L.indices, step_matrix.matrix.indices)
+    solves = []
+    monkeypatch.setattr(solver, "cg", lambda *args, **kwargs: solves.append(args))
+    masses = vertex_mass_matrix(relabelled).diagonal()
+    with pytest.raises(ValueError, match="not in the step matrix's pattern"):
+        backward_euler_step(masses, L, np.ones(mesh.n_v), first_dt(mesh),
+                            step_matrix=step_matrix)
+    assert solves == []
+
+
 def test_step_started_from_an_increment_agrees_with_a_cold_start():
     mesh = bumpy_mesh()
-    M = vertex_mass_matrix(mesh)
     L = laplacian_iso(mesh)
-    masses = M.diagonal()
+    masses = vertex_mass_matrix(mesh).diagonal()
     step_matrix = mesh_step_matrix(mesh)
-    dt = estimate_dt(mesh)
+    dt = first_dt(mesh)
     u_prev = np.random.default_rng(77).uniform(0.5, 2.0, mesh.n_v)
-    u = backward_euler_step(M, L, u_prev, 0.5 * dt, step_matrix=step_matrix)
-    cold = backward_euler_step(M, L, u, dt, step_matrix=step_matrix)
+    u = backward_euler_step(masses, L, u_prev, 0.5 * dt, step_matrix=step_matrix)
+    cold = backward_euler_step(masses, L, u, dt, step_matrix=step_matrix)
     # the engine's start: the last increment, rescaled to this step
-    warm = backward_euler_step(M, L, u, dt, step_matrix=step_matrix,
+    warm = backward_euler_step(masses, L, u, dt, step_matrix=step_matrix,
                                x0=u + (u - u_prev) * 2.0)
     tolerance = solver.DEFAULT_TOLERANCE
     assert np.linalg.norm(warm - cold) <= 10.0 * tolerance * np.linalg.norm(cold)
@@ -335,11 +345,10 @@ def test_step_started_from_an_increment_agrees_with_a_cold_start():
 
 
 def test_backward_euler_validation():
-    M = sp.eye(2).tocsr()
     L, step_matrix = TWO_VERTEX_L, two_vertex_step_matrix()
     with pytest.raises(ValueError):
-        backward_euler_step(M, L, np.ones(2), dt=0.0, step_matrix=step_matrix)
-    bad_mass = sp.diags([1.0, 0.0]).tocsr()
+        backward_euler_step(np.ones(2), L, np.ones(2), dt=0.0, step_matrix=step_matrix)
+    bad_mass = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
         backward_euler_step(bad_mass, L, np.ones(2), dt=0.1, step_matrix=step_matrix)
 
@@ -367,27 +376,3 @@ def test_backward_euler_refuses_non_finite_values(argument, name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         _two_vertex_step(**{argument: np.array([1.0, bad])})
 
-
-# ---------------------------------------------------------------------------
-# time step heuristic
-
-def unit_triangle():
-    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                  [0.5, np.sqrt(3.0) / 2.0, 0.0]])
-    return TriangleMesh(v, np.array([[0, 1, 2]]))
-
-
-def test_estimate_dt_formula():
-    mesh = unit_triangle()  # mean edge length exactly 1
-    assert mesh.mean_edge_length() == pytest.approx(1.0, rel=1e-12)
-    assert estimate_dt(mesh) == pytest.approx(DT_SCALE)
-    assert estimate_dt(mesh, c=0.5) == pytest.approx(0.5)
-    assert estimate_dt(mesh, alpha_max=8.0, c=0.5) == pytest.approx(0.0625)
-
-
-def test_estimate_dt_scales_with_edge_length():
-    fine = icosphere(3)
-    coarse = icosphere(1)
-    ratio = estimate_dt(fine) / estimate_dt(coarse)
-    h_ratio = (fine.mean_edge_length() / coarse.mean_edge_length()) ** 2
-    assert ratio == pytest.approx(h_ratio, rel=1e-12)
