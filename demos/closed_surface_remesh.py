@@ -13,7 +13,7 @@ import numpy as np
 from equimesh.benchmarks import bumpy_weights, oblate_domain
 from equimesh.diffusion import DiffusionConfig, diffuse_remesh
 from equimesh.harmonics import psd_descriptors, reconstruct_fast
-from equimesh.mesh import TriangleMesh, compare_surfaces, save_mesh
+from equimesh.mesh import TriangleMesh, compare_surfaces, mean_edge_length, save_mesh
 from equimesh.spheroidal import sample_icosphere
 
 out_dir = pathlib.Path(__file__).parent / "out"
@@ -51,7 +51,8 @@ print(f"rejected candidates: {sum(trace.halvings)}, "
 # the morphology carrier is untouched, so the shape cannot have moved
 d, _, _ = compare_surfaces(before, after)
 print(f"mean surface distance before/after: {d:.3e} "
-      f"({d / before.mean_edge_length():.2%} of mean edge length)")
+      f"({d / mean_edge_length(before.vertices, before.unique_edges()):.2%} "
+      "of mean edge length)")
 power = psd_descriptors(weights).sum(axis=1)
 print(f"descriptor power, degrees 0..3: {np.round(power[:4], 6)}")
 print(f"\nwrote {out_dir}/bumpy_before.obj, bumpy_after.obj, bumpy_trace.csv")

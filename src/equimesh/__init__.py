@@ -79,7 +79,6 @@ from .contour2d import (
     ContourWeights,
     EllipticDomain,
     decompose_contour,
-    elliptic_coords,
     fit_ellipse,
     inverse_elliptic,
     reconstruct_contour,

@@ -37,6 +37,7 @@ from .errors import (
     EngineError,
     FormatError,
     IntersectionError,
+    check_count,
     naming,
     read_lines,
     row_values,
@@ -50,7 +51,6 @@ __all__ = [
     "EllipticDomain",
     "ContourWeights",
     "ContourTrace",
-    "elliptic_coords",
     "inverse_elliptic",
     "fit_ellipse",
     "decompose_contour",
@@ -98,14 +98,6 @@ class EllipticDomain:
     def _rotation_matrix(self):
         c, s = np.cos(self.rotation), np.sin(self.rotation)
         return np.array([[c, -s], [s, c]])
-
-
-def elliptic_coords(domain, eta):
-    """Points on the shell ellipse at angles eta, in world coordinates."""
-    eta = np.asarray(eta, dtype=float)
-    a, b = domain.semi_axes()
-    local = np.column_stack([a * np.cos(eta), b * np.sin(eta)])
-    return local @ domain._rotation_matrix().T + np.asarray(domain.center)
 
 
 def inverse_elliptic(domain, points):
@@ -268,13 +260,8 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
     run ended: "converged", "i_max" or "ordering". n_points and i_max must
     be integers, std_target a nonnegative number.
     """
-    for name, count in (("n_points", n_points), ("i_max", i_max)):
-        if not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, not {count!r}")
-    if n_points < MIN_SEGMENTS:
-        raise ValueError(f"need at least {MIN_SEGMENTS} points")
-    if i_max < 1:
-        raise ValueError("i_max must be at least 1")
+    n_points = check_count("n_points", n_points, MIN_SEGMENTS)
+    i_max = check_count("i_max", i_max, 1)
     # a NaN target would make both `std <= goal` and `std > goal` false
     if not std_target >= 0.0:
         raise ValueError(f"std_target must be nonnegative, not {std_target!r}")
@@ -385,12 +372,7 @@ def segment_budgets(lengths, max_segments_largest):
     """Per-particle segment counts: linear in contour length from
     MIN_SEGMENTS (shortest) to max_segments_largest (longest), an integer.
     A NaN, infinite or negative length raises ValueError."""
-    if not isinstance(max_segments_largest, (int, np.integer)):
-        raise ValueError("largest budget must be an integer")
-    if max_segments_largest < MIN_SEGMENTS:
-        raise ValueError(
-            f"largest budget must be at least {MIN_SEGMENTS}"
-        )
+    largest = check_count("largest budget", max_segments_largest, MIN_SEGMENTS)
     lengths = np.asarray(lengths, dtype=float)
     if lengths.size == 0:
         raise ValueError("need at least one contour")
@@ -399,9 +381,9 @@ def segment_budgets(lengths, max_segments_largest):
         raise ValueError("contour lengths must be finite and nonnegative")
     lo, hi = float(lengths.min()), float(lengths.max())
     if hi == lo:
-        return np.full(lengths.shape, int(max_segments_largest), dtype=int)
+        return np.full(lengths.shape, largest, dtype=int)
     frac = (lengths - lo) / (hi - lo)
-    budgets = np.rint(MIN_SEGMENTS + frac * (max_segments_largest - MIN_SEGMENTS))
+    budgets = np.rint(MIN_SEGMENTS + frac * (largest - MIN_SEGMENTS))
     return budgets.astype(int)
 
 

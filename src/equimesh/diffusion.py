@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EngineError, GuardError
+from .errors import EngineError, GuardError, check_count
 from .harmonics import SurfaceKernel
 from .mesh import FaceGeometry, TriangleMesh, mean_edge_length, ring_lengths
-from .operators import MeshTopology, stretch_directors
+from .operators import MeshTopology, _check_gamma, stretch_directors
 from .solver import backward_euler_step
 from .spheroidal import CurvilinearCoords, forward_coords, pullback, surface_normals
 
@@ -76,24 +76,15 @@ class DiffusionConfig:
     std_tolerance: float = 1e-2
 
     def __post_init__(self):
-        stages = tuple(self.stages)
-        # a float degree or budget is refused, not truncated
-        if not all(isinstance(v, (int, np.integer)) for stage in stages for v in stage):
-            raise ValueError("stage degrees and i_max must be integers")
-        stages = tuple((int(n), int(i)) for n, i in stages)
+        # a float or bool degree or budget is refused, not truncated
+        stages = tuple((check_count("stage degree", n, 0), check_count("i_max", i, 1))
+                       for n, i in self.stages)
         object.__setattr__(self, "stages", stages)
         if not stages:
             raise ValueError("stages must be non-empty")
-        previous = -1
-        for n_max, i_max in stages:
-            if n_max <= previous:
-                raise ValueError("stage degrees must be strictly increasing")
-            if i_max < 1:
-                raise ValueError("every stage needs i_max >= 1")
-            previous = n_max
-        # chained comparisons are false for NaN
-        if not 0.0 <= self.gamma < np.inf:
-            raise ValueError("gamma must be finite and nonnegative")
+        if any(n >= m for (n, _), (m, _) in zip(stages, stages[1:])):
+            raise ValueError("stage degrees must be strictly increasing")
+        _check_gamma(self.gamma)
         if not 0.0 < self.dt_scale < np.inf:
             raise ValueError("dt_scale must be finite and positive")
         if not 0.0 <= self.std_tolerance < np.inf:
@@ -359,5 +350,4 @@ def diffuse_remesh(weights, initial_coords, faces, config):
         exc.trace = trace
         raise
     trace.stop_reason = stop_reason
-    final_mesh = TriangleMesh(geometry.points / scale, template.faces)
-    return coords, final_mesh, trace
+    return coords, template.with_vertices(geometry.points / scale), trace

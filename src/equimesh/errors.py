@@ -14,6 +14,8 @@ message names the file too.
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 
 class EquimeshError(Exception):
     """Base class for all package errors."""
@@ -114,3 +116,14 @@ class IntersectionError(EngineError):
 
 class GuardError(EquimeshError):
     """A resource guard (refinement depth, expansion degree) was exceeded."""
+
+
+def check_count(name, value, lo, hi=np.inf, error=ValueError):
+    """`value` as an int when it is an integer in [lo, hi], else `error`.
+    Python and numpy integers count; a bool does not, though Python counts
+    True as an int, nor does a float."""
+    bounds = f">= {lo}" if hi == np.inf else f"in [{lo}, {hi}]"
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not lo <= value <= hi):
+        raise error(f"{name} must be an integer {bounds}")
+    return int(value)

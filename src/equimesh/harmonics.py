@@ -44,7 +44,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import EngineError, FormatError, GuardError, read_lines, row_values
+from .errors import (EngineError, FormatError, GuardError, check_count, read_lines,
+                     row_values)
 from .spheroidal import SpheroidDomain, xi_of_eta
 
 __all__ = [
@@ -77,8 +78,7 @@ _MAX_NORMAL_COND = 1e8
 
 def _check_degree(n_max):
     """The one degree cap of every expansion, surface or contour."""
-    if not (isinstance(n_max, (int, np.integer)) and 0 <= n_max <= MAX_DEGREE):
-        raise GuardError(f"n_max must be an integer in [0, {MAX_DEGREE}]")
+    check_count("n_max", n_max, 0, MAX_DEGREE, GuardError)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ normals, masses and gradients, stored faces last; every measure reads it.
 """
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +18,7 @@ from .errors import (
     FormatError,
     GuardError,
     TopologyError,
+    check_count,
     naming,
     read_lines,
     row_values,
@@ -67,15 +69,11 @@ class TriangleMesh:
     """
 
     def __init__(self, vertices, faces):
-        v = np.ascontiguousarray(vertices, dtype=np.float64)
+        self.vertices = _vertex_array(vertices)
         f = np.ascontiguousarray(faces, dtype=np.int64)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError("vertices must be an (n_v, 3) array")
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError("faces must be an (n_f, 3) array")
-        v.setflags(write=False)
         f.setflags(write=False)
-        self.vertices = v
         self.faces = f
         self._boundary_loop = self._validate()
 
@@ -93,8 +91,6 @@ class TriangleMesh:
 
     def _validate(self):
         """The boundary loop, after the structural checks."""
-        if not np.isfinite(self.vertices).all():
-            raise ValueError("vertex coordinates must be finite")
         f = self.faces
         if self.n_f == 0:
             return None
@@ -108,10 +104,6 @@ class TriangleMesh:
         """Ordered vertex indices of the boundary, or None when closed."""
         return self._boundary_loop
 
-    @property
-    def is_closed(self):
-        return self.boundary_loop() is None
-
     def unique_edges(self):
         """(n_e, 2) vertex pairs lo < hi, one per edge, in lexicographic order."""
         e = self.directed_edges()
@@ -120,15 +112,25 @@ class TriangleMesh:
         key = key[_run_starts(key)]
         return np.column_stack([key // n, key % n])
 
-    def mean_edge_length(self):
-        return mean_edge_length(self.vertices, self.unique_edges())
-
-    def total_area(self):
-        return float(FaceGeometry(self.vertices, self.faces).areas.sum())
-
     def with_vertices(self, vertices):
-        """Same connectivity, new vertex positions."""
-        return TriangleMesh(vertices, self.faces)
+        """Same connectivity, new vertex positions: the faces and the
+        boundary loop are this mesh's, so only the new array is checked."""
+        mesh = copy.copy(self)
+        mesh.vertices = _vertex_array(vertices, self.n_v)
+        return mesh
+
+
+def _vertex_array(vertices, n_v=None):
+    """`vertices` as a read-only (n_v, 3) float array; another shape or
+    vertex count (when n_v is given), or a NaN or infinite coordinate,
+    raises ValueError."""
+    v = np.ascontiguousarray(vertices, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != 3 or n_v not in (None, len(v)):
+        raise ValueError(f"vertices must be an ({n_v or 'n_v'}, 3) array")
+    if not np.isfinite(v).all():
+        raise ValueError("vertex coordinates must be finite")
+    v.setflags(write=False)
+    return v
 
 
 def _run_starts(sorted_keys):
@@ -170,6 +172,7 @@ def _single_boundary_loop(edges, n_v):
     loops = _chain_loops(edges[single[at] == key])
     if len(loops) > 1:
         raise TopologyError(f"{len(loops)} boundary loops (at most one supported)")
+    loops[0].setflags(write=False)  # every `with_vertices` copy shares it
     return loops[0]
 
 
@@ -406,8 +409,7 @@ def save_mesh(mesh, path):
 
 def _check_refinements(r):
     """The one sampling depth cap, of the icosphere and the cap grid alike."""
-    if not (isinstance(r, (int, np.integer)) and 0 <= r <= MAX_ICOSPHERE_REFINEMENTS):
-        raise GuardError(f"refinement {r} is outside [0, {MAX_ICOSPHERE_REFINEMENTS}]")
+    check_count(f"refinement {r}", r, 0, MAX_ICOSPHERE_REFINEMENTS, GuardError)
 
 
 def icosphere(refinements):
@@ -690,7 +692,9 @@ def compare_surfaces(mesh_a, mesh_b):
     """
     d_ab = _mean_distance_to_surface(mesh_a.vertices, mesh_b)
     d_ba = _mean_distance_to_surface(mesh_b.vertices, mesh_a)
-    return 0.5 * (d_ab + d_ba), mesh_a.total_area(), mesh_b.total_area()
+    area_a, area_b = (float(FaceGeometry(m.vertices, m.faces).areas.sum())
+                      for m in (mesh_a, mesh_b))
+    return 0.5 * (d_ab + d_ba), area_a, area_b
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +735,7 @@ class QualityReport:
 
 
 def quality_report(mesh, bins=16):
+    bins = check_count("bins", bins, 1)
     areas, _, rho_hat = face_metrics(mesh)
     u = area_density(mesh)
     hist_rho = np.histogram(rho_hat, bins=bins, range=(1.0, 2.0))

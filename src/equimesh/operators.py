@@ -142,13 +142,19 @@ def laplacian_iso(mesh):
     return laplacian_aniso(mesh, 0.0)
 
 
+def _check_gamma(gamma):
+    """The one rule for the anisotropy gamma: finite and nonnegative, else
+    ValueError; a chained comparison is false for NaN, so NaN fails it."""
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError("gamma must be finite and nonnegative")
+
+
 def laplacian_aniso(mesh, gamma):
     """Anisotropic weak-form operator L = -G^T D A G.
 
     gamma = 0 is the isotropic operator (all rates clamp to 1, D = I).
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    _check_gamma(gamma)
     geometry = FaceGeometry(mesh.vertices, mesh.faces)
     directors = stretch_directors(geometry, gamma) if gamma > 0.0 else None
     return MeshTopology(mesh.faces, mesh.n_v).laplacian(geometry, directors)
@@ -156,6 +162,7 @@ def laplacian_aniso(mesh, gamma):
 
 def max_diffusion_rate(mesh, gamma):
     """Largest per-face diffusion rate max(alpha1, alpha2); 1 when gamma=0."""
+    _check_gamma(gamma)
     if gamma == 0.0:
         return 1.0
     return stretch_directors(FaceGeometry(mesh.vertices, mesh.faces), gamma)[3]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FoldError, GuardError, SingularityError, TopologyError
+from .errors import FoldError, GuardError, SingularityError, TopologyError, check_count
 from .mesh import MAX_ICOSPHERE_REFINEMENTS, _check_refinements, icosphere
 
 __all__ = [
@@ -114,11 +114,12 @@ class CurvilinearCoords:
             raise ValueError("eta and phi must be matching 1-D arrays")
         lo, hi = self.domain.eta_range
         tol = 1e-9
-        if eta.size and (eta.min() < lo - tol or eta.max() > hi + tol):
+        # written so that NaN fails it too
+        if eta.size and not (eta.min() >= lo - tol and eta.max() <= hi + tol):
             raise ValueError(
                 f"eta outside [{lo:.6f}, {hi:.6f}] for kind {self.domain.kind!r}"
             )
-        if phi.size and (phi.min() < -tol or phi.max() >= 2.0 * np.pi + tol):
+        if phi.size and not (phi.min() >= -tol and phi.max() < 2.0 * np.pi + tol):
             raise ValueError("phi must lie in [0, 2*pi)")
         eta.setflags(write=False)
         phi.setflags(write=False)
@@ -285,7 +286,7 @@ def fit_domain(mesh, kind_hint=None):
     hemis = kind_hint in ("hemispheroid", OBLATE_HEMISPHEROID, PROLATE_HEMISPHEROID)
     if not hemis and kind_hint not in (None, OBLATE, PROLATE):
         raise ValueError(f"unknown kind hint {kind_hint!r}")
-    if not hemis and not mesh.is_closed:
+    if not hemis and mesh.boundary_loop() is not None:
         raise TopologyError(
             "open surface: fitting requires a hemispheroidal kind hint"
         )
@@ -414,8 +415,7 @@ def sample_cap_grid(domain, rings, sectors):
     """
     if not domain.is_hemispheroid:
         raise ValueError("cap sampling requires a hemispheroidal domain")
-    if rings < 1 or sectors < 3:
-        raise ValueError("need rings >= 1 and sectors >= 3")
+    rings, sectors = check_count("rings", rings, 1), check_count("sectors", sectors, 3)
     max_rings, max_sectors = cap_grid_size(MAX_ICOSPHERE_REFINEMENTS)
     if rings * sectors > max_rings * max_sectors:
         raise GuardError(

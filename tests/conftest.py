@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from equimesh import SpheroidDomain, icosphere
+from equimesh.mesh import mean_edge_length
 
 # collected by tests/test_acceptance.py; printed after the run so each
 # criterion gets one visible PASS/FAIL line even when pytest captures stdout
@@ -17,7 +18,7 @@ def pytest_terminal_summary(terminalreporter):
 
 def first_dt(mesh):
     """The engine's first time step at the default dt_scale 0.5, alpha 1."""
-    h = mesh.mean_edge_length()
+    h = mean_edge_length(mesh.vertices, mesh.unique_edges())
     return 0.5 * h * h
 
 

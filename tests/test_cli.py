@@ -86,6 +86,24 @@ def test_remesh_inline_decompose(oblate_obj, tmp_path):
     assert out.exists()
 
 
+def test_remesh_inline_decompose_checks_three_meshes(oblate_obj, tmp_path, monkeypatch):
+    # the loaded mesh, the sampler's icosphere and the engine's template;
+    # the aligned mesh and the result reuse a checked connectivity
+    import equimesh.mesh
+
+    checked = []
+    check = equimesh.mesh._single_boundary_loop
+
+    def counting(*args):
+        checked.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(equimesh.mesh, "_single_boundary_loop", counting)
+    rc = main(["remesh", "--in", str(oblate_obj), "--nmax", "6",
+               "--out", str(tmp_path / "m.obj"), "--refine", "1", "--imax", "2"])
+    assert rc == 0 and len(checked) == 3
+
+
 def test_bumpy_obj_round_trip(tmp_path, capsys):
     """A bumpy closed surface read back from OBJ decomposes and remeshes:
     its two faces around the poles are not mistaken for folds."""

@@ -13,7 +13,6 @@ from equimesh.contour2d import (
     EllipticDomain,
     contour_tangents,
     decompose_contour,
-    elliptic_coords,
     fit_ellipse,
     inverse_elliptic,
     read_contours,
@@ -72,10 +71,18 @@ def test_semi_axes():
     assert a * a - b * b == pytest.approx(4.0, rel=1e-12)  # confocal identity
 
 
+def ellipse_points(dom, eta):
+    """World points of the shell ellipse of `dom` at angles eta."""
+    a, b = dom.semi_axes()
+    c, s = np.cos(dom.rotation), np.sin(dom.rotation)
+    local = np.column_stack([a * np.cos(eta), b * np.sin(eta)])
+    return local @ np.array([[c, s], [-s, c]]) + np.asarray(dom.center)
+
+
 def test_elliptic_roundtrip_with_placement():
     dom = EllipticDomain(e=1.3, zeta0=0.8, center=(2.0, -1.0), rotation=0.6)
     eta = np.linspace(0.0, 2.0 * np.pi, 37, endpoint=False)
-    pts = elliptic_coords(dom, eta)
+    pts = ellipse_points(dom, eta)
     zeta, eta_back = inverse_elliptic(dom, pts)
     assert zeta == pytest.approx(np.full_like(eta, 0.8), abs=1e-10)
     assert eta_back == pytest.approx(eta, abs=1e-10)
@@ -90,7 +97,7 @@ def test_inverse_elliptic_focal_segment():
 
 def test_inverse_elliptic_takes_one_point():
     dom = EllipticDomain(e=1.3, zeta0=0.8, center=(2.0, -1.0), rotation=0.6)
-    zeta, eta = inverse_elliptic(dom, elliptic_coords(dom, np.array([0.7]))[0])
+    zeta, eta = inverse_elliptic(dom, ellipse_points(dom, np.array([0.7]))[0])
     assert zeta == pytest.approx([0.8], abs=1e-10)
     assert eta == pytest.approx([0.7], abs=1e-10)
 
@@ -391,6 +398,15 @@ def test_remesh_validation():
     assert tr.stop_reason == "converged"
 
 
+def test_remesh_refuses_a_bool_count():
+    # i_max=True once ran one row and then raised "... after True iterations"
+    w = decompose_contour(ellipse_contour(n_points=32), 6)
+    with pytest.raises(ValueError, match="i_max must be an integer"):
+        remesh_contour(w, 8, i_max=True)
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        remesh_contour(w, True)
+
+
 def test_ring_step_builds_the_rows_once_per_iteration(monkeypatch):
     # one row build for the start and one per accepted iteration; a run
     # with no halvings solves the ring once per row
@@ -619,6 +635,13 @@ def test_segment_budgets_refuses_a_bad_length(lengths):
     # a NaN or infinite length once warned and gave garbage budgets
     with pytest.raises(ValueError, match="finite and nonnegative"):
         segment_budgets(lengths, 20)
+
+
+def test_segment_budgets_refuses_a_bool_largest_budget():
+    # True once passed the integer test, refused only by the >= 5 bound
+    with pytest.raises(ValueError, match="largest budget must be an integer"):
+        segment_budgets([1.0, 2.0], True)
+    assert list(segment_budgets([1.0, 2.0], np.int64(8))) == [5, 8]
 
 
 @pytest.mark.parametrize("largest", [10.6, 20.0])

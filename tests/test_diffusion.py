@@ -11,6 +11,7 @@ from equimesh.benchmarks import (
     cap_domain,
     cap_weights,
     oblate_domain,
+    protrusion_weights,
 )
 from equimesh.diffusion import (
     DiffusionConfig,
@@ -18,7 +19,7 @@ from equimesh.diffusion import (
     diffuse_remesh,
     update_coordinates,
 )
-from equimesh import diffusion, harmonics, solver
+from equimesh import diffusion, harmonics, mesh, solver
 from equimesh.contour2d import ContourTrace
 from equimesh.errors import DegenerateMeshError, EngineError, GuardError
 from equimesh.harmonics import FourierWeights, reconstruct_fast
@@ -66,6 +67,16 @@ def test_config_accepts_flat_and_staged_schedules():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         DiffusionConfig(**kwargs)
+
+
+@pytest.mark.parametrize("stage", [(True, True), (True, 5), (10, True)])
+def test_config_refuses_a_bool_degree_or_budget(stage):
+    # Python counts True as an int: ((True, True),) once read ((1, 1),)
+    with pytest.raises(ValueError, match="must be an integer"):
+        DiffusionConfig(stages=(stage,))
+    # numpy integers are counts, and come out as ints
+    stages = DiffusionConfig(stages=((np.int64(4), np.int32(3)),)).stages
+    assert stages == ((4, 3),) and all(type(v) is int for v in stages[0])
 
 
 def _trace_row(t, std_u, flip_count, basis_evaluation_count):
@@ -315,18 +326,52 @@ def test_a_stage_folds_its_weights_once(aggressive_setup, monkeypatch):
 
 def test_a_run_checks_its_mesh_once(bumpy_setup, monkeypatch):
     _, w, coords, faces = bumpy_setup
-    built = []
-    init = TriangleMesh.__init__
+    checked = []
+    check = mesh._single_boundary_loop
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def counting(*args):
+        checked.append(args)
+        return check(*args)
 
-    monkeypatch.setattr(TriangleMesh, "__init__", counting)
+    monkeypatch.setattr(mesh, "_single_boundary_loop", counting)
     cfg = DiffusionConfig(stages=((6, 3), (10, 3)), dt_scale=4.0, std_tolerance=0.0)
     _, out_mesh, _ = diffuse_remesh(w, coords, faces, cfg)
-    # the template and the result
-    assert len(built) == 2 and built[-1] is out_mesh
+    # the template's check: the result keeps its faces and boundary loop
+    assert len(checked) == 1
+    assert np.array_equal(out_mesh.faces, faces) and out_mesh.boundary_loop() is None
+
+
+def _relabelled(coords, faces, rng):
+    """A random vertex permutation `perm` (new vertex k is old perm[k]), and
+    the coordinates and faces under it, the faces shuffled and each face's
+    corners rotated."""
+    perm = rng.permutation(coords.n)
+    label = np.empty_like(perm)
+    label[perm] = np.arange(coords.n)
+    f = label[faces][rng.permutation(len(faces))]
+    turn = rng.integers(0, 3, len(f))[:, None]
+    f = np.take_along_axis(f, (np.arange(3) + turn) % 3, axis=1)
+    return perm, CurvilinearCoords(coords.eta[perm], coords.phi[perm], coords.domain), f
+
+
+@pytest.mark.parametrize("flow", ["isotropic", "anisotropic"])
+def test_remesh_does_not_depend_on_labels(flow):
+    # guards MeshTopology's scatter, StepMatrix's slots, every face-order
+    # sum and the connectivity that `with_vertices` reuses
+    if flow == "isotropic":
+        w, gamma = bumpy_weights(oblate_domain(), n_max=12, band=6, amplitude=0.04), 0.0
+    else:
+        w, gamma = protrusion_weights(), 1.0
+    cfg = DiffusionConfig(stages=((12, 20),), gamma=gamma, dt_scale=4.0,
+                          std_tolerance=0.0)
+    coords, faces = sample_icosphere(w.domain, 3)
+    _, out, tr = diffuse_remesh(w, coords, faces, cfg)
+    perm, coords_p, faces_p = _relabelled(coords, faces, np.random.default_rng(5))
+    _, out_p, tr_p = diffuse_remesh(w, coords_p, faces_p, cfg)
+    assert (tr_p.n_rows, tr_p.halvings) == (tr.n_rows, tr.halvings) == (20, [0] * 20)
+    assert np.array_equal(out_p.faces, faces_p)
+    gap = np.abs(out_p.vertices - out.vertices[perm]).max()
+    assert gap <= 1e-12 * np.abs(out.vertices).max()
 
 
 def test_diffuse_remesh_continuation_hands_off_exactly(bumpy_setup):

@@ -124,6 +124,14 @@ def test_expansion_config_rejects_bad_degree(bad):
         ExpansionConfig(bad)
 
 
+def test_expansion_config_refuses_a_bool_degree():
+    # Python counts True as an int: ExpansionConfig(True).beta once read 4
+    for bad in (True, False):
+        with pytest.raises(GuardError, match="n_max must be an integer"):
+            ExpansionConfig(bad)
+    assert ExpansionConfig(np.int32(4)).beta == 25
+
+
 _ELLIPSE = EllipticDomain(e=1.0, zeta0=0.5)
 
 # every entry that takes an expansion degree; the contour batch lowers the

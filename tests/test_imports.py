@@ -1,5 +1,6 @@
 """Source scans: every import in the sources, tests and demos is used,
-and the package never takes numpy's hashing unique.
+the package never takes numpy's hashing unique, and it asks whether a
+value is an integer in one place only.
 
 A name bound by an import must be read somewhere in its module. A
 package's `__init__.py` imports to re-export, so it is left out. The
@@ -88,3 +89,43 @@ def test_package_does_not_hash_for_unique_values():
         "sort the keys and keep equimesh.mesh._run_starts of them "
         "instead of np.unique"
     )
+
+
+def integer_type_tests(source):
+    """Names of the functions (innermost, or "<module>") in which `source`
+    asks `isinstance` whether a value is an int or a numpy integer, one per
+    such call, in line order."""
+    tree = ast.parse(source)
+    spans = sorted((node.lineno, node.end_lineno, node.name) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    names = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        kinds = node.args[1]
+        kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        if {ast.unparse(kind) for kind in kinds} & {"int", "np.integer", "numpy.integer"}:
+            inside = [name for lo, hi, name in spans if lo <= node.lineno <= hi]
+            names.append((node.lineno, inside[-1] if inside else "<module>"))
+    return [name for _, name in sorted(names)]
+
+
+def test_scan_flags_integer_type_tests():
+    source = (
+        "import numpy as np\n"
+        "def check(v):\n    return isinstance(v, (int, np.integer))\n"
+        "def other(v):\n    return isinstance(v, bool) or isinstance(v, int)\n"
+        "isinstance(3, numpy.integer)\nisinstance(3, (str, float))\n"
+    )
+    assert integer_type_tests(source) == ["check", "other", "<module>"]
+
+
+def test_package_has_one_count_rule():
+    # a bool is an int to isinstance, so a second copy of the count test
+    # tends to let True through as 1; every count goes through check_count
+    found = {str(path.relative_to(ROOT)): integer_type_tests(path.read_text())
+             for path in sorted((ROOT / "src" / "equimesh").rglob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {
+        "src/equimesh/errors.py": ["check_count"]
+    }, "test integer counts with equimesh.errors.check_count"

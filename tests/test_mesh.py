@@ -3,6 +3,7 @@ import pytest
 
 from equimesh import (
     Contour2D,
+    GuardError,
     SpheroidDomain,
     TopologyError,
     TriangleMesh,
@@ -45,14 +46,12 @@ def single_triangle(vertices):
 
 def test_tetrahedron_is_closed():
     m = tetrahedron()
-    assert m.is_closed
     assert m.boundary_loop() is None
     assert m.n_v - len(m.unique_edges()) + m.n_f == 2
 
 
 def test_single_triangle_boundary_loop():
     m = single_triangle([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert not m.is_closed
     loop = m.boundary_loop()
     assert sorted(loop) == [0, 1, 2]
 
@@ -134,8 +133,25 @@ def test_vertices_are_readonly():
 def test_with_vertices_keeps_connectivity():
     m = tetrahedron()
     m2 = m.with_vertices(m.vertices * 2.0)
-    assert np.array_equal(m.faces, m2.faces)
-    assert m2.total_area() == pytest.approx(4.0 * m.total_area())
+    assert m2.faces is m.faces and m2.n_v == m.n_v
+    assert face_metrics(m2)[0].sum() == pytest.approx(4.0 * face_metrics(m)[0].sum())
+
+
+def test_with_vertices_checks_only_the_new_vertices(monkeypatch):
+    cap = _cap(4, 8)  # 33 vertices, one boundary loop
+    # the connectivity check is never run again
+    monkeypatch.setattr("equimesh.mesh._single_boundary_loop", None)
+    moved = cap.with_vertices(cap.vertices * 2.0)
+    assert moved.boundary_loop() is cap.boundary_loop()
+    assert not moved.boundary_loop().flags.writeable  # shared, so frozen
+    with pytest.raises(ValueError, match=r"vertices must be an \(33, 3\) array"):
+        cap.with_vertices(cap.vertices[:-1])
+    with pytest.raises(ValueError, match=r"vertices must be an \(33, 3\) array"):
+        cap.with_vertices(cap.vertices[:, :2])
+    nan = cap.vertices.copy()
+    nan[3, 1] = np.nan
+    with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+        cap.with_vertices(nan)
 
 
 def _boundary_loop_by_unique(mesh):
@@ -243,9 +259,18 @@ def test_icosphere_matches_unique_reference(r):
     assert np.array_equal(m.faces, faces)
 
 
+def test_icosphere_refuses_a_bool_refinement():
+    # icosphere(True) once built refinement 1, with 42 vertices
+    with pytest.raises(GuardError, match="refinement True must be an integer"):
+        icosphere(True)
+    with pytest.raises(GuardError):
+        icosphere(1.0)
+    assert icosphere(np.int64(1)).n_v == 42
+
+
 def test_icosphere_valid_closed_mesh():
     m = icosphere(2)
-    assert m.is_closed
+    assert m.boundary_loop() is None
     assert m.n_v - len(m.unique_edges()) + m.n_f == 2
 
 
@@ -279,7 +304,7 @@ def test_rho_hat_lower_bound(unit_sphere_2):
 def test_voronoi_equilateral_thirds():
     m = single_triangle([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]])
     w = vertex_voronoi_areas(m)
-    np.testing.assert_allclose(w, m.total_area() / 3.0, rtol=1e-12)
+    np.testing.assert_allclose(w, face_metrics(m)[0].sum() / 3.0, rtol=1e-12)
 
 
 def test_voronoi_right_triangle_hand_values():
@@ -295,7 +320,7 @@ def test_voronoi_right_triangle_hand_values():
 
 def test_voronoi_conserves_total_area(unit_sphere_2):
     w = vertex_voronoi_areas(unit_sphere_2)
-    assert w.sum() == pytest.approx(unit_sphere_2.total_area(), rel=1e-12)
+    assert w.sum() == pytest.approx(face_metrics(unit_sphere_2)[0].sum(), rel=1e-12)
     assert (w > 0).all()
 
 
@@ -388,6 +413,17 @@ def test_point_triangle_distance_zero_area_faces():
     assert d == pytest.approx([np.sqrt(2.0), np.sqrt(2.0), 1.0], rel=1e-15)
     d = _point_triangle_distance(np.array([3.0, 0.0, 4.0]), tri)
     assert d == pytest.approx([np.sqrt(17.0), np.sqrt(13.0), np.sqrt(21.0)], rel=1e-15)
+
+
+@pytest.mark.parametrize("bins", [True, 2.5, 0])
+def test_quality_report_refuses_a_bin_count_that_is_not_a_count(unit_sphere_2, bins):
+    # bins=True once gave one bin
+    with pytest.raises(ValueError, match="bins must be an integer >= 1"):
+        quality_report(unit_sphere_2, bins=bins)
+
+
+def test_quality_report_takes_numpy_bin_counts(unit_sphere_2):
+    assert quality_report(unit_sphere_2, bins=np.int64(4)).hist_rho_hat[1].shape == (4,)
 
 
 def test_quality_report_summary(unit_sphere_2, tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from equimesh.benchmarks import cap_domain, cap_weights
+from equimesh.diffusion import DiffusionConfig
 from equimesh.errors import DegenerateMeshError, EngineError
 from equimesh.harmonics import reconstruct_fast
 from equimesh.mesh import FaceGeometry, TriangleMesh, icosphere
@@ -200,7 +201,8 @@ def test_mass_matrices():
     mesh = bumpy_sphere(1)
     M = vertex_mass_matrix(mesh)
     assert M.shape == (mesh.n_v, mesh.n_v)
-    assert M.diagonal().sum() == pytest.approx(mesh.total_area(), rel=1e-12)
+    areas = FaceGeometry(mesh.vertices, mesh.faces).areas
+    assert M.diagonal().sum() == pytest.approx(areas.sum(), rel=1e-12)
     assert (M.diagonal() > 0.0).all()
 
 
@@ -293,6 +295,20 @@ def test_aniso_equals_iso_on_equilateral_mesh():
     for gamma in (1.0, 50.0, 250.0):
         La = laplacian_aniso(mesh, gamma).toarray()
         assert np.abs(La - Li).max() < 1e-10 * np.abs(Li).max()
+
+
+@pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["laplacian_aniso", "max_diffusion_rate", "config"])
+def test_one_gamma_rule_refuses_negative_nan_and_infinite(entry, gamma):
+    # laplacian_aniso once took NaN for the isotropic operator and an
+    # infinite gamma; max_diffusion_rate returned 1.72 at -1 and NaN at NaN
+    call = {
+        "laplacian_aniso": lambda: laplacian_aniso(icosphere(1), gamma),
+        "max_diffusion_rate": lambda: max_diffusion_rate(icosphere(1), gamma),
+        "config": lambda: DiffusionConfig(stages=((10, 30),), gamma=gamma),
+    }[entry]
+    with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+        call()
 
 
 def test_aniso_gamma_zero_is_iso():

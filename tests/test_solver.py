@@ -71,6 +71,9 @@ def test_zero_rhs_short_circuits():
     A = sp.eye(5).tocsr()
     x = solve_sparse(A, np.zeros(5))
     assert np.array_equal(x, np.zeros(5))
+    # cg itself takes a zero b at the zero start, with no division by ||b||
+    x, iterations = cg(A, np.zeros(5), np.zeros(5), 1e-6, 10)
+    assert np.array_equal(x, np.zeros(5)) and iterations == 0
 
 
 def test_empty_row_raises():
@@ -166,8 +169,25 @@ def test_cg_breakdown_on_an_indefinite_matrix():
 
 def test_cg_refuses_a_zero_diagonal_before_dividing():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
-    with pytest.raises(SolverError, match="zero diagonal"):
+    with pytest.raises(SolverError, match="zero diagonal") as exc:
         cg(A, np.ones(2), np.zeros(2), 1e-12, 10)
+    # no iteration ran, and the zero start leaves all of b
+    assert (exc.value.iterations, exc.value.residual) == (0, 1.0)
+
+
+def test_cg_alone_judges_the_true_residual(monkeypatch):
+    # the two-vertex step at tolerance 1e-12: the recurrence meets it, the
+    # true residual does not meet 10 x tolerance
+    S = two_vertex_step_matrix().fill(TWO_VERTEX_L, np.ones(2), 1e6)
+    b = np.array([1.0, 0.0])
+    with pytest.raises(SolverError, match="true residual above 10 x tolerance") as exc:
+        cg(S, b, b, 1e-12, 100)
+    assert exc.value.iterations > 0 and exc.value.residual > 1e-11
+    x, _ = cg(S, b, b, 1e-10, 100)
+    assert np.linalg.norm(S @ x - b) <= 1e-9 * np.linalg.norm(b)
+    # solve_sparse passes on whatever cg returns: it holds no residual test
+    monkeypatch.setattr(solver, "cg", lambda *args: (np.full(2, 7.0), 0))
+    assert np.array_equal(solve_sparse(S, b), np.full(2, 7.0))
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +215,12 @@ def test_backward_euler_two_vertex_equilibrium():
 def test_residual_past_ten_times_the_tolerance_raises():
     # the same step at tolerance 1e-12: CG stops, but round-off at
     # cond(M - dt L) = 2e6 leaves the true residual far above 1e-11
-    with pytest.raises(SolverError, match=r"exceeds tolerance 1\.000e-12$") as exc:
+    with pytest.raises(SolverError, match=r"^true residual above 10 x tolerance "
+                                          r"1\.000e-12 after 2 iterations") as exc:
         backward_euler_step(np.ones(2), TWO_VERTEX_L, np.array([1.0, 0.0]), dt=1e6,
                             tolerance=1e-12, step_matrix=two_vertex_step_matrix())
     assert exc.value.residual > 10.0 * 1e-12
+    assert exc.value.iterations == 2
 
 
 def test_backward_euler_conserves_mass():

@@ -85,6 +85,16 @@ def test_coords_validation_eta_range():
         CurvilinearCoords(eta=np.array([2.0]), phi=np.array([0.0]), domain=d)
 
 
+@pytest.mark.parametrize("coordinate", ["eta", "phi"])
+def test_coords_refuse_nan(coordinate):
+    # the range test was once written so that NaN passed it
+    d = SpheroidDomain(kind="oblate", e=1.0, zeta0=1.0)
+    values = {"eta": np.array([0.1, 0.2]), "phi": np.array([0.0, 1.0])}
+    values[coordinate][1] = np.nan
+    with pytest.raises(ValueError, match="eta outside" if coordinate == "eta" else "phi"):
+        CurvilinearCoords(domain=d, **values)
+
+
 def test_coords_validation_shapes_and_phi_range():
     d = SpheroidDomain(kind="oblate", e=1.0, zeta0=1.0)
     with pytest.raises(ValueError, match="matching 1-D arrays"):
@@ -389,7 +399,6 @@ def test_sample_cap_grid_structure():
     assert faces.shape[0] == sectors + 2 * sectors * (rings - 1)
     pts = forward_coords(d, coords.eta, coords.phi)
     mesh = TriangleMesh(pts, faces)
-    assert not mesh.is_closed
     assert len(mesh.boundary_loop()) == sectors
 
 
@@ -519,8 +528,28 @@ def test_sample_cap_grid_requires_hemispheroid():
         sample_cap_grid(d, rings=4, sectors=8)
 
 
+@pytest.mark.parametrize("rings, sectors, name", [
+    (2.5, 8, "rings"), (4, 8.0, "sectors"), (True, 8, "rings"), (4, True, "sectors"),
+])
+def test_sample_cap_grid_refuses_counts_that_are_not_integers(rings, sectors, name):
+    # rings=2.5 once raised numpy's TypeError, sectors=8.0 built a 17-vertex
+    # grid and rings=True a 9-vertex one
+    d = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        sample_cap_grid(d, rings=rings, sectors=sectors)
+    coords, _ = sample_cap_grid(d, rings=np.int64(2), sectors=np.int32(8))
+    assert coords.n == 17
+
+
+def test_cap_grid_size_refuses_a_bool_refinement():
+    with pytest.raises(GuardError, match="refinement True must be an integer"):
+        cap_grid_size(True)
+    assert cap_grid_size(np.int64(1)) == (8, 16)
+
+
 @pytest.mark.parametrize("rings, sectors", [(0, 8), (4, 2)])
 def test_sample_cap_grid_rejects_too_few_rings_or_sectors(rings, sectors):
     d = SpheroidDomain(kind="oblate-hemispheroid", e=0.7, zeta0=1.0)
-    with pytest.raises(ValueError, match="rings >= 1 and sectors >= 3"):
+    with pytest.raises(ValueError, match="rings must be an integer >= 1|"
+                                         "sectors must be an integer >= 3"):
         sample_cap_grid(d, rings=rings, sectors=sectors)
