@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EngineError, GuardError, check_count
+from .errors import EngineError, GuardError, check_count, read_only
 from .harmonics import SurfaceKernel
 from .mesh import FaceGeometry, TriangleMesh, mean_edge_length, ring_lengths
 from .operators import MeshTopology, _check_gamma, stretch_directors
@@ -267,7 +267,7 @@ def _run_stage(
             moved = update_coordinates(coords, velocity, dt)
             eta = moved.eta.copy()
             eta[rim] = rim_eta
-            cand_coords = CurvilinearCoords(eta, moved.phi, moved.domain)
+            cand_coords = CurvilinearCoords(read_only(eta), moved.phi, moved.domain)
             cand = FaceGeometry(surface(cand_coords) * scale, faces)
             evals += cost
             flips = int(np.count_nonzero((cand.normals * geometry.normals).sum(0) < 0.0))
@@ -330,7 +330,7 @@ def diffuse_remesh(weights, initial_coords, faces, config):
                 f"stage degree {n_stage} exceeds weight degree {weights.n_max}"
             )
     # the connectivity checks need the vertex count only
-    template = TriangleMesh(np.zeros((initial_coords.n, 3)), faces)
+    template = TriangleMesh(read_only(np.zeros((initial_coords.n, 3))), faces)
     edges = template.unique_edges()
     topology = MeshTopology(template.faces, template.n_v)
     loop = template.boundary_loop()
@@ -350,4 +350,4 @@ def diffuse_remesh(weights, initial_coords, faces, config):
         exc.trace = trace
         raise
     trace.stop_reason = stop_reason
-    return coords, template.with_vertices(geometry.points / scale), trace
+    return coords, template.with_vertices(read_only(geometry.points / scale)), trace

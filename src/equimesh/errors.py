@@ -9,7 +9,8 @@ formats (meshes, weights, contours) take their lines from `read_lines`,
 one comment rule for all, and convert each row through `row_values`, so a
 bad row is a FormatError naming `path:line`; a fault the mesh or contour
 constructors find in the content is re-raised under `naming`, so its
-message names the file too.
+message names the file too. The array constructors share one ownership
+rule, `owned_array`.
 """
 from contextlib import contextmanager
 from pathlib import Path
@@ -127,3 +128,20 @@ def check_count(name, value, lo, hi=np.inf, error=ValueError):
             or not lo <= value <= hi):
         raise error(f"{name} must be an integer {bounds}")
     return int(value)
+
+
+def read_only(array):
+    """`array`, frozen in place. A library builder hands what it made to a
+    constructor this way, so `owned_array` takes it without a copy."""
+    array.setflags(write=False)
+    return array
+
+
+def owned_array(value, dtype):
+    """`value` as a read-only C-contiguous `dtype` array that no caller can
+    write through: a read-only array is taken as it is, or converted when
+    its dtype or layout differs; anything else is copied, so a caller's
+    writeable array stays writeable and apart from the copy."""
+    if isinstance(value, np.ndarray) and not value.flags.writeable:
+        return read_only(np.ascontiguousarray(value, dtype=dtype))
+    return read_only(np.array(value, dtype=dtype, order="C"))

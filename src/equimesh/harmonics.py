@@ -45,7 +45,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import (EngineError, FormatError, GuardError, check_count, read_lines,
-                     row_values)
+                     read_only, row_values)
 from .spheroidal import SpheroidDomain, xi_of_eta
 
 __all__ = [
@@ -130,7 +130,7 @@ class FourierWeights:
             raise ValueError(
                 f"weights must have shape ({beta}, 3) for n_max={self.n_max}"
             )
-        self.coef = _read_only(coef)
+        self.coef = read_only(coef)
 
     @staticmethod
     def row_index(n, m):
@@ -148,7 +148,7 @@ class FourierWeights:
         q = self.coef.astype(np.complex128)
         q[pos] = 0.5 * (self.coef[pos] - 1j * self.coef[neg])
         q[neg] = ((-1.0) ** m[pos])[:, None] * np.conj(q[pos])
-        return _read_only(q)
+        return read_only(q)
 
     def truncated(self, n_max):
         """Weights restricted to degrees <= n_max (a prefix of the rows)."""
@@ -204,11 +204,6 @@ def _legendre_blocks(n_max, xi):
                         / ((2.0 * n - 3.0) * (n * n - m * m)))
             block[n - m] = a * xi * block[n - m - 1] - b * block[n - m - 2]
         yield m, block
-
-
-def _read_only(array):
-    array.setflags(write=False)
-    return array
 
 
 def _multiple_angles(cos_1, sin_1, count):
@@ -428,7 +423,7 @@ class _FitTables:
                     parity = np.where((x == 1) & (freq < 0), -1.0, 1.0)
                     sign[:, p, b, :, term] = (
                         0.25 * rule * parity * _CLASS_EPS[..., None])
-        return _read_only(index), _read_only(sign)
+        return read_only(index), read_only(sign)
 
     @functools.cached_property
     def tile_rows(self):
@@ -439,7 +434,7 @@ class _FitTables:
         for m in range(self.n_max + 1):
             span = self.n_max + 1 - m
             d, c, j = np.nonzero(self.present[m:, :, :span])
-            rows.append(_read_only((d * span + j) * 2 + c))
+            rows.append(read_only((d * span + j) * 2 + c))
         return tuple(rows)
 
 
@@ -462,7 +457,7 @@ def _fit_tables(n_max):
     start = np.concatenate([[0], np.cumsum(present.sum(axis=(1, 2)))])
     m, c, j = np.nonzero(present)
     column = FourierWeights.row_index(m + j, np.where(c, -m, m))
-    return _FitTables(n_max, *map(_read_only, (table, present, start, column)))
+    return _FitTables(n_max, *map(read_only, (table, present, start, column)))
 
 
 def _moments(t_rows, phi_rows):

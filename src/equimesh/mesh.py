@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateMeshError,
@@ -20,7 +19,9 @@ from .errors import (
     TopologyError,
     check_count,
     naming,
+    owned_array,
     read_lines,
+    read_only,
     row_values,
 )
 
@@ -58,6 +59,9 @@ class TriangleMesh:
     faces : (n_f, 3) int array
         Consistently oriented (counter-clockwise seen from outside).
 
+    A read-only array is kept as it is; any other is copied, so the
+    caller's own arrays stay writeable and the mesh's never are.
+
     Raises
     ------
     ValueError
@@ -70,11 +74,9 @@ class TriangleMesh:
 
     def __init__(self, vertices, faces):
         self.vertices = _vertex_array(vertices)
-        f = np.ascontiguousarray(faces, dtype=np.int64)
-        if f.ndim != 2 or f.shape[1] != 3:
+        self.faces = owned_array(faces, np.int64)
+        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise ValueError("faces must be an (n_f, 3) array")
-        f.setflags(write=False)
-        self.faces = f
         self._boundary_loop = self._validate()
 
     @property
@@ -85,10 +87,6 @@ class TriangleMesh:
     def n_f(self):
         return self.faces.shape[0]
 
-    def directed_edges(self):
-        f = self.faces
-        return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-
     def _validate(self):
         """The boundary loop, after the structural checks."""
         f = self.faces
@@ -98,7 +96,7 @@ class TriangleMesh:
             raise ValueError("face index out of range")
         if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])):
             raise ValueError("degenerate face (repeated vertex index)")
-        return _single_boundary_loop(self.directed_edges(), self.n_v)
+        return _single_boundary_loop(f, self.n_v)
 
     def boundary_loop(self):
         """Ordered vertex indices of the boundary, or None when closed."""
@@ -106,11 +104,13 @@ class TriangleMesh:
 
     def unique_edges(self):
         """(n_e, 2) vertex pairs lo < hi, one per edge, in lexicographic order."""
-        e = self.directed_edges()
-        n = self.n_v
-        key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
-        key = key[_run_starts(key)]
-        return np.column_stack([key // n, key % n])
+        keys = _directed_edge_keys(self.faces, self.n_v)
+        keys >>= 1
+        keys.sort()
+        keys = keys[_run_starts(keys)]
+        edges = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, self.n_v, out=(edges[:, 0], edges[:, 1]))
+        return edges
 
     def with_vertices(self, vertices):
         """Same connectivity, new vertex positions: the faces and the
@@ -121,15 +121,14 @@ class TriangleMesh:
 
 
 def _vertex_array(vertices, n_v=None):
-    """`vertices` as a read-only (n_v, 3) float array; another shape or
-    vertex count (when n_v is given), or a NaN or infinite coordinate,
-    raises ValueError."""
-    v = np.ascontiguousarray(vertices, dtype=np.float64)
+    """`vertices` as a read-only (n_v, 3) float array (`owned_array`);
+    another shape or vertex count (when n_v is given), or a NaN or
+    infinite coordinate, raises ValueError."""
+    v = owned_array(vertices, np.float64)
     if v.ndim != 2 or v.shape[1] != 3 or n_v not in (None, len(v)):
         raise ValueError(f"vertices must be an ({n_v or 'n_v'}, 3) array")
     if not np.isfinite(v).all():
         raise ValueError("vertex coordinates must be finite")
-    v.setflags(write=False)
     return v
 
 
@@ -145,35 +144,61 @@ def _run_starts(sorted_keys):
     return starts
 
 
-def _single_boundary_loop(edges, n_v):
+def _edge_keys(a, b, n_v, out):
+    """lo * n_v + hi of the edges between a and b, written into `out`."""
+    np.minimum(a, b, out=out)
+    out *= n_v
+    out += np.maximum(a, b)
+    return out
+
+
+def _directed_edge_keys(faces, n_v):
+    """One key per directed edge, corner k to corner k + 1 of each face in
+    (k, f) order: its undirected key with its direction in the lowest bit,
+    written corner pair by corner pair into one array."""
+    keys = np.empty((3, len(faces)), dtype=np.int64)
+    for k, row in enumerate(keys):
+        a, b = faces[:, k], faces[:, k - 2]
+        _edge_keys(a, b, n_v, out=row)
+        row <<= 1
+        row += a > b
+    return keys.ravel()
+
+
+def _single_boundary_loop(faces, n_v):
     """The one loop of directed edges whose undirected edge has a single
     face, or None.
 
     TopologyError when a directed edge is used twice or when there is
-    more than one loop. One sort serves both checks: the key of each edge
-    is its undirected key with its direction in the lowest bit.
+    more than one loop. One sort of one key array serves both checks,
+    each edge's key holding its direction in the lowest bit.
     """
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    key = (lo * n_v + hi) * 2 + (edges[:, 0] > edges[:, 1])
-    ordered = np.sort(key)
-    if not _run_starts(ordered).all():
+    keys = _directed_edge_keys(faces, n_v)
+    keys.sort()
+    if not _run_starts(keys).all():
         raise TopologyError(
             "non-manifold or inconsistently oriented edge "
             "(directed edge used twice)"
         )
     # an undirected edge of one face is a run of length one
-    starts = _run_starts(ordered >> 1)
-    single = ordered[starts & np.append(starts[1:], True)]
+    keys >>= 1
+    starts = _run_starts(keys)
+    single = keys[starts & np.append(starts[1:], True)]
+    del keys, starts
     if single.size == 0:
         return None
-    # look each edge's key up among the single ones, keeping edge order
-    at = np.minimum(np.searchsorted(single, key), single.size - 1)
-    loops = _chain_loops(edges[single[at] == key])
+    # look each edge's key up among the single ones, keeping edge order;
+    # no other directed edge shares the undirected key of a boundary edge
+    key, boundary = np.empty(len(faces), dtype=np.int64), []
+    for k in range(3):
+        a, b = faces[:, k], faces[:, k - 2]
+        _edge_keys(a, b, n_v, out=key)
+        hit = single[np.minimum(np.searchsorted(single, key), single.size - 1)] == key
+        boundary.append(np.column_stack([a[hit], b[hit]]))
+    loops = _chain_loops(np.concatenate(boundary))
     if len(loops) > 1:
         raise TopologyError(f"{len(loops)} boundary loops (at most one supported)")
-    loops[0].setflags(write=False)  # every `with_vertices` copy shares it
-    return loops[0]
+    return read_only(loops[0])  # every `with_vertices` copy shares it
 
 
 def _chain_loops(boundary_edges):
@@ -274,7 +299,7 @@ def load_mesh(path):
     if not faces:
         raise FormatError(f"{path}: mesh file contains no faces")
     with naming(path):
-        return TriangleMesh(np.asarray(vertices, dtype=float), np.asarray(faces))
+        return TriangleMesh(vertices, faces)
 
 
 def _parse_obj(path, lines):
@@ -440,27 +465,38 @@ def icosphere(refinements):
         dtype=np.int64,
     )
     for _ in range(refinements):
-        # face edges ab, bc, ca as (lo, hi) pairs; each midpoint is
-        # numbered by the first use of its edge
-        ends = faces, np.roll(faces, -1, axis=1)
-        lo, hi = np.minimum(*ends).ravel(), np.maximum(*ends).ravel()
-        keys = lo * len(verts) + hi
-        order = np.argsort(keys)
-        starts = _run_starts(keys[order])
-        first = np.minimum.reduceat(order, np.flatnonzero(starts))
-        used = np.zeros(lo.shape, dtype=bool)
-        used[first] = True
-        number = len(verts) + np.cumsum(used) - 1
-        mid = np.empty_like(lo)
-        mid[order] = number[first][np.cumsum(starts) - 1]
-        ab, bc, ca = mid.reshape(-1, 3).T
-        m = verts[lo[used]] + verts[hi[used]]
-        # the batched row dot rounds as np.linalg.norm does on one row
-        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
-        verts = np.concatenate([verts, m])
-        a, b, c = faces.T
-        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1).reshape(-1, 3)
-    return TriangleMesh(verts, faces)
+        verts, faces = _subdivide(verts, faces)
+    return TriangleMesh(read_only(verts), read_only(faces))
+
+
+def _subdivide(verts, faces):
+    """One midpoint subdivision: four faces per face, the new vertices on
+    the unit sphere. Each temporary is freed once read, and the rest on
+    return, so the mesh check that follows holds only the output."""
+    # face edges ab, bc, ca as (lo, hi) pairs; each midpoint is numbered by
+    # the first use of its edge
+    ends = faces, np.roll(faces, -1, axis=1)
+    lo, hi = np.minimum(*ends).ravel(), np.maximum(*ends).ravel()
+    del ends
+    keys = lo * len(verts) + hi
+    order = np.argsort(keys)
+    starts = _run_starts(keys[order])
+    del keys
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    used = np.zeros(lo.shape, dtype=bool)
+    used[first] = True
+    number = len(verts) + np.cumsum(used) - 1
+    mid = np.empty_like(lo)
+    mid[order] = number[first][np.cumsum(starts) - 1]
+    del order, starts, first, number
+    m = verts[lo[used]] + verts[hi[used]]
+    del lo, hi, used
+    # the batched row dot rounds as np.linalg.norm does on one row
+    m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+    ab, bc, ca = mid.reshape(-1, 3).T
+    a, b, c = faces.T
+    faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1).reshape(-1, 3)
+    return np.concatenate([verts, m]), faces
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +666,8 @@ def detect_normal_flips(mesh, reference_normals):
 # surface-to-surface distance
 
 def _point_triangle_distance(point, tri):
-    """Distances from one point to each triangle in tri ((k,3,3) array).
+    """Distances from points to triangles: `point` (3,) or (k, 3), each
+    row paired with its triangle of tri ((k, 3, 3) array).
 
     The nearest point is the foot of the perpendicular on the plane when
     its barycentric weights lie in [0, 1], and on one of the three edges
@@ -648,7 +685,7 @@ def _point_triangle_distance(point, tri):
         w = (d00 * d1p - d01 * d0p) / det
         inside = (v >= 0.0) & (w >= 0.0) & (v + w <= 1.0)
     # edge i runs from vertex i to vertex i - 1; a zero-length edge is a point
-    edge, to_point = np.roll(tri, 1, axis=1) - tri, point - tri
+    edge, to_point = np.roll(tri, 1, axis=1) - tri, point[..., None, :] - tri
     length2 = _dot(edge, edge)
     t = np.divide(_dot(to_point, edge), length2, out=np.zeros_like(length2),
                   where=length2 > 0.0)
@@ -665,19 +702,25 @@ def _dot(x, y):
 
 
 def _mean_distance_to_surface(points, target):
+    # the one user of a KD-tree: importing scipy.spatial here keeps it out
+    # of every process that never compares surfaces
+    from scipy.spatial import cKDTree
+
     tri = target.vertices[target.faces]
     centroids = tri.mean(axis=1)
     spread = np.max(np.linalg.norm(tri - centroids[:, None, :], axis=2), axis=1)
     r_max = float(spread.max())
     tree = cKDTree(centroids)
-    d_centroid, nearest = tree.query(points)
-    dists = np.empty(points.shape[0])
-    for i, point in enumerate(points):
-        # exact distance to the nearest-centroid face bounds the search radius
-        upper = _point_triangle_distance(point, tri[nearest[i]][None, :, :])[0]
-        candidates = tree.query_ball_point(point, upper + r_max + 1e-12)
-        dists[i] = _point_triangle_distance(point, tri[candidates]).min()
-    return float(dists.mean())
+    _, nearest = tree.query(points)
+    # the exact distance to each point's nearest-centroid face bounds the
+    # radius within which its nearest face's centroid lies
+    upper = _point_triangle_distance(points, tri[nearest])
+    candidates = tree.query_ball_point(points, upper + r_max + 1e-12)
+    counts = np.fromiter(map(len, candidates), dtype=np.intp, count=len(candidates))
+    owner = np.repeat(np.arange(len(points)), counts)
+    dists = _point_triangle_distance(points[owner], tri[np.concatenate(candidates)])
+    # every point has a candidate: its nearest-centroid face
+    return float(np.minimum.reduceat(dists, np.cumsum(counts) - counts).mean())
 
 
 def compare_surfaces(mesh_a, mesh_b):

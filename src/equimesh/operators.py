@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateMeshError
-from .mesh import FaceGeometry, _cross, _inner, vertex_voronoi_areas
+from .mesh import FaceGeometry, _cross, _inner, _run_starts, vertex_voronoi_areas
 from .solver import StepMatrix
 
 __all__ = [
@@ -76,14 +76,28 @@ class MeshTopology:
     S = M - dt L in it (`step_matrix`), both found once.
 
     scatter maps the corner pairs (k, l) of every face f, in (k, l, f)
-    order, to their slots in L.data."""
+    order, to their slots in L.data, as int32: L has fewer than 2^31
+    entries at any refinement the sampler allows."""
 
     def __init__(self, faces, n_v):
         self.n_v = n_v
-        rows = np.repeat(faces.T, 3, axis=0)  # row 3k + l holds corner k
-        cols = np.tile(faces.T, (3, 1))  # and column corner l
-        keys, self.scatter = np.unique((rows * n_v + cols).ravel(),
-                                       return_inverse=True)
+        # the key row * n_v + column of each corner pair, written pair by
+        # pair into one array; each temporary below is freed once read
+        keys = np.empty((9, len(faces)), dtype=np.int64)
+        for i, (k, l) in enumerate(np.ndindex(3, 3)):
+            np.multiply(faces[:, k], n_v, out=keys[i])
+            keys[i] += faces[:, l]
+        keys = keys.ravel()
+        order = np.argsort(keys)
+        ordered = keys[order]
+        del keys
+        starts = _run_starts(ordered)
+        keys = ordered[starts]
+        del ordered
+        rank = np.cumsum(starts, dtype=np.int32) - 1
+        self.scatter = np.empty_like(rank)
+        self.scatter[order] = rank
+        del order, starts, rank
         # L[i, i] is where the pairs (k, k) of vertex i's faces land
         diagonal = np.zeros(n_v, dtype=np.intp)
         diagonal[faces.T] = self.scatter.reshape(3, 3, -1)[[0, 1, 2], [0, 1, 2]]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FoldError, GuardError, SingularityError, TopologyError, check_count
+from .errors import (FoldError, GuardError, SingularityError, TopologyError, check_count,
+                     owned_array, read_only)
 from .mesh import MAX_ICOSPHERE_REFINEMENTS, _check_refinements, icosphere
 
 __all__ = [
@@ -101,15 +102,16 @@ class SpheroidDomain:
 
 @dataclass
 class CurvilinearCoords:
-    """Per-vertex surface coordinates (eta, phi) bound to a domain."""
+    """Per-vertex surface coordinates (eta, phi) bound to a domain. A
+    read-only array is kept as it is; any other is copied."""
 
     eta: np.ndarray
     phi: np.ndarray
     domain: SpheroidDomain
 
     def __post_init__(self):
-        eta = np.ascontiguousarray(self.eta, dtype=np.float64)
-        phi = np.ascontiguousarray(self.phi, dtype=np.float64)
+        eta = owned_array(self.eta, np.float64)
+        phi = owned_array(self.phi, np.float64)
         if eta.shape != phi.shape or eta.ndim != 1:
             raise ValueError("eta and phi must be matching 1-D arrays")
         lo, hi = self.domain.eta_range
@@ -121,8 +123,6 @@ class CurvilinearCoords:
             )
         if phi.size and not (phi.min() >= -tol and phi.max() < 2.0 * np.pi + tol):
             raise ValueError("phi must lie in [0, 2*pi)")
-        eta.setflags(write=False)
-        phi.setflags(write=False)
         self.eta = eta
         self.phi = phi
 
@@ -216,7 +216,7 @@ def pullback(domain, points):
     _, eta, phi = inverse_coords(domain, points)
     lo, hi = domain.eta_range
     eta = np.clip(eta, lo, hi)
-    return CurvilinearCoords(eta=eta, phi=phi, domain=domain)
+    return CurvilinearCoords(eta=read_only(eta), phi=read_only(phi), domain=domain)
 
 
 def xi_of_eta(domain, eta):
@@ -267,7 +267,7 @@ def align_to_principal_axes(mesh):
     if np.linalg.det(R) < 0:
         R = R.copy()
         R[:, 0] = -R[:, 0]
-    return mesh.with_vertices(v @ R)
+    return mesh.with_vertices(read_only(v @ R))
 
 
 def fit_domain(mesh, kind_hint=None):
@@ -444,8 +444,8 @@ def sample_cap_grid(domain, rings, sectors):
     # the pole, then ring by ring one vertex per sector
     k = np.arange(sectors)
     coords = CurvilinearCoords(
-        eta=np.concatenate(([pole], np.repeat(ring_etas, sectors))),
-        phi=np.concatenate(([0.0], np.tile(2.0 * np.pi * k / sectors, rings))),
+        eta=read_only(np.concatenate(([pole], np.repeat(ring_etas, sectors)))),
+        phi=read_only(np.concatenate(([0.0], np.tile(2.0 * np.pi * k / sectors, rings)))),
         domain=domain,
     )
     # pole fan, then per ring band and sector the quad's two triangles, all
@@ -455,4 +455,4 @@ def sample_cap_grid(domain, rings, sectors):
     fan = np.stack([np.zeros_like(k), ring[0], step[0]], axis=1)
     quads = [ring[:-1], ring[1:], step[1:], ring[:-1], step[1:], step[:-1]]
     faces = np.concatenate([fan, np.stack(quads, axis=-1).reshape(-1, 3)])
-    return coords, faces
+    return coords, read_only(faces)

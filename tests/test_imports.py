@@ -8,6 +8,8 @@ scans are plain `ast`, so they need no linter.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -129,3 +131,22 @@ def test_package_has_one_count_rule():
     assert {name: where for name, where in found.items() if where} == {
         "src/equimesh/errors.py": ["check_count"]
     }, "test integer counts with equimesh.errors.check_count"
+
+
+def test_importing_the_package_leaves_out_the_kd_tree():
+    # scipy.spatial costs every process about 8.5 MiB; compare_surfaces,
+    # its one user, loads it on first use and still returns the values
+    # it gave when the package imported it up front
+    code = (
+        "import sys\n"
+        "import equimesh\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
+        "import equimesh.cli\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
+        "m = equimesh.icosphere(3)\n"
+        "print(*(x.hex() for x in equimesh.compare_surfaces(m, m.with_vertices(m.vertices * 1.1))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["0x1.98c6ce0f371cdp-4", "0x1.9035304001ffcp+3",
+                           "0x1.e4405ba99c04ep+3"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from equimesh.mesh import (
     _run_starts,
     ring_lengths,
 )
+from equimesh.operators import MeshTopology
 
 
 def tetrahedron():
@@ -130,6 +133,24 @@ def test_vertices_are_readonly():
         m.vertices[0, 0] = 99.0
 
 
+def test_mesh_copies_a_callers_writeable_arrays():
+    base = tetrahedron()
+    v, f = np.array(base.vertices), np.array(base.faces)
+    m = TriangleMesh(v, f)
+    v[0, 0], f[0, 0] = 7.0, 3  # the caller's arrays stay writeable
+    assert np.array_equal(m.vertices, base.vertices)
+    assert np.array_equal(m.faces, base.faces)
+    for array in (m.vertices, m.faces, m.with_vertices(v).vertices):
+        assert not array.flags.writeable
+
+
+def test_mesh_keeps_read_only_arrays_uncopied():
+    base = icosphere(2)
+    m = TriangleMesh(base.vertices, base.faces)
+    assert m.vertices is base.vertices and m.faces is base.faces
+    assert m.with_vertices(base.vertices).vertices is base.vertices
+
+
 def test_with_vertices_keeps_connectivity():
     m = tetrahedron()
     m2 = m.with_vertices(m.vertices * 2.0)
@@ -154,10 +175,16 @@ def test_with_vertices_checks_only_the_new_vertices(monkeypatch):
         cap.with_vertices(nan)
 
 
+def directed_edges(mesh):
+    """Every face's edges ab, then every bc, then every ca, as (n, 2) pairs."""
+    f = mesh.faces
+    return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+
+
 def _boundary_loop_by_unique(mesh):
     """The boundary loop as found with np.unique: the edges whose
     undirected key is counted once, chained in directed-edge order."""
-    edges = mesh.directed_edges()
+    edges = directed_edges(mesh)
     lo, hi = np.sort(edges, axis=1).T
     _, inverse, counts = np.unique(lo * mesh.n_v + hi, return_inverse=True,
                                    return_counts=True)
@@ -204,8 +231,46 @@ def test_sort_helpers_match_np_unique(seed):
 
 def test_unique_edges_match_sorted_unique():
     for mesh in (icosphere(2), _cap(40, 64)):
-        expected = np.unique(np.sort(mesh.directed_edges(), axis=1), axis=0)
+        expected = np.unique(np.sort(directed_edges(mesh), axis=1), axis=0)
         assert np.array_equal(mesh.unique_edges(), expected)
+
+
+def _traced_peak(build):
+    """(peak bytes that `build()` allocates, its result), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def _mesh_bytes(mesh):
+    return mesh.vertices.nbytes + mesh.faces.nbytes
+
+
+def _topology_bytes(topology):
+    S = topology.step_matrix.matrix
+    return sum(a.nbytes for a in (topology.scatter, topology.step_matrix.diagonal,
+                                  S.data, S.indices, S.indptr))
+
+
+@pytest.mark.parametrize("builder, output_bytes, bound", [
+    (lambda mesh: icosphere(6), _mesh_bytes, 3.0),
+    (lambda mesh: TriangleMesh(mesh.vertices, mesh.faces), _mesh_bytes, 1.5),
+    (lambda mesh: mesh.unique_edges(), lambda edges: edges.nbytes, 2.5),
+    (lambda mesh: MeshTopology(mesh.faces, mesh.n_v), _topology_bytes, 3.5),
+], ids=["icosphere", "mesh check", "unique_edges", "MeshTopology"])
+def test_connectivity_builders_peak_within_a_multiple_of_their_output(
+        builder, output_bytes, bound):
+    # at refinement 6 the builders peak at 1.9, 0.9, 1.6 and 2.6 times
+    # their output; holding several full-length int64 key arrays at once
+    # they peaked at 7.5, 4.8, 4.5 and 5.1 times
+    mesh = icosphere(6)
+    peak, result = _traced_peak(lambda: builder(mesh))
+    assert peak <= bound * output_bytes(result)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +448,36 @@ def test_compare_surfaces_offset_spheres():
     d, _, _ = compare_surfaces(ma, mb)
     # concentric spheres 1.0 and 1.1: nearest-distance is about 0.1
     assert d == pytest.approx(0.1, rel=0.05)
+
+
+def _mean_distance_by_loop(points, target):
+    """compare_surfaces' one direction as it was written, point by point:
+    the reference for its batched form."""
+    from scipy.spatial import cKDTree
+
+    tri = target.vertices[target.faces]
+    centroids = tri.mean(axis=1)
+    r_max = float(np.linalg.norm(tri - centroids[:, None, :], axis=2).max())
+    tree = cKDTree(centroids)
+    _, nearest = tree.query(points)
+    dists = np.empty(len(points))
+    for i, point in enumerate(points):
+        upper = _point_triangle_distance(point, tri[nearest[i]][None, :, :])[0]
+        candidates = tree.query_ball_point(point, upper + r_max + 1e-12)
+        dists[i] = _point_triangle_distance(point, tri[candidates]).min()
+    return float(dists.mean())
+
+
+def test_compare_surfaces_equals_the_point_loop():
+    fine = icosphere(3)
+    rng = np.random.default_rng(4)
+    bumpy = fine.with_vertices(fine.vertices * rng.uniform(0.9, 1.1, (fine.n_v, 1)))
+    coarse = icosphere(2)
+    coarse = coarse.with_vertices(coarse.vertices * [1.2, 1.0, 0.8])
+    d, _, _ = compare_surfaces(bumpy, coarse)
+    expected = 0.5 * (_mean_distance_by_loop(bumpy.vertices, coarse)
+                      + _mean_distance_by_loop(coarse.vertices, bumpy))
+    assert d == expected
 
 
 @pytest.mark.parametrize(

@@ -347,6 +347,16 @@ def test_max_diffusion_rate():
 # topology-once kernel against the loop oracles
 
 @pytest.mark.parametrize("builder", [bumpy_sphere, open_cap])
+def test_topology_scatter_is_the_int32_rank_of_each_corner_pair(builder):
+    mesh = builder()
+    f = mesh.faces.T
+    keys = (np.repeat(f, 3, axis=0) * mesh.n_v + np.tile(f, (3, 1))).ravel()
+    _, inverse = np.unique(keys, return_inverse=True)
+    scatter = MeshTopology(mesh.faces, mesh.n_v).scatter
+    assert scatter.dtype == np.int32 and np.array_equal(scatter, inverse)
+
+
+@pytest.mark.parametrize("builder", [bumpy_sphere, open_cap])
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 50.0])
 def test_kernel_matches_oracles(builder, gamma):
     mesh = builder()

@@ -95,6 +95,17 @@ def test_coords_refuse_nan(coordinate):
         CurvilinearCoords(domain=d, **values)
 
 
+def test_coords_copy_a_callers_writeable_arrays_and_keep_read_only_ones():
+    d = SpheroidDomain(kind="oblate", e=1.0, zeta0=1.0)
+    eta, phi = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+    coords = CurvilinearCoords(eta=eta, phi=phi, domain=d)
+    eta[0] = phi[0] = 0.5  # the caller's arrays stay writeable
+    assert coords.eta.tolist() == [0.1, 0.2] and coords.phi.tolist() == [0.3, 0.4]
+    assert not (coords.eta.flags.writeable or coords.phi.flags.writeable)
+    again = CurvilinearCoords(eta=coords.eta, phi=coords.phi, domain=d)
+    assert again.eta is coords.eta and again.phi is coords.phi
+
+
 def test_coords_validation_shapes_and_phi_range():
     d = SpheroidDomain(kind="oblate", e=1.0, zeta0=1.0)
     with pytest.raises(ValueError, match="matching 1-D arrays"):
