@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dptsv
+from numpy.linalg import LinAlgError
 
 from .diffusion import MAX_DT_HALVINGS, TraceTable, column
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
     read_lines,
     row_values,
 )
-from .harmonics import _check_degree, _least_squares, _multiple_angles
+from .harmonics import _check_degree, _lapack, _least_squares, _multiple_angles
 from .mesh import Contour2D, ring_lengths
 from .spheroidal import confocal_inverse, focal_chart, wrap_angle
 
@@ -167,7 +166,8 @@ class ContourWeights:
 def _fourier_rows(eta, n_max):
     """(2 n_max + 1, n) rows cos(m eta), m = 0..n_max, then sin(m eta),
     m = 1..n_max, at the n angles eta: the fit's rows and the evaluation's."""
-    cos_m, sin_m = _multiple_angles(np.cos(eta), np.sin(eta), n_max + 1)
+    cos_m, sin_m = _multiple_angles(np.cos(eta), np.sin(eta),
+                                    np.empty((2, n_max + 1, np.size(eta))))
     return np.vstack([cos_m, sin_m[1:]])
 
 
@@ -359,8 +359,8 @@ def _ring_implicit_step(masses, conductance, u, dt):
     rhs[-1, 1] = corner
     # solveh_banded runs this LAPACK solve on a band of two rows; calling
     # it directly skips the band copy and the checks
-    _, _, solution, info = dptsv(diag, off[1:], rhs, overwrite_d=True,
-                                 overwrite_e=True, overwrite_b=True)
+    _, _, solution, info = _lapack().dptsv(diag, off[1:], rhs, overwrite_d=True,
+                                           overwrite_e=True, overwrite_b=True)
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
     y, z = solution.T

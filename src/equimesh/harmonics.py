@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (EngineError, FormatError, GuardError, check_count, read_lines,
                      read_only, row_values)
@@ -206,24 +205,24 @@ def _legendre_blocks(n_max, xi):
         yield m, block
 
 
-def _multiple_angles(cos_1, sin_1, count):
-    """(2, count, k) rows cos(j a) and sin(j a), j = 0..count-1, from cos a
-    and sin a by angle addition: e^{i j a} is one complex product of
-    e^{i (j - 1) a} with e^{i a}, in place, and row j takes its real and
-    imaginary parts, so only two complex rows are ever held. Rows 0 and 1
-    are exactly (1, 0) and (cos a, sin a)."""
-    rows = np.empty((2, count, cos_1.shape[0]))
+def _multiple_angles(cos_1, sin_1, rows):
+    """Fill rows, (2, count, k), with cos(j a) and sin(j a), j =
+    0..count-1, from cos a and sin a by angle addition, and return it:
+    e^{i j a} is one complex product of e^{i (j - 1) a} with e^{i a}, in
+    place, and row j takes its real and imaginary parts, so only two
+    complex rows are ever held. Rows 0 and 1 are exactly (1, 0) and
+    (cos a, sin a)."""
     rows[0, 0], rows[1, 0] = 1.0, 0.0
     turn = np.empty(cos_1.shape[0], dtype=complex)
     turn.real, turn.imag = cos_1, sin_1
     z = np.ones_like(turn)
-    for j in range(1, count):
+    for j in range(1, rows.shape[1]):
         z *= turn
         rows[0, j], rows[1, j] = z.real, z.imag
     return rows
 
 
-def _angle_rows(coords, n_max, moments=False, part=slice(None)):
+def _angle_rows(coords, n_max, buffer, moments=False, part=slice(None)):
     """Trigonometric rows of the double Fourier kernel at the vertices part
     of coords, each (2, count, n): cos and sin of a t, at t = arccos xi,
     and of b phi.
@@ -232,17 +231,19 @@ def _angle_rows(coords, n_max, moments=False, part=slice(None)):
     cos(m phi), sin(m phi), k, m = 0..n_max. With moments, the rows go on
     to a = 2 n_max + 2 and b = 2 n_max for the fit's moments. One
     recurrence runs over the t and phi angles side by side, which halves
-    its Python iterations; the rows are views of its output.
+    its Python iterations; it writes into the head of buffer, a rows
+    buffer of _block_buffers for at least n vertices, and the rows are
+    views of it.
     """
     xi = _checked_xi(xi_of_eta(coords.domain, coords.eta[part]))
     phi = coords.phi[part]
     t_count, phi_count = n_max + 2, n_max + 1
     if moments:
         t_count, phi_count = 2 * n_max + 3, 2 * n_max + 1
+    n = xi.shape[0]
     rows = _multiple_angles(np.concatenate([xi, np.cos(phi)]),
                             np.concatenate([np.sqrt(1.0 - xi * xi), np.sin(phi)]),
-                            t_count)
-    n = xi.shape[0]
+                            buffer[: 4 * t_count * n].reshape(2, t_count, 2 * n))
     return rows[:, :, :n], rows[:, :phi_count, n:]
 
 
@@ -254,12 +255,23 @@ def _block_size(n_max, moments=False):
     return max(1, _BLOCK_BYTES // ((88 if moments else 56) * (n_max + 2)))
 
 
-def _row_blocks(coords, n_max, step, moments=False):
+def _block_buffers(n_max, step, moments=False):
+    """Flat buffers for one block of at most step vertices: its angle rows
+    (_angle_rows; with moments, the moment rows) and _synthesize's GEMM
+    output for three coordinates. Whoever walks the blocks holds them
+    across its blocks, so that each block writes into pages already
+    touched instead of faulting fresh ones."""
+    t_count = 2 * n_max + 3 if moments else n_max + 2
+    return np.empty(4 * t_count * step), np.empty((n_max + 2) // 2 * 6 * step)
+
+
+def _row_blocks(coords, n_max, step, buffer, moments=False):
     """Yield (part, rows) per block of at most step vertices: the slice of
-    the block and its _angle_rows."""
+    the block and its _angle_rows, written into buffer, so each block's
+    rows replace the last one's."""
     for first in range(0, coords.n, step):
         part = slice(first, first + step)
-        yield part, _angle_rows(coords, n_max, moments, part)
+        yield part, _angle_rows(coords, n_max, buffer, moments, part)
 
 
 def alp_table(n_max, xi):
@@ -309,28 +321,29 @@ def decompose(mesh, coords, config):
     m phi rows (_project, then _apply_table), and B c is the
     reconstruction kernel (_synthesize). The moments and B^T R are sums
     over samples, so the fit walks the sampling in vertex blocks
-    (_block_size) and holds one block's cos/sin rows at a time, in three
-    passes: the moment rows give the moments and B^T V, whose short rows
-    are a prefix of them; the short rows give B c and B^T R for the
-    refinement step, then the final residual. The fit policy is
-    _least_squares, shared with the contour fit; only its SVD fallback
-    builds the dense basis (_real_basis).
+    (_block_size) and holds one block's cos/sin rows at a time, in one
+    buffer (_block_buffers), in three passes: the moment rows give the
+    moments and B^T V, whose short rows are a prefix of them; the short
+    rows give B c and B^T R for the refinement step, then the final
+    residual. The fit policy is _least_squares, shared with the contour
+    fit; only its SVD fallback builds the dense basis (_real_basis).
     """
     if mesh.n_v != coords.n:
         raise ValueError("mesh and coords disagree on vertex count")
     n_max, V = config.n_max, mesh.vertices
     step = _block_size(n_max, moments=True)
+    buffer, gemm = _block_buffers(n_max, step, moments=True)
     moments = np.zeros((2 * (2 * n_max + 1), 2 * (2 * n_max + 3)))
     BtV = np.zeros((n_max + 1, 2, n_max + 1, V.shape[1]))
-    for part, rows in _row_blocks(coords, n_max, step, moments=True):
+    for part, rows in _row_blocks(coords, n_max, step, buffer, moments=True):
         moments += _moments(*rows)
         BtV += _project(n_max, *rows, V[part])
 
     def residuals(coef):
         """(rows, V - B coef) per block."""
         fold = _fold(n_max, coef)
-        for part, rows in _row_blocks(coords, n_max, step):
-            yield rows, V[part] - _synthesize(fold, *rows)
+        for part, rows in _row_blocks(coords, n_max, step, buffer):
+            yield rows, V[part] - _synthesize(fold, *rows, gemm)
 
     fit, residual_rms = _least_squares(
         _moment_gram(n_max, moments),
@@ -549,27 +562,28 @@ def _fold(n_max, coef):
     return np.matmul(ab.reshape(size, 2 * c, size), tables.table)
 
 
-def _synthesize(fold, t_rows, phi_rows):
+def _synthesize(fold, t_rows, phi_rows, buffer):
     """B coef, (n, c), from the fold of coef (_fold).
 
     With t = arccos xi, the expansion is sum_m a_m(t) cos(m phi) +
     b_m(t) sin(m phi). Per order parity one GEMM of the Fourier
     coefficients of a_m and b_m with the cos(k t) or sin((k + 1) t) rows
-    evaluates every a_m and b_m, which are then contracted with the
-    cos(m phi) and sin(m phi) rows.
+    evaluates every a_m and b_m, into the head of buffer (at least
+    (n_max + 2) // 2 * 2 c * n values; _block_buffers), which are then
+    contracted with the cos(m phi) and sin(m phi) rows.
     """
     size = fold.shape[0]
     tau = (t_rows[0, :size], t_rows[1, 1 : size + 1])
     cos_m, sin_m = phi_rows[:, :size]
-    c = fold.shape[1] // 2
-    out = np.zeros((c, t_rows.shape[2]))
-    buffer = np.empty(((size + 1) // 2 * 2 * c, t_rows.shape[2]))
+    c, n = fold.shape[1] // 2, t_rows.shape[2]
+    out = np.zeros((c, n))
     for parity in (0, 1):
         orders = len(range(parity, size, 2))
         if not orders:
             continue
         vals = np.matmul(fold[parity::2].reshape(-1, size), tau[parity],
-                         out=buffer[: orders * 2 * c]).reshape(orders, 2, c, -1)
+                         out=buffer[: orders * 2 * c * n].reshape(orders * 2 * c, n)
+                         ).reshape(orders, 2, c, -1)
         out += np.einsum("mcv,mv->cv", vals[:, 0], cos_m[parity::2])
         out += np.einsum("mcv,mv->cv", vals[:, 1], sin_m[parity::2])
     return np.ascontiguousarray(out.T)
@@ -590,7 +604,9 @@ def _real_basis(n_max, coords):
     tables = _fit_tables(n_max)
     start = tables.start
     Bt = np.empty((size * size, coords.n))
-    for part, (t_rows, phi_rows) in _row_blocks(coords, n_max, _block_size(n_max)):
+    step = _block_size(n_max)
+    buffer, _ = _block_buffers(n_max, step)
+    for part, (t_rows, phi_rows) in _row_blocks(coords, n_max, step, buffer):
         tau = (t_rows[0, :size], t_rows[1, 1 : size + 1])
         cos_m, sin_m = phi_rows[:, :size]
         for m in range(size):
@@ -599,6 +615,16 @@ def _real_basis(n_max, coords):
             if m:
                 Bt[start[m] + size - m : start[m + 1], part] = block * sin_m[m]
     return Bt
+
+
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on the first call: only the fits and
+    the 2D ring step solve with LAPACK, so a remesh from weights never
+    loads scipy.linalg (about 8 MiB of RSS per process)."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _least_squares(G, BtV, V, refine, residual, basis):
@@ -623,6 +649,7 @@ def _least_squares(G, BtV, V, refine, residual, basis):
         raise EngineError(f"underdetermined fit: {n} samples < {k} basis columns")
     if not np.isfinite(V).all():
         raise ValueError("samples must be finite")
+    lapack = _lapack()
     # G is symmetric: its transpose is G in the Fortran order that dlange
     # reads and dpotrf overwrites
     norm_1 = lapack.dlange("1", G.T)
@@ -701,17 +728,23 @@ class SurfaceKernel:
     them at coordinates of its domain with the fit's kernel (_synthesize),
     building the angle rows of one vertex block (_block_size) at a time.
     This equals reconstruct_full.
+
+    The kernel owns its block buffers (_block_buffers, about _BLOCK_BYTES
+    whatever the sampling), so its calls reuse pages instead of faulting
+    fresh ones; one kernel serves one call at a time.
     """
 
     def __init__(self, weights):
         self.domain, self.n_max = weights.domain, weights.n_max
         self.fold = _fold(self.n_max, weights.coef[_fit_tables(self.n_max).column])
+        self.step = _block_size(self.n_max)
+        self.rows, self.gemm = _block_buffers(self.n_max, self.step)
 
     def __call__(self, coords):
         _check_domains_match(self, coords)
         out = np.empty((coords.n, 3))
-        for part, rows in _row_blocks(coords, self.n_max, _block_size(self.n_max)):
-            out[part] = _synthesize(self.fold, *rows)
+        for part, rows in _row_blocks(coords, self.n_max, self.step, self.rows):
+            out[part] = _synthesize(self.fold, *rows, self.gemm)
         return out
 
 

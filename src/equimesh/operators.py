@@ -117,7 +117,10 @@ class MeshTopology:
         if directors is not None:
             w, alpha1, alpha2, _ = directors
             blocks *= alpha1
-            blocks += (w[:, None] * w[None, :]) * (alpha2 - alpha1)
+            lift = alpha2 - alpha1
+            # one (3, n_f) row of w_k w_l lift at a time, not a (3, 3, n_f) block
+            for k in range(3):
+                blocks[k] += w[k] * w * lift
         blocks *= -0.25 / geometry.areas
         # an edge's two faces add up the same in L[i, j] and L[j, i]
         data = np.bincount(self.scatter, weights=blocks.ravel(),

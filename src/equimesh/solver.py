@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .errors import SolverError
 
@@ -32,10 +31,14 @@ def cg(A, b, x0, tolerance, max_iterations, callback=None):
     preconditioner; no iteration runs), on breakdown (p^T A p <= 0: A is
     not positive definite), when `max_iterations` are spent, and when the
     true residual misses the 10 * tolerance bound.
-    `callback(x)` runs once per iteration. The vector updates are level-1
-    BLAS calls, in place: per call they cost about half of the numpy
-    operators they replace, which is most of an iteration besides the
-    mat-vec at a few thousand unknowns.
+    `callback(x)` runs once per iteration. The vector updates are numpy
+    operators, in place, into one `step` buffer per solve, and the dot
+    products are `@`: that keeps scipy.linalg, whose level-1 BLAS calls
+    they replace, out of every process that never factors a matrix (about
+    8 MiB of RSS). Per iteration they cost 5-8 µs more than the BLAS
+    calls did at refinement 4 (27-31 against 22-23 µs, one BLAS thread),
+    and x and r differ from theirs by round-off, as BLAS daxpy fuses its
+    multiply-add.
     """
     diagonal = A.diagonal()
     x, k = np.array(x0, dtype=float), 0
@@ -64,23 +67,25 @@ def _jacobi_loop(A, b, x, inv_diag, tolerance, max_iterations, callback):
     r = b - A @ x
     z = inv_diag * r
     p = z.copy()
-    rz = ddot(r, z)
+    step = np.empty_like(x)
+    rz = r @ z
     threshold = (tolerance * np.linalg.norm(b)) ** 2
     for k in range(max_iterations + 1):
-        if ddot(r, r) <= threshold:
+        if r @ r <= threshold:
             return x, k, None
         if k == max_iterations:
             return x, k, "iteration budget spent"
         q = A @ p
-        pq = ddot(p, q)
+        pq = p @ q
         if not pq > 0.0:
             return x, k, "breakdown: matrix not positive definite"
         alpha = rz / pq
-        x = daxpy(p, x, a=alpha)
-        r = daxpy(q, r, a=-alpha)
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(q, alpha, out=step)
         np.multiply(inv_diag, r, out=z)
-        rz, rz_old = ddot(r, z), rz
-        p = daxpy(z, dscal(rz / rz_old, p))
+        rz, rz_old = r @ z, rz
+        p *= rz / rz_old
+        p += z
         if callback is not None:
             callback(x)
 

@@ -270,12 +270,19 @@ def test_fourier_table_parity_zeros_are_exact(n_max):
     assert np.all(table[:, odd] == 0.0)
 
 
+def one_block_rows(coords, n_max, moments=False):
+    """_angle_rows of every vertex of coords as one block, and a GEMM
+    buffer of _synthesize for that block."""
+    buffer, gemm = harmonics._block_buffers(n_max, coords.n, moments)
+    return _angle_rows(coords, n_max, buffer, moments), gemm
+
+
 def test_multiple_angles_match_cos_sin():
     # 2 MAX_DEGREE + 3 rows, the most the fit's moments take
     count = 2 * MAX_DEGREE + 3
     a = np.concatenate([[0.0, np.pi / 2.0, np.pi],
                         np.random.default_rng(3).uniform(-np.pi, np.pi, 61)])
-    cos_j, sin_j = _multiple_angles(np.cos(a), np.sin(a), count)
+    cos_j, sin_j = _multiple_angles(np.cos(a), np.sin(a), np.empty((2, count, a.size)))
     j = np.arange(count)[:, None]
     assert np.abs(cos_j - np.cos(j * a)).max() <= 1e-12
     assert np.abs(sin_j - np.sin(j * a)).max() <= 1e-12
@@ -283,13 +290,13 @@ def test_multiple_angles_match_cos_sin():
 
 def test_multiple_angles_first_rows_are_exact():
     a = np.random.default_rng(5).uniform(-np.pi, np.pi, 97)
-    cos_j, sin_j = _multiple_angles(np.cos(a), np.sin(a), 13)
+    cos_j, sin_j = _multiple_angles(np.cos(a), np.sin(a), np.empty((2, 13, 97)))
     assert np.array_equal(cos_j[0], np.ones(97))
     assert np.array_equal(sin_j[0], np.zeros(97))
     assert np.array_equal(cos_j[1], np.cos(a))
     assert np.array_equal(sin_j[1], np.sin(a))
     # count 1 gives row 0 alone
-    assert np.array_equal(_multiple_angles(np.cos(a), np.sin(a), 1),
+    assert np.array_equal(_multiple_angles(np.cos(a), np.sin(a), np.empty((2, 1, 97))),
                           [[np.ones(97)], [np.zeros(97)]])
 
 
@@ -298,12 +305,15 @@ def test_multiple_angles_first_rows_are_exact():
 def test_angle_rows_equal_one_recurrence_per_angle(n_max, moments):
     coords, _ = sample_icosphere(benchmarks.oblate_domain(), 2)
     part = slice(5, 150)
-    t_rows, phi_rows = _angle_rows(coords, n_max, moments, part)
+    buffer, _ = harmonics._block_buffers(n_max, part.stop - part.start, moments)
+    t_rows, phi_rows = _angle_rows(coords, n_max, buffer, moments, part)
     xi = harmonics._checked_xi(harmonics.xi_of_eta(coords.domain, coords.eta[part]))
     phi = coords.phi[part]
     t_count, phi_count = (2 * n_max + 3, 2 * n_max + 1) if moments else (n_max + 2, n_max + 1)
-    assert np.array_equal(t_rows, _multiple_angles(xi, np.sqrt(1.0 - xi * xi), t_count))
-    assert np.array_equal(phi_rows, _multiple_angles(np.cos(phi), np.sin(phi), phi_count))
+    assert np.array_equal(t_rows, _multiple_angles(xi, np.sqrt(1.0 - xi * xi),
+                                                   np.empty((2, t_count, xi.size))))
+    assert np.array_equal(phi_rows, _multiple_angles(np.cos(phi), np.sin(phi),
+                                                     np.empty((2, phi_count, phi.size))))
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +695,9 @@ def test_fit_guard_refuses_dense_basis_before_its_rows(monkeypatch):
     mesh, coords = _ill_conditioned_fixture()
     built, angle_rows = [], harmonics._angle_rows
 
-    def spy(coords, n_max, moments=False, part=slice(None)):
+    def spy(coords, n_max, buffer, moments=False, part=slice(None)):
         built.append(moments)
-        return angle_rows(coords, n_max, moments, part)
+        return angle_rows(coords, n_max, buffer, moments, part)
 
     monkeypatch.setattr(harmonics, "_angle_rows", spy)
     monkeypatch.setattr(harmonics, "_MAX_FIT_BYTES", coords.n * 169 * 8 - 1)
@@ -754,10 +764,10 @@ def test_one_block_fit_equals_the_fit_on_whole_sampling_rows(monkeypatch):
     got = benchmarks.protrusion_weights()
     (mesh, coords, n_max), = calls
     assert coords.n <= harmonics._block_size(n_max, moments=True)
-    rows, V = _angle_rows(coords, n_max, moments=True), mesh.vertices
+    (rows, gemm), V = one_block_rows(coords, n_max, moments=True), mesh.vertices
 
     def residual(coef):
-        return V - _synthesize(_fold(n_max, coef), *rows)
+        return V - _synthesize(_fold(n_max, coef), *rows, gemm)
 
     coef, rms = _least_squares(
         _moment_gram(n_max, _moments(*rows)),
@@ -773,14 +783,14 @@ def test_one_block_fit_equals_the_fit_on_whole_sampling_rows(monkeypatch):
 
 def _check_moment_products(coords, n_max, rng):
     """The moment Gram, B^T R and B c against products with the dense basis."""
-    rows = _angle_rows(coords, n_max, moments=True)
+    rows, gemm = one_block_rows(coords, n_max, moments=True)
     Bt = _real_basis(n_max, coords)
     R = rng.normal(size=(coords.n, 3))
     coef = rng.normal(size=(Bt.shape[0], 3))
     for got, want in (
         (_moment_gram(n_max, _moments(*rows)), Bt @ Bt.T),
         (_apply_table(n_max, _project(n_max, *rows, R)), Bt @ R),
-        (_synthesize(_fold(n_max, coef), *rows), Bt.T @ coef),
+        (_synthesize(_fold(n_max, coef), *rows, gemm), Bt.T @ coef),
     ):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -854,7 +864,8 @@ def test_reconstruct_fast_vertex_blocks_match_one_block(oblate_dom, rng):
         eta = rng.uniform(-1.4, 1.4, count)
         phi = rng.uniform(0.0, 2.0 * np.pi, count)
         coords = CurvilinearCoords(eta, phi, oblate_dom)
-        one_block = _synthesize(_fold(n_max, coef), *_angle_rows(coords, n_max))
+        rows, gemm = one_block_rows(coords, n_max)
+        one_block = _synthesize(_fold(n_max, coef), *rows, gemm)
         blocked = reconstruct_fast(w, coords)
         assert blocked.shape == (count, 3)
         assert np.abs(blocked - one_block).max(initial=0.0) <= (

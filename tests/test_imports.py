@@ -133,20 +133,46 @@ def test_package_has_one_count_rule():
     }, "test integer counts with equimesh.errors.check_count"
 
 
-def test_importing_the_package_leaves_out_the_kd_tree():
-    # scipy.spatial costs every process about 8.5 MiB; compare_surfaces,
-    # its one user, loads it on first use and still returns the values
-    # it gave when the package imported it up front
+def test_the_package_loads_the_kd_tree_and_lapack_on_first_use():
+    # scipy.spatial costs every process about 8.5 MiB and scipy.linalg about
+    # 8 MiB. compare_surfaces, the one user of the first, loads it on first
+    # use; the engine's solve is numpy alone, and only the fits and the 2D
+    # ring step load LAPACK. Each gives the values it gave when the package
+    # imported both up front.
     code = (
-        "import sys\n"
+        "import sys, tempfile\n"
+        "from pathlib import Path\n"
+        "def loaded():\n"
+        "    return [name for name in ('scipy.spatial', 'scipy.linalg') if name in sys.modules]\n"
         "import equimesh\n"
-        "assert 'scipy.spatial' not in sys.modules\n"
+        "assert loaded() == []\n"
         "import equimesh.cli\n"
-        "assert 'scipy.spatial' not in sys.modules\n"
+        "assert loaded() == []\n"
+        "from equimesh import benchmarks\n"
+        "from equimesh.contour2d import decompose_contour, remesh_contour\n"
+        "from equimesh.diffusion import DiffusionConfig, diffuse_remesh\n"
+        "domain = benchmarks.oblate_domain()\n"
+        "weights = benchmarks.bumpy_weights(domain, n_max=12)\n"
+        "coords, faces = equimesh.sample_icosphere(domain, 2)\n"
+        "diffuse_remesh(weights, coords, faces, DiffusionConfig(stages=((12, 3),)))\n"
+        "assert loaded() == []\n"
+        "with tempfile.TemporaryDirectory() as folder:\n"
+        "    path = Path(folder)\n"
+        "    equimesh.save_weights(weights, path / 'bumpy.weights')\n"
+        "    assert equimesh.cli.main(['remesh', '--weights', str(path / 'bumpy.weights'),\n"
+        "                              '--out', str(path / 'out.obj'), '--imax', '3']) == 0\n"
+        "assert loaded() == []\n"
+        "mesh = equimesh.TriangleMesh(equimesh.reconstruct_fast(weights, coords), faces)\n"
+        "fit = equimesh.decompose(mesh, coords, equimesh.ExpansionConfig(8))\n"
+        "assert loaded() == ['scipy.linalg']\n"
+        "contour = remesh_contour(decompose_contour(benchmarks.ellipse_contour(), 12), 24)\n"
+        "print(fit.residual_rms.hex(), fit.coef.sum().hex(), (contour.points ** 2).sum().hex())\n"
         "m = equimesh.icosphere(3)\n"
         "print(*(x.hex() for x in equimesh.compare_surfaces(m, m.with_vertices(m.vertices * 1.1))))\n"
+        "assert loaded() == ['scipy.spatial', 'scipy.linalg']\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out.split() == ["0x1.98c6ce0f371cdp-4", "0x1.9035304001ffcp+3",
-                           "0x1.e4405ba99c04ep+3"]
+    assert out.split()[-6:] == ["0x1.1ffb9eb8f64f9p-9", "-0x1.55a0c37ab4dfcp+2",
+                                "0x1.3fd58be663dd8p+5", "0x1.98c6ce0f371cdp-4",
+                                "0x1.9035304001ffcp+3", "0x1.e4405ba99c04ep+3"]
