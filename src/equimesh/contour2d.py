@@ -19,12 +19,16 @@ moves by the jump of the diffused density across it, so alternating
 segment lengths are seen and corrected. The time step is the largest at
 which no explicit sample move passes 0.3 of its smaller eta gap, so the
 iteration count grows about linearly with the segment budget. Per
-particle the step builds its [coef | slope] table and the ring's
-neighbour index once; per iteration it builds the Fourier rows once,
-and the gaps of the accepted angles serve the next step's bound.
+particle the step builds once its [coef | slope] table, whose zero sin-0
+row lets one product take the Fourier rows as `_multiple_angles` writes
+them into the particle's rows buffer, the ring's neighbour indices, a gap
+buffer, and the ring solve's right-hand side and LAPACK routine. Per
+iteration it builds the Fourier rows once, and the gaps of the accepted
+angles serve the next step's bound.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,10 +43,11 @@ from .errors import (
     check_count,
     naming,
     read_lines,
+    read_only,
     row_values,
 )
 from .harmonics import _check_degree, _lapack, _least_squares, _multiple_angles
-from .mesh import Contour2D, ring_lengths
+from .mesh import Contour2D
 from .spheroidal import confocal_inverse, focal_chart, wrap_angle
 
 __all__ = [
@@ -146,7 +151,7 @@ def fit_ellipse(contour):
 class ContourWeights:
     """Fourier weights of x(eta), y(eta): the fit's real (2 n_max + 1, 2)
     coefficients, rows cos(m eta) for m = 0..n_max, then sin(m eta) for
-    m = 1..n_max (the rows of `_fourier_rows`)."""
+    m = 1..n_max (the fit's rows)."""
 
     coef: np.ndarray
     n_max: int
@@ -163,12 +168,11 @@ class ContourWeights:
         self.coef = np.ascontiguousarray(coef, dtype=float)
 
 
-def _fourier_rows(eta, n_max):
-    """(2 n_max + 1, n) rows cos(m eta), m = 0..n_max, then sin(m eta),
-    m = 1..n_max, at the n angles eta: the fit's rows and the evaluation's."""
-    cos_m, sin_m = _multiple_angles(np.cos(eta), np.sin(eta),
-                                    np.empty((2, n_max + 1, np.size(eta))))
-    return np.vstack([cos_m, sin_m[1:]])
+def _fourier_rows(eta, rows):
+    """rows, a (2, n_max + 1, n) buffer, filled with cos(m eta), then
+    sin(m eta), m = 0..n_max, at the n angles eta, and returned as
+    (2 n_max + 2, n) rows; the sin-0 row is zero."""
+    return _multiple_angles(np.cos(eta), np.sin(eta), rows).reshape(-1, rows.shape[2])
 
 
 def decompose_contour(contour, n_max):
@@ -176,8 +180,8 @@ def decompose_contour(contour, n_max):
 
     Each vertex is assigned the elliptic angle of the fitted ellipse chart
     (the planar analogue of the surface projection); the fit then solves
-    for x(eta), y(eta) over the real rows of `_fourier_rows`, which it
-    passes as dense rows to the surface fit's least-squares policy
+    for x(eta), y(eta) over `_fourier_rows` without the zero sin-0 row, as
+    dense rows passed to the surface fit's least-squares policy
     (`harmonics._least_squares`), so it needs at least 2*n_max + 1 points.
     """
     if not contour.closed:
@@ -185,7 +189,10 @@ def decompose_contour(contour, n_max):
     _check_degree(n_max)
     domain = fit_ellipse(contour)
     _, eta = inverse_elliptic(domain, contour.points)
-    Bt, V = _fourier_rows(eta, n_max), contour.points
+    rows = _fourier_rows(eta, np.empty((2, n_max + 1, eta.shape[0])))
+    # the cos rows move down onto the zero sin-0 row: cos 0..n_max, sin 1..n_max
+    rows[1 : n_max + 2] = rows[: n_max + 1]
+    Bt, V = rows[1:], contour.points
     coef, residual_rms = _least_squares(
         Bt @ Bt.T, Bt @ V, V, lambda c: Bt @ (V - Bt.T @ c),
         lambda c: ((V - Bt.T @ c) ** 2).sum(axis=1).sum(), lambda: Bt
@@ -197,30 +204,32 @@ def decompose_contour(contour, n_max):
 
 def reconstruct_contour(weights, eta):
     """Evaluate the contour at angles eta; returns (n, 2) points."""
-    return _evaluate(_evaluation_table(weights), eta)[0]
+    return _evaluate(weights, eta)[:, :2]
 
 
 def contour_tangents(weights, eta):
     """d(point)/d(eta) of the reconstruction — the local chart speed."""
-    return _evaluate(_evaluation_table(weights), eta)[1]
+    return _evaluate(weights, eta)[:, 2:]
+
+
+def _evaluate(weights, eta):
+    """[points | d/d(eta)] at angles eta, (n, 4): one product of the
+    Fourier rows with `_evaluation_table`."""
+    rows = _fourier_rows(eta, np.empty((2, weights.n_max + 1, len(eta))))
+    return rows.T @ _evaluation_table(weights)
 
 
 def _evaluation_table(weights):
-    """(2 n_max + 1, 4) table [coef | slope] in `_fourier_rows` order:
-    x(eta) = sum_m a_m cos(m eta) + b_m sin(m eta), so d/d(eta) takes
-    a_m, b_m to m b_m, -m a_m."""
+    """(2 n_max + 2, 4) table [coef | slope] in `_fourier_rows` order, its
+    sin-0 row zero: x(eta) = sum_m a_m cos(m eta) + b_m sin(m eta), so
+    d/d(eta) takes a_m, b_m to m b_m, -m a_m."""
     n = weights.n_max
     m = np.arange(1, n + 1)[:, None]
-    a, b = weights.coef[1 : n + 1], weights.coef[n + 1 :]
-    slope = np.vstack([np.zeros((1, 2)), m * b, -m * a])
-    return np.hstack([weights.coef, slope])
-
-
-def _evaluate(table, eta):
-    """Points and their d/d(eta) at angles eta, each (n, 2), from one build
-    of the Fourier rows and one product with `_evaluation_table`."""
-    vals = _fourier_rows(eta, table.shape[0] // 2).T @ table
-    return vals[:, :2], vals[:, 2:]
+    a, b = weights.coef[: n + 1], weights.coef[n + 1 :]
+    table = np.zeros((2 * n + 2, 4))
+    table[: n + 1, :2], table[n + 2 :, :2] = a, b
+    table[1 : n + 1, 2:], table[n + 2 :, 2:] = m * b, -m * a[1:]
+    return table
 
 
 @dataclass
@@ -235,15 +244,18 @@ class ContourTrace(TraceTable):
     stop_reason: str = ""
 
 
-def _gaps(eta):
-    """Angle from each sample to the next, each in [0, 2 pi)."""
-    return np.mod(np.diff(eta, append=eta[:1] + 2.0 * np.pi), 2.0 * np.pi)
+def _gaps(eta, out):
+    """Angle from each sample to the next, each in [0, 2 pi), into out; the
+    last is (eta[0] + 2 pi) - eta[-1], as np.diff takes it when appended."""
+    np.subtract(eta[1:], eta[:-1], out=out[:-1])
+    out[-1] = (eta[0] + 2.0 * np.pi) - eta[-1]
+    return np.mod(out, 2.0 * np.pi, out=out)
 
 
 def _cyclic_increasing(gap):
     """True when angles whose `_gaps` are gap wind once around the circle
     without crossing."""
-    return bool(np.all(gap > 0.0) and abs(gap.sum() - 2.0 * np.pi) < 1e-9)
+    return bool((gap > 0.0).all() and abs(gap.sum() - 2.0 * np.pi) < 1e-9)
 
 
 def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
@@ -267,56 +279,50 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
         raise ValueError(f"std_target must be nonnegative, not {std_target!r}")
     if trace is None:
         trace = ContourTrace()
+    # the ring plan: what every iteration reuses, built once per particle
     table = _evaluation_table(weights)
+    rows = np.empty((2, weights.n_max + 1, n_points))
     prev = np.arange(-1, n_points - 1)  # i - 1, cyclically
+    nxt = np.arange(1, n_points + 1) % n_points  # i + 1
+    gap, rhs = np.empty(n_points), np.zeros((n_points, 2), order="F")
+    dptsv = _lapack().dptsv
     eta = 2.0 * np.pi * np.arange(n_points) / n_points
-    gap = _gaps(eta)
-    points, tangents = _evaluate(table, eta)
-    seg = ring_lengths(points)
-    std = float(seg.std())
+    _gaps(eta, gap)
+    points, speed, seg, total, std = _ring_state(table, eta, rows, nxt)
     trace.initial_std_length = std
     # a uniform start (circle-like weights) is already converged
-    goal = max(std_target * std, 1e-3 * float(seg.mean()))
+    goal = max(std_target * std, 1e-3 * float(total / n_points))
 
     for t in range(1, i_max + 1):
         if std <= goal:
             break
         # staggered density: one value per segment; sample i sits between
         # segments i - 1 and i, a spacing h_i apart
-        u = seg / seg.sum()
+        u = seg / total
         h = 0.5 * (seg + seg[prev])
         conductance = 1.0 / h
-        speed = np.maximum(np.linalg.norm(tangents, axis=1), 1e-15)
         # the largest step whose explicit move keeps every sample within
         # _ETA_MOVE_FRACTION of its nearer neighbour in eta
-        reach = np.abs(_eta_velocity(u, u[prev], h, speed)) / np.minimum(
-            gap, gap[prev]
-        )
-        dt = _ETA_MOVE_FRACTION / float(reach.max())
-        accepted = False
+        reach = np.abs(_eta_velocity(u, u[prev], h, speed))
+        reach /= np.minimum(gap, gap[prev])
+        dt = _ETA_MOVE_FRACTION / float(np.maximum.reduce(reach))
         for _ in range(MAX_DT_HALVINGS + 1):
             # implicit ring-diffusion step: (M - dt L) u' = M u
-            u_new = _ring_implicit_step(seg, conductance, u, dt)
+            u_new = _ring_implicit_step(seg, conductance, u, dt, rhs, dptsv)
             velocity = _eta_velocity(u_new, u_new[prev], h, speed)
             cand = np.mod(eta + dt * velocity, 2.0 * np.pi)
-            cand_gap = _gaps(cand)
-            if _cyclic_increasing(cand_gap):
-                accepted = True
+            if _cyclic_increasing(_gaps(cand, gap)):
                 break
             dt *= 0.5
-        if not accepted:
+        else:
             trace.stop_reason = "ordering"
             raise EngineError(
                 f"sample ordering could not be preserved at iteration {t}",
                 trace=trace,
             )
-        eta, gap = cand, cand_gap
-        points, tangents = _evaluate(table, eta)
-        seg = ring_lengths(points)
-        std = float(seg.std())
-        trace.append(
-            t=t, dt=dt, std_length=std, total_length=seg.sum(),
-        )
+        eta = cand
+        points, speed, seg, total, std = _ring_state(table, eta, rows, nxt)
+        trace.append(t=t, dt=dt, std_length=std, total_length=total)
 
     if std > goal:
         trace.stop_reason = "i_max"
@@ -326,7 +332,21 @@ def remesh_contour(weights, n_points, i_max=200, std_target=0.2, trace=None):
             trace=trace,
         )
     trace.stop_reason = "converged"
-    return Contour2D(points=points, closed=True)
+    return Contour2D(points=read_only(points.copy()), closed=True)
+
+
+def _ring_state(table, eta, rows, nxt):
+    """Points (n, 2), chart speeds, segment lengths, their sum and their STD
+    at angles eta: the arithmetic of `mesh.ring_lengths`, `np.linalg.norm`
+    and `ndarray.std`, bit for bit, in fewer numpy calls."""
+    vals = _fourier_rows(eta, rows).T @ table
+    points, tangent, n = vals[:, :2], vals[:, 2:] ** 2, eta.shape[0]
+    d = (points[nxt] - points) ** 2
+    seg = np.sqrt(d[:, 0] + d[:, 1])
+    total = np.add.reduce(seg)
+    std = math.sqrt(np.add.reduce((seg - total / n) ** 2) / n)
+    speed = np.maximum(np.sqrt(tangent[:, 0] + tangent[:, 1]), 1e-15)
+    return points, speed, seg, total, std
 
 
 def _eta_velocity(u, u_prev, h, speed):
@@ -336,13 +356,15 @@ def _eta_velocity(u, u_prev, h, speed):
     return 2.0 * (u - u_prev) / (h * np.maximum(u + u_prev, 1e-15) * speed)
 
 
-def _ring_implicit_step(masses, conductance, u, dt):
+def _ring_implicit_step(masses, conductance, u, dt, rhs, dptsv):
     """Backward Euler on a ring of nodes: solves (M - dt L) u' = M u.
 
     conductance[j] couples node j - 1 and node j (node -1 is the last).
     The matrix is symmetric positive definite and cyclic tridiagonal; the
     corner coupling is split off as a rank-one term (Sherman-Morrison), so
-    two banded Cholesky solves give u' in O(n).
+    two banded Cholesky solves give u' in O(n). rhs is an (n, 2) Fortran
+    buffer that the solve overwrites; dptsv is LAPACK's, which solveh_banded
+    runs on a band of two rows, called directly without its checks.
     """
     off = -dt * conductance
     # node j couples to j - 1 through off[j] and to j + 1 through off[j + 1]
@@ -353,14 +375,12 @@ def _ring_implicit_step(masses, conductance, u, dt):
     gamma = -diag[0]
     diag[0] -= gamma
     diag[-1] -= corner * corner / gamma
-    rhs = np.zeros((diag.shape[0], 2), order="F")
-    rhs[:, 0] = masses * u
+    np.multiply(masses, u, out=rhs[:, 0])
+    rhs[:, 1] = 0.0
     rhs[0, 1] = gamma
     rhs[-1, 1] = corner
-    # solveh_banded runs this LAPACK solve on a band of two rows; calling
-    # it directly skips the band copy and the checks
-    _, _, solution, info = _lapack().dptsv(diag, off[1:], rhs, overwrite_d=True,
-                                           overwrite_e=True, overwrite_b=True)
+    _, _, solution, info = dptsv(diag, off[1:], rhs, overwrite_d=True,
+                                 overwrite_e=True, overwrite_b=True)
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
     y, z = solution.T
@@ -389,16 +409,14 @@ def segment_budgets(lengths, max_segments_largest):
 
 def self_intersects(contour):
     """True when any two non-adjacent segments of the closed contour cross:
-    each has the other's ends strictly on opposite sides. side(r)[i, j] is
-    the orientation of r_j against segment i, from a_i to b_i."""
+    each has the other's ends strictly on opposite sides. side[i, j] is the
+    orientation of point j against segment i, from a_i to b_i = a_{i+1}, so
+    the orientations of the ends b_j are its columns shifted by one."""
     a = contour.points
-    b = np.roll(a, -1, axis=0)
-    d = b - a
-
-    def side(r):
-        return d[:, :1] * (r[:, 1] - a[:, 1:]) - d[:, 1:] * (r[:, 0] - a[:, :1])
-
-    apart = side(a) * side(b) < 0.0
+    nxt = np.arange(1, a.shape[0] + 1) % a.shape[0]
+    d = a[nxt] - a
+    side = d[:, :1] * (a[:, 1] - a[:, 1:]) - d[:, 1:] * (a[:, 0] - a[:, :1])
+    apart = side * side[:, nxt] < 0.0
     # no mask needed: a segment's own end, or a neighbour's, lies on it at
     # orientation exactly 0.0, so no segment is apart from itself or a neighbour
     return bool(np.any(apart & apart.T))

@@ -233,14 +233,15 @@ class Contour2D:
 
     points : (n, 2) float array, consecutive points distinct (cyclically for
     closed contours); closed contours need at least 3 points and do not
-    repeat the first point at the end, open ones at least 2.
+    repeat the first point at the end, open ones at least 2. A read-only
+    array is kept as it is; any other is copied (`owned_array`).
     """
 
     points: np.ndarray
     closed: bool = True
 
     def __post_init__(self):
-        p = np.ascontiguousarray(self.points, dtype=np.float64)
+        p = owned_array(self.points, np.float64)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array")
         if not np.isfinite(p).all():

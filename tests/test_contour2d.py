@@ -31,8 +31,14 @@ from equimesh.errors import (
     IntersectionError,
     SingularityError,
 )
-from equimesh.harmonics import ExpansionConfig, decompose
-from equimesh.mesh import Contour2D, TriangleMesh
+from equimesh.harmonics import (
+    ExpansionConfig,
+    _lapack,
+    _least_squares,
+    _multiple_angles,
+    decompose,
+)
+from equimesh.mesh import Contour2D, TriangleMesh, ring_lengths
 from equimesh.spheroidal import (
     SPHERE_GAP,
     CurvilinearCoords,
@@ -267,6 +273,27 @@ def test_decompose_matches_complex_reference(contour, n_max):
     assert np.abs(q - _complex_lstsq_weights(contour, n_max)).max() < 1e-12
 
 
+def _fourier_rows_reference(eta, n_max):
+    """Reference fit rows, (2 n_max + 1, n): the cos rows and the sin rows
+    after sin 0, stacked into a fresh array."""
+    cos_m, sin_m = _multiple_angles(np.cos(eta), np.sin(eta),
+                                    np.empty((2, n_max + 1, eta.size)))
+    return np.vstack([cos_m, sin_m[1:]])
+
+
+@pytest.mark.parametrize("contour, n_max", _REFERENCE_CASES + [(star_contour(), 4)])
+def test_decompose_matches_the_stacked_rows_bit_for_bit(contour, n_max):
+    _, eta = inverse_elliptic(fit_ellipse(contour), contour.points)
+    Bt, V = _fourier_rows_reference(eta, n_max), contour.points
+    coef, residual_rms = _least_squares(
+        Bt @ Bt.T, Bt @ V, V, lambda c: Bt @ (V - Bt.T @ c),
+        lambda c: ((V - Bt.T @ c) ** 2).sum(axis=1).sum(), lambda: Bt
+    )
+    weights = decompose_contour(contour, n_max)
+    assert weights.coef.tobytes() == coef.tobytes()
+    assert weights.residual_rms == residual_rms
+
+
 def _complex_evaluate(q, eta):
     """Reference evaluation of the half spectrum q: the points
     sum_m q_m e^{i m eta} plus conjugates, and their d/d(eta)."""
@@ -429,6 +456,127 @@ def test_ring_step_builds_the_rows_once_per_iteration(monkeypatch):
     assert tr.n_rows >= 3
     assert calls["solves"] == tr.n_rows
     assert calls["rows"] == tr.n_rows + 1
+
+
+def _remesh_contour_reference(weights, n_points, i_max, std_target=0.2):
+    """Reference ring loop on fresh arrays, with no per-particle buffer:
+    stacked Fourier rows, np.diff gaps, ring_lengths, ndarray.std and
+    np.linalg.norm. Returns (points or None, trace)."""
+    n = weights.n_max
+    m = np.arange(1, n + 1)[:, None]
+    a, b = weights.coef[1 : n + 1], weights.coef[n + 1 :]
+    table = np.hstack([weights.coef, np.vstack([np.zeros((1, 2)), m * b, -m * a])])
+
+    def evaluate(eta):
+        vals = _fourier_rows_reference(eta, n).T @ table
+        return vals[:, :2], vals[:, 2:]
+
+    def gaps(eta):
+        return np.mod(np.diff(eta, append=eta[:1] + 2.0 * np.pi), 2.0 * np.pi)
+
+    trace = ContourTrace()
+    prev = np.arange(-1, n_points - 1)
+    eta = 2.0 * np.pi * np.arange(n_points) / n_points
+    gap = gaps(eta)
+    points, tangents = evaluate(eta)
+    seg = ring_lengths(points)
+    std = float(seg.std())
+    trace.initial_std_length = std
+    goal = max(std_target * std, 1e-3 * float(seg.mean()))
+    for t in range(1, i_max + 1):
+        if std <= goal:
+            break
+        u = seg / seg.sum()
+        h = 0.5 * (seg + seg[prev])
+        speed = np.maximum(np.linalg.norm(tangents, axis=1), 1e-15)
+        reach = np.abs(contour2d._eta_velocity(u, u[prev], h, speed)) / np.minimum(
+            gap, gap[prev]
+        )
+        dt = contour2d._ETA_MOVE_FRACTION / float(reach.max())
+        for _ in range(contour2d.MAX_DT_HALVINGS + 1):
+            u_new = contour2d._ring_implicit_step(
+                seg, 1.0 / h, u, dt, np.zeros((n_points, 2), order="F"),
+                _lapack().dptsv,
+            )
+            velocity = contour2d._eta_velocity(u_new, u_new[prev], h, speed)
+            cand = np.mod(eta + dt * velocity, 2.0 * np.pi)
+            cand_gap = gaps(cand)
+            if contour2d._cyclic_increasing(cand_gap):
+                break
+            dt *= 0.5
+        else:
+            trace.stop_reason = "ordering"
+            return None, trace
+        eta, gap = cand, cand_gap
+        points, tangents = evaluate(eta)
+        seg = ring_lengths(points)
+        std = float(seg.std())
+        trace.append(t=t, dt=dt, std_length=std, total_length=seg.sum())
+    if std > goal:
+        trace.stop_reason = "i_max"
+        return None, trace
+    trace.stop_reason = "converged"
+    return points, trace
+
+
+def _seeded_particles(count=40):
+    """(weights, budget) of seeded ellipses and turned, scaled blobs."""
+    rng = np.random.default_rng(40)
+    for k in range(count):
+        n_points = int(rng.integers(32, 97))
+        if k % 2:
+            contour = ellipse_contour(rng.uniform(1.0, 4.0), rng.uniform(0.3, 1.0),
+                                      n_points)
+        else:
+            turn = rng.uniform(0.0, np.pi)
+            c, s = np.cos(turn), np.sin(turn)
+            points = rng.uniform(0.5, 3.0) * blob_contour(n_points).points
+            contour = Contour2D(points=points @ np.array([[c, s], [-s, c]]))
+        degree = int(rng.integers(4, 13))
+        yield decompose_contour(contour, degree), int(rng.integers(5, 97))
+
+
+def _assert_same_run(weights, budget, i_max):
+    expected, expected_trace = _remesh_contour_reference(weights, budget, i_max)
+    trace = ContourTrace()
+    try:
+        points = remesh_contour(weights, budget, i_max=i_max, trace=trace).points
+    except EngineError:
+        points = None
+    assert (points is None) == (expected is None)
+    if points is not None:
+        assert points.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert trace.stop_reason == expected_trace.stop_reason
+    assert trace.initial_std_length == expected_trace.initial_std_length
+    for name, _ in ContourTrace.columns():
+        assert np.asarray(getattr(trace, name)).tobytes() == (
+            np.asarray(getattr(expected_trace, name)).tobytes()
+        )
+    return trace
+
+
+def test_ring_plan_matches_the_reference_loop_bit_for_bit():
+    reasons = set()
+    for weights, budget in _seeded_particles():
+        reasons.add(_assert_same_run(weights, budget, 400).stop_reason)
+    assert reasons == {"converged"}
+
+
+def test_ring_plan_matches_the_reference_loop_on_a_self_crossing_star():
+    # samples on the two branches of the crossing slow the run to 142 rows
+    weights = decompose_contour(star_contour(), 4)
+    for i_max, reason, rows in ((100, "i_max", 100), (300, "converged", 142)):
+        trace = _assert_same_run(weights, 30, i_max)
+        assert (trace.stop_reason, trace.n_rows) == (reason, rows)
+
+
+def test_remesh_outputs_share_no_buffer():
+    first = remesh_contour(decompose_contour(blob_contour(n_points=64), 10), 40)
+    kept = first.points.copy()
+    second = remesh_contour(decompose_contour(ellipse_contour(), 10), 40)
+    assert np.array_equal(first.points, kept)
+    assert not np.shares_memory(first.points, second.points)
+    assert not first.points.flags.writeable
 
 
 def test_remesh_budget_failure_carries_trace():
@@ -596,6 +744,8 @@ def test_ring_implicit_step_matches_dense(n):
     masses = rng.uniform(0.1, 2.0, n)
     conductance = rng.uniform(0.5, 50.0, n)
     u = rng.uniform(0.0, 1.0, n)
+    # one right-hand-side buffer for every solve, whatever it held before
+    rhs = np.full((n, 2), np.nan, order="F")
     for dt in (1e-3, 1.0, 1e2):
         # conductance[j] couples nodes j - 1 and j
         system = np.diag(masses)
@@ -604,7 +754,8 @@ def test_ring_implicit_step_matches_dense(n):
             system[[i, j], [i, j]] += dt * conductance[j]
             system[[i, j], [j, i]] -= dt * conductance[j]
         expected = np.linalg.solve(system, masses * u)
-        got = contour2d._ring_implicit_step(masses, conductance, u, dt)
+        got = contour2d._ring_implicit_step(masses, conductance, u, dt, rhs,
+                                            _lapack().dptsv)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -612,7 +763,8 @@ def test_ring_implicit_step_refuses_a_band_that_is_not_positive_definite():
     # negative masses: the first pivot of the band is already negative
     n = 8
     with pytest.raises(LinAlgError, match="leading minor not positive definite$"):
-        contour2d._ring_implicit_step(-np.ones(n), np.ones(n), np.ones(n), 1e-3)
+        contour2d._ring_implicit_step(-np.ones(n), np.ones(n), np.ones(n), 1e-3,
+                                      np.zeros((n, 2), order="F"), _lapack().dptsv)
 
 
 # ---------------------------------------------------------------------------

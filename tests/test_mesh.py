@@ -21,6 +21,7 @@ from equimesh import (
     save_mesh,
     vertex_voronoi_areas,
 )
+from equimesh.errors import read_only
 from equimesh.mesh import (
     _chain_loops,
     _point_triangle_distance,
@@ -699,6 +700,21 @@ def test_contour_segment_lengths():
     assert c.length() == pytest.approx(4.0)
     # a closed surface's rim is the empty ring
     assert ring_lengths(np.zeros((0, 3))).shape == (0,)
+
+
+def test_contour_copies_a_callers_writeable_points():
+    p = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    c = Contour2D(p)
+    assert p.flags.writeable and not c.points.flags.writeable
+    assert not np.shares_memory(p, c.points)
+    # this write once left the contour holding a repeated point
+    p[1] = p[0]
+    assert np.array_equal(c.points[:2], [[0.0, 0.0], [1.0, 0.0]])
+
+
+def test_contour_keeps_read_only_points_uncopied():
+    p = read_only(np.array([[0, 0], [1, 0], [1, 1]], dtype=float))
+    assert Contour2D(p).points is p
 
 
 def test_contour_rejects_repeated_point():
